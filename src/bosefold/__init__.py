@@ -4,8 +4,7 @@ Builds exact many-body condensate states in block-decimation (MPS) form by
 folding condensate sums onto a single mode, evolves them in the Heisenberg
 picture, and measures occupations and logarithmic negativity.
 """
-from .errors import (BosefoldError, ConfigError, ConvergenceError, CutoffError,
-                     ModelError, ValidationError)
+from .errors import BosefoldError, ConfigError, CutoffError, ModelError, ValidationError
 from .model import (CouplingMatrix, ModelSpec, add_gaussian_center_perturbation,
                     add_onsite_barrier, add_parabolic_trap, build_coupling,
                     build_inverse_distance, build_jx, coupling_from_array)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dense
 from .config import parse_config
-from .errors import BosefoldError, ConfigError, ConvergenceError
+from .errors import BosefoldError, ConfigError
 from .folding import fold_single, plan_to_text
 from .heisenberg import ground_mode, spectral_decompose
 from .model import build_coupling
@@ -185,9 +185,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -17,10 +17,6 @@ class CutoffError(BosefoldError):
     """A Fock occupation would exceed the local dimension."""
 
 
-class ConvergenceError(BosefoldError):
-    """An iterative numeric procedure failed to reach its tolerance."""
-
-
 class ConfigError(BosefoldError):
     """Bad scenario configuration; carries the offending line when known."""
 

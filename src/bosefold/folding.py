@@ -86,19 +86,15 @@ def pair_rotation_angle(c_k: float, c_k1: float) -> float:
     return 2.0 * math.atan2(c_k1, c_k)
 
 
-def fold_single(c) -> FoldPlan:
-    """Plan collapsing a nonzero mode vector onto mode 1.
+def _strip_and_rotate(c: np.ndarray, last_bond: int):
+    """Phase strips on every site, then rotations on bonds N-1 down to `last_bond`.
 
-    Fixed schedule of length 2N-1: phases on sites 1..N, then rotations on
-    bonds N-1 down to 1 (zero angles kept explicit).
+    Returns the ops and the moduli left on the modes afterwards.
     """
-    c = _coeffs(c)
     n = c.shape[0]
-    if np.linalg.norm(c) == 0.0:
-        raise ValidationError("cannot fold the zero vector")
     ops = [PhaseOp(site=k + 1, angle=float(np.angle(c[k]))) for k in range(n)]
     r = np.abs(c)
-    for k in range(n - 2, -1, -1):  # bond k+1 in 1-based terms
+    for k in range(n - 2, last_bond - 2, -1):  # bond k+1 in 1-based terms
         if r[k] < _ZERO and r[k + 1] < _ZERO:
             phi = 0.0
         else:
@@ -106,7 +102,20 @@ def fold_single(c) -> FoldPlan:
         ops.append(PairRotationOp(bond=k + 1, angle=phi))
         r[k] = math.hypot(r[k], r[k + 1])
         r[k + 1] = 0.0
-    return FoldPlan(ops=tuple(ops), n_modes=n)
+    return ops, r
+
+
+def fold_single(c) -> FoldPlan:
+    """Plan collapsing a nonzero mode vector onto mode 1.
+
+    Fixed schedule of length 2N-1: phases on sites 1..N, then rotations on
+    bonds N-1 down to 1 (zero angles kept explicit).
+    """
+    c = _coeffs(c)
+    if np.linalg.norm(c) == 0.0:
+        raise ValidationError("cannot fold the zero vector")
+    ops, _ = _strip_and_rotate(c, 1)
+    return FoldPlan(ops=tuple(ops), n_modes=c.shape[0])
 
 
 def apply_op_to_modes(op, v: np.ndarray) -> np.ndarray:
@@ -166,16 +175,7 @@ def fold_two(z, c, m1: int, m2: int) -> TwoSumPlan:
     plan1 = fold_single(z)
     c1 = apply_plan_to_modes(plan1, c)
 
-    ops = [PhaseOp(site=k + 1, angle=float(np.angle(c1[k]))) for k in range(n)]
-    r = np.abs(c1)
-    for k in range(n - 2, 0, -1):  # bonds N-1 .. 2, never bond 1
-        if r[k] < _ZERO and r[k + 1] < _ZERO:
-            phi = 0.0
-        else:
-            phi = 2.0 * math.atan2(r[k + 1], r[k])
-        ops.append(PairRotationOp(bond=k + 1, angle=phi))
-        r[k] = math.hypot(r[k], r[k + 1])
-        r[k + 1] = 0.0
+    ops, r = _strip_and_rotate(c1, 2)  # bonds N-1 .. 2, never bond 1
     plan2 = FoldPlan(ops=tuple(ops), n_modes=n)
     bridging = pair_rotation_angle(r[0], r[1])
     return TwoSumPlan(plan1=plan1, plan2_partial=plan2, bridging_angle=bridging,

@@ -4,11 +4,15 @@ State layout: gammas[k] has shape (chi_left, d, chi_right) for site k+1;
 lambdas[b] is the bond-b Schmidt vector (b = 0..N with trivial [1.0] ends).
 Amplitudes contract as Gamma^[1] lam^[1] Gamma^[2] ... lam^[N-1] Gamma^[N].
 
-Gates are exact unitaries on the truncated local Fock spaces; the pair
-rotation is built sector by sector in the total occupation, so number
-conservation holds structurally.  The first-site lifting implements
-(a_1^dag)^M2 as a local index shift plus a lambda rescale, which is exact
-whenever every bond-1 Schmidt vector carries a definite site-1 occupation.
+Every bond index carries an explicit U(1) label: charges[b][alpha] is the
+number of bosons to the right of bond b in Schmidt vector alpha, so
+Gamma^[k+1][a, n, b] is nonzero only where charges[k][a] == n + charges[k+1][b]
+(U(1)-symmetric tensor networks, Singh, Pfeifer & Vidal).  Gates must
+conserve boson number: single-site gates are diagonal, and the two-site
+update runs one SVD per middle-bond charge and rejects a gate that leaves
+weight outside those blocks.  The first-site lifting implements (a_1^dag)^M2
+as a local index shift plus a lambda rescale, reading each bond-1 Schmidt
+vector's site-1 occupation from the labels.
 """
 from __future__ import annotations
 
@@ -23,12 +27,14 @@ from .folding import (FoldPlan, PairRotationOp, PhaseOp, TwoSumPlan, fold_single
                       fold_two, invert_plan, _coeffs)
 
 LAMBDA_FLOOR = 1e-14  # boundary-lambda entries below this are treated as zero
+SECTOR_LEAK_TOL = 1e-10  # relative two-site weight allowed outside the charge blocks
 
 
 @dataclass
 class BlockDecimationState:
     gammas: list  # per-site (chiL, d, chiR) tensors
     lambdas: list  # per-bond vectors, length n_sites + 1, trivial ends
+    charges: list  # per-bond int arrays: bosons to the right of the bond
     local_dim: int
     chi_max: int
     trunc_tol: float
@@ -42,6 +48,7 @@ class BlockDecimationState:
         return BlockDecimationState(
             gammas=[g.copy() for g in self.gammas],
             lambdas=[l.copy() for l in self.lambdas],
+            charges=[q.copy() for q in self.charges],
             local_dim=self.local_dim,
             chi_max=self.chi_max,
             trunc_tol=self.trunc_tol,
@@ -73,8 +80,9 @@ def from_fock(occupations, d: int, chi_max: int, trunc_tol: float) -> BlockDecim
         g[0, occ, 0] = 1.0
         gammas.append(g)
     lambdas = [np.array([1.0]) for _ in range(n + 1)]
-    return BlockDecimationState(gammas=gammas, lambdas=lambdas, local_dim=d,
-                                chi_max=chi_max, trunc_tol=trunc_tol)
+    charges = [np.array([sum(occupations[b:])]) for b in range(n + 1)]
+    return BlockDecimationState(gammas=gammas, lambdas=lambdas, charges=charges,
+                                local_dim=d, chi_max=chi_max, trunc_tol=trunc_tol)
 
 
 def build_phase_gate(site: int, theta: float, d: int) -> SingleModeGate:
@@ -112,50 +120,21 @@ def apply_single(state: BlockDecimationState, gate: SingleModeGate) -> BlockDeci
         raise ValidationError(f"site {gate.site} outside chain")
     if gate.matrix.shape != (state.local_dim, state.local_dim):
         raise ValidationError("gate dimension does not match local dimension")
-    state.gammas[k] = np.einsum("ij,ajb->aib", gate.matrix, state.gammas[k])
+    diag = np.diagonal(gate.matrix)
+    if np.any(gate.matrix != np.diag(diag)):
+        raise ValidationError("single-site gate must be diagonal in the occupation basis")
+    state.gammas[k] = state.gammas[k] * diag[None, :, None]
     return state
 
 
-def _component_svd(mat: np.ndarray):
-    """SVD split over connected components of the exact zero pattern.
-
-    Number conservation makes the two-site tensor block-diagonal up to row
-    and column permutations; structural zeros survive floating point, so the
-    components recover the charge sectors without explicit labels.
-    """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    nrows, ncols = mat.shape
-    rr, cc = np.nonzero(mat)
-    if rr.size == 0:
-        raise ValidationError("two-site block vanished; state is not normalized")
-    graph = sp.coo_matrix((np.ones(rr.size), (rr, cc + nrows)),
-                          shape=(nrows + ncols, nrows + ncols))
-    ncomp, labels = connected_components(graph, directed=False)
-    row_labels = labels[:nrows]
-    col_labels = labels[nrows:]
-    used = np.unique(row_labels[rr])
-    s_parts, u_parts, vh_parts = [], [], []
-    for comp in used:
-        rows = np.flatnonzero(row_labels == comp)
-        cols = np.flatnonzero(col_labels == comp)
-        ub, sb, vhb = np.linalg.svd(mat[np.ix_(rows, cols)], full_matrices=False)
-        for i in range(sb.shape[0]):
-            s_parts.append(sb[i])
-            u_parts.append((rows, ub[:, i]))
-            vh_parts.append((cols, vhb[i, :]))
-    s = np.array(s_parts)
-    order = np.argsort(-s, kind="stable")
-    return s, order, u_parts, vh_parts
-
-
 def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimationState:
-    """Standard two-site Vidal update: contract, SVD, truncate, restore form."""
+    """Standard two-site Vidal update: contract, SVD per charge, truncate, restore form."""
     k = gate.bond - 1
     if not (0 <= k < state.n_sites - 1):
         raise ValidationError(f"bond {gate.bond} outside chain")
     d = state.local_dim
+    if gate.matrix.shape != (d * d, d * d):
+        raise ValidationError("gate dimension does not match two-site dimension")
     lam_l, lam_m, lam_r = state.lambdas[k], state.lambdas[k + 1], state.lambdas[k + 2]
     g1, g2 = state.gammas[k], state.gammas[k + 1]
     chi_l, chi_m, chi_r = lam_l.shape[0], lam_m.shape[0], lam_r.shape[0]
@@ -166,9 +145,26 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     tm = gate.matrix @ theta.transpose(1, 0, 2).reshape(d * d, chi_l * chi_r)
     mat = (tm.reshape(d, d, chi_l, chi_r).transpose(2, 0, 1, 3)
            .reshape(chi_l * d, d * chi_r))
+    norm2 = float(np.vdot(mat, mat).real)
+    if norm2 == 0.0:
+        raise ValidationError("two-site block vanished; state is not normalized")
 
-    s_all, order, u_parts, vh_parts = _component_svd(mat)
+    # middle-bond charge of row (a, i) is qL[a] - i, of column (j, b) is j + qR[b]
+    occ = np.arange(d)
+    row_q = (state.charges[k][:, None] - occ[None, :]).ravel()
+    col_q = (occ[:, None] + state.charges[k + 2][None, :]).ravel()
+    blocks = []
+    for q in np.intersect1d(row_q, col_q):
+        rows = np.flatnonzero(row_q == q)
+        cols = np.flatnonzero(col_q == q)
+        ub, sb, vhb = np.linalg.svd(mat[np.ix_(rows, cols)], full_matrices=False)
+        blocks.append((q, rows, cols, ub, sb, vhb))
+    s_all = np.concatenate([blk[4] for blk in blocks])
     total = float(np.sum(s_all**2))
+    if abs(norm2 - total) > SECTOR_LEAK_TOL * norm2:
+        raise ValidationError("two-site gate does not conserve boson number")
+
+    order = np.argsort(-s_all, kind="stable")
     s_sorted = s_all[order]
     keep = (s_sorted**2 / total >= state.trunc_tol) & (s_sorted > 0)
     chi_new = min(int(np.count_nonzero(keep)), state.chi_max)
@@ -178,11 +174,15 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     s = s_all[kept]
     u = np.zeros((chi_l * d, chi_new), dtype=complex)
     vh = np.zeros((chi_new, d * chi_r), dtype=complex)
-    for col, idx in enumerate(kept):
-        rows, vec = u_parts[idx]
-        u[rows, col] = vec
-        cols, vec = vh_parts[idx]
-        vh[col, cols] = vec
+    q_new = np.zeros(chi_new, dtype=int)
+    start = 0
+    for q, rows, cols, ub, sb, vhb in blocks:
+        slots = np.flatnonzero((kept >= start) & (kept < start + sb.shape[0]))
+        local = kept[slots] - start
+        u[np.ix_(rows, slots)] = ub[:, local]
+        vh[np.ix_(slots, cols)] = vhb[local]
+        q_new[slots] = q
+        start += sb.shape[0]
     lam_new = s / math.sqrt(float(np.sum(s**2)))
 
     inv_l = np.where(lam_l > LAMBDA_FLOOR, 1.0 / np.where(lam_l > 0, lam_l, 1.0), 0.0)
@@ -190,6 +190,7 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     state.gammas[k] = (u.reshape(chi_l, d, chi_new) * inv_l[:, None, None])
     state.gammas[k + 1] = (vh.reshape(chi_new, d, chi_r) * inv_r[None, None, :])
     state.lambdas[k + 1] = lam_new
+    state.charges[k + 1] = q_new
     return state
 
 
@@ -201,10 +202,9 @@ def _lift_factors(j: np.ndarray, m2: int) -> np.ndarray:
 def lift_first_site(state: BlockDecimationState, m2: int) -> BlockDecimationState:
     """Apply (a_1^dag)^m2 followed by renormalization.
 
-    Requires every bond-1 Schmidt vector to carry a definite site-1
-    occupation (number-conserving history guarantees this); the lift then
-    shifts the site-1 local index and rescales lambda^[1], leaving every
-    other bond untouched.
+    The site-1 occupation of bond-1 Schmidt vector gamma is
+    charges[0][0] - charges[1][gamma]; the lift shifts that local index and
+    rescales lambda^[1], leaving every other bond untouched.
     """
     if m2 < 0:
         raise ValidationError("lift count must be nonnegative")
@@ -213,30 +213,23 @@ def lift_first_site(state: BlockDecimationState, m2: int) -> BlockDecimationStat
     d = state.local_dim
     g1 = state.gammas[0]
     lam1 = state.lambdas[1]
-    chi = lam1.shape[0]
-    occ_of = np.full(chi, -1, dtype=int)
-    for gamma in range(chi):
-        col = g1[0, :, gamma]
-        nz = np.flatnonzero(np.abs(col) > 1e-10)
-        if nz.size != 1:
-            raise ValidationError(
-                "bond-1 Schmidt vector lacks a definite site-1 occupation"
-            )
-        occ_of[gamma] = nz[0]
+    occ_of = state.charges[0][0] - state.charges[1]
     if np.any(occ_of + m2 >= d):
         raise CutoffError(
             f"lift by {m2} exceeds local dimension {d} "
             f"(max occupation {int(occ_of.max())})"
         )
+    cols = np.arange(lam1.shape[0])
     g_new = np.zeros_like(g1)
-    for gamma in range(chi):
-        g_new[0, occ_of[gamma] + m2, gamma] = g1[0, occ_of[gamma], gamma]
+    g_new[0, occ_of + m2, cols] = g1[0, occ_of, cols]
     lam_new = lam1 * _lift_factors(occ_of.astype(float), m2)
     lam_new = lam_new / np.linalg.norm(lam_new)
     order = np.argsort(-lam_new, kind="stable")
     state.gammas[0] = g_new[:, :, order]
     state.lambdas[1] = lam_new[order]
     state.gammas[1] = state.gammas[1][order, :, :]
+    state.charges[0] = state.charges[0] + m2
+    state.charges[1] = state.charges[1][order]
     return state
 
 

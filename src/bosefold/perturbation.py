@@ -12,12 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConvergenceError
-from .model import build_jx, jz_values
-
-QUADRATURE_TOL = 1e-10
-_GL_ORDER = 16
-_MAX_PANELS = 1024
+from .heisenberg import propagate, spectral_decompose
+from .model import CouplingMatrix, build_jx, jz_values
 
 
 @dataclass(frozen=True)
@@ -39,49 +35,28 @@ def coupling_with_center_gaussian(n: int, eps: float, beta: float) -> np.ndarray
 
 def exact_transfer(n: int, eps: float, beta: float) -> np.ndarray:
     """Row 1 of exp(-i pi R), spectral method."""
-    r = coupling_with_center_gaussian(n, eps, beta)
-    w, v = np.linalg.eigh(r)
-    a = (v * np.exp(-1j * math.pi * w)) @ v.conj().T
-    return a[0].copy()
+    r = CouplingMatrix(coupling_with_center_gaussian(n, eps, beta))
+    return propagate(spectral_decompose(r), math.pi).entries[0].copy()
 
 
-def first_order_numeric(n: int, beta: float, tol: float = QUADRATURE_TOL) -> np.ndarray:
+def first_order_numeric(n: int, beta: float) -> np.ndarray:
     """First-order barrier correction per unit eps.
 
-    Computes -i * integral_0^pi exp(-i(pi-t)Jx) D exp(-i t Jx) e_1 dt with
-    D = diag(exp(-beta m^2)) by composite Gauss-Legendre quadrature, doubling
-    the panel count until successive results agree within `tol`.
+    The correction -i * integral_0^pi exp(-i(pi-t)Jx) D exp(-i t Jx) e_1 dt
+    with D = diag(exp(-beta m^2)) is the Frechet derivative of exp(-i pi R)
+    along D.  In the Jx eigenbasis (Daleckii-Krein) it is
+    -i V[(V^dag D V) o F]V^dag e_1 with
+    F_ab = integral_0^pi e^{-i(pi-t) w_a} e^{-i t w_b} dt
+         = pi e^{-i pi (w_a + w_b)/2} sinc((w_b - w_a)/2),
+    which equals pi e^{-i pi w_a} on the diagonal.
     """
-    jx = build_jx(n).entries.real
-    w, v = np.linalg.eigh(jx)
+    spec = spectral_decompose(build_jx(n))
+    w, v = spec.eigenvalues, spec.eigenvectors
     diag = np.exp(-beta * jz_values(n) ** 2)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    vt_e1 = v.T @ e1
-
-    def integrand(t):
-        inner = v @ (np.exp(-1j * w * t) * vt_e1)
-        outer = v @ (np.exp(-1j * w * (math.pi - t)) * (v.T @ (diag * inner)))
-        return outer
-
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-    prev = None
-    panels = 1
-    while panels <= _MAX_PANELS:
-        total = np.zeros(n, dtype=complex)
-        width = math.pi / panels
-        for p in range(panels):
-            mid = (p + 0.5) * width
-            for x, wt in zip(nodes, weights):
-                total += wt * integrand(mid + 0.5 * width * x)
-        total *= 0.5 * width
-        if prev is not None and np.linalg.norm(total - prev) < tol:
-            return -1j * total
-        prev = total
-        panels *= 2
-    raise ConvergenceError(
-        f"quadrature did not stabilize within {tol} after {_MAX_PANELS} panels"
-    )
+    f = (math.pi * np.exp(-0.5j * math.pi * (w[:, None] + w[None, :]))
+         * np.sinc(0.5 * (w[None, :] - w[:, None])))
+    dv = v.conj().T @ (diag[:, None] * v)
+    return -1j * (v @ ((dv * f) @ v[0].conj()))
 
 
 def closed_form_series(n: int, beta: float) -> np.ndarray:

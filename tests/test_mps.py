@@ -4,9 +4,9 @@ import pytest
 from bosefold import dense
 from bosefold.errors import CutoffError, ValidationError
 from bosefold.folding import fold_single, invert_plan
-from bosefold.mps import (amplitude, apply_single, apply_two, build_pair_rotation_gate,
-                          build_phase_gate, canonical_defect, condensate_state,
-                          from_fock, lift_first_site, occupations,
+from bosefold.mps import (SingleModeGate, TwoModeGate, amplitude, apply_single, apply_two,
+                          build_pair_rotation_gate, build_phase_gate, canonical_defect,
+                          condensate_state, from_fock, lift_first_site, occupations,
                           reduced_density_two_sites, replay_plan_gates, schmidt_values,
                           site_occupation, state_norm, two_sum_state)
 
@@ -61,6 +61,32 @@ def test_apply_bounds_checked():
         apply_single(st, build_phase_gate(3, 0.1, 2))
     with pytest.raises(ValidationError):
         apply_two(st, build_pair_rotation_gate(2, 0.1, 2))
+    with pytest.raises(ValidationError, match="dimension"):
+        apply_two(st, build_pair_rotation_gate(1, 0.1, 3))
+
+
+def test_gates_must_conserve_boson_number():
+    st = from_fock([1, 0], d=2, chi_max=4, trunc_tol=1e-12)
+    hop = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # a + a^dag on d = 2
+    with pytest.raises(ValidationError, match="diagonal"):
+        apply_single(st, SingleModeGate(site=1, matrix=hop))
+    with pytest.raises(ValidationError, match="conserve"):
+        apply_two(st, TwoModeGate(bond=1, matrix=np.kron(hop, np.eye(2))))
+
+
+def test_bond_charges_label_every_nonzero_gamma_entry():
+    n = 5
+    states = [(condensate_state(_random_mode(n, 40 + s), 3), 3) for s in range(2)]
+    states += [(two_sum_state(_random_mode(n, 42), _random_mode(n, 43), 2, 2), 4),
+               (two_sum_state(_random_mode(n, 44), _random_mode(n, 45), 1, 3), 4)]
+    for st, m in states:
+        assert st.charges[0].tolist() == [m]
+        assert st.charges[n].tolist() == [0]
+        for k, g in enumerate(st.gammas):
+            assert st.charges[k].shape[0] == g.shape[0]
+            assert st.charges[k + 1].shape[0] == g.shape[2]
+            a, occ, b = np.nonzero(g)
+            assert np.array_equal(st.charges[k][a], occ + st.charges[k + 1][b])
 
 
 def test_condensate_state_matches_dense():
