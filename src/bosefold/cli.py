@@ -1,6 +1,7 @@
 """`bosefold` command line driver.
 
-Subcommands: quench, sweep, ground, transfer, selftest.  Exit codes:
+Subcommands: quench, sweep, ground, transfer, selftest.  `sweep --verbose`
+prints one summary line per barrier height to stderr.  Exit codes:
 0 success, 2 config error, 3 numeric/convergence error, 4 I/O error.
 Output CSVs use 17 significant digits, '\n' line endings, and contain no
 timestamps, so identical configs produce byte-identical files.
@@ -90,9 +91,15 @@ def _cmd_quench(spec, out_dir) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(spec, out_dir, threads) -> int:
+def _cmd_sweep(spec, out_dir, threads, verbose) -> int:
     records = run_collision_sweep(spec, threads=threads)
     n = spec.model.n_sites
+    if verbose:
+        for rec in records:
+            print(f"mu={rec.mu:.6g} E_N={rec.e_n_bits:.6g} bits "
+                  f"collection={rec.collection_fraction:.6g} "
+                  f"discarded={rec.discarded_weight:.3e} wall={rec.wall_time:.3f} s",
+                  file=sys.stderr)
     write_sweep_csv(os.path.join(out_dir, "sweep.csv"), [(r, n) for r in records])
     return EXIT_OK
 
@@ -177,7 +184,7 @@ def main(argv=None) -> int:
         if args.command == "quench":
             return _cmd_quench(spec, args.out_dir)
         if args.command == "sweep":
-            return _cmd_sweep(spec, args.out_dir, args.threads)
+            return _cmd_sweep(spec, args.out_dir, args.threads, args.verbose)
         if args.command == "ground":
             return _cmd_ground(spec, args.out_dir)
         if args.command == "transfer":

@@ -1,8 +1,10 @@
 """Brute-force Fock-space reference computations.
 
-Everything here enumerates the full bosonic basis, so it is only usable for
-small chains; it exists as the independent cross-check for the tensor-network
-path (self-test suite and oracle-style tests).
+Everything here enumerates a full bosonic basis and exists as the independent
+cross-check for the tensor-network path (self-test suite and oracle-style
+tests).  Most functions work on the whole chain, so they are only usable for
+small chains; `reduced_pair_oracle` first reduces a two-packet state to four
+modes, so it reaches scenario sizes.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ValidationError
 from .folding import _coeffs
 
 
@@ -146,6 +149,31 @@ def dense_rdm_two_sites(psi: np.ndarray, n_sites: int, total: int, k: int,
                 i2 = p2[0] * d + p2[1]
                 rho[i1, i2] += a1 * np.conj(a2)
     return rho
+
+
+def reduced_pair_oracle(z, c, m1: int, m2: int, k: int, l: int) -> np.ndarray:
+    """Normalized rho_{k,l} of (sum c a^dag)^M2 (sum z a^dag)^M1 |0>, any chain length.
+
+    Both packets restricted to the sites other than k and l span at most two
+    dimensions.  A QR of [z_rest, c_rest] gives orthonormal modes u1, u2 for
+    that span (zero rows pad a rank below 2), so the state lives on the four
+    modes [k, l, u1, u2] with C(M+3, 3) amplitudes.  Returned on the
+    (M+1)^2-dimensional pair space, M = m1 + m2.
+    """
+    z = _coeffs(z)
+    c = _coeffs(c)
+    n = z.shape[0]
+    if not (1 <= k < l <= n):
+        raise ValidationError(f"need 1 <= k < l <= N, got ({k}, {l})")
+    rest = [i for i in range(n) if i not in (k - 1, l - 1)]
+    r_rest = np.linalg.qr(np.stack([z[rest], c[rest]], axis=1), mode="r")
+    r = np.zeros((2, 2), dtype=complex)
+    r[:r_rest.shape[0]] = r_rest
+    z4 = np.concatenate([[z[k - 1], z[l - 1]], r[:, 0]])
+    c4 = np.concatenate([[c[k - 1], c[l - 1]], r[:, 1]])
+    m = m1 + m2
+    rho = dense_rdm_two_sites(two_sum_amplitudes(z4, c4, m1, m2), 4, m, 1, 2, m + 1)
+    return rho / np.trace(rho).real
 
 
 def schmidt_values_dense(psi: np.ndarray, n_sites: int, total: int,

@@ -12,12 +12,15 @@ conserve boson number: single-site gates are diagonal, and the two-site
 update runs one SVD per middle-bond charge and rejects a gate that leaves
 weight outside those blocks.  The first-site lifting implements (a_1^dag)^M2
 as a local index shift plus a lambda rescale, reading each bond-1 Schmidt
-vector's site-1 occupation from the labels.
+vector's site-1 occupation from the labels.  The two-site reduced density
+matrix carries its open-index environment as charge blocks, so each transfer
+step multiplies only blocks whose charges match.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy.special import gammaln
@@ -247,29 +250,29 @@ def _site_matrices(state: BlockDecimationState, k: int) -> np.ndarray:
 
 
 def _left_envs(state: BlockDecimationState):
-    """L[k] = contraction of sites 1..k (L[0] = 1)."""
-    envs = [np.ones((1, 1), dtype=complex)]
+    """Yield L[0], L[1], ..., L[N]: L[k] contracts sites 1..k (L[0] = 1)."""
+    env = np.ones((1, 1), dtype=complex)
+    yield env
     for k in range(state.n_sites):
         a = _site_matrices(state, k)
-        env = np.einsum("iab,ac,icd->bd", a.conj(), envs[-1], a, optimize=True)
-        envs.append(env)
-    return envs
+        env = np.einsum("iab,ac,icd->bd", a.conj(), env, a, optimize=True)
+        yield env
 
 
 def _right_envs(state: BlockDecimationState):
-    """R[k] = contraction of sites k+1..N (R[N] = 1), indexed from the right."""
-    n = state.n_sites
-    envs = [None] * (n + 1)
-    envs[n] = np.ones((1, 1), dtype=complex)
-    for k in range(n - 1, -1, -1):
+    """Yield R[N], R[N-1], ..., R[0]: R[k] contracts sites k+1..N (R[N] = 1)."""
+    env = np.ones((1, 1), dtype=complex)
+    yield env
+    for k in range(state.n_sites - 1, -1, -1):
         a = _site_matrices(state, k)
-        envs[k] = np.einsum("iab,bd,icd->ac", a, envs[k + 1], a.conj(), optimize=True)
-    return envs
+        env = np.einsum("iab,bd,icd->ac", a, env, a.conj(), optimize=True)
+        yield env
 
 
 def state_norm(state: BlockDecimationState) -> float:
     """Full-contraction 2-norm of the represented state."""
-    return math.sqrt(abs(_left_envs(state)[-1][0, 0].real))
+    *_, env = _left_envs(state)
+    return math.sqrt(abs(env[0, 0].real))
 
 
 def amplitude(state: BlockDecimationState, config) -> complex:
@@ -294,8 +297,8 @@ def site_occupation(state: BlockDecimationState, site: int) -> float:
 
 def occupations(state: BlockDecimationState) -> np.ndarray:
     """Per-site <n_k> for all sites in one sweep."""
-    left = _left_envs(state)
-    right = _right_envs(state)
+    left = list(_left_envs(state))
+    right = list(_right_envs(state))[::-1]
     nvals = np.arange(state.local_dim, dtype=float)
     out = np.zeros(state.n_sites)
     for k in range(state.n_sites):
@@ -311,31 +314,94 @@ def schmidt_values(state: BlockDecimationState, bond: int) -> np.ndarray:
     return state.lambdas[bond].copy()
 
 
+def _sectors(q: np.ndarray):
+    """Charge sectors of one bond: sorted distinct charges u and a slot table.
+
+    slots[s, t] is the bond index of the t-th Schmidt vector of charge u[s];
+    rows shorter than the largest sector are padded with len(q), which points
+    at the zero row or column that `_padded` appends.
+    """
+    order = np.argsort(q, kind="stable")
+    u, start, count = np.unique(q[order], return_index=True, return_counts=True)
+    t = np.arange(count.max())
+    idx = np.minimum(start[:, None] + t, q.shape[0] - 1)
+    return u, np.where(t < count[:, None], order[idx], q.shape[0])
+
+
+def _sector_of(u: np.ndarray, charge: np.ndarray):
+    """Sector index of each charge on a bond with sorted charges u, and whether it exists."""
+    pos = np.minimum(np.searchsorted(u, charge), u.shape[0] - 1)
+    return pos, u[pos] == charge
+
+
+def _padded(a: np.ndarray) -> np.ndarray:
+    """Copy of a with a zero row and a zero column appended to its last two axes."""
+    out = np.zeros(a.shape[:-2] + (a.shape[-2] + 1, a.shape[-1] + 1), dtype=complex)
+    out[..., :-1, :-1] = a
+    return out
+
+
 def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np.ndarray:
-    """rho_{k,l} on the d^2-dimensional pair space, sites 1-based, k < l."""
+    """rho_{k,l} on the d^2-dimensional pair space, sites 1-based, k < l.
+
+    The open-index environment X[i, i', b, b'] between sites k and l is
+    carried as S x S charge blocks (i, i', bra sector), S the largest sector
+    size: the ket charge of b' is the bra charge of b plus i - i', and
+    A_s[m] only maps in-charge r + m to out-charge r.  Each transfer step is
+    one batched B^dag X B product over the (out block, m) pairs whose charges
+    exist, summed over m.  Only L[k-1] and R[l] are contracted; no canonical
+    form is assumed.
+    """
     if not (1 <= k < l <= state.n_sites):
         raise ValidationError(f"need 1 <= k < l <= N, got ({k}, {l})")
     d = state.local_dim
-    left = _left_envs(state)
-    right = _right_envs(state)
+    occ = np.arange(d)
+    left = next(islice(_left_envs(state), k - 1, None))
+    right = next(islice(_right_envs(state), state.n_sites - l, None))
     ak = _site_matrices(state, k - 1)
     # X[i, i', b, b'] after opening site k (i bra, i' ket; b bra bond, b' ket)
-    x = np.einsum("iab,ac,jcd->ijbd", ak.conj(), left[k - 1], ak, optimize=True)
+    x = np.einsum("iab,ac,jcd->ijbd", ak.conj(), left, ak, optimize=True)
+    # blocks (bi, bj, bra sector) whose ket sector exists and whose bra charge
+    # plus bi is a bond-(k-1) charge; X vanishes outside them
+    u, slots = _sectors(state.charges[k])
+    ket, has_ket = _sector_of(u, u + occ[:, None, None] - occ[None, :, None])
+    reach = np.isin(u + occ[:, None], state.charges[k - 1])
+    bi, bj, bra = np.nonzero(has_ket & reach[:, None, :])
+    ket = ket[bi, bj, bra]
+    blocks = _padded(x)[bi[:, None, None], bj[:, None, None],
+                        slots[bra][:, :, None], slots[ket][:, None, :]]
     for s in range(k, l - 1):
-        a = _site_matrices(state, s)
-        chi_in, chi_out = a.shape[1], a.shape[2]
-        x3 = x.reshape(d * d, chi_in, chi_in)
-        new = np.zeros((d * d, chi_out, chi_out), dtype=complex)
-        for m in range(d):
-            am = a[m]
-            if not am.any():
-                continue
-            new += np.matmul(am.conj().T[None], np.matmul(x3, am[None]))
-        x = new.reshape(d, d, chi_out, chi_out)
+        # a_blk[m, r] maps the in-sector of charge u_out[r] + m to out-sector r
+        u_out, slots_out = _sectors(state.charges[s + 1])
+        src, has_src = _sector_of(u, u_out + occ[:, None])
+        rows = np.where(has_src[:, :, None], slots[src], state.charges[s].shape[0])
+        a_blk = _padded(_site_matrices(state, s))[
+            occ[:, None, None, None], rows[:, :, :, None], slots_out[None, :, None, :]]
+        a_blk_h = a_blk.conj().swapaxes(2, 3)
+        # (in block, m) pairs whose bra and ket out-sectors exist, grouped by out block
+        out_bra, ok_bra = _sector_of(u_out, u[bra][:, None] - occ)
+        out_ket, ok_ket = _sector_of(u_out, u[ket][:, None] - occ)
+        t_in, t_m = np.nonzero(ok_bra & ok_ket)
+        out_bra, out_ket = out_bra[t_in, t_m], out_ket[t_in, t_m]
+        key = (bi[t_in] * d + bj[t_in]) * u_out.shape[0] + out_bra
+        order = np.argsort(key, kind="stable")
+        t_in, t_m = t_in[order], t_m[order]
+        out_bra, out_ket, key = out_bra[order], out_ket[order], key[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        prod = np.matmul(a_blk_h[t_m, out_bra],
+                         np.matmul(blocks[t_in], a_blk[t_m, out_ket]))
+        blocks = np.add.reduceat(prod, first, axis=0)
+        head = t_in[first]
+        bi, bj, bra, ket = bi[head], bj[head], out_bra[first], out_ket[first]
+        u, slots = u_out, slots_out
     al = _site_matrices(state, l - 1)
     chi_b, chi_e = al.shape[1], al.shape[2]
+    x = np.zeros((d, d, chi_b + 1, chi_b + 1), dtype=complex)
+    x[bi[:, None, None], bj[:, None, None],
+      slots[bra][:, :, None], slots[ket][:, None, :]] = blocks
+    x = x[:, :, :chi_b, :chi_b]
     # close site l and the right environment with matrix products
-    c = np.matmul(al, right[l][None])  # (l, d', e') with e' = bra bond
+    c = np.matmul(al, right[None])  # (l, d', e') with e' = bra bond
     # term[(j,b),(l,d')] = sum_e conj(al)[j,b,e] c[l,d',e]
     term = (al.conj().reshape(d * chi_b, chi_e)
             @ c.transpose(2, 0, 1).reshape(chi_e, d * chi_b))

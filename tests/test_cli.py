@@ -74,6 +74,18 @@ def test_sweep_command_and_determinism(tmp_path):
     assert len(lines) == 4
 
 
+def test_sweep_verbose_reports_each_point_on_stderr(tmp_path, capsys):
+    cfg = _write(tmp_path, SWEEP_CFG)
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["sweep", "--config", cfg, "--out-dir", str(quiet)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["sweep", "--config", cfg, "--out-dir", str(loud), "--verbose"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert (loud / "sweep.csv").read_bytes() == (quiet / "sweep.csv").read_bytes()
+    assert [line.split()[0] for line in err] == ["mu=0", "mu=2", "mu=6"]
+    assert all("E_N=" in line and "wall=" in line for line in err)
+
+
 def test_ground_command_outputs(tmp_path):
     cfg = _write(tmp_path, GROUND_CFG)
     out = tmp_path / "out"

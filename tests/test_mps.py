@@ -4,6 +4,8 @@ import pytest
 from bosefold import dense
 from bosefold.errors import CutoffError, ValidationError
 from bosefold.folding import fold_single, invert_plan
+from bosefold.heisenberg import propagate, spectral_decompose
+from bosefold.model import ModelSpec, add_onsite_barrier, build_coupling
 from bosefold.mps import (SingleModeGate, TwoModeGate, amplitude, apply_single, apply_two,
                           build_pair_rotation_gate, build_phase_gate, canonical_defect,
                           condensate_state, from_fock, lift_first_site, occupations,
@@ -120,22 +122,58 @@ def test_two_sum_orthogonal_modes_give_product_of_fock():
 
 
 def test_occupations_and_rdm_match_dense():
-    n, m1, m2 = 5, 2, 2
-    z = _random_mode(n, 31)
-    c = _random_mode(n, 32)
-    st = two_sum_state(z, c, m1, m2)
-    amps = _all_amplitudes(st, n, m1 + m2)
-    occ = occupations(st)
-    assert np.max(np.abs(occ - dense.dense_occupations(amps, n, m1 + m2))) < 1e-12
-    assert occ.sum() == pytest.approx(m1 + m2, abs=1e-10)
+    # every pair: adjacent ones (no transfer step) and k > 1, where the opening
+    # bond has sectors holding several Schmidt vectors
+    n = 6
+    states = [(two_sum_state(_random_mode(n, 31), _random_mode(n, 32), 2, 2), 4),
+              (two_sum_state(_random_mode(n, 33), _random_mode(n, 34), 3, 1), 4),
+              (condensate_state(_random_mode(n, 35), 3), 3),
+              (from_fock([2, 0, 1, 0, 0, 1], d=5, chi_max=8, trunc_tol=1e-12), 4)]
+    sector_sizes = [np.unique(q, return_counts=True)[1].max() for q in states[0][0].charges]
+    assert max(sector_sizes[2:n]) > 1
+    for st, m in states:
+        amps = _all_amplitudes(st, n, m)
+        occ = occupations(st)
+        assert np.max(np.abs(occ - dense.dense_occupations(amps, n, m))) < 1e-12
+        assert occ.sum() == pytest.approx(m, abs=1e-10)
+        for k in range(1, n):
+            for l in range(k + 1, n + 1):
+                rho = reduced_density_two_sites(st, k, l)
+                ref = dense.dense_rdm_two_sites(amps, n, m, k, l, st.local_dim)
+                ref = ref / np.trace(ref).real
+                assert np.max(np.abs(rho - ref)) < 1e-12, (k, l)
     assert site_occupation(st, 2) == pytest.approx(occ[1])
-    for (k, l) in [(1, n), (2, 4)]:
-        rho = reduced_density_two_sites(st, k, l)
-        ref = dense.dense_rdm_two_sites(amps, n, m1 + m2, k, l, st.local_dim)
-        ref = ref / np.trace(ref).real
-        assert np.max(np.abs(rho - ref)) < 1e-12
     with pytest.raises(ValidationError):
         reduced_density_two_sites(st, 3, 3)
+
+
+def test_reduced_pair_oracle_matches_full_dense():
+    # n = 2 and 3 leave a rest span of rank 0 and 1
+    for n in (2, 3, 5):
+        z, c = _random_mode(n, 90 + n), _random_mode(n, 95 + n)
+        for m1, m2 in [(1, 1), (2, 1), (2, 2)]:
+            amps = dense.two_sum_amplitudes(z, c, m1, m2)
+            for k in range(1, n):
+                for l in range(k + 1, n + 1):
+                    ref = dense.dense_rdm_two_sites(amps, n, m1 + m2, k, l, m1 + m2 + 1)
+                    ref = ref / np.trace(ref).real
+                    oracle = dense.reduced_pair_oracle(z, c, m1, m2, k, l)
+                    assert np.max(np.abs(oracle - ref)) < 1e-13
+    with pytest.raises(ValidationError):
+        dense.reduced_pair_oracle(z, c, 1, 1, 2, 2)
+
+
+def test_end_pair_rdm_matches_reduced_pair_oracle_at_scenario_scale():
+    n, mu = 20, 6.0
+    r = add_onsite_barrier(build_coupling(ModelSpec(n_sites=n, base="jx")),
+                           n // 2, n // 2 + 1, mu)
+    a = propagate(spectral_decompose(r), np.pi)
+    z, c = a.entries[:, 0], a.entries[:, n - 1]
+    for m, numerics in [(8, {}), (16, {"chi_max": 81, "trunc_tol": 1e-30})]:
+        st = two_sum_state(z, c, m // 2, m // 2, **numerics)
+        rho = reduced_density_two_sites(st, 1, n)
+        ref = dense.reduced_pair_oracle(z, c, m // 2, m // 2, 1, n)
+        assert np.max(np.abs(rho - ref)) < 1e-12
 
 
 def test_schmidt_values_match_dense():
