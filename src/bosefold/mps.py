@@ -8,9 +8,12 @@ Every bond index carries an explicit U(1) label: charges[b][alpha] is the
 number of bosons to the right of bond b in Schmidt vector alpha, so
 Gamma^[k+1][a, n, b] is nonzero only where charges[k][a] == n + charges[k+1][b]
 (U(1)-symmetric tensor networks, Singh, Pfeifer & Vidal).  Gates must
-conserve boson number: single-site gates are diagonal, and the two-site
-update runs one SVD per middle-bond charge and rejects a gate that leaves
-weight outside those blocks.  The first-site lifting implements (a_1^dag)^M2
+conserve boson number: single-site gates are diagonal, and a pair-rotation
+gate is stored as one unitary block per sector n_k + n_{k+1} = n < d, built
+from a cached eigenbasis of that sector's generator.  The two-site update
+rotates each (left charge, right charge) slice of theta with the block of its
+sector, raises CutoffError for a sector of d or more bosons, and runs one SVD
+per middle-bond charge.  The first-site lifting implements (a_1^dag)^M2
 as a local index shift plus a lambda rescale, reading each bond-1 Schmidt
 vector's site-1 occupation from the labels.  The two-site reduced density
 matrix carries its open-index environment as charge blocks, so each transfer
@@ -18,6 +21,7 @@ step multiplies only blocks whose charges match.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import islice
@@ -68,7 +72,7 @@ class SingleModeGate:
 @dataclass(frozen=True)
 class TwoModeGate:
     bond: int
-    matrix: np.ndarray  # d^2 x d^2 unitary, block-diagonal in n_k + n_{k+1}
+    blocks: tuple  # blocks[n]: (n+1) x (n+1) unitary on n_k + n_{k+1} = n, n_k ascending
 
 
 def from_fock(occupations, d: int, chi_max: int, trunc_tol: float) -> BlockDecimationState:
@@ -93,28 +97,35 @@ def build_phase_gate(site: int, theta: float, d: int) -> SingleModeGate:
     return SingleModeGate(site=site, matrix=np.diag(np.exp(-1j * theta * np.arange(d))))
 
 
+@functools.lru_cache(maxsize=None)
+def _sector_eigh(n: int):
+    """Eigenpairs (w, V, V^dag) of Q on the n-boson pair sector |n_k, n - n_k>.
+
+    Q = (a_2^dag a_1 - a_1^dag a_2) / 2i does not depend on the rotation
+    angle, so each sector is diagonalized once per process.  The arrays are
+    shared by every gate and are read-only.
+    """
+    q = np.zeros((n + 1, n + 1), dtype=complex)
+    for n1 in range(n + 1):
+        n2 = n - n1
+        if n1 > 0:  # a_2^dag a_1 |n1, n2> -> sqrt(n1 (n2+1)) |n1-1, n2+1>
+            q[n1 - 1, n1] += math.sqrt(n1 * (n2 + 1)) / 2j
+        if n2 > 0:  # a_1^dag a_2 |n1, n2> -> sqrt(n2 (n1+1)) |n1+1, n2-1>
+            q[n1 + 1, n1] -= math.sqrt(n2 * (n1 + 1)) / 2j
+    w, v = np.linalg.eigh(q)
+    vh = v.conj().T
+    for arr in (w, v, vh):
+        arr.setflags(write=False)
+    return w, v, vh
+
+
 def build_pair_rotation_gate(bond: int, phi: float, d: int) -> TwoModeGate:
-    """Exact e^{-i phi Q} on the truncated two-mode space, sector by sector."""
-    gate = np.zeros((d * d, d * d), dtype=complex)
-    for total in range(2 * d - 1):
-        lo = max(0, total - (d - 1))
-        hi = min(total, d - 1)
-        occs = list(range(lo, hi + 1))  # n_left values in this sector
-        idx = [n1 * d + (total - n1) for n1 in occs]
-        dim = len(idx)
-        q = np.zeros((dim, dim), dtype=complex)
-        for a, n1 in enumerate(occs):
-            n2 = total - n1
-            # a_2^dag a_1 |n1, n2> -> sqrt(n1 (n2+1)) |n1-1, n2+1>
-            if n1 - 1 >= lo and n2 + 1 <= d - 1:
-                q[a - 1, a] += math.sqrt(n1 * (n2 + 1)) / 2j
-            # a_1^dag a_2 |n1, n2> -> sqrt(n2 (n1+1)) |n1+1, n2-1>
-            if n1 + 1 <= hi and n2 - 1 >= 0:
-                q[a + 1, a] -= math.sqrt(n2 * (n1 + 1)) / 2j
-        w, v = np.linalg.eigh(q)
-        block = (v * np.exp(-1j * phi * w)) @ v.conj().T
-        gate[np.ix_(idx, idx)] = block
-    return TwoModeGate(bond=bond, matrix=gate)
+    """Exact e^{-i phi Q} on the sectors n_k + n_{k+1} = 0..d-1."""
+    blocks = []
+    for n in range(d):
+        w, v, vh = _sector_eigh(n)
+        blocks.append((v * np.exp(-1j * phi * w)) @ vh)
+    return TwoModeGate(bond=bond, blocks=tuple(blocks))
 
 
 def apply_single(state: BlockDecimationState, gate: SingleModeGate) -> BlockDecimationState:
@@ -131,23 +142,38 @@ def apply_single(state: BlockDecimationState, gate: SingleModeGate) -> BlockDeci
 
 
 def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimationState:
-    """Standard two-site Vidal update: contract, SVD per charge, truncate, restore form."""
+    """Two-site Vidal update: contract, rotate sector by sector, SVD per charge,
+    truncate, restore form."""
     k = gate.bond - 1
     if not (0 <= k < state.n_sites - 1):
         raise ValidationError(f"bond {gate.bond} outside chain")
     d = state.local_dim
-    if gate.matrix.shape != (d * d, d * d):
-        raise ValidationError("gate dimension does not match two-site dimension")
+    if len(gate.blocks) != d:
+        raise ValidationError(
+            f"gate has {len(gate.blocks)} sector blocks; local dimension {d} needs {d}")
+    for n, blk in enumerate(gate.blocks):
+        if np.shape(blk) != (n + 1, n + 1):
+            raise ValidationError(f"gate block {n} has shape {np.shape(blk)}, "
+                                  f"sector dimension is {n + 1}")
     lam_l, lam_m, lam_r = state.lambdas[k], state.lambdas[k + 1], state.lambdas[k + 2]
     g1, g2 = state.gammas[k], state.gammas[k + 1]
     chi_l, chi_m, chi_r = lam_l.shape[0], lam_m.shape[0], lam_r.shape[0]
 
     left = (g1 * lam_l[:, None, None] * lam_m[None, None, :]).reshape(chi_l * d, chi_m)
     right = (g2 * lam_r[None, None, :]).reshape(chi_m, d * chi_r)
-    theta = (left @ right).reshape(chi_l, d * d, chi_r)
-    tm = gate.matrix @ theta.transpose(1, 0, 2).reshape(d * d, chi_l * chi_r)
-    mat = (tm.reshape(d, d, chi_l, chi_r).transpose(2, 0, 1, 3)
-           .reshape(chi_l * d, d * chi_r))
+    theta = (left @ right).reshape(chi_l, d, d, chi_r)
+    # theta[a, i, j, b] is nonzero only where i + j = charges[k][a] - charges[k+2][b]
+    pair_n = state.charges[k][:, None] - state.charges[k + 2][None, :]
+    if pair_n.max() >= d:
+        raise CutoffError(f"two-site sector of {int(pair_n.max())} bosons "
+                          f"exceeds local dimension {d}")
+    out = np.zeros_like(theta)
+    for n in np.unique(pair_n[pair_n >= 0]):
+        a, b = np.nonzero(pair_n == n)
+        i = np.arange(n + 1)
+        at = (a[:, None], i, n - i, b[:, None])
+        out[at] = theta[at] @ gate.blocks[n].T
+    mat = out.reshape(chi_l * d, d * chi_r)
     norm2 = float(np.vdot(mat, mat).real)
     if norm2 == 0.0:
         raise ValidationError("two-site block vanished; state is not normalized")
@@ -165,7 +191,7 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     s_all = np.concatenate([blk[4] for blk in blocks])
     total = float(np.sum(s_all**2))
     if abs(norm2 - total) > SECTOR_LEAK_TOL * norm2:
-        raise ValidationError("two-site gate does not conserve boson number")
+        raise ValidationError("two-site update left weight outside the charge blocks")
 
     order = np.argsort(-s_all, kind="stable")
     s_sorted = s_all[order]
@@ -249,13 +275,22 @@ def _site_matrices(state: BlockDecimationState, k: int) -> np.ndarray:
     return a
 
 
+def _left_terms(a: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """A(i)^dag env A(i) for every level i, shape (d, chiR, chiR)."""
+    return a.conj().swapaxes(1, 2) @ env @ a
+
+
+def _right_terms(a: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """A(i) env A(i)^dag for every level i, shape (d, chiL, chiL)."""
+    return a @ env @ a.conj().swapaxes(1, 2)
+
+
 def _left_envs(state: BlockDecimationState):
     """Yield L[0], L[1], ..., L[N]: L[k] contracts sites 1..k (L[0] = 1)."""
     env = np.ones((1, 1), dtype=complex)
     yield env
     for k in range(state.n_sites):
-        a = _site_matrices(state, k)
-        env = np.einsum("iab,ac,icd->bd", a.conj(), env, a, optimize=True)
+        env = _left_terms(_site_matrices(state, k), env).sum(0)
         yield env
 
 
@@ -264,8 +299,7 @@ def _right_envs(state: BlockDecimationState):
     env = np.ones((1, 1), dtype=complex)
     yield env
     for k in range(state.n_sites - 1, -1, -1):
-        a = _site_matrices(state, k)
-        env = np.einsum("iab,bd,icd->ac", a, env, a.conj(), optimize=True)
+        env = _right_terms(_site_matrices(state, k), env).sum(0)
         yield env
 
 
@@ -296,15 +330,16 @@ def site_occupation(state: BlockDecimationState, site: int) -> float:
 
 
 def occupations(state: BlockDecimationState) -> np.ndarray:
-    """Per-site <n_k> for all sites in one sweep."""
-    left = list(_left_envs(state))
+    """Per-site <n_k> for all sites: one right sweep, then one left sweep."""
     right = list(_right_envs(state))[::-1]
     nvals = np.arange(state.local_dim, dtype=float)
     out = np.zeros(state.n_sites)
+    env = np.ones((1, 1), dtype=complex)
     for k in range(state.n_sites):
-        a = _site_matrices(state, k)
-        mid = np.einsum("i,iab,ac,icd->bd", nvals, a.conj(), left[k], a, optimize=True)
-        out[k] = np.einsum("bd,bd->", mid, right[k + 1].T).real
+        terms = _left_terms(_site_matrices(state, k), env)
+        # <n_k> = tr(sum_i i A(i)^dag L[k] A(i) R[k+1])
+        out[k] = np.sum(np.tensordot(nvals, terms, 1) * right[k + 1].T).real
+        env = terms.sum(0)
     return out
 
 
@@ -360,7 +395,7 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
     right = next(islice(_right_envs(state), state.n_sites - l, None))
     ak = _site_matrices(state, k - 1)
     # X[i, i', b, b'] after opening site k (i bra, i' ket; b bra bond, b' ket)
-    x = np.einsum("iab,ac,jcd->ijbd", ak.conj(), left, ak, optimize=True)
+    x = ak.conj().swapaxes(1, 2)[:, None] @ (left @ ak)[None]
     # blocks (bi, bj, bra sector) whose ket sector exists and whose bra charge
     # plus bi is a bond-(k-1) charge; X vanishes outside them
     u, slots = _sectors(state.charges[k])
@@ -426,12 +461,12 @@ def canonical_defect(state: BlockDecimationState) -> float:
     for k in range(state.n_sites):
         g = state.gammas[k]
         a = np.transpose(g, (1, 0, 2)) * state.lambdas[k][None, :, None]
-        left = np.einsum("iab,ac,icd->bd", a.conj(), left, a, optimize=True)
+        left = _left_terms(a, left).sum(0)
         worst = max(worst, float(np.max(np.abs(left - np.eye(left.shape[0])))))
     right = np.ones((1, 1), dtype=complex)
     for k in range(state.n_sites - 1, -1, -1):
         b = _site_matrices(state, k)
-        right = np.einsum("iab,bd,icd->ac", b, right, b.conj(), optimize=True)
+        right = _right_terms(b, right).sum(0)
         worst = max(worst, float(np.max(np.abs(right - np.eye(right.shape[0])))))
     return worst
 

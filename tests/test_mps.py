@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bosefold import dense
 from bosefold.errors import CutoffError, ValidationError
 from bosefold.folding import fold_single, invert_plan
 from bosefold.heisenberg import propagate, spectral_decompose
 from bosefold.model import ModelSpec, add_onsite_barrier, build_coupling
-from bosefold.mps import (SingleModeGate, TwoModeGate, amplitude, apply_single, apply_two,
-                          build_pair_rotation_gate, build_phase_gate, canonical_defect,
+from bosefold.mps import (SingleModeGate, TwoModeGate, _sector_eigh, amplitude, apply_single,
+                          apply_two, build_pair_rotation_gate, build_phase_gate, canonical_defect,
                           condensate_state, from_fock, lift_first_site, occupations,
                           reduced_density_two_sites, replay_plan_gates, schmidt_values,
                           site_occupation, state_norm, two_sum_state)
@@ -36,13 +37,45 @@ def test_gates_are_unitary_and_number_conserving():
     d = 5
     g1 = build_phase_gate(1, 0.7, d).matrix
     assert np.max(np.abs(g1 @ g1.conj().T - np.eye(d))) < 1e-12
-    g2 = build_pair_rotation_gate(1, 1.3, d).matrix
-    assert np.max(np.abs(g2 @ g2.conj().T - np.eye(d * d))) < 1e-12
-    # no matrix element may connect different total occupations
-    for a in range(d * d):
-        for b in range(d * d):
-            if g2[a, b] != 0:
-                assert a // d + a % d == b // d + b % d
+    # a pair-rotation gate is stored as one block per sector n_k + n_{k+1} = n
+    blocks = build_pair_rotation_gate(1, 1.3, d).blocks
+    assert len(blocks) == d
+    for n, blk in enumerate(blocks):
+        assert blk.shape == (n + 1, n + 1)
+        assert np.max(np.abs(blk @ blk.conj().T - np.eye(n + 1))) < 1e-12
+
+
+def _sector_generator(n):
+    """Q = (a_2^dag a_1 - a_1^dag a_2) / 2i on the n-boson pair sector, from ladder operators."""
+    a = np.diag(np.sqrt(np.arange(1.0, n + 1)), 1)
+    a1, a2 = np.kron(a, np.eye(n + 1)), np.kron(np.eye(n + 1), a)
+    q = (a2.T @ a1 - a1.T @ a2) / 2j
+    idx = [n1 * (n + 1) + (n - n1) for n1 in range(n + 1)]
+    return q[np.ix_(idx, idx)]
+
+
+def test_pair_rotation_blocks_match_expm_of_sector_generator():
+    for d in (2, 5, 21):
+        for phi in (-6.5, 0.7, 3.0, 9.0):
+            blocks = build_pair_rotation_gate(1, phi, d).blocks
+            for n in range(d):
+                ref = expm(-1j * phi * _sector_generator(n))
+                assert np.max(np.abs(blocks[n] - ref)) < 1e-13, (d, phi, n)
+
+
+def test_sector_eigenbasis_is_cached(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    _sector_eigh.cache_clear()
+    for phi in np.linspace(-3.0, 3.0, 50):
+        build_pair_rotation_gate(1, phi, 9)
+    assert len(calls) <= 9
 
 
 def test_pair_rotation_gate_matches_mode_rotation():
@@ -72,8 +105,18 @@ def test_gates_must_conserve_boson_number():
     hop = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # a + a^dag on d = 2
     with pytest.raises(ValidationError, match="diagonal"):
         apply_single(st, SingleModeGate(site=1, matrix=hop))
-    with pytest.raises(ValidationError, match="conserve"):
-        apply_two(st, TwoModeGate(bond=1, matrix=np.kron(hop, np.eye(2))))
+    good = build_pair_rotation_gate(1, 0.3, 2).blocks
+    with pytest.raises(ValidationError, match="sector blocks"):
+        apply_two(st, TwoModeGate(bond=1, blocks=good + (np.eye(3),)))
+    with pytest.raises(ValidationError, match="block 1"):
+        apply_two(st, TwoModeGate(bond=1, blocks=(good[0], np.eye(3))))
+
+
+def test_two_site_sector_beyond_cutoff_raises():
+    # n_1 + n_2 = 6 has no block in a d = 4 gate
+    st = from_fock([3, 3], d=4, chi_max=8, trunc_tol=1e-12)
+    with pytest.raises(CutoffError):
+        apply_two(st, build_pair_rotation_gate(1, 0.3, 4))
 
 
 def test_bond_charges_label_every_nonzero_gamma_entry():
