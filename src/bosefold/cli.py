@@ -29,6 +29,12 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+# scenario kinds each subcommand runs
+COMMAND_KINDS = {"quench": ("quench_release", "quench_raise"),
+                 "sweep": ("collision_sweep",),
+                 "ground": ("ground_state",),
+                 "transfer": ("transfer_report",)}
+
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
@@ -178,6 +184,10 @@ def main(argv=None) -> int:
         return _selftest(args.verbose)
     try:
         spec = parse_config(args.config)
+        if spec.kind not in COMMAND_KINDS[args.command]:
+            raise ConfigError(f"`{args.command}` runs kind "
+                              f"{' or '.join(COMMAND_KINDS[args.command])}, "
+                              f"config has kind {spec.kind!r}")
         os.makedirs(args.out_dir, exist_ok=True)
         if args.dump_plan:
             _dump_plan(spec, args.dump_plan)

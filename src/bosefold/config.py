@@ -7,7 +7,7 @@ Unknown sections or keys are rejected with the offending line number.
 """
 from __future__ import annotations
 
-
+import math
 
 from .errors import ConfigError
 from .model import ModelSpec, load_matrix_csv
@@ -162,6 +162,8 @@ def parse_config_text(text: str) -> ScenarioSpec:
         if ref is None:
             raise ConfigError("mu_over_n needs a [model] to scale against")
         start, stop, step = grid
+        if step == 0.0 or not all(math.isfinite(x) for x in grid):
+            raise ConfigError("mu_over_n needs finite values and a nonzero step")
         count = int(round((stop - start) / step)) + 1
         mu_values = tuple(float((start + i * step) * ref.n_sites)
                           for i in range(count))

@@ -7,17 +7,18 @@ Amplitudes contract as Gamma^[1] lam^[1] Gamma^[2] ... lam^[N-1] Gamma^[N].
 Every bond index carries an explicit U(1) label: charges[b][alpha] is the
 number of bosons to the right of bond b in Schmidt vector alpha, so
 Gamma^[k+1][a, n, b] is nonzero only where charges[k][a] == n + charges[k+1][b]
-(U(1)-symmetric tensor networks, Singh, Pfeifer & Vidal).  Gates must
-conserve boson number: single-site gates are diagonal, and a pair-rotation
-gate is stored as one unitary block per sector n_k + n_{k+1} = n < d, built
-from a cached eigenbasis of that sector's generator.  The two-site update
-rotates each (left charge, right charge) slice of theta with the block of its
-sector, raises CutoffError for a sector of d or more bosons, and runs one SVD
-per middle-bond charge.  The first-site lifting implements (a_1^dag)^M2
-as a local index shift plus a lambda rescale, reading each bond-1 Schmidt
-vector's site-1 occupation from the labels.  The two-site reduced density
-matrix carries its open-index environment as charge blocks, so each transfer
-step multiplies only blocks whose charges match.
+(U(1)-symmetric tensor networks, Singh, Pfeifer & Vidal).  Each bond is
+stored charge by charge (ascending charge, descending lambda within one), so
+the vectors of a charge range are one window found with searchsorted.  Gates
+conserve boson number by construction: a phase gate is its diagonal, and a
+pair-rotation gate is one unitary block per sector n_k + n_{k+1} = n < d, from
+a cached eigenbasis of that sector's generator.  The two-site update never
+forms the dense two-site matrix: it contracts charge windows into sector
+vectors, rotates each with its block, runs one SVD per new middle charge and
+writes the kept part of each block straight into the new Gammas.  The
+first-site lifting implements (a_1^dag)^M2 as a local index shift plus a
+lambda rescale, reading site-1 occupations from the labels.  The two-site
+reduced density matrix carries its open-index environment as charge blocks.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ SECTOR_LEAK_TOL = 1e-10  # relative two-site weight allowed outside the charge b
 class BlockDecimationState:
     gammas: list  # per-site (chiL, d, chiR) tensors
     lambdas: list  # per-bond vectors, length n_sites + 1, trivial ends
-    charges: list  # per-bond int arrays: bosons to the right of the bond
+    charges: list  # per-bond int arrays: bosons to the right of the bond, ascending
     local_dim: int
     chi_max: int
     trunc_tol: float
@@ -66,7 +67,7 @@ class BlockDecimationState:
 @dataclass(frozen=True)
 class SingleModeGate:
     site: int
-    matrix: np.ndarray  # d x d unitary
+    phases: np.ndarray  # length-d diagonal in the occupation basis
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def from_fock(occupations, d: int, chi_max: int, trunc_tol: float) -> BlockDecim
 
 def build_phase_gate(site: int, theta: float, d: int) -> SingleModeGate:
     """Diagonal e^{-i theta n} on one site."""
-    return SingleModeGate(site=site, matrix=np.diag(np.exp(-1j * theta * np.arange(d))))
+    return SingleModeGate(site=site, phases=np.exp(-1j * theta * np.arange(d)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,18 +133,31 @@ def apply_single(state: BlockDecimationState, gate: SingleModeGate) -> BlockDeci
     k = gate.site - 1
     if not (0 <= k < state.n_sites):
         raise ValidationError(f"site {gate.site} outside chain")
-    if gate.matrix.shape != (state.local_dim, state.local_dim):
+    if np.shape(gate.phases) != (state.local_dim,):
         raise ValidationError("gate dimension does not match local dimension")
-    diag = np.diagonal(gate.matrix)
-    if np.any(gate.matrix != np.diag(diag)):
-        raise ValidationError("single-site gate must be diagonal in the occupation basis")
-    state.gammas[k] = state.gammas[k] * diag[None, :, None]
+    state.gammas[k] = state.gammas[k] * gate.phases[None, :, None]
     return state
 
 
+def _windows(ql: np.ndarray, qr: np.ndarray, p, d: int):
+    """Left and right index ranges [a0, a1), [b0, b1) of middle-bond charge p.
+
+    On bonds sorted by charge, the left vectors with n_k = ql[a] - p and the
+    right vectors with n_{k+1} = p - qr[b] in 0..d-1 are contiguous.
+    """
+    return (np.searchsorted(ql, p), np.searchsorted(ql, p + d - 1, side="right"),
+            np.searchsorted(qr, p - d + 1), np.searchsorted(qr, p, side="right"))
+
+
 def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimationState:
-    """Two-site Vidal update: contract, rotate sector by sector, SVD per charge,
-    truncate, restore form."""
+    """Two-site Vidal update on charge sectors: contract, rotate, SVD per
+    charge, truncate, write back.
+
+    v[a, b, i] is the amplitude with n_k = i and n_{k+1} = n - i, where
+    n = ql[a] - qr[b] is the pair sector: middle charge p fills i = ql[a] - p,
+    blocks[n] rotates v[a, b, :n+1], and new middle charge q is the block
+    v[a, b, ql[a] - q] of its windows.
+    """
     k = gate.bond - 1
     if not (0 <= k < state.n_sites - 1):
         raise ValidationError(f"bond {gate.bond} outside chain")
@@ -155,40 +169,35 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
         if np.shape(blk) != (n + 1, n + 1):
             raise ValidationError(f"gate block {n} has shape {np.shape(blk)}, "
                                   f"sector dimension is {n + 1}")
-    lam_l, lam_m, lam_r = state.lambdas[k], state.lambdas[k + 1], state.lambdas[k + 2]
-    g1, g2 = state.gammas[k], state.gammas[k + 1]
-    chi_l, chi_m, chi_r = lam_l.shape[0], lam_m.shape[0], lam_r.shape[0]
-
-    left = (g1 * lam_l[:, None, None] * lam_m[None, None, :]).reshape(chi_l * d, chi_m)
-    right = (g2 * lam_r[None, None, :]).reshape(chi_m, d * chi_r)
-    theta = (left @ right).reshape(chi_l, d, d, chi_r)
-    # theta[a, i, j, b] is nonzero only where i + j = charges[k][a] - charges[k+2][b]
-    pair_n = state.charges[k][:, None] - state.charges[k + 2][None, :]
-    if pair_n.max() >= d:
-        raise CutoffError(f"two-site sector of {int(pair_n.max())} bosons "
+    ql, qm, qr = state.charges[k], state.charges[k + 1], state.charges[k + 2]
+    if ql[-1] - qr[0] >= d:
+        raise CutoffError(f"two-site sector of {int(ql[-1] - qr[0])} bosons "
                           f"exceeds local dimension {d}")
-    out = np.zeros_like(theta)
-    for n in np.unique(pair_n[pair_n >= 0]):
-        a, b = np.nonzero(pair_n == n)
-        i = np.arange(n + 1)
-        at = (a[:, None], i, n - i, b[:, None])
-        out[at] = theta[at] @ gate.blocks[n].T
-    mat = out.reshape(chi_l * d, d * chi_r)
-    norm2 = float(np.vdot(mat, mat).real)
+    lam_l, lam_m, lam_r = state.lambdas[k], state.lambdas[k + 1], state.lambdas[k + 2]
+    g1 = state.gammas[k] * lam_l[:, None, None] * lam_m[None, None, :]
+    g2 = state.gammas[k + 1] * lam_r[None, None, :]
+
+    v = np.zeros((ql.shape[0], qr.shape[0], d), dtype=complex)
+    ps, m0s, sizes = np.unique(qm, return_index=True, return_counts=True)
+    for p, a0, a1, b0, b1, m0, m1 in zip(ps, *_windows(ql, qr, ps, d), m0s, m0s + sizes):
+        rows, i = np.arange(a1 - a0), ql[a0:a1] - p
+        right = g2[m0:m1, :, b0:b1][:, p - qr[b0:b1], np.arange(b1 - b0)]
+        v[a0:a1, b0:b1][rows, :, i] = g1[a0:a1, :, m0:m1][rows, i] @ right
+    pair_n = ql[:, None] - qr[None, :]
+    for n in range(max(ql[0] - qr[-1], 0), ql[-1] - qr[0] + 1):
+        sel = pair_n == n
+        v[sel, :n + 1] = v[sel, :n + 1] @ gate.blocks[n].T
+    norm2 = float(np.vdot(v, v).real)
     if norm2 == 0.0:
         raise ValidationError("two-site block vanished; state is not normalized")
 
-    # middle-bond charge of row (a, i) is qL[a] - i, of column (j, b) is j + qR[b]
-    occ = np.arange(d)
-    row_q = (state.charges[k][:, None] - occ[None, :]).ravel()
-    col_q = (occ[:, None] + state.charges[k + 2][None, :]).ravel()
+    qs = np.arange(qr[0], ql[-1] + 1)
     blocks = []
-    for q in np.intersect1d(row_q, col_q):
-        rows = np.flatnonzero(row_q == q)
-        cols = np.flatnonzero(col_q == q)
-        ub, sb, vhb = np.linalg.svd(mat[np.ix_(rows, cols)], full_matrices=False)
-        blocks.append((q, rows, cols, ub, sb, vhb))
-    s_all = np.concatenate([blk[4] for blk in blocks])
+    for q, a0, a1, b0, b1 in zip(qs, *_windows(ql, qr, qs, d)):
+        if a1 > a0 and b1 > b0:
+            mat = v[a0:a1, b0:b1][np.arange(a1 - a0), :, ql[a0:a1] - q]
+            blocks.append((q, a0, a1, b0, b1, *np.linalg.svd(mat, full_matrices=False)))
+    s_all = np.concatenate([blk[6] for blk in blocks])
     total = float(np.sum(s_all**2))
     if abs(norm2 - total) > SECTOR_LEAK_TOL * norm2:
         raise ValidationError("two-site update left weight outside the charge blocks")
@@ -196,30 +205,28 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     order = np.argsort(-s_all, kind="stable")
     s_sorted = s_all[order]
     keep = (s_sorted**2 / total >= state.trunc_tol) & (s_sorted > 0)
-    chi_new = min(int(np.count_nonzero(keep)), state.chi_max)
-    chi_new = max(chi_new, 1)
-    kept = order[:chi_new]
+    chi_new = max(min(int(np.count_nonzero(keep)), state.chi_max), 1)
     state.discarded_weight += float(np.sum(s_sorted[chi_new:] ** 2) / total)
+    # in concatenation order the kept values are a prefix of each charge block
+    kept = np.sort(order[:chi_new])
+    ends = np.cumsum([blk[6].shape[0] for blk in blocks])
+    counts = np.diff(np.searchsorted(kept, ends), prepend=0)
     s = s_all[kept]
-    u = np.zeros((chi_l * d, chi_new), dtype=complex)
-    vh = np.zeros((chi_new, d * chi_r), dtype=complex)
-    q_new = np.zeros(chi_new, dtype=int)
-    start = 0
-    for q, rows, cols, ub, sb, vhb in blocks:
-        slots = np.flatnonzero((kept >= start) & (kept < start + sb.shape[0]))
-        local = kept[slots] - start
-        u[np.ix_(rows, slots)] = ub[:, local]
-        vh[np.ix_(slots, cols)] = vhb[local]
-        q_new[slots] = q
-        start += sb.shape[0]
-    lam_new = s / math.sqrt(float(np.sum(s**2)))
 
     inv_l = np.where(lam_l > LAMBDA_FLOOR, 1.0 / np.where(lam_l > 0, lam_l, 1.0), 0.0)
     inv_r = np.where(lam_r > LAMBDA_FLOOR, 1.0 / np.where(lam_r > 0, lam_r, 1.0), 0.0)
-    state.gammas[k] = (u.reshape(chi_l, d, chi_new) * inv_l[:, None, None])
-    state.gammas[k + 1] = (vh.reshape(chi_new, d, chi_r) * inv_r[None, None, :])
-    state.lambdas[k + 1] = lam_new
-    state.charges[k + 1] = q_new
+    gam_l = np.zeros((ql.shape[0], d, chi_new), dtype=complex)
+    gam_r = np.zeros((chi_new, d, qr.shape[0]), dtype=complex)
+    col = 0
+    for (q, a0, a1, b0, b1, ub, _, vhb), c in zip(blocks, counts):
+        gam_l[a0:a1, :, col:col + c][np.arange(a1 - a0), ql[a0:a1] - q] = (
+            ub[:, :c] * inv_l[a0:a1, None])
+        gam_r[col:col + c, :, b0:b1][:, q - qr[b0:b1], np.arange(b1 - b0)] = (
+            vhb[:c] * inv_r[None, b0:b1])
+        col += c
+    state.gammas[k], state.gammas[k + 1] = gam_l, gam_r
+    state.lambdas[k + 1] = s / math.sqrt(float(np.sum(s**2)))
+    state.charges[k + 1] = np.repeat([blk[0] for blk in blocks], counts)
     return state
 
 
@@ -233,32 +240,25 @@ def lift_first_site(state: BlockDecimationState, m2: int) -> BlockDecimationStat
 
     The site-1 occupation of bond-1 Schmidt vector gamma is
     charges[0][0] - charges[1][gamma]; the lift shifts that local index and
-    rescales lambda^[1], leaving every other bond untouched.
+    rescales lambda^[1], leaving every other bond untouched.  The rescale is
+    the same within a charge group, so bond 1 keeps its layout.
     """
     if m2 < 0:
         raise ValidationError("lift count must be nonnegative")
     if m2 == 0:
         return state
     d = state.local_dim
-    g1 = state.gammas[0]
-    lam1 = state.lambdas[1]
     occ_of = state.charges[0][0] - state.charges[1]
     if np.any(occ_of + m2 >= d):
-        raise CutoffError(
-            f"lift by {m2} exceeds local dimension {d} "
-            f"(max occupation {int(occ_of.max())})"
-        )
-    cols = np.arange(lam1.shape[0])
-    g_new = np.zeros_like(g1)
-    g_new[0, occ_of + m2, cols] = g1[0, occ_of, cols]
-    lam_new = lam1 * _lift_factors(occ_of.astype(float), m2)
-    lam_new = lam_new / np.linalg.norm(lam_new)
-    order = np.argsort(-lam_new, kind="stable")
-    state.gammas[0] = g_new[:, :, order]
-    state.lambdas[1] = lam_new[order]
-    state.gammas[1] = state.gammas[1][order, :, :]
+        raise CutoffError(f"lift by {m2} exceeds local dimension {d} "
+                          f"(max occupation {int(occ_of.max())})")
+    cols = np.arange(occ_of.shape[0])
+    g_new = np.zeros_like(state.gammas[0])
+    g_new[0, occ_of + m2, cols] = state.gammas[0][0, occ_of, cols]
+    lam_new = state.lambdas[1] * _lift_factors(occ_of.astype(float), m2)
+    state.gammas[0] = g_new
+    state.lambdas[1] = lam_new / np.linalg.norm(lam_new)
     state.charges[0] = state.charges[0] + m2
-    state.charges[1] = state.charges[1][order]
     return state
 
 
@@ -344,23 +344,22 @@ def occupations(state: BlockDecimationState) -> np.ndarray:
 
 
 def schmidt_values(state: BlockDecimationState, bond: int) -> np.ndarray:
+    """Bond-`bond` Schmidt values, descending."""
     if not (1 <= bond <= state.n_sites - 1):
         raise ValidationError(f"bond {bond} outside chain")
-    return state.lambdas[bond].copy()
+    return np.sort(state.lambdas[bond])[::-1]
 
 
 def _sectors(q: np.ndarray):
-    """Charge sectors of one bond: sorted distinct charges u and a slot table.
+    """Charge sectors of one bond: distinct charges u and a slot table.
 
     slots[s, t] is the bond index of the t-th Schmidt vector of charge u[s];
     rows shorter than the largest sector are padded with len(q), which points
     at the zero row or column that `_padded` appends.
     """
-    order = np.argsort(q, kind="stable")
-    u, start, count = np.unique(q[order], return_index=True, return_counts=True)
+    u, start, count = np.unique(q, return_index=True, return_counts=True)
     t = np.arange(count.max())
-    idx = np.minimum(start[:, None] + t, q.shape[0] - 1)
-    return u, np.where(t < count[:, None], order[idx], q.shape[0])
+    return u, np.where(t < count[:, None], start[:, None] + t, q.shape[0])
 
 
 def _sector_of(u: np.ndarray, charge: np.ndarray):

@@ -85,9 +85,16 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
         raise ConfigError(f"unknown scenario kind {spec.kind!r}")
     if spec.steps < 1:
         raise ConfigError(f"steps must be >= 1, got {spec.steps}")
+    num = spec.numerics
+    if num.chi_max is not None and num.chi_max < 1:
+        raise ConfigError(f"chi_max must be >= 1, got {num.chi_max}")
+    if not 0.0 <= num.trunc_tol < 1.0:  # also rejects nan
+        raise ConfigError(f"trunc_tol must be finite and in [0, 1), got {num.trunc_tol}")
     if spec.kind == "transfer_report":
         if spec.model is None or spec.epsilon is None or spec.beta is None:
             raise ConfigError("transfer_report needs a model plus epsilon and beta")
+        if not spec.beta >= 0.0:  # also rejects nan
+            raise ConfigError(f"beta must be >= 0, got {spec.beta}")
         return spec
     m = _total_bosons(spec)
     d = spec.numerics.local_dim
@@ -172,7 +179,10 @@ def _sweep_point(args):
                           trunc_tol=num.trunc_tol)
     rho = reduced_density_two_sites(state, 1, n)
     e_n = logneg_partial_transpose(rho).value
-    frac = collection_fraction(occupations(state), m1 + m2)
+    # <n_1> and <n_N> from the diagonal of rho_{1,N} (row index n_1 * d + n_N)
+    diag = rho.diagonal().real.reshape(state.local_dim, state.local_dim)
+    levels = np.arange(state.local_dim)
+    frac = collection_fraction([levels @ diag.sum(1), levels @ diag.sum(0)], m1 + m2)
     return SweepRecord(mu=mu, e_n_bits=e_n, collection_fraction=frac,
                        discarded_weight=state.discarded_weight,
                        wall_time=time.perf_counter() - start)

@@ -94,7 +94,12 @@ def test_ground_command_outputs(tmp_path):
     assert occ[0] == "t,site,n"
     total = sum(float(ln.split(",")[2]) for ln in occ[1:])
     assert abs(total - 2.0) < 1e-8
-    assert (out / "schmidt.csv").read_text().startswith("bond,index,lambda")
+    schmidt = (out / "schmidt.csv").read_text().splitlines()
+    assert schmidt[0] == "bond,index,lambda"
+    rows = [ln.split(",") for ln in schmidt[1:]]
+    for bond in range(1, 5):
+        lams = [float(lam) for b, _, lam in rows if int(b) == bond]
+        assert lams and lams == sorted(lams, reverse=True)
 
 
 def test_quench_command_with_plan_dump(tmp_path):
@@ -126,6 +131,20 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "[scenario]\nkind = nope\n")
     assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_kind_must_match_subcommand(tmp_path, capsys):
+    configs = {"sweep": SWEEP_CFG, "quench": QUENCH_CFG, "ground": GROUND_CFG,
+               "transfer": TRANSFER_CFG}
+    for command in configs:
+        for kind_of, text in configs.items():
+            if kind_of == command:
+                continue
+            out = tmp_path / f"{command}-{kind_of}"
+            cfg = _write(tmp_path, text)
+            assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+            assert "config has kind" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_missing_config_is_io_error(tmp_path):

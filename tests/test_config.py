@@ -119,6 +119,35 @@ def test_validation_rules_surface_as_config_errors():
         parse_config_text(odd_m)
 
 
+def test_chi_max_below_one_rejected():
+    with pytest.raises(ConfigError, match="chi_max"):
+        parse_config_text(GOOD_SWEEP.replace("chi_max = 16", "chi_max = 0"))
+
+
+def test_trunc_tol_outside_unit_interval_rejected():
+    for bad in ("nan", "inf", "-1e-12", "1", "2.5"):
+        with pytest.raises(ConfigError, match="trunc_tol"):
+            parse_config_text(GOOD_SWEEP.replace("trunc_tol = 1e-10", f"trunc_tol = {bad}"))
+    assert parse_config_text(GOOD_SWEEP.replace("trunc_tol = 1e-10",
+                                                "trunc_tol = 0")).numerics.trunc_tol == 0.0
+
+
+def test_zero_mu_over_n_step_rejected():
+    for grid in ("0 1 0", "0 nan 0.5", "0 1 nan"):
+        bad = GOOD_SWEEP.replace("mu_values = 0 5 10", f"mu_over_n = {grid}")
+        with pytest.raises(ConfigError, match="mu_over_n"):
+            parse_config_text(bad)
+
+
+def test_negative_beta_rejected():
+    text = ("[scenario]\nkind = transfer_report\nepsilon = 0.001\nbeta = {}\n\n"
+            "[model]\nn_sites = 7\nbase = jx\n")
+    assert parse_config_text(text.format("0")).beta == 0.0
+    for bad in ("-0.5", "nan"):
+        with pytest.raises(ConfigError, match="beta"):
+            parse_config_text(text.format(bad))
+
+
 def test_serialize_roundtrip():
     spec = parse_config_text(GOOD_SWEEP)
     text = serialize_config(spec)

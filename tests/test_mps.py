@@ -35,8 +35,10 @@ def test_from_fock_amplitudes():
 
 def test_gates_are_unitary_and_number_conserving():
     d = 5
-    g1 = build_phase_gate(1, 0.7, d).matrix
-    assert np.max(np.abs(g1 @ g1.conj().T - np.eye(d))) < 1e-12
+    # a phase gate is stored as its diagonal, so it cannot change boson number
+    phases = build_phase_gate(1, 0.7, d).phases
+    assert phases.shape == (d,)
+    assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-12
     # a pair-rotation gate is stored as one block per sector n_k + n_{k+1} = n
     blocks = build_pair_rotation_gate(1, 1.3, d).blocks
     assert len(blocks) == d
@@ -102,9 +104,8 @@ def test_apply_bounds_checked():
 
 def test_gates_must_conserve_boson_number():
     st = from_fock([1, 0], d=2, chi_max=4, trunc_tol=1e-12)
-    hop = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # a + a^dag on d = 2
-    with pytest.raises(ValidationError, match="diagonal"):
-        apply_single(st, SingleModeGate(site=1, matrix=hop))
+    with pytest.raises(ValidationError, match="dimension"):
+        apply_single(st, SingleModeGate(site=1, phases=np.ones(3, dtype=complex)))
     good = build_pair_rotation_gate(1, 0.3, 2).blocks
     with pytest.raises(ValidationError, match="sector blocks"):
         apply_two(st, TwoModeGate(bond=1, blocks=good + (np.eye(3),)))
@@ -113,20 +114,26 @@ def test_gates_must_conserve_boson_number():
 
 
 def test_two_site_sector_beyond_cutoff_raises():
-    # n_1 + n_2 = 6 has no block in a d = 4 gate
-    st = from_fock([3, 3], d=4, chi_max=8, trunc_tol=1e-12)
-    with pytest.raises(CutoffError):
-        apply_two(st, build_pair_rotation_gate(1, 0.3, 4))
+    # n_1 + n_2 = 4 and 6 have no block in a d = 4 gate
+    for occ in ([2, 2], [3, 3]):
+        st = from_fock(occ, d=4, chi_max=8, trunc_tol=1e-12)
+        with pytest.raises(CutoffError):
+            apply_two(st, build_pair_rotation_gate(1, 0.3, 4))
 
 
 def test_bond_charges_label_every_nonzero_gamma_entry():
     n = 5
     states = [(condensate_state(_random_mode(n, 40 + s), 3), 3) for s in range(2)]
     states += [(two_sum_state(_random_mode(n, 42), _random_mode(n, 43), 2, 2), 4),
-               (two_sum_state(_random_mode(n, 44), _random_mode(n, 45), 1, 3), 4)]
+               (two_sum_state(_random_mode(n, 44), _random_mode(n, 45), 1, 3), 4),
+               (from_fock([2, 0, 1, 0, 1], d=5, chi_max=8, trunc_tol=1e-12), 4)]
+    lifted = two_sum_state(_random_mode(n, 46), _random_mode(n, 47), 2, 1, d=6)
+    states.append((lift_first_site(lifted, 2), 5))
     for st, m in states:
         assert st.charges[0].tolist() == [m]
         assert st.charges[n].tolist() == [0]
+        # every bond is grouped by ascending charge
+        assert all(np.all(np.diff(q) >= 0) for q in st.charges)
         for k, g in enumerate(st.gammas):
             assert st.charges[k].shape[0] == g.shape[0]
             assert st.charges[k + 1].shape[0] == g.shape[2]
@@ -228,7 +235,8 @@ def test_schmidt_values_match_dense():
         lams = schmidt_values(st, bond)
         ref = dense.schmidt_values_dense(amps, n, m, bond)
         assert lams.shape[0] <= m + 1
-        assert np.max(np.abs(np.sort(lams)[::-1][: ref.shape[0]] - ref)) < 1e-12
+        assert np.all(np.diff(lams) <= 0)
+        assert np.max(np.abs(lams[: ref.shape[0]] - ref)) < 1e-12
     with pytest.raises(ValidationError):
         schmidt_values(st, n)
 

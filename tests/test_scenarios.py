@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bosefold.errors import ConfigError
-from bosefold.model import ModelSpec
+from bosefold.heisenberg import propagate, spectral_decompose
+from bosefold.model import ModelSpec, add_onsite_barrier, build_coupling
 from bosefold.scenarios import (NumericsSpec, ScenarioSpec, resolve_quench_models,
                                 run_collision_sweep, run_ground_state, run_quench,
                                 run_transfer, validate_spec)
@@ -63,6 +64,20 @@ def test_run_collision_sweep_orders_and_measures():
     assert free.collection_fraction == pytest.approx(1.0, abs=1e-8)
     assert free.e_n_bits == pytest.approx(0.0, abs=1e-8)
     assert recs[0].e_n_bits > 0.1  # barrier scatters into entanglement
+
+
+def test_collision_fraction_matches_closed_form_for_unequal_packets():
+    # m1 != m2 breaks the mirror symmetry, so <n_1> and <n_N> differ
+    n, mu, m1, m2 = 6, 3.0, 3, 1
+    model = ModelSpec(n_sites=n, base="jx")
+    spec = ScenarioSpec(kind="collision_sweep", model=model, m1=m1, m2=m2,
+                        mu_values=(mu,), numerics=NumericsSpec(trunc_tol=0.0))
+    rec, = run_collision_sweep(spec)
+    r = add_onsite_barrier(build_coupling(model), n // 2, n // 2 + 1, mu)
+    a = propagate(spectral_decompose(r), np.pi).entries
+    occ = m1 * np.abs(a[:, 0]) ** 2 + m2 * np.abs(a[:, n - 1]) ** 2
+    assert abs(occ[0] - occ[-1]) > 0.1
+    assert rec.collection_fraction == pytest.approx((occ[0] + occ[-1]) / (m1 + m2), abs=1e-12)
 
 
 def test_run_ground_state():
