@@ -17,8 +17,8 @@ from .folding import (FoldPlan, PairRotationOp, PhaseOp, TwoSumPlan,
 from .mps import (BlockDecimationState, amplitude, apply_single, apply_two,
                   build_pair_rotation_gate, build_phase_gate, canonical_defect,
                   condensate_state, from_fock, lift_first_site, occupations,
-                  reduced_density_two_sites, schmidt_values, site_occupation,
-                  state_norm, two_sum_state)
+                  reduced_density_two_sites, schmidt_values, state_norm,
+                  two_sum_state)
 from .entanglement import (EntanglementResult, binomial_end_entanglement_asymptotic,
                            binomial_end_entanglement_exact, collection_fraction,
                            logneg_partial_transpose, logneg_pure)

@@ -26,28 +26,26 @@ def logneg_pure(lams) -> EntanglementResult:
                               method="pure_schmidt")
 
 
-def partial_transpose(rho: np.ndarray, transpose_first: bool = True) -> np.ndarray:
-    """Partial transpose of a d^2 x d^2 two-site density matrix."""
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Partial transpose on the first site of a d^2 x d^2 two-site density matrix.
+
+    The partial transpose on the second site is its full transpose, so both
+    have the same singular values.
+    """
     dim = rho.shape[0]
     d = math.isqrt(dim)
     if d * d != dim:
         raise ValidationError(f"density matrix dimension {dim} is not a square")
-    r4 = rho.reshape(d, d, d, d)
-    if transpose_first:
-        r4 = np.transpose(r4, (2, 1, 0, 3))
-    else:
-        r4 = np.transpose(r4, (0, 3, 2, 1))
-    return r4.reshape(dim, dim)
+    return np.transpose(rho.reshape(d, d, d, d), (2, 1, 0, 3)).reshape(dim, dim)
 
 
-def logneg_partial_transpose(rho: np.ndarray,
-                             transpose_first: bool = True) -> EntanglementResult:
+def logneg_partial_transpose(rho: np.ndarray) -> EntanglementResult:
     """E_N = log2 of the trace norm of the partially transposed matrix."""
     if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
         raise ValidationError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise ValidationError("density matrix trace differs from 1")
-    s = np.linalg.svd(partial_transpose(rho, transpose_first), compute_uv=False)
+    s = np.linalg.svd(partial_transpose(rho), compute_uv=False)
     return EntanglementResult(value=math.log2(float(np.sum(s))),
                               method="partial_transpose")
 

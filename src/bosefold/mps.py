@@ -1,12 +1,15 @@
-"""Vidal-form block-decimation engine for number-conserving bosonic chains.
+"""Block-decimation engine for number-conserving bosonic chains.
 
-State layout: gammas[k] has shape (chi_left, d, chi_right) for site k+1;
+State layout: gammas[k] has shape (chi_left, d, chi_right) and holds the
+right-normalized site tensor B^[k+1] = Gamma^[k+1] lam^[k+1] of site k+1;
 lambdas[b] is the bond-b Schmidt vector (b = 0..N with trivial [1.0] ends).
-Amplitudes contract as Gamma^[1] lam^[1] Gamma^[2] ... lam^[N-1] Gamma^[N].
+Amplitudes contract as B^[1] B^[2] ... B^[N], and lam^[b] B^[b+1] ... B^[N]
+are the Schmidt vectors of bond b, so no step divides by a Schmidt value
+(inverse-free update, Hastings, arXiv:0903.3253).
 
 Every bond index carries an explicit U(1) label: charges[b][alpha] is the
 number of bosons to the right of bond b in Schmidt vector alpha, so
-Gamma^[k+1][a, n, b] is nonzero only where charges[k][a] == n + charges[k+1][b]
+B^[k+1][a, n, b] is nonzero only where charges[k][a] == n + charges[k+1][b]
 (U(1)-symmetric tensor networks, Singh, Pfeifer & Vidal).  Each bond is
 stored charge by charge (ascending charge, descending lambda within one), so
 the vectors of a charge range are one window found with searchsorted.  Gates
@@ -14,17 +17,19 @@ conserve boson number by construction: a phase gate is its diagonal, and a
 pair-rotation gate is one unitary block per sector n_k + n_{k+1} = n < d, from
 a cached eigenbasis of that sector's generator.  The two-site update never
 forms the dense two-site matrix: it contracts charge windows into sector
-vectors, rotates each with its block, runs one SVD per new middle charge and
-writes the kept part of each block straight into the new Gammas.  The
-first-site lifting implements (a_1^dag)^M2 as a local index shift plus a
-lambda rescale, reading site-1 occupations from the labels.  The two-site
-reduced density matrix carries its open-index environment as charge blocks.
+vectors, rotates each with its block, runs one SVD per new middle charge on
+the lam-weighted block and writes the kept right singular vectors and the
+block projected onto them straight into the new tensors.  The first-site
+lifting implements (a_1^dag)^M2 as a local index shift plus a rescale of
+B^[1] and lambda^[1], reading site-1 occupations from the labels.  The
+two-site reduced density matrix carries its open-index environment as
+charge blocks.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -34,13 +39,12 @@ from .errors import CutoffError, ValidationError
 from .folding import (FoldPlan, PairRotationOp, PhaseOp, TwoSumPlan, fold_single,
                       fold_two, invert_plan, _coeffs)
 
-LAMBDA_FLOOR = 1e-14  # boundary-lambda entries below this are treated as zero
 SECTOR_LEAK_TOL = 1e-10  # relative two-site weight allowed outside the charge blocks
 
 
 @dataclass
 class BlockDecimationState:
-    gammas: list  # per-site (chiL, d, chiR) tensors
+    gammas: list  # per-site right-normalized (chiL, d, chiR) tensors Gamma lambda
     lambdas: list  # per-bond vectors, length n_sites + 1, trivial ends
     charges: list  # per-bond int arrays: bosons to the right of the bond, ascending
     local_dim: int
@@ -51,17 +55,6 @@ class BlockDecimationState:
     @property
     def n_sites(self) -> int:
         return len(self.gammas)
-
-    def copy(self) -> "BlockDecimationState":
-        return BlockDecimationState(
-            gammas=[g.copy() for g in self.gammas],
-            lambdas=[l.copy() for l in self.lambdas],
-            charges=[q.copy() for q in self.charges],
-            local_dim=self.local_dim,
-            chi_max=self.chi_max,
-            trunc_tol=self.trunc_tol,
-            discarded_weight=self.discarded_weight,
-        )
 
 
 @dataclass(frozen=True)
@@ -150,13 +143,15 @@ def _windows(ql: np.ndarray, qr: np.ndarray, p, d: int):
 
 
 def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimationState:
-    """Two-site Vidal update on charge sectors: contract, rotate, SVD per
-    charge, truncate, write back.
+    """Inverse-free two-site update on charge sectors: contract, rotate, SVD
+    per charge, truncate, write back.
 
-    v[a, b, i] is the amplitude with n_k = i and n_{k+1} = n - i, where
-    n = ql[a] - qr[b] is the pair sector: middle charge p fills i = ql[a] - p,
-    blocks[n] rotates v[a, b, :n+1], and new middle charge q is the block
-    v[a, b, ql[a] - q] of its windows.
+    v[a, b, i] is the B^[k] B^[k+1] amplitude with n_k = i and
+    n_{k+1} = n - i, where n = ql[a] - qr[b] is the pair sector: middle charge
+    p fills i = ql[a] - p, blocks[n] rotates v[a, b, :n+1], and new middle
+    charge q is the block v[a, b, ql[a] - q] of its windows.  Each block is
+    weighted by lambda^[k-1] for its SVD; the new right tensor is the kept
+    V^dag rows and the new left tensor the unweighted block times V.
     """
     k = gate.bond - 1
     if not (0 <= k < state.n_sites - 1):
@@ -173,9 +168,7 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     if ql[-1] - qr[0] >= d:
         raise CutoffError(f"two-site sector of {int(ql[-1] - qr[0])} bosons "
                           f"exceeds local dimension {d}")
-    lam_l, lam_m, lam_r = state.lambdas[k], state.lambdas[k + 1], state.lambdas[k + 2]
-    g1 = state.gammas[k] * lam_l[:, None, None] * lam_m[None, None, :]
-    g2 = state.gammas[k + 1] * lam_r[None, None, :]
+    lam_l, g1, g2 = state.lambdas[k], state.gammas[k], state.gammas[k + 1]
 
     v = np.zeros((ql.shape[0], qr.shape[0], d), dtype=complex)
     ps, m0s, sizes = np.unique(qm, return_index=True, return_counts=True)
@@ -187,7 +180,8 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     for n in range(max(ql[0] - qr[-1], 0), ql[-1] - qr[0] + 1):
         sel = pair_n == n
         v[sel, :n + 1] = v[sel, :n + 1] @ gate.blocks[n].T
-    norm2 = float(np.vdot(v, v).real)
+    weighted = lam_l[:, None, None] * v
+    norm2 = float(np.vdot(weighted, weighted).real)
     if norm2 == 0.0:
         raise ValidationError("two-site block vanished; state is not normalized")
 
@@ -196,7 +190,8 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     for q, a0, a1, b0, b1 in zip(qs, *_windows(ql, qr, qs, d)):
         if a1 > a0 and b1 > b0:
             mat = v[a0:a1, b0:b1][np.arange(a1 - a0), :, ql[a0:a1] - q]
-            blocks.append((q, a0, a1, b0, b1, *np.linalg.svd(mat, full_matrices=False)))
+            _, sb, vhb = np.linalg.svd(lam_l[a0:a1, None] * mat, full_matrices=False)
+            blocks.append((q, a0, a1, b0, b1, mat, sb, vhb))
     s_all = np.concatenate([blk[6] for blk in blocks])
     total = float(np.sum(s_all**2))
     if abs(norm2 - total) > SECTOR_LEAK_TOL * norm2:
@@ -212,20 +207,18 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     ends = np.cumsum([blk[6].shape[0] for blk in blocks])
     counts = np.diff(np.searchsorted(kept, ends), prepend=0)
     s = s_all[kept]
+    s_norm = math.sqrt(float(np.sum(s**2)))
 
-    inv_l = np.where(lam_l > LAMBDA_FLOOR, 1.0 / np.where(lam_l > 0, lam_l, 1.0), 0.0)
-    inv_r = np.where(lam_r > LAMBDA_FLOOR, 1.0 / np.where(lam_r > 0, lam_r, 1.0), 0.0)
     gam_l = np.zeros((ql.shape[0], d, chi_new), dtype=complex)
     gam_r = np.zeros((chi_new, d, qr.shape[0]), dtype=complex)
     col = 0
-    for (q, a0, a1, b0, b1, ub, _, vhb), c in zip(blocks, counts):
+    for (q, a0, a1, b0, b1, mat, _, vhb), c in zip(blocks, counts):
         gam_l[a0:a1, :, col:col + c][np.arange(a1 - a0), ql[a0:a1] - q] = (
-            ub[:, :c] * inv_l[a0:a1, None])
-        gam_r[col:col + c, :, b0:b1][:, q - qr[b0:b1], np.arange(b1 - b0)] = (
-            vhb[:c] * inv_r[None, b0:b1])
+            mat @ vhb[:c].conj().T / s_norm)
+        gam_r[col:col + c, :, b0:b1][:, q - qr[b0:b1], np.arange(b1 - b0)] = vhb[:c]
         col += c
     state.gammas[k], state.gammas[k + 1] = gam_l, gam_r
-    state.lambdas[k + 1] = s / math.sqrt(float(np.sum(s**2)))
+    state.lambdas[k + 1] = s / s_norm
     state.charges[k + 1] = np.repeat([blk[0] for blk in blocks], counts)
     return state
 
@@ -240,7 +233,8 @@ def lift_first_site(state: BlockDecimationState, m2: int) -> BlockDecimationStat
 
     The site-1 occupation of bond-1 Schmidt vector gamma is
     charges[0][0] - charges[1][gamma]; the lift shifts that local index and
-    rescales lambda^[1], leaving every other bond untouched.  The rescale is
+    scales column gamma of B^[1] and lambda^[1][gamma] by the same normalized
+    lift factor, leaving every other site and bond untouched.  The factor is
     the same within a charge group, so bond 1 keeps its layout.
     """
     if m2 < 0:
@@ -253,11 +247,12 @@ def lift_first_site(state: BlockDecimationState, m2: int) -> BlockDecimationStat
         raise CutoffError(f"lift by {m2} exceeds local dimension {d} "
                           f"(max occupation {int(occ_of.max())})")
     cols = np.arange(occ_of.shape[0])
+    factors = _lift_factors(occ_of.astype(float), m2)
+    factors /= np.linalg.norm(state.lambdas[1] * factors)
     g_new = np.zeros_like(state.gammas[0])
-    g_new[0, occ_of + m2, cols] = state.gammas[0][0, occ_of, cols]
-    lam_new = state.lambdas[1] * _lift_factors(occ_of.astype(float), m2)
+    g_new[0, occ_of + m2, cols] = state.gammas[0][0, occ_of, cols] * factors
     state.gammas[0] = g_new
-    state.lambdas[1] = lam_new / np.linalg.norm(lam_new)
+    state.lambdas[1] = state.lambdas[1] * factors
     state.charges[0] = state.charges[0] + m2
     return state
 
@@ -266,13 +261,8 @@ def lift_first_site(state: BlockDecimationState, m2: int) -> BlockDecimationStat
 
 
 def _site_matrices(state: BlockDecimationState, k: int) -> np.ndarray:
-    """A_k(i) = Gamma_k(i) diag(lambda_k), shape (d, chiL, chiR)."""
-    g = state.gammas[k]
-    lam = state.lambdas[k + 1]
-    a = np.transpose(g, (1, 0, 2)).copy()
-    if k < state.n_sites - 1:
-        a *= lam[None, None, :]
-    return a
+    """B_k(i) as a (d, chiL, chiR) view of gammas[k]."""
+    return np.transpose(state.gammas[k], (1, 0, 2))
 
 
 def _left_terms(a: np.ndarray, env: np.ndarray) -> np.ndarray:
@@ -319,14 +309,7 @@ def amplitude(state: BlockDecimationState, config) -> complex:
         if not (0 <= occ < state.local_dim):
             raise ValidationError(f"occupation {occ} outside local dimension")
         v = v @ state.gammas[k][:, occ, :]
-        if k < state.n_sites - 1:
-            v = v * state.lambdas[k + 1]
     return complex(v[0])
-
-
-def site_occupation(state: BlockDecimationState, site: int) -> float:
-    """<n_site> via environment contraction (no canonicity assumption)."""
-    return occupations(state)[site - 1]
 
 
 def occupations(state: BlockDecimationState) -> np.ndarray:
@@ -450,23 +433,21 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
 
 
 def canonical_defect(state: BlockDecimationState) -> float:
-    """Largest deviation from the Vidal left/right orthonormality conditions.
+    """Largest deviation from the conditions the B storage implies.
 
-    Left condition at bond k uses lambda^[k-1] Gamma_k; right condition uses
-    Gamma_k lambda^[k].
+    Left: contracting sites 1..k gives L[k] = diag(lambda^[k]^2).  Right:
+    contracting sites k+1..N gives R[k] = 1, checked as
+    lambda^[k] (R[k] - 1) lambda^[k]: truncation leaves Schmidt vectors whose
+    weight lies below the discarded weight only approximately
+    right-orthonormal, and the weights count each defect by the weight its
+    vectors carry in the state.
     """
     worst = 0.0
-    left = np.ones((1, 1), dtype=complex)
-    for k in range(state.n_sites):
-        g = state.gammas[k]
-        a = np.transpose(g, (1, 0, 2)) * state.lambdas[k][None, :, None]
-        left = _left_terms(a, left).sum(0)
-        worst = max(worst, float(np.max(np.abs(left - np.eye(left.shape[0])))))
-    right = np.ones((1, 1), dtype=complex)
-    for k in range(state.n_sites - 1, -1, -1):
-        b = _site_matrices(state, k)
-        right = _right_terms(b, right).sum(0)
-        worst = max(worst, float(np.max(np.abs(right - np.eye(right.shape[0])))))
+    for lam, env in zip(state.lambdas, _left_envs(state)):
+        worst = max(worst, float(np.max(np.abs(env - np.diag(lam**2)))))
+    for lam, env in zip(state.lambdas[::-1], _right_envs(state)):
+        dev = lam[:, None] * (env - np.eye(lam.shape[0])) * lam[None, :]
+        worst = max(worst, float(np.max(np.abs(dev))))
     return worst
 
 

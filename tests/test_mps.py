@@ -11,7 +11,7 @@ from bosefold.mps import (SingleModeGate, TwoModeGate, _sector_eigh, amplitude, 
                           apply_two, build_pair_rotation_gate, build_phase_gate, canonical_defect,
                           condensate_state, from_fock, lift_first_site, occupations,
                           reduced_density_two_sites, replay_plan_gates, schmidt_values,
-                          site_occupation, state_norm, two_sum_state)
+                          state_norm, two_sum_state)
 
 
 def _random_mode(n, seed):
@@ -152,6 +152,33 @@ def test_condensate_state_matches_dense():
         assert st.discarded_weight < 1e-20
 
 
+def test_schmidt_values_below_round_off_stay_canonical():
+    # untruncated, the bonds keep Schmidt values far below 1e-14
+    n, m = 5, 3
+    c = np.array([1, 1e-8, 1e-8, 1e-8, 1e-8])
+    st = condensate_state(c, m, trunc_tol=0.0)
+    assert min(lam.min() for lam in st.lambdas) < 1e-16
+    assert canonical_defect(st) < 1e-12
+    # untruncated, every stored site tensor is right-normalized, row by row
+    for g in st.gammas:
+        b = g.reshape(g.shape[0], -1)
+        assert np.max(np.abs(b @ b.conj().T - np.eye(g.shape[0]))) < 1e-12
+    ref = dense.condensate_amplitudes(c, m)
+    assert np.max(np.abs(_all_amplitudes(st, n, m) - ref)) < 1e-12
+
+
+def test_canonical_defect_at_scenario_scale():
+    n = 20
+    coupling = build_coupling(ModelSpec(n_sites=n, base="jx"))
+    for mu in (6.0, 20.0, 40.0):
+        a = propagate(spectral_decompose(add_onsite_barrier(coupling, n // 2, n // 2 + 1, mu)),
+                      np.pi)
+        z, c = a.entries[:, 0], a.entries[:, n - 1]
+        for trunc_tol, bound in [(1e-30, 1e-13), (1e-12, 1e-11)]:
+            st = two_sum_state(z, c, 8, 8, chi_max=81, trunc_tol=trunc_tol)
+            assert canonical_defect(st) < bound, (mu, trunc_tol)
+
+
 def test_two_sum_state_matches_dense():
     n = 5
     for seed, (m1, m2) in [(0, (1, 1)), (1, (2, 1)), (2, (2, 2))]:
@@ -192,7 +219,6 @@ def test_occupations_and_rdm_match_dense():
                 ref = dense.dense_rdm_two_sites(amps, n, m, k, l, st.local_dim)
                 ref = ref / np.trace(ref).real
                 assert np.max(np.abs(rho - ref)) < 1e-12, (k, l)
-    assert site_occupation(st, 2) == pytest.approx(occ[1])
     with pytest.raises(ValidationError):
         reduced_density_two_sites(st, 3, 3)
 
@@ -274,8 +300,8 @@ def test_truncation_records_discarded_weight():
     st = condensate_state(c, m, chi_max=2, trunc_tol=1e-12)
     assert st.discarded_weight > 0
     assert all(lam.shape[0] <= 2 for lam in st.lambdas)
-    # a squeezed state still has norm close to 1 - discarded weight
-    assert state_norm(st) < 1.0 + 1e-12
+    # every truncation renormalizes the kept weight, so the state stays normalized
+    assert state_norm(st) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_replay_inverse_plan_builds_condensate():
