@@ -1,7 +1,8 @@
 """`bosefold` command line driver.
 
-Subcommands: quench, sweep, ground, transfer, selftest.  `sweep --verbose`
-prints one summary line per barrier height to stderr.  Exit codes:
+Subcommands: quench, sweep, ground, transfer, selftest.  Only `sweep` takes
+`--threads K` (K >= 1 processes) and `--verbose` (one summary line per
+barrier height on stderr).  Exit codes:
 0 success, 2 config error, 3 numeric/convergence error, 4 I/O error.
 Output CSVs use 17 significant digits, '\n' line endings, and contain no
 timestamps, so identical configs produce byte-identical files.
@@ -124,7 +125,7 @@ def _cmd_transfer(spec, out_dir) -> int:
     return EXIT_OK
 
 
-def _selftest(verbose: bool) -> int:
+def _selftest() -> int:
     """Oracle-equivalence spot checks against the dense Fock-space path."""
     rng = np.random.default_rng(20240817)
     failures = 0
@@ -162,6 +163,13 @@ def _selftest(verbose: bool) -> int:
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bosefold",
                                      description=__doc__.splitlines()[0])
@@ -171,17 +179,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out-dir", default=".")
         p.add_argument("--dump-plan", default=None)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--verbose", action="store_true")
-    p = sub.add_parser("selftest")
-    p.add_argument("--verbose", action="store_true")
+        if name == "sweep":
+            p.add_argument("--threads", type=_positive_int, default=1)
+            p.add_argument("--verbose", action="store_true")
+    sub.add_parser("selftest")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "selftest":
-        return _selftest(args.verbose)
+        return _selftest()
     try:
         spec = parse_config(args.config)
         if spec.kind not in COMMAND_KINDS[args.command]:

@@ -9,6 +9,8 @@ from scipy.special import gammaln
 
 from .errors import ValidationError
 
+IMBALANCE_LEAK_TOL = 1e-10  # relative Frobenius weight allowed outside the imbalance blocks
+
 
 @dataclass(frozen=True)
 class EntanglementResult:
@@ -40,13 +42,33 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
 
 
 def logneg_partial_transpose(rho: np.ndarray) -> EntanglementResult:
-    """E_N = log2 of the trace norm of the partially transposed matrix."""
+    """E_N = log2 of the trace norm of the partially transposed matrix.
+
+    A two-site rho that conserves n_1 + n_2 has a partial transpose that is
+    block-diagonal in the imbalance n_2 - n_1 (Cornfeld, Goldstein & Sela,
+    arXiv:1804.00632): 2d - 1 Hermitian blocks of size d - |n_2 - n_1|, whose
+    |eigenvalues| sum to the trace norm.  The blocks are stacked zero-padded
+    to d x d for one eigvalsh call; padding adds zero eigenvalues only.
+    """
     if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
         raise ValidationError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise ValidationError("density matrix trace differs from 1")
-    s = np.linalg.svd(partial_transpose(rho), compute_uv=False)
-    return EntanglementResult(value=math.log2(float(np.sum(s))),
+    pt = partial_transpose(rho)
+    d = math.isqrt(pt.shape[0])
+    n1, n2 = np.divmod(np.arange(d * d), d)
+    off = np.linalg.norm(pt[(n2 - n1)[:, None] != (n2 - n1)[None, :]]) / np.linalg.norm(pt)
+    if off > IMBALANCE_LEAK_TOL:
+        raise ValidationError(f"partial transpose has relative weight {off:.2e} outside the "
+                              "imbalance blocks; rho does not conserve n_1 + n_2")
+    # slots[s, t]: the t-th pair state |n_1, n_2> of imbalance s - (d - 1), padded with d^2
+    imbalance, t = np.arange(1 - d, d)[:, None], np.arange(d)
+    slots = np.where(t < d - np.abs(imbalance),
+                     (t + np.maximum(-imbalance, 0)) * d + t + np.maximum(imbalance, 0), d * d)
+    padded = np.zeros((d * d + 1, d * d + 1), dtype=pt.dtype)
+    padded[:-1, :-1] = pt
+    eig = np.linalg.eigvalsh(padded[slots[:, :, None], slots[:, None, :]])
+    return EntanglementResult(value=math.log2(float(np.sum(np.abs(eig)))),
                               method="partial_transpose")
 
 

@@ -14,12 +14,15 @@ B^[k+1][a, n, b] is nonzero only where charges[k][a] == n + charges[k+1][b]
 stored charge by charge (ascending charge, descending lambda within one), so
 the vectors of a charge range are one window found with searchsorted.  Gates
 conserve boson number by construction: a phase gate is its diagonal, and a
-pair-rotation gate is one unitary block per sector n_k + n_{k+1} = n < d, from
-a cached eigenbasis of that sector's generator.  The two-site update never
-forms the dense two-site matrix: it contracts charge windows into sector
-vectors, rotates each with its block, runs one SVD per new middle charge on
-the lam-weighted block and writes the kept right singular vectors and the
-block projected onto them straight into the new tensors.  The first-site
+pair-rotation gate is one real orthogonal block per sector
+n_k + n_{k+1} = n < d, all built in one batched product from a cached real
+eigenbasis.  The two-site update never forms the dense two-site matrix, and
+each of its stages is one batched call over the charge windows, stacked as
+slot tables padded with a zero row and column: one product contracts the
+windows into sector vectors, the pairs of each sector are rotated by its
+block, one SVD call takes every lam-weighted window block, a mask keeps the
+largest singular values, and one assignment per tensor writes the kept
+right singular vectors and the blocks projected onto them.  The first-site
 lifting implements (a_1^dag)^M2 as a local index shift plus a rescale of
 B^[1] and lambda^[1], reading site-1 occupations from the labels.  The
 two-site reduced density matrix carries its open-index environment as
@@ -40,6 +43,7 @@ from .folding import (FoldPlan, PairRotationOp, PhaseOp, TwoSumPlan, fold_single
                       fold_two, invert_plan, _coeffs)
 
 SECTOR_LEAK_TOL = 1e-10  # relative two-site weight allowed outside the charge blocks
+QR_FIRST_SIZE = 2048  # padded SVD stacks at least this large and twice as tall as wide start with a QR
 
 
 @dataclass
@@ -92,34 +96,52 @@ def build_phase_gate(site: int, theta: float, d: int) -> SingleModeGate:
 
 
 @functools.lru_cache(maxsize=None)
-def _sector_eigh(n: int):
-    """Eigenpairs (w, V, V^dag) of Q on the n-boson pair sector |n_k, n - n_k>.
+def _sector_eigh(d: int):
+    """Real eigenbasis (X, X', mu, X^T) of Q on the pair sectors n = 0..d-1.
 
-    Q = (a_2^dag a_1 - a_1^dag a_2) / 2i does not depend on the rotation
-    angle, so each sector is diagonalized once per process.  The arrays are
-    shared by every gate and are read-only.
+    Q = (a_2^dag a_1 - a_1^dag a_2) / 2i is imaginary, so its eigenvectors of
+    +m and -m are v and conj(v); with v = (x + i y) / sqrt(2), e^{-i phi Q}
+    rotates the real plane (x, y) by the angle phi m.  Sector n (basis
+    |n_k, n - n_k>, n_k ascending) has the columns x, y and the real m = 0
+    vector in X, their m in mu, and y, -x, 0 in X', so its gate is
+    (X cos(phi mu) + X' sin(phi mu)) X^T.  Sectors n and d-1-n share one
+    zero-padded (d+1) x (d+1) slot j = min(n, d-1-n), at offset 0 and j+1,
+    so the products of all sectors take about half the work of padding each
+    to d x d.  Q does not depend on the angle, so each local dimension is
+    diagonalized once per process; the arrays are read-only.
     """
-    q = np.zeros((n + 1, n + 1), dtype=complex)
-    for n1 in range(n + 1):
-        n2 = n - n1
-        if n1 > 0:  # a_2^dag a_1 |n1, n2> -> sqrt(n1 (n2+1)) |n1-1, n2+1>
-            q[n1 - 1, n1] += math.sqrt(n1 * (n2 + 1)) / 2j
-        if n2 > 0:  # a_1^dag a_2 |n1, n2> -> sqrt(n2 (n1+1)) |n1+1, n2-1>
-            q[n1 + 1, n1] -= math.sqrt(n2 * (n1 + 1)) / 2j
-    w, v = np.linalg.eigh(q)
-    vh = v.conj().T
-    for arr in (w, v, vh):
+    slots = (d + 1) // 2
+    x = np.zeros((slots, d + 1, d + 1))
+    xs = np.zeros((slots, d + 1, d + 1))
+    mu = np.zeros((slots, d + 1))
+    for n in range(d):
+        n1 = np.arange(n)  # a_2^dag a_1 |n1+1, n-n1-1> -> sqrt((n1+1)(n-n1)) |n1, n-n1>
+        q = np.zeros((n + 1, n + 1), dtype=complex)
+        q[n1, n1 + 1] = np.sqrt((n1 + 1.0) * (n - n1)) / 2j
+        w, v = np.linalg.eigh(q + q.conj().T)
+        h = (n + 1) // 2  # pairs +-m; w ascends, so m > 0 are the last h
+        re, im = math.sqrt(2.0) * v[:, n + 1 - h:].real, math.sqrt(2.0) * v[:, n + 1 - h:].imag
+        j, o = (n, 0) if n < slots else (d - 1 - n, d - n)
+        x[j, o:o + n + 1, o:o + 2 * h] = np.hstack([re, im])
+        xs[j, o:o + n + 1, o:o + 2 * h] = np.hstack([im, -re])
+        mu[j, o:o + 2 * h] = np.tile(np.arange(n + 1 - h, n + 1) - n / 2, 2)  # exact m
+        if n % 2 == 0:  # m = 0: a real vector up to a phase
+            z = v[:, h] * np.exp(-1j * np.angle(v[np.argmax(np.abs(v[:, h])), h]))
+            x[j, o:o + n + 1, o + n] = z.real
+    xt = np.ascontiguousarray(x.swapaxes(1, 2))
+    for arr in (x, xs, mu, xt):
         arr.setflags(write=False)
-    return w, v, vh
+    return x, xs, mu, xt
 
 
 def build_pair_rotation_gate(bond: int, phi: float, d: int) -> TwoModeGate:
-    """Exact e^{-i phi Q} on the sectors n_k + n_{k+1} = 0..d-1."""
-    blocks = []
-    for n in range(d):
-        w, v, vh = _sector_eigh(n)
-        blocks.append((v * np.exp(-1j * phi * w)) @ vh)
-    return TwoModeGate(bond=bond, blocks=tuple(blocks))
+    """Exact e^{-i phi Q} on the sectors n_k + n_{k+1} = 0..d-1, one batched product."""
+    x, xs, mu, xt = _sector_eigh(d)
+    full = (x * np.cos(phi * mu)[:, None, :] + xs * np.sin(phi * mu)[:, None, :]) @ xt
+    slots = x.shape[0]
+    return TwoModeGate(bond=bond, blocks=tuple(
+        full[n, :n + 1, :n + 1] if n < slots else full[d - 1 - n, d - n:, d - n:]
+        for n in range(d)))
 
 
 def apply_single(state: BlockDecimationState, gate: SingleModeGate) -> BlockDecimationState:
@@ -142,16 +164,40 @@ def _windows(ql: np.ndarray, qr: np.ndarray, p, d: int):
             np.searchsorted(qr, p - d + 1), np.searchsorted(qr, p, side="right"))
 
 
+def _slots(start: np.ndarray, count: np.ndarray, pad: int) -> np.ndarray:
+    """Slot table of contiguous index ranges: row s lists start[s] + 0..count[s]-1.
+
+    Rows shorter than the longest range are padded with `pad`, which points at
+    an appended zero row or column, such as the one `_padded` appends.
+    """
+    t = np.arange(count.max(initial=0))
+    return np.where(t < count[:, None], start[:, None] + t, pad)
+
+
+def _charge_matrix(g: np.ndarray, ql: np.ndarray, qr: np.ndarray) -> np.ndarray:
+    """g[a, ql[a] - qr[b], b], the one level the charges allow, padded by `_padded`.
+
+    Where ql[a] - qr[b] lies outside 0..d-1 the entry is arbitrary: charge
+    windows never read it.
+    """
+    lvl = (ql[:, None] - qr[None, :]) % g.shape[1]
+    return _padded(g[np.arange(ql.shape[0])[:, None], lvl, np.arange(qr.shape[0])])
+
+
 def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimationState:
-    """Inverse-free two-site update on charge sectors: contract, rotate, SVD
-    per charge, truncate, write back.
+    """Inverse-free two-site update on charge blocks: contract, rotate, SVD,
+    truncate, write back, each stage one padded batched call.
 
     v[a, b, i] is the B^[k] B^[k+1] amplitude with n_k = i and
     n_{k+1} = n - i, where n = ql[a] - qr[b] is the pair sector: middle charge
     p fills i = ql[a] - p, blocks[n] rotates v[a, b, :n+1], and new middle
-    charge q is the block v[a, b, ql[a] - q] of its windows.  Each block is
-    weighted by lambda^[k-1] for its SVD; the new right tensor is the kept
-    V^dag rows and the new left tensor the unweighted block times V.
+    charge q is the block v[a, b, ql[a] - q] of its windows.  Charge windows
+    are stacked as slot tables padded with an extra zero row and column of v,
+    so every middle-charge product runs in one matmul and every new-charge
+    block, lambda^[k-1]-weighted, in one SVD call; the singular values of a
+    block are the first min(rows, cols) of its padded SVD.  The new right
+    tensor is the kept V^dag rows and the new left tensor the unweighted block
+    times V.
     """
     k = gate.bond - 1
     if not (0 <= k < state.n_sites - 1):
@@ -168,58 +214,79 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     if ql[-1] - qr[0] >= d:
         raise CutoffError(f"two-site sector of {int(ql[-1] - qr[0])} bosons "
                           f"exceeds local dimension {d}")
-    lam_l, g1, g2 = state.lambdas[k], state.gammas[k], state.gammas[k + 1]
+    chi_l, chi_r = ql.shape[0], qr.shape[0]
 
-    v = np.zeros((ql.shape[0], qr.shape[0], d), dtype=complex)
-    ps, m0s, sizes = np.unique(qm, return_index=True, return_counts=True)
-    for p, a0, a1, b0, b1, m0, m1 in zip(ps, *_windows(ql, qr, ps, d), m0s, m0s + sizes):
-        rows, i = np.arange(a1 - a0), ql[a0:a1] - p
-        right = g2[m0:m1, :, b0:b1][:, p - qr[b0:b1], np.arange(b1 - b0)]
-        v[a0:a1, b0:b1][rows, :, i] = g1[a0:a1, :, m0:m1][rows, i] @ right
-    pair_n = ql[:, None] - qr[None, :]
-    for n in range(max(ql[0] - qr[-1], 0), ql[-1] - qr[0] + 1):
-        sel = pair_n == n
-        v[sel, :n + 1] = v[sel, :n + 1] @ gate.blocks[n].T
-    weighted = lam_l[:, None, None] * v
+    # window q: left vectors with n_k = ql[a] - q, right ones with
+    # n_{k+1} = q - qr[b]; padded slots point at the last row and column of v
+    # and read a level every q allows (ql[-1] - q and q - qr[0])
+    qs = np.arange(qr[0], ql[-1] + 1)
+    a0, a1, b0, b1 = _windows(ql, qr, qs, d)
+    rows, cols = _slots(a0, a1 - a0, chi_l), _slots(b0, b1 - b0, chi_r)
+    lvl_l = np.append(ql, ql[-1])[rows] - qs[:, None]
+    window = (rows[:, :, None] * (chi_r + 1) + cols[:, None, :]) * d + lvl_l[:, :, None]
+
+    # contraction: the middle-charge-q vectors fill window q, one stacked product
+    m0, m1 = np.searchsorted(qm, qs), np.searchsorted(qm, qs, side="right")
+    mids = _slots(m0, m1 - m0, qm.shape[0])
+    left = _charge_matrix(state.gammas[k], ql, qm)[rows[:, :, None], mids[:, None, :]]
+    right = _charge_matrix(state.gammas[k + 1], qm, qr)[mids[:, :, None], cols[:, None, :]]
+    v = np.zeros((chi_l + 1, chi_r + 1, d), dtype=complex)
+    v.reshape(-1)[window] = left @ right  # window holds flat indices into v
+
+    # rotation: pairs grouped by sector n with one sort
+    pair_n = (ql[:, None] - qr[None, :]).ravel()
+    order = np.argsort(pair_n, kind="stable")
+    pair = order + order // chi_r  # row a * (chi_r + 1) + b of v, pair by pair
+    n_lo = max(ql[0] - qr[-1], 0)
+    bounds = np.searchsorted(pair_n[order], np.arange(n_lo, ql[-1] - qr[0] + 2))
+    flat = v.reshape(-1, d)
+    for n, s0, s1 in zip(range(n_lo, ql[-1] - qr[0] + 1), bounds[:-1], bounds[1:]):
+        if s1 > s0:
+            sel = pair[s0:s1]
+            flat[sel, :n + 1] = flat[sel, :n + 1] @ gate.blocks[n].T
+    lam = np.append(state.lambdas[k], 0.0)
+    weighted = lam[:, None, None] * v
     norm2 = float(np.vdot(weighted, weighted).real)
     if norm2 == 0.0:
         raise ValidationError("two-site block vanished; state is not normalized")
 
-    qs = np.arange(qr[0], ql[-1] + 1)
-    blocks = []
-    for q, a0, a1, b0, b1 in zip(qs, *_windows(ql, qr, qs, d)):
-        if a1 > a0 and b1 > b0:
-            mat = v[a0:a1, b0:b1][np.arange(a1 - a0), :, ql[a0:a1] - q]
-            _, sb, vhb = np.linalg.svd(lam_l[a0:a1, None] * mat, full_matrices=False)
-            blocks.append((q, a0, a1, b0, b1, mat, sb, vhb))
-    s_all = np.concatenate([blk[6] for blk in blocks])
+    # SVD: the window blocks of every new middle charge q in one padded stack
+    mats = v.reshape(-1)[window]
+    stack = lam[rows][:, :, None] * mats
+    if stack.shape[1] >= 2 * stack.shape[2] and stack.size >= QR_FIRST_SIZE:
+        # same singular values and V^dag; the SVD then skips forming the tall U
+        stack = np.linalg.qr(stack, mode="r")
+    _, s_pad, vh = np.linalg.svd(stack, full_matrices=False)
+    valid = np.arange(s_pad.shape[1]) < np.minimum(a1 - a0, b1 - b0)[:, None]
+    s_all = s_pad[valid]  # concatenation order: q ascending, descending within q
     total = float(np.sum(s_all**2))
     if abs(norm2 - total) > SECTOR_LEAK_TOL * norm2:
         raise ValidationError("two-site update left weight outside the charge blocks")
 
+    # truncation: keep the largest values, as a mask over (block, index)
     order = np.argsort(-s_all, kind="stable")
     s_sorted = s_all[order]
     keep = (s_sorted**2 / total >= state.trunc_tol) & (s_sorted > 0)
     chi_new = max(min(int(np.count_nonzero(keep)), state.chi_max), 1)
     state.discarded_weight += float(np.sum(s_sorted[chi_new:] ** 2) / total)
-    # in concatenation order the kept values are a prefix of each charge block
-    kept = np.sort(order[:chi_new])
-    ends = np.cumsum([blk[6].shape[0] for blk in blocks])
-    counts = np.diff(np.searchsorted(kept, ends), prepend=0)
-    s = s_all[kept]
+    kept = np.zeros(s_all.shape[0], dtype=bool)
+    kept[order[:chi_new]] = True
+    mask = np.zeros(s_pad.shape, dtype=bool)
+    mask[valid] = kept
+    blk, t = np.nonzero(mask)  # row-major: new bond sorted by charge
+    s = s_pad[blk, t]
     s_norm = math.sqrt(float(np.sum(s**2)))
 
-    gam_l = np.zeros((ql.shape[0], d, chi_new), dtype=complex)
-    gam_r = np.zeros((chi_new, d, qr.shape[0]), dtype=complex)
-    col = 0
-    for (q, a0, a1, b0, b1, mat, _, vhb), c in zip(blocks, counts):
-        gam_l[a0:a1, :, col:col + c][np.arange(a1 - a0), ql[a0:a1] - q] = (
-            mat @ vhb[:c].conj().T / s_norm)
-        gam_r[col:col + c, :, b0:b1][:, q - qr[b0:b1], np.arange(b1 - b0)] = vhb[:c]
-        col += c
-    state.gammas[k], state.gammas[k + 1] = gam_l, gam_r
+    # write-back: kept columns of mats V, kept rows of V^dag
+    col = np.arange(chi_new)[:, None]
+    gam_l = np.zeros((chi_l + 1, d, chi_new), dtype=complex)
+    gam_l[rows[blk], lvl_l[blk], col] = (mats @ vh.conj().swapaxes(1, 2))[blk, :, t] / s_norm
+    gam_r = np.zeros((chi_new, d, chi_r + 1), dtype=complex)
+    lvl_r = qs[blk, None] - np.append(qr, qr[0])[cols[blk]]
+    gam_r[col, lvl_r, cols[blk]] = vh[blk, t]
+    state.gammas[k], state.gammas[k + 1] = gam_l[:-1], gam_r[:, :, :-1]
     state.lambdas[k + 1] = s / s_norm
-    state.charges[k + 1] = np.repeat([blk[0] for blk in blocks], counts)
+    state.charges[k + 1] = qs[blk]
     return state
 
 
@@ -336,13 +403,11 @@ def schmidt_values(state: BlockDecimationState, bond: int) -> np.ndarray:
 def _sectors(q: np.ndarray):
     """Charge sectors of one bond: distinct charges u and a slot table.
 
-    slots[s, t] is the bond index of the t-th Schmidt vector of charge u[s];
-    rows shorter than the largest sector are padded with len(q), which points
-    at the zero row or column that `_padded` appends.
+    slots[s, t] is the bond index of the t-th Schmidt vector of charge u[s],
+    padded with len(q) (see `_slots`).
     """
     u, start, count = np.unique(q, return_index=True, return_counts=True)
-    t = np.arange(count.max())
-    return u, np.where(t < count[:, None], start[:, None] + t, q.shape[0])
+    return u, _slots(start, count, q.shape[0])
 
 
 def _sector_of(u: np.ndarray, charge: np.ndarray):

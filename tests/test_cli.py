@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from bosefold.cli import main
 from bosefold.folding import plan_from_text
@@ -173,3 +174,29 @@ def test_sweep_threads_flag(tmp_path):
     assert main(["sweep", "--config", cfg, "--out-dir", str(out),
                  "--threads", "2"]) == 0
     assert (out / "sweep.csv").exists()
+
+
+def test_threads_and_verbose_belong_to_sweep_only(tmp_path, capsys):
+    configs = {"quench": QUENCH_CFG, "ground": GROUND_CFG, "transfer": TRANSFER_CFG}
+    for command, text in configs.items():
+        cfg = _write(tmp_path, text)
+        for flag in (["--threads", "2"], ["--verbose"]):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", cfg, "--out-dir", str(tmp_path / command)] + flag)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+    for flag in (["--threads", "2"], ["--verbose"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest"] + flag)
+        assert exc.value.code == 2
+
+
+def test_sweep_rejects_thread_counts_below_one(tmp_path, capsys):
+    cfg = _write(tmp_path, SWEEP_CFG)
+    for count in ("0", "-1"):
+        out = tmp_path / f"thr{count}"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--out-dir", str(out), "--threads", count])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()

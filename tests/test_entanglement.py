@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosefold.entanglement import (binomial_end_entanglement_asymptotic,
+from bosefold.entanglement import (IMBALANCE_LEAK_TOL, binomial_end_entanglement_asymptotic,
                                    binomial_end_entanglement_exact,
                                    collection_fraction, logneg_partial_transpose,
                                    logneg_pure, partial_transpose)
@@ -86,3 +86,24 @@ def test_collection_fraction():
         collection_fraction([1.0], 1)
     with pytest.raises(ValidationError):
         collection_fraction([1.0, 1.0], 0)
+
+
+def test_logneg_pt_rejects_weight_outside_imbalance_blocks():
+    # (|00> + |11>)/sqrt(2) mixes n_1 + n_2 = 0 and 2, so its partial
+    # transpose has weight outside the imbalance blocks n_2 - n_1
+    psi = np.zeros(4)
+    psi[0] = psi[3] = 1 / math.sqrt(2)
+    with pytest.raises(ValidationError, match="imbalance"):
+        logneg_partial_transpose(np.outer(psi, psi).astype(complex))
+    # a Bell pair with an off-block leak just below and just above the tolerance
+    bell = np.zeros(4)
+    bell[1] = bell[2] = 1 / math.sqrt(2)
+    leak = np.zeros((4, 4), dtype=complex)
+    leak[0, 3] = leak[3, 0] = 1.0
+    for scale, ok in ((0.5, True), (2.0, False)):
+        rho = np.outer(bell, bell) + scale * IMBALANCE_LEAK_TOL * leak
+        if ok:
+            assert logneg_partial_transpose(rho).value == pytest.approx(1.0)
+        else:
+            with pytest.raises(ValidationError, match="imbalance"):
+                logneg_partial_transpose(rho)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -302,6 +304,47 @@ def test_truncation_records_discarded_weight():
     assert all(lam.shape[0] <= 2 for lam in st.lambdas)
     # every truncation renormalizes the kept weight, so the state stays normalized
     assert state_norm(st) == pytest.approx(1.0, abs=1e-12)
+
+
+def _dense_pair_gate(gate, d):
+    """The d^2 x d^2 matrix of a pair-rotation gate, row index n_k * d + n_{k+1}."""
+    u = np.zeros((d * d, d * d), dtype=complex)
+    for n, blk in enumerate(gate.blocks):
+        idx = [n1 * d + (n - n1) for n1 in range(n + 1)]
+        u[np.ix_(idx, idx)] = blk
+    return u
+
+
+def test_truncation_keeps_top_singular_values_across_charge_blocks():
+    # bond 3 of a (3, 3) two-sum state on 6 sites: the new middle bond has
+    # 1, 2, 3, 4, 3, 2, 1 vectors of charge 0..6, and chi_max = 7 cuts inside
+    # the charge blocks
+    n, chi = 6, 7
+    st = two_sum_state(_random_mode(n, 31), _random_mode(n, 32), 3, 3, trunc_tol=1e-14)
+    k, d = 2, st.local_dim
+    gate = build_pair_rotation_gate(k + 1, 0.7, d)
+    b1, b2 = st.gammas[k], st.gammas[k + 1]
+    chi_l, chi_r = b1.shape[0], b2.shape[2]
+    # reference: the dense lambda-weighted two-site block and its SVD
+    theta = np.einsum("aim,mjb->aijb", b1, b2).reshape(chi_l, d * d, chi_r)
+    theta = np.einsum("xy,ayb->axb", _dense_pair_gate(gate, d), theta)
+    theta = theta.reshape(chi_l * d, d * chi_r)
+    _, s_ref, vh_ref = np.linalg.svd(st.lambdas[k].repeat(d)[:, None] * theta)
+    full = apply_two(replace(st, gammas=list(st.gammas), lambdas=list(st.lambdas),
+                             charges=list(st.charges), chi_max=100), gate)
+    counts_full = dict(zip(*np.unique(full.charges[k + 1], return_counts=True)))
+    assert sorted(set(counts_full.values())) == [1, 2, 3, 4]
+
+    trunc = apply_two(replace(st, chi_max=chi), gate)
+    counts = dict(zip(*np.unique(trunc.charges[k + 1], return_counts=True)))
+    assert any(0 < counts.get(q, 0) < c for q, c in counts_full.items())  # cut inside a block
+    lam = np.sort(trunc.lambdas[k + 1])[::-1]
+    assert np.max(np.abs(lam - s_ref[:chi] / np.linalg.norm(s_ref[:chi]))) < 1e-12
+    assert trunc.discarded_weight - st.discarded_weight == pytest.approx(
+        np.sum(s_ref[chi:] ** 2) / np.sum(s_ref**2), rel=1e-10)
+    ref = theta @ vh_ref[:chi].conj().T @ vh_ref[:chi] / np.linalg.norm(s_ref[:chi])
+    prod = np.einsum("aim,mjb->aijb", trunc.gammas[k], trunc.gammas[k + 1])
+    assert np.max(np.abs(prod.reshape(chi_l * d, d * chi_r) - ref)) < 1e-12
 
 
 def test_replay_inverse_plan_builds_condensate():
