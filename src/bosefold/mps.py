@@ -15,18 +15,18 @@ stored charge by charge (ascending charge, descending lambda within one), so
 the vectors of a charge range are one window found with searchsorted.  Gates
 conserve boson number by construction: a phase gate is its diagonal, and a
 pair-rotation gate is one real orthogonal block per sector
-n_k + n_{k+1} = n < d, all built in one batched product from a cached real
-eigenbasis.  The two-site update never forms the dense two-site matrix, and
-each of its stages is one batched call over the charge windows, stacked as
-slot tables padded with a zero row and column: one product contracts the
-windows into sector vectors, the pairs of each sector are rotated by its
-block, one SVD call takes every lam-weighted window block, a mask keeps the
-largest singular values, and one assignment per tensor writes the kept
-right singular vectors and the blocks projected onto them.  The first-site
-lifting implements (a_1^dag)^M2 as a local index shift plus a rescale of
-B^[1] and lambda^[1], reading site-1 occupations from the labels.  The
-two-site reduced density matrix carries its open-index environment as
-charge blocks.
+n_k + n_{k+1} = n < d, all built in cache-sized batched products from a
+cached real eigenbasis.  The two-site update never forms the dense two-site
+matrix, and each of its stages is one batched call over the charge windows,
+stacked as slot tables padded with a zero row and column: one product
+contracts the windows into sector vectors, the pairs of each sector are
+rotated by its block, one SVD call takes every lam-weighted window block
+(after a QR where the blocks are tall), a mask keeps the largest singular
+values, and one assignment per tensor writes the kept right singular vectors
+and the blocks projected onto them.  The first-site lifting implements
+(a_1^dag)^M2 as a local index shift plus a rescale of B^[1] and lambda^[1],
+reading site-1 occupations from the labels.  The two-site reduced density
+matrix carries its open-index environment as charge blocks.
 """
 from __future__ import annotations
 
@@ -43,7 +43,12 @@ from .folding import (FoldPlan, PairRotationOp, PhaseOp, TwoSumPlan, fold_single
                       fold_two, invert_plan, _coeffs)
 
 SECTOR_LEAK_TOL = 1e-10  # relative two-site weight allowed outside the charge blocks
-QR_FIRST_SIZE = 2048  # padded SVD stacks at least this large and twice as tall as wide start with a QR
+# Padded SVD stacks of blocks with at least this many columns and at least
+# twice as many rows start with a QR, since the SVD of R does not form the
+# tall U.  On complex stacks of 9-33 blocks, QR first was faster at every
+# shape from 6 columns and 2 rows per column on, and slower at 1.75 rows.
+QR_FIRST_MIN_COLS = 6
+GATE_CHUNK_BYTES = 1 << 17  # slot-table bytes per batched gate product
 
 
 @dataclass
@@ -97,7 +102,8 @@ def build_phase_gate(site: int, theta: float, d: int) -> SingleModeGate:
 
 @functools.lru_cache(maxsize=None)
 def _sector_eigh(d: int):
-    """Real eigenbasis (X, X', mu, X^T) of Q on the pair sectors n = 0..d-1.
+    """Real eigenbasis (X, X', mu, X^T) of Q on the pair sectors n = 0..d-1,
+    and where each sector sits in it.
 
     Q = (a_2^dag a_1 - a_1^dag a_2) / 2i is imaginary, so its eigenvectors of
     +m and -m are v and conj(v); with v = (x + i y) / sqrt(2), e^{-i phi Q}
@@ -107,13 +113,15 @@ def _sector_eigh(d: int):
     (X cos(phi mu) + X' sin(phi mu)) X^T.  Sectors n and d-1-n share one
     zero-padded (d+1) x (d+1) slot j = min(n, d-1-n), at offset 0 and j+1,
     so the products of all sectors take about half the work of padding each
-    to d x d.  Q does not depend on the angle, so each local dimension is
-    diagonalized once per process; the arrays are read-only.
+    to d x d; where[n] = (j, rows) locates sector n in a slot product.  Q does
+    not depend on the angle, so each local dimension is diagonalized once per
+    process; the arrays are read-only.
     """
     slots = (d + 1) // 2
     x = np.zeros((slots, d + 1, d + 1))
     xs = np.zeros((slots, d + 1, d + 1))
     mu = np.zeros((slots, d + 1))
+    where = []
     for n in range(d):
         n1 = np.arange(n)  # a_2^dag a_1 |n1+1, n-n1-1> -> sqrt((n1+1)(n-n1)) |n1, n-n1>
         q = np.zeros((n + 1, n + 1), dtype=complex)
@@ -122,6 +130,7 @@ def _sector_eigh(d: int):
         h = (n + 1) // 2  # pairs +-m; w ascends, so m > 0 are the last h
         re, im = math.sqrt(2.0) * v[:, n + 1 - h:].real, math.sqrt(2.0) * v[:, n + 1 - h:].imag
         j, o = (n, 0) if n < slots else (d - 1 - n, d - n)
+        where.append((j, slice(o, o + n + 1)))
         x[j, o:o + n + 1, o:o + 2 * h] = np.hstack([re, im])
         xs[j, o:o + n + 1, o:o + 2 * h] = np.hstack([im, -re])
         mu[j, o:o + 2 * h] = np.tile(np.arange(n + 1 - h, n + 1) - n / 2, 2)  # exact m
@@ -131,17 +140,27 @@ def _sector_eigh(d: int):
     xt = np.ascontiguousarray(x.swapaxes(1, 2))
     for arr in (x, xs, mu, xt):
         arr.setflags(write=False)
-    return x, xs, mu, xt
+    return x, xs, mu, xt, tuple(where)
 
 
 def build_pair_rotation_gate(bond: int, phi: float, d: int) -> TwoModeGate:
-    """Exact e^{-i phi Q} on the sectors n_k + n_{k+1} = 0..d-1, one batched product."""
-    x, xs, mu, xt = _sector_eigh(d)
-    full = (x * np.cos(phi * mu)[:, None, :] + xs * np.sin(phi * mu)[:, None, :]) @ xt
-    slots = x.shape[0]
-    return TwoModeGate(bond=bond, blocks=tuple(
-        full[n, :n + 1, :n + 1] if n < slots else full[d - 1 - n, d - n:, d - n:]
-        for n in range(d)))
+    """Exact e^{-i phi Q} on the sectors n_k + n_{k+1} = 0..d-1, batched over slots.
+
+    The slots go through the product in chunks of GATE_CHUNK_BYTES per
+    operand, so that the operands, temporaries and output of a chunk stay in
+    cache.  Up to d = 31 that is one chunk; from d = 49 on, where one product
+    over all slots is bound by memory traffic, chunks take 0.5-0.75 of its time.
+    """
+    x, xs, mu, xt, where = _sector_eigh(d)
+    c, s = np.cos(phi * mu)[:, None, :], np.sin(phi * mu)[:, None, :]
+    full = np.empty_like(x)
+    step = max(GATE_CHUNK_BYTES // x[0].nbytes, 1)
+    for j in range(0, x.shape[0], step):
+        part = slice(j, j + step)
+        rot = x[part] * c[part]
+        rot += xs[part] * s[part]
+        np.matmul(rot, xt[part], out=full[part])
+    return TwoModeGate(bond=bond, blocks=tuple(full[j, rows, rows] for j, rows in where))
 
 
 def apply_single(state: BlockDecimationState, gate: SingleModeGate) -> BlockDecimationState:
@@ -253,7 +272,7 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     # SVD: the window blocks of every new middle charge q in one padded stack
     mats = v.reshape(-1)[window]
     stack = lam[rows][:, :, None] * mats
-    if stack.shape[1] >= 2 * stack.shape[2] and stack.size >= QR_FIRST_SIZE:
+    if stack.shape[2] >= QR_FIRST_MIN_COLS and stack.shape[1] >= 2 * stack.shape[2]:
         # same singular values and V^dag; the SVD then skips forming the tall U
         stack = np.linalg.qr(stack, mode="r")
     _, s_pad, vh = np.linalg.svd(stack, full_matrices=False)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from bosefold import dense
+from bosefold import dense, mps
 from bosefold.errors import CutoffError, ValidationError
 from bosefold.folding import fold_single, invert_plan
 from bosefold.heisenberg import propagate, spectral_decompose
@@ -65,6 +65,17 @@ def test_pair_rotation_blocks_match_expm_of_sector_generator():
             for n in range(d):
                 ref = expm(-1j * phi * _sector_generator(n))
                 assert np.max(np.abs(blocks[n] - ref)) < 1e-13, (d, phi, n)
+
+
+def test_pair_rotation_gate_does_not_depend_on_chunking(monkeypatch):
+    # at d = 41 the default chunk size gives three chunks of slots; one slot
+    # per chunk and all slots in one chunk give the same blocks bit for bit
+    gates = []
+    for chunk_bytes in (1, mps.GATE_CHUNK_BYTES, 1 << 40):
+        monkeypatch.setattr(mps, "GATE_CHUNK_BYTES", chunk_bytes)
+        gates.append(build_pair_rotation_gate(1, 0.7, 41).blocks)
+    for blocks in gates[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(gates[0], blocks))
 
 
 def test_sector_eigenbasis_is_cached(monkeypatch):
@@ -345,6 +356,31 @@ def test_truncation_keeps_top_singular_values_across_charge_blocks():
     ref = theta @ vh_ref[:chi].conj().T @ vh_ref[:chi] / np.linalg.norm(s_ref[:chi])
     prod = np.einsum("aim,mjb->aijb", trunc.gammas[k], trunc.gammas[k + 1])
     assert np.max(np.abs(prod.reshape(chi_l * d, d * chi_r) - ref)) < 1e-12
+
+
+def test_qr_first_svd_builds_the_same_state(monkeypatch):
+    # the R factor of a tall stack has its singular values and V^dag, so
+    # starting the SVD with a QR leaves the state unchanged
+    n = 12
+    coupling = build_coupling(ModelSpec(n_sites=n, base="jx"))
+    a = propagate(spectral_decompose(add_onsite_barrier(coupling, n // 2, n // 2 + 1, 6.0)),
+                  np.pi)
+    z, c = a.entries[:, 0], a.entries[:, n - 1]
+    qr, qr_shapes = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda x, mode: qr_shapes.append(x.shape) or qr(x, mode))
+    states = []
+    for min_cols in (1, 10**9):  # QR on every stack twice as tall as wide, then on none
+        monkeypatch.setattr(mps, "QR_FIRST_MIN_COLS", min_cols)
+        states.append(two_sum_state(z, c, 4, 4, chi_max=25, trunc_tol=1e-12))
+    assert any(s[2] >= 4 for s in qr_shapes)
+    with_qr, plain = states
+    for b in range(n + 1):
+        assert np.array_equal(with_qr.charges[b], plain.charges[b])
+        assert np.max(np.abs(with_qr.lambdas[b] - plain.lambdas[b])) < 1e-12
+    assert with_qr.discarded_weight == pytest.approx(plain.discarded_weight, rel=1e-9)
+    assert np.max(np.abs(occupations(with_qr) - occupations(plain))) < 1e-12
+    assert np.max(np.abs(reduced_density_two_sites(with_qr, 1, n)
+                         - reduced_density_two_sites(plain, 1, n))) < 1e-12
 
 
 def test_replay_inverse_plan_builds_condensate():
