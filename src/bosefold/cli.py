@@ -21,7 +21,7 @@ from .errors import BosefoldError, ConfigError
 from .folding import fold_single, plan_to_text
 from .heisenberg import ground_mode, spectral_decompose
 from .model import build_coupling
-from .mps import amplitude, condensate_state, two_sum_state
+from .mps import amplitude, condensate_state, reduced_density_two_sites, two_sum_state
 from .scenarios import (run_collision_sweep, run_ground_state, run_quench,
                         run_transfer)
 
@@ -156,6 +156,11 @@ def _selftest() -> int:
     amps2 = np.array([amplitude(state2, cfg) for cfg in configs2])
     check("two-sum fold vs dense expansion",
           float(np.max(np.abs(amps2 - dense.two_sum_amplitudes(z, w, 2, 1)))), 1e-9)
+    for k, l in [(1, 5), (2, 4)]:
+        rho = reduced_density_two_sites(state2, k, l)
+        check(f"two-sum rho_{{{k},{l}}} vs reduced pair oracle",
+              float(np.max(np.abs(rho - dense.reduced_pair_oracle(z, w, 2, 1, k, l)))),
+              1e-12)
 
     from .perturbation import exact_transfer
     check("perfect state transfer |A_1N(pi)|",

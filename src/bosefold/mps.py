@@ -26,7 +26,10 @@ values, and one assignment per tensor writes the kept right singular vectors
 and the blocks projected onto them.  The first-site lifting implements
 (a_1^dag)^M2 as a local index shift plus a rescale of B^[1] and lambda^[1],
 reading site-1 occupations from the labels.  The two-site reduced density
-matrix carries its open-index environment as charge blocks.
+matrix carries its open-index environment as charge blocks, and since that
+environment is Hermitian in its two open levels, only the half with bra
+level >= ket level; the close mirrors it and contracts only the level pairs
+whose imbalances match.
 """
 from __future__ import annotations
 
@@ -448,9 +451,15 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
     The open-index environment X[i, i', b, b'] between sites k and l is
     carried as S x S charge blocks (i, i', bra sector), S the largest sector
     size: the ket charge of b' is the bra charge of b plus i - i', and
-    A_s[m] only maps in-charge r + m to out-charge r.  Each transfer step is
-    one batched B^dag X B product over the (out block, m) pairs whose charges
-    exist, summed over m.  Only L[k-1] and R[l] are contracted; no canonical
+    A_s[m] only maps in-charge r + m to out-charge r.  X is Hermitian,
+    X[i', i] = X[i, i']^dag, and each step keeps that, so only the blocks
+    with i >= i' are opened and carried.  Each transfer step is one batched
+    B^dag X B product over the (out block, m) pairs whose charges exist,
+    summed over m.  The close writes each carried block and, where i > i',
+    its conjugate transpose into the mirrored (i', i) slot, then contracts
+    site l per imbalance delta = i - i': rho[(i, j), (i', j')] vanishes
+    unless j' - j = delta, so each delta is one product with d - |delta|
+    rows and columns.  Only L[k-1] and R[l] are contracted; no canonical
     form is assumed.
     """
     if not (1 <= k < l <= state.n_sites):
@@ -460,16 +469,19 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
     left = next(islice(_left_envs(state), k - 1, None))
     right = next(islice(_right_envs(state), state.n_sites - l, None))
     ak = _site_matrices(state, k - 1)
-    # X[i, i', b, b'] after opening site k (i bra, i' ket; b bra bond, b' ket)
-    x = ak.conj().swapaxes(1, 2)[:, None] @ (left @ ak)[None]
-    # blocks (bi, bj, bra sector) whose ket sector exists and whose bra charge
-    # plus bi is a bond-(k-1) charge; X vanishes outside them
+    # X[(i, i'), b, b'] = A(i)^dag L A(i') after opening site k, for the level
+    # pairs i >= i' in row-major order (i bra, i' ket; b bra bond, b' ket)
+    hi, lo = np.tril_indices(d)
+    x = ak.conj().swapaxes(1, 2)[hi] @ (left @ ak)[lo]
+    # blocks (bi, bj, bra sector), bi >= bj, whose ket sector exists and whose
+    # bra charge plus bi is a bond-(k-1) charge; X vanishes outside them
     u, slots = _sectors(state.charges[k])
     ket, has_ket = _sector_of(u, u + occ[:, None, None] - occ[None, :, None])
     reach = np.isin(u + occ[:, None], state.charges[k - 1])
-    bi, bj, bra = np.nonzero(has_ket & reach[:, None, :])
+    half = (occ[:, None] >= occ)[:, :, None]
+    bi, bj, bra = np.nonzero(has_ket & reach[:, None, :] & half)
     ket = ket[bi, bj, bra]
-    blocks = _padded(x)[bi[:, None, None], bj[:, None, None],
+    blocks = _padded(x)[(bi * (bi + 1) // 2 + bj)[:, None, None],
                         slots[bra][:, :, None], slots[ket][:, None, :]]
     for s in range(k, l - 1):
         # a_blk[m, r] maps the in-sector of charge u_out[r] + m to out-sector r
@@ -496,22 +508,30 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
         bi, bj, bra, ket = bi[head], bj[head], out_bra[first], out_ket[first]
         u, slots = u_out, slots_out
     al = _site_matrices(state, l - 1)
-    chi_b, chi_e = al.shape[1], al.shape[2]
+    chi_b = al.shape[1]
     x = np.zeros((d, d, chi_b + 1, chi_b + 1), dtype=complex)
     x[bi[:, None, None], bj[:, None, None],
       slots[bra][:, :, None], slots[ket][:, None, :]] = blocks
+    off = bi > bj
+    x[bj[off][:, None, None], bi[off][:, None, None],
+      slots[ket[off]][:, :, None], slots[bra[off]][:, None, :]] = \
+        blocks[off].conj().swapaxes(1, 2)
     x = x[:, :, :chi_b, :chi_b]
-    # close site l and the right environment with matrix products
-    c = np.matmul(al, right[None])  # (l, d', e') with e' = bra bond
-    # term[(j,b),(l,d')] = sum_e conj(al)[j,b,e] c[l,d',e]
-    term = (al.conj().reshape(d * chi_b, chi_e)
-            @ c.transpose(2, 0, 1).reshape(chi_e, d * chi_b))
-    term = term.reshape(d, chi_b, d, chi_b).transpose(0, 2, 1, 3)
-    rho = (x.reshape(d * d, chi_b * chi_b)
-           @ term.reshape(d * d, chi_b * chi_b).T)
-    rho = (rho.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-           .reshape(d * d, d * d))
-    rho = rho.conj()  # built as <bra| factors first; flip to ket-major
+    # close site l and the right environment per imbalance delta = i - i':
+    # rho[i, j, i', j'] = sum_{b, b'} X[i, i', b, b'] T[j, j', b, b'] with
+    # j' = j + delta and T[j, j'] = conj(A_l(j)) (A_l(j') R)^T
+    c = np.matmul(al, right[None])
+    alc = al.conj()
+    rho = np.zeros((d, d, d, d), dtype=complex)
+    for delta in range(1 - d, d):
+        n = d - abs(delta)
+        i = occ[:n] + max(delta, 0)
+        j = occ[:n] + max(-delta, 0)
+        term = alc[j] @ c[j + delta].swapaxes(1, 2)
+        rho[i[:, None], j, (i - delta)[:, None], j + delta] = (
+            x[i, i - delta].reshape(n, -1) @ term.reshape(n, -1).T)
+    # built as <bra| factors first; flip to ket-major
+    rho = rho.reshape(d * d, d * d).conj()
     tr = np.trace(rho).real
     return rho / tr
 

@@ -164,7 +164,7 @@ def test_numeric_error_exit_code(tmp_path):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 3
+    assert out.count("PASS") == 5
     assert "FAIL" not in out
 
 

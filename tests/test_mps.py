@@ -265,6 +265,21 @@ def test_end_pair_rdm_matches_reduced_pair_oracle_at_scenario_scale():
         assert np.max(np.abs(rho - ref)) < 1e-12
 
 
+def test_interior_pair_rdms_match_reduced_pair_oracle_at_scenario_scale():
+    # the environment carries only its i >= i' half; (10, 11) runs no transfer step
+    n, mu, m = 20, 6.0, 16
+    r = add_onsite_barrier(build_coupling(ModelSpec(n_sites=n, base="jx")),
+                           n // 2, n // 2 + 1, mu)
+    a = propagate(spectral_decompose(r), np.pi)
+    z, c = a.entries[:, 0], a.entries[:, n - 1]
+    st = two_sum_state(z, c, m // 2, m // 2, chi_max=81, trunc_tol=1e-30)
+    for k, l in [(2, 19), (5, 16), (10, 11)]:
+        rho = reduced_density_two_sites(st, k, l)
+        ref = dense.reduced_pair_oracle(z, c, m // 2, m // 2, k, l)
+        assert np.max(np.abs(rho - ref)) < 1e-12, (k, l)
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14, (k, l)
+
+
 def test_schmidt_values_match_dense():
     n, m = 5, 3
     c = _random_mode(n, 8)
