@@ -3,8 +3,8 @@
 Everything here enumerates a full bosonic basis and exists as the independent
 cross-check for the tensor-network path (self-test suite and oracle-style
 tests).  Most functions work on the whole chain, so they are only usable for
-small chains; `reduced_pair_oracle` first reduces a two-packet state to four
-modes, so it reaches scenario sizes.
+small chains; `reduced_pair_oracle` and `bond_schmidt_oracle` first reduce a
+two-packet state to four modes, so they reach scenario sizes.
 """
 from __future__ import annotations
 
@@ -151,29 +151,58 @@ def dense_rdm_two_sites(psi: np.ndarray, n_sites: int, total: int, k: int,
     return rho
 
 
+def _two_mode_split(z: np.ndarray, c: np.ndarray, sites) -> np.ndarray:
+    """Coefficients (2 x 2, columns z and c) of both packets on two orthonormal modes.
+
+    Both packets restricted to `sites` span at most two dimensions.  A QR of
+    [z_sites, c_sites] gives orthonormal modes u1, u2 for that span, and R
+    holds the packets' coefficients on them; zero rows pad a rank below 2.
+    Mixing modes within `sites` is a unitary on those sites alone.
+    """
+    r_sites = np.linalg.qr(np.stack([z[sites], c[sites]], axis=1), mode="r")
+    r = np.zeros((2, 2), dtype=complex)
+    r[:r_sites.shape[0]] = r_sites
+    return r
+
+
 def reduced_pair_oracle(z, c, m1: int, m2: int, k: int, l: int) -> np.ndarray:
     """Normalized rho_{k,l} of (sum c a^dag)^M2 (sum z a^dag)^M1 |0>, any chain length.
 
-    Both packets restricted to the sites other than k and l span at most two
-    dimensions.  A QR of [z_rest, c_rest] gives orthonormal modes u1, u2 for
-    that span (zero rows pad a rank below 2), so the state lives on the four
-    modes [k, l, u1, u2] with C(M+3, 3) amplitudes.  Returned on the
-    (M+1)^2-dimensional pair space, M = m1 + m2.
+    The sites other than k and l split into two modes (`_two_mode_split`), so
+    the state lives on the four modes [k, l, u1, u2] with C(M+3, 3)
+    amplitudes.  Returned on the (M+1)^2-dimensional pair space, M = m1 + m2.
     """
     z = _coeffs(z)
     c = _coeffs(c)
     n = z.shape[0]
     if not (1 <= k < l <= n):
         raise ValidationError(f"need 1 <= k < l <= N, got ({k}, {l})")
-    rest = [i for i in range(n) if i not in (k - 1, l - 1)]
-    r_rest = np.linalg.qr(np.stack([z[rest], c[rest]], axis=1), mode="r")
-    r = np.zeros((2, 2), dtype=complex)
-    r[:r_rest.shape[0]] = r_rest
+    r = _two_mode_split(z, c, [i for i in range(n) if i not in (k - 1, l - 1)])
     z4 = np.concatenate([[z[k - 1], z[l - 1]], r[:, 0]])
     c4 = np.concatenate([[c[k - 1], c[l - 1]], r[:, 1]])
     m = m1 + m2
     rho = dense_rdm_two_sites(two_sum_amplitudes(z4, c4, m1, m2), 4, m, 1, 2, m + 1)
     return rho / np.trace(rho).real
+
+
+def bond_schmidt_oracle(z, c, m1: int, m2: int, bond: int) -> np.ndarray:
+    """Schmidt values of (sum c a^dag)^M2 (sum z a^dag)^M1 |0> across `bond`, any chain length.
+
+    Sites 1..bond and bond+1..N each split into two modes (`_two_mode_split`),
+    local unitaries that leave the spectrum unchanged, so the state lives on
+    four modes with C(M+3, 3) amplitudes and its bond is the middle one.
+    Descending, above 1e-15 (see `schmidt_values_dense`).
+    """
+    z = _coeffs(z)
+    c = _coeffs(c)
+    n = z.shape[0]
+    if not (1 <= bond < n):
+        raise ValidationError(f"bond {bond} outside chain of {n} sites")
+    left = _two_mode_split(z, c, slice(0, bond))
+    right = _two_mode_split(z, c, slice(bond, n))
+    psi = two_sum_amplitudes(np.concatenate([left[:, 0], right[:, 0]]),
+                             np.concatenate([left[:, 1], right[:, 1]]), m1, m2)
+    return schmidt_values_dense(psi, 4, m1 + m2, 2)
 
 
 def schmidt_values_dense(psi: np.ndarray, n_sites: int, total: int,

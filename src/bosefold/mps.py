@@ -30,6 +30,12 @@ matrix carries its open-index environment as charge blocks, and since that
 environment is Hermitian in its two open levels, only the half with bra
 level >= ket level; the close mirrors it and contracts only the level pairs
 whose imbalances match.
+
+Every slot table, window, sector sort and block list of those two calls
+depends only on the bond charges and d (and, for a transfer step, on the
+blocks it receives), so each is built once per charge pattern into a plan of
+read-only arrays, held in bounded per-process caches keyed on the charges'
+bytes: scans over states of the same N, M and chi revisit the same patterns.
 """
 from __future__ import annotations
 
@@ -37,6 +43,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -189,21 +196,119 @@ def _windows(ql: np.ndarray, qr: np.ndarray, p, d: int):
 def _slots(start: np.ndarray, count: np.ndarray, pad: int) -> np.ndarray:
     """Slot table of contiguous index ranges: row s lists start[s] + 0..count[s]-1.
 
-    Rows shorter than the longest range are padded with `pad`, which points at
-    an appended zero row or column, such as the one `_padded` appends.
+    Rows shorter than the longest range are padded with `pad`, the index of an
+    appended zero row or column.
     """
     t = np.arange(count.max(initial=0))
     return np.where(t < count[:, None], start[:, None] + t, pad)
 
 
-def _charge_matrix(g: np.ndarray, ql: np.ndarray, qr: np.ndarray) -> np.ndarray:
-    """g[a, ql[a] - qr[b], b], the one level the charges allow, padded by `_padded`.
+# -- charge-structure plans ------------------------------------------------
+#
+# A plan stores each gather from a tensor as two broadcastable factors of its
+# flat index (row part + column part), so it stays O(blocks x (rows + columns))
+# rather than the size of the gathered stack; a factor of PAD reads zero.
+# Index tables that carry no PAD are stored in the smallest unsigned type.
 
-    Where ql[a] - qr[b] lies outside 0..d-1 the entry is arbitrary: charge
-    windows never read it.
-    """
-    lvl = (ql[:, None] - qr[None, :]) % g.shape[1]
-    return _padded(g[np.arange(ql.shape[0])[:, None], lvl, np.arange(qr.shape[0])])
+# Plans per cache.  A benchmark pass builds at most 64 plans in one cache
+# (sweep_small's transfer steps), and the largest plan measured, a transfer
+# step at M = 32, takes 0.53 MB, so a full cache of those holds about 68 MB.
+PLAN_CACHE_SIZE = 128
+PAD = 1 << 60  # flat-index factor of a padding slot; any sum with it is past the end
+
+
+def _key(q: np.ndarray) -> bytes:
+    """Cache key of one bond's charges."""
+    return np.asarray(q, dtype=np.int64).tobytes()
+
+
+def _charges(key: bytes) -> np.ndarray:
+    """The read-only charges of a cache key."""
+    return np.frombuffer(key, dtype=np.int64)
+
+
+def _compact(a: np.ndarray) -> np.ndarray:
+    """Nonnegative index table a in the smallest unsigned type that holds it."""
+    return a.astype(np.min_scalar_type(a.max(initial=0)))
+
+
+def _frozen(fields):
+    """Make every array among fields, nested tuples included, read-only."""
+    for f in fields:
+        if isinstance(f, np.ndarray):
+            f.setflags(write=False)
+        elif isinstance(f, tuple):
+            _frozen(f)
+    return fields
+
+
+def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """a.ravel()[rows + cols], where an index past the end reads zero."""
+    flat = np.empty(a.size + 1, dtype=a.dtype)
+    flat[:-1].reshape(a.shape)[...] = a
+    flat[-1] = 0
+    return flat.take(rows + cols, mode="clip")
+
+
+class TwoSitePlan(NamedTuple):
+    """What `apply_two` needs of the charges (ql, qm, qr) and d, q the window charges."""
+    qs: np.ndarray  # new middle charge of each window
+    left_rows: np.ndarray  # (q, row, 1) and (q, 1, mid) factors of the B^[k] gather
+    left_cols: np.ndarray
+    right_rows: np.ndarray  # (q, mid, 1) and (q, 1, col) factors of the B^[k+1] gather
+    right_cols: np.ndarray
+    win_rows: np.ndarray  # (q, row, 1) and (q, 1, col) factors of window flat indices into v
+    win_cols: np.ndarray
+    rows: np.ndarray  # (q, row) left bond index, chi_l for padding
+    sectors: tuple  # (n, rows of v.reshape(-1, d) with pair sector n), nonempty sectors
+    qr_first: bool  # the padded SVD stack starts with a QR
+    valid: np.ndarray  # (q, min(row, col)) singular values that belong to the block
+    left_out: np.ndarray  # (q, row) flat (row, level) of the new left tensor
+    right_out: np.ndarray  # (q, col) flat (level, col) of the new right tensor
+
+
+def _two_site_plan(ql: np.ndarray, qm: np.ndarray, qr: np.ndarray, d: int) -> TwoSitePlan:
+    return _two_site_plan_cached(_key(ql), _key(qm), _key(qr), d)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _two_site_plan_cached(ql, qm, qr, d: int) -> TwoSitePlan:
+    ql, qm, qr = _charges(ql), _charges(qm), _charges(qr)
+    chi_l, chi_m, chi_r = ql.shape[0], qm.shape[0], qr.shape[0]
+    # window q: left vectors with n_k = ql[a] - q, right ones with
+    # n_{k+1} = q - qr[b]; padded slots point at the last row and column of v
+    # and read a level every q allows (ql[-1] - q and q - qr[0])
+    qs = np.arange(qr[0], ql[-1] + 1)
+    a0, a1, b0, b1 = _windows(ql, qr, qs, d)
+    rows, cols = _slots(a0, a1 - a0, chi_l), _slots(b0, b1 - b0, chi_r)
+    lvl_l = np.append(ql, ql[-1])[rows] - qs[:, None]
+    lvl_r = qs[:, None] - np.append(qr, qr[0])[cols]
+    left_out = rows * d + lvl_l  # flat (row, level) of B^[k] in window q
+    m0, m1 = np.searchsorted(qm, qs), np.searchsorted(qm, qs, side="right")
+    mids = _slots(m0, m1 - m0, chi_m)  # middle vectors of charge q
+    left_rows = np.where(rows == chi_l, PAD, left_out * chi_m)
+    left_cols = np.where(mids == chi_m, PAD, mids)
+    right_rows = np.where(mids == chi_m, PAD, mids * d * chi_r)
+    right_cols = np.where(cols == chi_r, PAD, lvl_r * chi_r + cols)
+
+    # rotation: pairs grouped by sector n with one sort
+    pair_n = (ql[:, None] - qr[None, :]).ravel()
+    order = np.argsort(pair_n, kind="stable")
+    pair = order + order // chi_r  # row a * (chi_r + 1) + b of v, pair by pair
+    n_lo = max(ql[0] - qr[-1], 0)
+    bounds = np.searchsorted(pair_n[order], np.arange(n_lo, ql[-1] - qr[0] + 2))
+    sectors = tuple((n, _compact(pair[s0:s1]))
+                    for n, s0, s1 in zip(range(n_lo, ql[-1] - qr[0] + 1),
+                                         bounds[:-1], bounds[1:]) if s1 > s0)
+    n_rows, n_cols = rows.shape[1], cols.shape[1]
+    return _frozen(TwoSitePlan(
+        qs=qs, left_rows=left_rows[:, :, None], left_cols=left_cols[:, None, :],
+        right_rows=right_rows[:, :, None], right_cols=right_cols[:, None, :],
+        win_rows=(rows * (chi_r + 1) * d + lvl_l)[:, :, None],
+        win_cols=(cols * d)[:, None, :], rows=rows, sectors=sectors,
+        qr_first=n_cols >= QR_FIRST_MIN_COLS and n_rows >= 2 * n_cols,
+        valid=np.arange(min(n_rows, n_cols)) < np.minimum(a1 - a0, b1 - b0)[:, None],
+        left_out=left_out, right_out=lvl_r * (chi_r + 1) + cols))
 
 
 def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimationState:
@@ -219,7 +324,8 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     block, lambda^[k-1]-weighted, in one SVD call; the singular values of a
     block are the first min(rows, cols) of its padded SVD.  The new right
     tensor is the kept V^dag rows and the new left tensor the unweighted block
-    times V.
+    times V.  Every table these stages index with comes from the cached
+    `_two_site_plan` of the three bond charges.
     """
     k = gate.bond - 1
     if not (0 <= k < state.n_sites - 1):
@@ -236,36 +342,20 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     if ql[-1] - qr[0] >= d:
         raise CutoffError(f"two-site sector of {int(ql[-1] - qr[0])} bosons "
                           f"exceeds local dimension {d}")
+    plan = _two_site_plan(ql, qm, qr, d)
     chi_l, chi_r = ql.shape[0], qr.shape[0]
 
-    # window q: left vectors with n_k = ql[a] - q, right ones with
-    # n_{k+1} = q - qr[b]; padded slots point at the last row and column of v
-    # and read a level every q allows (ql[-1] - q and q - qr[0])
-    qs = np.arange(qr[0], ql[-1] + 1)
-    a0, a1, b0, b1 = _windows(ql, qr, qs, d)
-    rows, cols = _slots(a0, a1 - a0, chi_l), _slots(b0, b1 - b0, chi_r)
-    lvl_l = np.append(ql, ql[-1])[rows] - qs[:, None]
-    window = (rows[:, :, None] * (chi_r + 1) + cols[:, None, :]) * d + lvl_l[:, :, None]
-
     # contraction: the middle-charge-q vectors fill window q, one stacked product
-    m0, m1 = np.searchsorted(qm, qs), np.searchsorted(qm, qs, side="right")
-    mids = _slots(m0, m1 - m0, qm.shape[0])
-    left = _charge_matrix(state.gammas[k], ql, qm)[rows[:, :, None], mids[:, None, :]]
-    right = _charge_matrix(state.gammas[k + 1], qm, qr)[mids[:, :, None], cols[:, None, :]]
+    left = _gather(state.gammas[k], plan.left_rows, plan.left_cols)
+    right = _gather(state.gammas[k + 1], plan.right_rows, plan.right_cols)
+    window = plan.win_rows + plan.win_cols  # flat indices into v
     v = np.zeros((chi_l + 1, chi_r + 1, d), dtype=complex)
-    v.reshape(-1)[window] = left @ right  # window holds flat indices into v
+    v.reshape(-1)[window] = left @ right
 
-    # rotation: pairs grouped by sector n with one sort
-    pair_n = (ql[:, None] - qr[None, :]).ravel()
-    order = np.argsort(pair_n, kind="stable")
-    pair = order + order // chi_r  # row a * (chi_r + 1) + b of v, pair by pair
-    n_lo = max(ql[0] - qr[-1], 0)
-    bounds = np.searchsorted(pair_n[order], np.arange(n_lo, ql[-1] - qr[0] + 2))
+    # rotation: the pairs of each sector n by its block
     flat = v.reshape(-1, d)
-    for n, s0, s1 in zip(range(n_lo, ql[-1] - qr[0] + 1), bounds[:-1], bounds[1:]):
-        if s1 > s0:
-            sel = pair[s0:s1]
-            flat[sel, :n + 1] = flat[sel, :n + 1] @ gate.blocks[n].T
+    for n, sel in plan.sectors:
+        flat[sel, :n + 1] = flat[sel, :n + 1] @ gate.blocks[n].T
     lam = np.append(state.lambdas[k], 0.0)
     weighted = lam[:, None, None] * v
     norm2 = float(np.vdot(weighted, weighted).real)
@@ -274,13 +364,12 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
 
     # SVD: the window blocks of every new middle charge q in one padded stack
     mats = v.reshape(-1)[window]
-    stack = lam[rows][:, :, None] * mats
-    if stack.shape[2] >= QR_FIRST_MIN_COLS and stack.shape[1] >= 2 * stack.shape[2]:
+    stack = lam[plan.rows][:, :, None] * mats
+    if plan.qr_first:
         # same singular values and V^dag; the SVD then skips forming the tall U
         stack = np.linalg.qr(stack, mode="r")
     _, s_pad, vh = np.linalg.svd(stack, full_matrices=False)
-    valid = np.arange(s_pad.shape[1]) < np.minimum(a1 - a0, b1 - b0)[:, None]
-    s_all = s_pad[valid]  # concatenation order: q ascending, descending within q
+    s_all = s_pad[plan.valid]  # concatenation order: q ascending, descending within q
     total = float(np.sum(s_all**2))
     if abs(norm2 - total) > SECTOR_LEAK_TOL * norm2:
         raise ValidationError("two-site update left weight outside the charge blocks")
@@ -294,7 +383,7 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     kept = np.zeros(s_all.shape[0], dtype=bool)
     kept[order[:chi_new]] = True
     mask = np.zeros(s_pad.shape, dtype=bool)
-    mask[valid] = kept
+    mask[plan.valid] = kept
     blk, t = np.nonzero(mask)  # row-major: new bond sorted by charge
     s = s_pad[blk, t]
     s_norm = math.sqrt(float(np.sum(s**2)))
@@ -302,13 +391,13 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     # write-back: kept columns of mats V, kept rows of V^dag
     col = np.arange(chi_new)[:, None]
     gam_l = np.zeros((chi_l + 1, d, chi_new), dtype=complex)
-    gam_l[rows[blk], lvl_l[blk], col] = (mats @ vh.conj().swapaxes(1, 2))[blk, :, t] / s_norm
+    gam_l.reshape(-1, chi_new)[plan.left_out[blk], col] = \
+        (mats @ vh.conj().swapaxes(1, 2))[blk, :, t] / s_norm
     gam_r = np.zeros((chi_new, d, chi_r + 1), dtype=complex)
-    lvl_r = qs[blk, None] - np.append(qr, qr[0])[cols[blk]]
-    gam_r[col, lvl_r, cols[blk]] = vh[blk, t]
+    gam_r.reshape(chi_new, -1)[col, plan.right_out[blk]] = vh[blk, t]
     state.gammas[k], state.gammas[k + 1] = gam_l[:-1], gam_r[:, :, :-1]
     state.lambdas[k + 1] = s / s_norm
-    state.charges[k + 1] = qs[blk]
+    state.charges[k + 1] = plan.qs[blk]
     return state
 
 
@@ -438,11 +527,124 @@ def _sector_of(u: np.ndarray, charge: np.ndarray):
     return pos, u[pos] == charge
 
 
-def _padded(a: np.ndarray) -> np.ndarray:
-    """Copy of a with a zero row and a zero column appended to its last two axes."""
-    out = np.zeros(a.shape[:-2] + (a.shape[-2] + 1, a.shape[-1] + 1), dtype=complex)
-    out[..., :-1, :-1] = a
-    return out
+def _blocks_of(structure: bytes, u: np.ndarray, d: int):
+    """(bi, bj, bra sector, ket sector) of each environment block on a bond with sectors u.
+
+    A structure lists each block as (bi d + bj) len(u) + bra; the ket sector
+    is implied, since the ket charge is the bra charge plus bi - bj.
+    """
+    pair, bra = np.divmod(_charges(structure), u.shape[0])
+    bi, bj = np.divmod(pair, d)
+    return bi, bj, bra, _sector_of(u, u[bra] + bi - bj)[0]
+
+
+class RdmOpenPlan(NamedTuple):
+    """Opening site k of rho_{k,l}, from the charges of bonds k-1 and k."""
+    hi: np.ndarray  # bra and ket levels i >= i' of each opened pair
+    lo: np.ndarray
+    rows: np.ndarray  # (block, bra slot, 1) and (block, 1, ket slot) factors of the
+    cols: np.ndarray  # gather from the opened pairs X[(i, i'), b, b']
+    structure: bytes  # the opened blocks (see `_blocks_of`)
+
+
+class RdmStepPlan(NamedTuple):
+    """One transfer step through site s+1, from the incoming blocks and bonds s, s+1."""
+    a_rows: np.ndarray  # (m, out sector, in slot, 1) and (out sector, 1, out slot)
+    a_cols: np.ndarray  # factors of the a_blk gather from B^[s+1]
+    bra: np.ndarray  # a_blk index of each (in block, m) term, bra and ket side
+    ket: np.ndarray
+    t_in: np.ndarray  # in block of each term, terms grouped by out block
+    first: np.ndarray  # first term of each out block
+    structure: bytes  # the out blocks
+
+
+class RdmClosePlan(NamedTuple):
+    """Where the carried blocks and their mirrors go in X[(i, i', b), b'] at bond l-1."""
+    rows: np.ndarray  # (block, bra slot, 1) rows and (block, 1, ket slot) columns
+    cols: np.ndarray
+    off: np.ndarray  # blocks with i > i'
+    mirror_rows: np.ndarray  # rows and columns of their conjugate transposes
+    mirror_cols: np.ndarray
+
+
+def _rdm_open_plan(q_before: np.ndarray, q: np.ndarray, d: int) -> RdmOpenPlan:
+    return _rdm_open_plan_cached(_key(q_before), _key(q), d)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _rdm_open_plan_cached(q_before, q, d: int) -> RdmOpenPlan:
+    q_before, q = _charges(q_before), _charges(q)
+    occ = np.arange(d)
+    hi, lo = np.tril_indices(d)
+    # blocks (bi, bj, bra sector), bi >= bj, whose ket sector exists and whose
+    # bra charge plus bi is a bond-(k-1) charge; X vanishes outside them
+    u, slots = _sectors(q)
+    ket, has_ket = _sector_of(u, u + occ[:, None, None] - occ[None, :, None])
+    reach = np.isin(u + occ[:, None], q_before)
+    half = (occ[:, None] >= occ)[:, :, None]
+    bi, bj, bra = np.nonzero(has_ket & reach[:, None, :] & half)
+    ket = ket[bi, bj, bra]
+    chi = q.shape[0]
+    pair = bi * (bi + 1) // 2 + bj  # row-major index of (bi, bj) among i >= i'
+    rows = np.where(slots[bra] == chi, PAD, (pair[:, None] * chi + slots[bra]) * chi)
+    cols = np.where(slots[ket] == chi, PAD, slots[ket])
+    structure = ((bi * d + bj) * u.shape[0] + bra).tobytes()
+    return _frozen(RdmOpenPlan(hi=hi, lo=lo, rows=rows[:, :, None], cols=cols[:, None, :],
+                               structure=structure))
+
+
+def _rdm_step_plan(structure: bytes, q_in: np.ndarray, q_out: np.ndarray,
+                   d: int) -> RdmStepPlan:
+    return _rdm_step_plan_cached(structure, _key(q_in), _key(q_out), d)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _rdm_step_plan_cached(structure, q_in, q_out, d: int) -> RdmStepPlan:
+    q_in, q_out = _charges(q_in), _charges(q_out)
+    occ = np.arange(d)
+    u, slots = _sectors(q_in)
+    bi, bj, bra, ket = _blocks_of(structure, u, d)
+    # a_blk[m, r] maps the in-sector of charge u_out[r] + m to out-sector r
+    u_out, slots_out = _sectors(q_out)
+    n_out, chi_in, chi_out = u_out.shape[0], q_in.shape[0], q_out.shape[0]
+    src, has_src = _sector_of(u, u_out + occ[:, None])
+    rows = np.where(has_src[:, :, None], slots[src], chi_in)
+    a_rows = np.where(rows == chi_in, PAD, (rows * d + occ[:, None, None]) * chi_out)
+    a_cols = np.where(slots_out == chi_out, PAD, slots_out)
+    # (in block, m) pairs whose bra and ket out-sectors exist, grouped by out block
+    out_bra, ok_bra = _sector_of(u_out, u[bra][:, None] - occ)
+    out_ket, ok_ket = _sector_of(u_out, u[ket][:, None] - occ)
+    t_in, t_m = np.nonzero(ok_bra & ok_ket)
+    out_bra, out_ket = out_bra[t_in, t_m], out_ket[t_in, t_m]
+    key = (bi[t_in] * d + bj[t_in]) * n_out + out_bra
+    order = np.argsort(key, kind="stable")
+    t_in, t_m = t_in[order], t_m[order]
+    out_bra, out_ket, key = out_bra[order], out_ket[order], key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    return _frozen(RdmStepPlan(
+        a_rows=a_rows[:, :, :, None], a_cols=a_cols[:, None, :],
+        bra=_compact(t_m * n_out + out_bra), ket=_compact(t_m * n_out + out_ket),
+        t_in=_compact(t_in), first=_compact(first),
+        structure=key[first].tobytes()))
+
+
+def _rdm_close_plan(structure: bytes, q: np.ndarray, d: int) -> RdmClosePlan:
+    return _rdm_close_plan_cached(structure, _key(q), d)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _rdm_close_plan_cached(structure, q, d: int) -> RdmClosePlan:
+    q = _charges(q)
+    u, slots = _sectors(q)
+    bi, bj, bra, ket = _blocks_of(structure, u, d)
+    width = q.shape[0] + 1  # bond l-1 plus the padding slot
+    off = np.flatnonzero(bi > bj)
+    rows = ((bi * d + bj) * width)[:, None] + slots[bra]
+    mirror_rows = ((bj * d + bi) * width)[off, None] + slots[ket[off]]
+    return _frozen(RdmClosePlan(
+        rows=_compact(rows)[:, :, None], cols=_compact(slots[ket])[:, None, :],
+        off=_compact(off), mirror_rows=_compact(mirror_rows)[:, :, None],
+        mirror_cols=_compact(slots[bra[off]])[:, None, :]))
 
 
 def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np.ndarray:
@@ -460,7 +662,9 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
     site l per imbalance delta = i - i': rho[(i, j), (i', j')] vanishes
     unless j' - j = delta, so each delta is one product with d - |delta|
     rows and columns.  Only L[k-1] and R[l] are contracted; no canonical
-    form is assumed.
+    form is assumed.  The block tables of the opening, of each step and of
+    the close come from cached plans of the bond charges and the incoming
+    block structure.
     """
     if not (1 <= k < l <= state.n_sites):
         raise ValidationError(f"need 1 <= k < l <= N, got ({k}, {l})")
@@ -471,51 +675,25 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
     ak = _site_matrices(state, k - 1)
     # X[(i, i'), b, b'] = A(i)^dag L A(i') after opening site k, for the level
     # pairs i >= i' in row-major order (i bra, i' ket; b bra bond, b' ket)
-    hi, lo = np.tril_indices(d)
-    x = ak.conj().swapaxes(1, 2)[hi] @ (left @ ak)[lo]
-    # blocks (bi, bj, bra sector), bi >= bj, whose ket sector exists and whose
-    # bra charge plus bi is a bond-(k-1) charge; X vanishes outside them
-    u, slots = _sectors(state.charges[k])
-    ket, has_ket = _sector_of(u, u + occ[:, None, None] - occ[None, :, None])
-    reach = np.isin(u + occ[:, None], state.charges[k - 1])
-    half = (occ[:, None] >= occ)[:, :, None]
-    bi, bj, bra = np.nonzero(has_ket & reach[:, None, :] & half)
-    ket = ket[bi, bj, bra]
-    blocks = _padded(x)[(bi * (bi + 1) // 2 + bj)[:, None, None],
-                        slots[bra][:, :, None], slots[ket][:, None, :]]
+    plan = _rdm_open_plan(state.charges[k - 1], state.charges[k], d)
+    x = ak.conj().swapaxes(1, 2)[plan.hi] @ (left @ ak)[plan.lo]
+    blocks = _gather(x, plan.rows, plan.cols)
+    structure = plan.structure
     for s in range(k, l - 1):
-        # a_blk[m, r] maps the in-sector of charge u_out[r] + m to out-sector r
-        u_out, slots_out = _sectors(state.charges[s + 1])
-        src, has_src = _sector_of(u, u_out + occ[:, None])
-        rows = np.where(has_src[:, :, None], slots[src], state.charges[s].shape[0])
-        a_blk = _padded(_site_matrices(state, s))[
-            occ[:, None, None, None], rows[:, :, :, None], slots_out[None, :, None, :]]
-        a_blk_h = a_blk.conj().swapaxes(2, 3)
-        # (in block, m) pairs whose bra and ket out-sectors exist, grouped by out block
-        out_bra, ok_bra = _sector_of(u_out, u[bra][:, None] - occ)
-        out_ket, ok_ket = _sector_of(u_out, u[ket][:, None] - occ)
-        t_in, t_m = np.nonzero(ok_bra & ok_ket)
-        out_bra, out_ket = out_bra[t_in, t_m], out_ket[t_in, t_m]
-        key = (bi[t_in] * d + bj[t_in]) * u_out.shape[0] + out_bra
-        order = np.argsort(key, kind="stable")
-        t_in, t_m = t_in[order], t_m[order]
-        out_bra, out_ket, key = out_bra[order], out_ket[order], key[order]
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        prod = np.matmul(a_blk_h[t_m, out_bra],
-                         np.matmul(blocks[t_in], a_blk[t_m, out_ket]))
-        blocks = np.add.reduceat(prod, first, axis=0)
-        head = t_in[first]
-        bi, bj, bra, ket = bi[head], bj[head], out_bra[first], out_ket[first]
-        u, slots = u_out, slots_out
+        step = _rdm_step_plan(structure, state.charges[s], state.charges[s + 1], d)
+        a_blk = _gather(state.gammas[s], step.a_rows, step.a_cols)
+        a_blk = a_blk.reshape(-1, *a_blk.shape[2:])  # (m, out sector) flattened
+        a_blk_h = a_blk.conj().swapaxes(1, 2)
+        prod = np.matmul(a_blk_h[step.bra], np.matmul(blocks[step.t_in], a_blk[step.ket]))
+        blocks = np.add.reduceat(prod, step.first, axis=0)
+        structure = step.structure
+    close = _rdm_close_plan(structure, state.charges[l - 1], d)
     al = _site_matrices(state, l - 1)
     chi_b = al.shape[1]
     x = np.zeros((d, d, chi_b + 1, chi_b + 1), dtype=complex)
-    x[bi[:, None, None], bj[:, None, None],
-      slots[bra][:, :, None], slots[ket][:, None, :]] = blocks
-    off = bi > bj
-    x[bj[off][:, None, None], bi[off][:, None, None],
-      slots[ket[off]][:, :, None], slots[bra[off]][:, None, :]] = \
-        blocks[off].conj().swapaxes(1, 2)
+    rows_x = x.reshape(-1, chi_b + 1)  # row (i, i', b) of X, column b'
+    rows_x[close.rows, close.cols] = blocks
+    rows_x[close.mirror_rows, close.mirror_cols] = blocks[close.off].conj().swapaxes(1, 2)
     x = x[:, :, :chi_b, :chi_b]
     # close site l and the right environment per imbalance delta = i - i':
     # rho[i, j, i', j'] = sum_{b, b'} X[i, i', b, b'] T[j, j', b, b'] with

@@ -169,11 +169,19 @@ def test_selftest_passes(capsys):
 
 
 def test_sweep_threads_flag(tmp_path):
-    cfg = _write(tmp_path, SWEEP_CFG)
-    out = tmp_path / "thr"
-    assert main(["sweep", "--config", cfg, "--out-dir", str(out),
-                 "--threads", "2"]) == 0
-    assert (out / "sweep.csv").exists()
+    # worker processes fill their own plan caches, so this also compares a
+    # warm cache with fresh ones
+    cfg = _write(tmp_path, SWEEP_CFG.replace("m1 = 1\nm2 = 1", "m1 = 4\nm2 = 4")
+                 .replace("mu_values = 0 2 6", "mu_values = 0 2 3 6")
+                 .replace("n_sites = 6", "n_sites = 12"))
+    csv = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"thr{threads}"
+        assert main(["sweep", "--config", cfg, "--out-dir", str(out),
+                     "--threads", threads]) == 0
+        csv[threads] = (out / "sweep.csv").read_bytes()
+    assert csv["1"].count(b"\n") == 5
+    assert csv["1"] == csv["2"]
 
 
 def test_threads_and_verbose_belong_to_sweep_only(tmp_path, capsys):

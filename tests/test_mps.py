@@ -93,6 +93,108 @@ def test_sector_eigenbasis_is_cached(monkeypatch):
     assert len(calls) <= 9
 
 
+PLAN_CACHES = (mps._two_site_plan_cached, mps._rdm_open_plan_cached,
+               mps._rdm_step_plan_cached, mps._rdm_close_plan_cached)
+
+
+def _clear_plan_caches():
+    for cache in PLAN_CACHES:
+        cache.cache_clear()
+
+
+def _collision_modes(n, mu):
+    r = add_onsite_barrier(build_coupling(ModelSpec(n_sites=n, base="jx")),
+                           n // 2, n // 2 + 1, mu)
+    a = propagate(spectral_decompose(r), np.pi)
+    return a.entries[:, 0], a.entries[:, n - 1]
+
+
+def test_two_site_plans_are_built_once_per_charge_triple(monkeypatch):
+    # the 31-point M = 8 grid of a collision sweep revisits its charge triples
+    triples = []
+    plan = mps._two_site_plan
+
+    def recording_plan(ql, qm, qr, d):
+        triples.append((ql.tobytes(), qm.tobytes(), qr.tobytes(), d))
+        return plan(ql, qm, qr, d)
+
+    monkeypatch.setattr(mps, "_two_site_plan", recording_plan)
+    _clear_plan_caches()
+    for mu in np.linspace(0.0, 60.0, 31):
+        z, c = _collision_modes(20, mu)
+        st = two_sum_state(z, c, 4, 4, chi_max=25)
+        reduced_density_two_sites(st, 1, 20)
+    builds = mps._two_site_plan_cached.cache_info().misses
+    assert len(triples) > 10 * len(set(triples))
+    assert builds <= len(set(triples))
+
+
+def test_cached_plans_give_bit_identical_states(monkeypatch):
+    # at N = 12 the three splits of M = 8 share bonds ql and qr with different
+    # qm, rho_{1,N} and rho_{N-1,N} open bond 1 and bond N-1 on the same
+    # charges from different bonds before them, and in the N = 5 condensate
+    # one transfer step sees the same bond charges with two block structures
+    n = 12
+    z, c = _collision_modes(n, 3.0)
+    cond = _random_mode(5, 9)
+
+    def run():
+        out = []
+        for m1, m2 in ((3, 5), (5, 3), (4, 4)):
+            st = two_sum_state(z, c, m1, m2, d=9, chi_max=25, trunc_tol=1e-12)
+            out.append((st, [mps.reduced_density_two_sites(st, k, l)
+                             for k, l in ((1, n), (3, 9), (n - 1, n))]))
+        st = condensate_state(cond, 3)
+        out.append((st, [mps.reduced_density_two_sites(st, k, l)
+                         for k in range(1, 5) for l in range(k + 1, 6)]))
+        return out
+
+    def cold(fn):
+        def call(*args):
+            _clear_plan_caches()
+            return fn(*args)
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mps, "apply_two", cold(mps.apply_two))
+        patch.setattr(mps, "reduced_density_two_sites", cold(mps.reduced_density_two_sites))
+        ref = run()
+    for _ in range(2):  # filling the caches, then from them alone
+        for (st_ref, rhos_ref), (st, rhos) in zip(ref, run()):
+            for field in ("gammas", "lambdas", "charges"):
+                for a, b in zip(getattr(st_ref, field), getattr(st, field)):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), field
+            assert st.discarded_weight == st_ref.discarded_weight
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(rhos_ref, rhos))
+
+
+def test_cached_plans_are_read_only():
+    z, c = _collision_modes(8, 3.0)
+    st = two_sum_state(z, c, 2, 2)
+    reduced_density_two_sites(st, 1, 8)
+    reduced_density_two_sites(st, 2, 7)
+    d = st.local_dim
+    plans = [mps._two_site_plan(*st.charges[3:6], d),
+             mps._rdm_open_plan(st.charges[1], st.charges[2], d)]
+    plans.append(mps._rdm_step_plan(plans[-1].structure, st.charges[2], st.charges[3], d))
+    plans.append(mps._rdm_close_plan(plans[-1].structure, st.charges[3], d))
+    assert all(cache.cache_info().hits > 0 for cache in PLAN_CACHES)
+
+    def arrays(fields):
+        for f in fields:
+            if isinstance(f, np.ndarray):
+                yield f
+            elif isinstance(f, tuple):
+                yield from arrays(f)
+
+    tables = [arr for plan in plans for arr in arrays(plan)]
+    assert len(tables) > 20
+    for arr in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
 def test_pair_rotation_gate_matches_mode_rotation():
     # one boson on two sites transforms exactly like the mode coefficients
     d = 3
@@ -181,12 +283,8 @@ def test_schmidt_values_below_round_off_stay_canonical():
 
 
 def test_canonical_defect_at_scenario_scale():
-    n = 20
-    coupling = build_coupling(ModelSpec(n_sites=n, base="jx"))
     for mu in (6.0, 20.0, 40.0):
-        a = propagate(spectral_decompose(add_onsite_barrier(coupling, n // 2, n // 2 + 1, mu)),
-                      np.pi)
-        z, c = a.entries[:, 0], a.entries[:, n - 1]
+        z, c = _collision_modes(20, mu)
         for trunc_tol, bound in [(1e-30, 1e-13), (1e-12, 1e-11)]:
             st = two_sum_state(z, c, 8, 8, chi_max=81, trunc_tol=trunc_tol)
             assert canonical_defect(st) < bound, (mu, trunc_tol)
@@ -254,10 +352,7 @@ def test_reduced_pair_oracle_matches_full_dense():
 
 def test_end_pair_rdm_matches_reduced_pair_oracle_at_scenario_scale():
     n, mu = 20, 6.0
-    r = add_onsite_barrier(build_coupling(ModelSpec(n_sites=n, base="jx")),
-                           n // 2, n // 2 + 1, mu)
-    a = propagate(spectral_decompose(r), np.pi)
-    z, c = a.entries[:, 0], a.entries[:, n - 1]
+    z, c = _collision_modes(n, mu)
     for m, numerics in [(8, {}), (16, {"chi_max": 81, "trunc_tol": 1e-30})]:
         st = two_sum_state(z, c, m // 2, m // 2, **numerics)
         rho = reduced_density_two_sites(st, 1, n)
@@ -268,16 +363,40 @@ def test_end_pair_rdm_matches_reduced_pair_oracle_at_scenario_scale():
 def test_interior_pair_rdms_match_reduced_pair_oracle_at_scenario_scale():
     # the environment carries only its i >= i' half; (10, 11) runs no transfer step
     n, mu, m = 20, 6.0, 16
-    r = add_onsite_barrier(build_coupling(ModelSpec(n_sites=n, base="jx")),
-                           n // 2, n // 2 + 1, mu)
-    a = propagate(spectral_decompose(r), np.pi)
-    z, c = a.entries[:, 0], a.entries[:, n - 1]
+    z, c = _collision_modes(n, mu)
     st = two_sum_state(z, c, m // 2, m // 2, chi_max=81, trunc_tol=1e-30)
     for k, l in [(2, 19), (5, 16), (10, 11)]:
         rho = reduced_density_two_sites(st, k, l)
         ref = dense.reduced_pair_oracle(z, c, m // 2, m // 2, k, l)
         assert np.max(np.abs(rho - ref)) < 1e-12, (k, l)
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14, (k, l)
+
+
+def test_every_bond_matches_bond_schmidt_oracle_at_scenario_scale():
+    # untruncated (chi_max = 81 is the full rank at M = 16); measured <= 5.7e-15
+    for n, mu in [(20, 6.0), (40, 12.0)]:
+        z, c = _collision_modes(n, mu)
+        st = two_sum_state(z, c, 8, 8, chi_max=81, trunc_tol=1e-30)
+        for bond in range(1, n):
+            ref = dense.bond_schmidt_oracle(z, c, 8, 8, bond)
+            lam = schmidt_values(st, bond)
+            size = max(ref.shape[0], lam.shape[0])
+            dev = np.abs(np.pad(lam, (0, size - lam.shape[0]))
+                         - np.pad(ref, (0, size - ref.shape[0])))
+            assert np.max(dev) < 5e-14, (n, bond)
+    with pytest.raises(ValidationError):
+        dense.bond_schmidt_oracle(z, c, 8, 8, n)
+
+
+def test_bond_schmidt_oracle_matches_full_dense():
+    n, m1, m2 = 5, 2, 1
+    z, c = _random_mode(n, 30), _random_mode(n, 31)
+    psi = dense.two_sum_amplitudes(z, c, m1, m2)
+    for bond in range(1, n):
+        ref = dense.schmidt_values_dense(psi, n, m1 + m2, bond)
+        oracle = dense.bond_schmidt_oracle(z, c, m1, m2, bond)
+        assert oracle.shape == ref.shape
+        assert np.max(np.abs(oracle - ref)) < 1e-13
 
 
 def test_schmidt_values_match_dense():
