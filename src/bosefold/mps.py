@@ -28,14 +28,25 @@ and the blocks projected onto them.  The first-site lifting implements
 reading site-1 occupations from the labels.  The two-site reduced density
 matrix carries its open-index environment as charge blocks, and since that
 environment is Hermitian in its two open levels, only the half with bra
-level >= ket level; the close mirrors it and contracts only the level pairs
-whose imbalances match.
+level >= ket level.  The charges make each site between the pair one
+chi_L x chi_R matrix W[b, c] = B[b, q(b) - q(c), c], so a transfer step is
+two plain products per charge: the blocks sharing a charge on one side
+times that charge's rows of W, then, for each charge r of the new bond, the
+rows of every level m gathered into one matrix whose inner dimension runs
+over the vectors of charge r + m, times W[:, r].  The two sides of a block
+keep their charge offset, so the level m of one side fixes the other's, and
+the sum over m is just that inner dimension.  The close mirrors the half
+and contracts only the level pairs whose imbalances match.
 
 Every slot table, window, sector sort and block list of those two calls
 depends only on the bond charges and d (and, for a transfer step, on the
 blocks it receives), so each is built once per charge pattern into a plan of
 read-only arrays, held in bounded per-process caches keyed on the charges'
 bytes: scans over states of the same N, M and chi revisit the same patterns.
+A transfer step's plan, keyed on its incoming block structure, q_s,
+q_{s+1} and d, holds W's flat-index table, a (block, slot) and a
+(block, vector) gather factor per charge of the new bond, and the out
+structure; at M = 16 the largest is 0.15 MB.
 """
 from __future__ import annotations
 
@@ -210,9 +221,11 @@ def _slots(start: np.ndarray, count: np.ndarray, pad: int) -> np.ndarray:
 # rather than the size of the gathered stack; a factor of PAD reads zero.
 # Index tables that carry no PAD are stored in the smallest unsigned type.
 
-# Plans per cache.  A benchmark pass builds at most 64 plans in one cache
-# (sweep_small's transfer steps), and the largest plan measured, a transfer
-# step at M = 32, takes 0.53 MB, so a full cache of those holds about 68 MB.
+# Plans per cache.  A benchmark pass builds at most 82 plans in one cache
+# (sweep_small's transfer steps).  The largest plan measured, a transfer step
+# at M = 32, takes 2.0 MB, so a full cache of those would hold about 260 MB;
+# rho_{1,N} of three N = 20, M = 32 collisions (mu = 6, 20, 40) builds 7.1 MB
+# of RDM plans in all.
 PLAN_CACHE_SIZE = 128
 PAD = 1 << 60  # flat-index factor of a padding slot; any sum with it is past the end
 
@@ -511,60 +524,98 @@ def schmidt_values(state: BlockDecimationState, bond: int) -> np.ndarray:
     return np.sort(state.lambdas[bond])[::-1]
 
 
-def _sectors(q: np.ndarray):
-    """Charge sectors of one bond: distinct charges u and a slot table.
-
-    slots[s, t] is the bond index of the t-th Schmidt vector of charge u[s],
-    padded with len(q) (see `_slots`).
-    """
-    u, start, count = np.unique(q, return_index=True, return_counts=True)
-    return u, _slots(start, count, q.shape[0])
-
-
 def _sector_of(u: np.ndarray, charge: np.ndarray):
     """Sector index of each charge on a bond with sorted charges u, and whether it exists."""
     pos = np.minimum(np.searchsorted(u, charge), u.shape[0] - 1)
     return pos, u[pos] == charge
 
 
-def _blocks_of(structure: bytes, u: np.ndarray, d: int):
-    """(bi, bj, bra sector, ket sector) of each environment block on a bond with sectors u.
+# The open-index environment X[i, i', b, b'] of `reduced_density_two_sites`
+# is carried as blocks (g, o, t): the Schmidt vectors of charge t - g on the
+# block's group side, at level g, against those of charge t - o on its
+# other side, at level o (a charge plus its level is the same t on both
+# sides).  A structure lists the blocks as int16 rows g, o, t, sorted by
+# `_block_code`, so the blocks of one group charge p are consecutive and
+# form one group matrix: its rows are (block, other-side vector), each block
+# padded with zero rows to the group's widest, and its columns are the
+# vectors of charge p.
 
-    A structure lists each block as (bi d + bj) len(u) + bra; the ket sector
-    is implied, since the ket charge is the bra charge plus bi - bj.
-    """
-    pair, bra = np.divmod(_charges(structure), u.shape[0])
-    bi, bj = np.divmod(pair, d)
-    return bi, bj, bra, _sector_of(u, u[bra] + bi - bj)[0]
+
+def _block_code(g, o, t, d: int):
+    """Sort key of environment blocks: group charge, then both levels."""
+    return ((t - g) * d + g) * d + o
+
+
+def _structure(g, o, t) -> bytes:
+    return np.stack([g, o, t]).astype(np.int16).tobytes()
+
+
+def _blocks(structure: bytes):
+    """Rows g, o, t of a structure."""
+    return np.frombuffer(structure, dtype=np.int16).reshape(3, -1).astype(np.int64)
+
+
+class _Layout(NamedTuple):
+    """The group matrices of a structure on a bond."""
+    start: np.ndarray  # first vector and vector count of each charge sector
+    count: np.ndarray
+    group: np.ndarray  # sector of each group's columns
+    first: np.ndarray  # block range first[p]:first[p+1] of group p
+    width: np.ndarray  # padded rows of each block of group p
+    other: np.ndarray  # sector of each block's other side
+
+
+def _layout(g, o, t, q: np.ndarray) -> _Layout:
+    u, start, count = np.unique(q, return_index=True, return_counts=True)
+    group, other = _sector_of(u, t - g)[0], _sector_of(u, t - o)[0]
+    first = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+    return _Layout(start=start, count=count, group=group[first],
+                   first=np.append(first, group.shape[0]),
+                   width=np.maximum.reduceat(count[other], first), other=other)
+
+
+def _group_rows(lay: _Layout, p: int, pad: int) -> np.ndarray:
+    """(block, slot) other-side vectors of the rows of group p (see `_slots`)."""
+    other = lay.other[lay.first[p]:lay.first[p + 1]]
+    return _slots(lay.start[other], lay.count[other], pad)
+
+
+def _group_columns(lay: _Layout, p: int) -> np.ndarray:
+    """Group-side vectors of the columns of group p."""
+    return lay.start[lay.group[p]] + np.arange(lay.count[lay.group[p]])
+
+
+def _factors(rows: np.ndarray, cols: np.ndarray):
+    """(block, slot, 1) and (1, 1, column) index factors of a group matrix,
+    in the smallest unsigned type that holds their sums."""
+    dtype = np.min_scalar_type(int(rows.max(initial=0)) + int(cols.max(initial=0)))
+    return rows.astype(dtype)[:, :, None], cols.astype(dtype)[None, None]
 
 
 class RdmOpenPlan(NamedTuple):
     """Opening site k of rho_{k,l}, from the charges of bonds k-1 and k."""
     hi: np.ndarray  # bra and ket levels i >= i' of each opened pair
     lo: np.ndarray
-    rows: np.ndarray  # (block, bra slot, 1) and (block, 1, ket slot) factors of the
-    cols: np.ndarray  # gather from the opened pairs X[(i, i'), b, b']
-    structure: bytes  # the opened blocks (see `_blocks_of`)
+    groups: tuple  # index factors of each group matrix's gather from the
+    # opened pairs X[(i, i'), b, b']; padding reads past the end
+    structure: bytes  # the opened blocks, grouped by their ket side
 
 
-class RdmStepPlan(NamedTuple):
-    """One transfer step through site s+1, from the incoming blocks and bonds s, s+1."""
-    a_rows: np.ndarray  # (m, out sector, in slot, 1) and (out sector, 1, out slot)
-    a_cols: np.ndarray  # factors of the a_blk gather from B^[s+1]
-    bra: np.ndarray  # a_blk index of each (in block, m) term, bra and ket side
-    ket: np.ndarray
-    t_in: np.ndarray  # in block of each term, terms grouped by out block
-    first: np.ndarray  # first term of each out block
-    structure: bytes  # the out blocks
+class RdmTransferPlan(NamedTuple):
+    """One transfer step through site s+1, from the incoming structure and bonds s, s+1."""
+    w: np.ndarray  # (chi_in, chi_out) flat indices of W[b, c] into B^[s+1]
+    ins: tuple  # per in group: its W rows r0:r1, first Y row y0, and W columns :c1
+    y_rows: int  # rows of Y, before its appended zero row
+    outs: tuple  # per out group: the W rows x0:x1 and columns c0:c1 of its
+    # product, and the (block, slot, 1) column offsets and (block, 1, x) rows
+    # of its gather from Y
+    structure: bytes  # the out blocks, grouped by the side contracted second
 
 
 class RdmClosePlan(NamedTuple):
-    """Where the carried blocks and their mirrors go in X[(i, i', b), b'] at bond l-1."""
-    rows: np.ndarray  # (block, bra slot, 1) rows and (block, 1, ket slot) columns
-    cols: np.ndarray
-    off: np.ndarray  # blocks with i > i'
-    mirror_rows: np.ndarray  # rows and columns of their conjugate transposes
-    mirror_cols: np.ndarray
+    """Where the carried blocks go in X[i, i', b, b'] at bond l-1, padded to chi+1."""
+    groups: tuple  # per group matrix, index factors of its entries and of
+    # their mirrors X[i', i] = X[i, i']^dag
 
 
 def _rdm_open_plan(q_before: np.ndarray, q: np.ndarray, d: int) -> RdmOpenPlan:
@@ -576,95 +627,175 @@ def _rdm_open_plan_cached(q_before, q, d: int) -> RdmOpenPlan:
     q_before, q = _charges(q_before), _charges(q)
     occ = np.arange(d)
     hi, lo = np.tril_indices(d)
-    # blocks (bi, bj, bra sector), bi >= bj, whose ket sector exists and whose
-    # bra charge plus bi is a bond-(k-1) charge; X vanishes outside them
-    u, slots = _sectors(q)
-    ket, has_ket = _sector_of(u, u + occ[:, None, None] - occ[None, :, None])
-    reach = np.isin(u + occ[:, None], q_before)
-    half = (occ[:, None] >= occ)[:, :, None]
-    bi, bj, bra = np.nonzero(has_ket & reach[:, None, :] & half)
-    ket = ket[bi, bj, bra]
+    # blocks (i, i', t), i >= i', with t a bond-(k-1) charge and bra charge
+    # t - i and ket charge t - i' on bond k; X vanishes outside them
+    u = np.unique(q)
+    t = u + occ[:, None]
+    has_ket = np.isin(t[:, None, :] - occ[None, :, None], u)
+    reach = np.isin(t, q_before)[:, None, :] & (occ[:, None] >= occ)[:, :, None]
+    bra, ket, sec = np.nonzero(has_ket & reach)
+    t = t[bra, sec]
+    # grouped by the ket side, which the first step contracts first
+    order = np.argsort(_block_code(ket, bra, t, d), kind="stable")
+    bra, ket, t = bra[order], ket[order], t[order]
+    lay = _layout(ket, bra, t, q)
     chi = q.shape[0]
-    pair = bi * (bi + 1) // 2 + bj  # row-major index of (bi, bj) among i >= i'
-    rows = np.where(slots[bra] == chi, PAD, (pair[:, None] * chi + slots[bra]) * chi)
-    cols = np.where(slots[ket] == chi, PAD, slots[ket])
-    structure = ((bi * d + bj) * u.shape[0] + bra).tobytes()
-    return _frozen(RdmOpenPlan(hi=hi, lo=lo, rows=rows[:, :, None], cols=cols[:, None, :],
-                               structure=structure))
+    pair = bra * (bra + 1) // 2 + ket  # row-major index of (i, i') among i >= i'
+    groups = []
+    for p in range(lay.group.shape[0]):
+        slots = _group_rows(lay, p, chi)
+        pairs = pair[lay.first[p]:lay.first[p + 1], None]
+        rows = np.where(slots < chi, (pairs * chi + slots) * chi, hi.shape[0] * chi * chi)
+        groups.append(_factors(rows, _group_columns(lay, p)))
+    return _frozen(RdmOpenPlan(hi=hi, lo=lo, groups=tuple(groups),
+                               structure=_structure(ket, bra, t)))
 
 
-def _rdm_step_plan(structure: bytes, q_in: np.ndarray, q_out: np.ndarray,
-                   d: int) -> RdmStepPlan:
-    return _rdm_step_plan_cached(structure, _key(q_in), _key(q_out), d)
+def _rdm_transfer_plan(structure: bytes, q_in: np.ndarray, q_out: np.ndarray,
+                       d: int) -> RdmTransferPlan:
+    return _rdm_transfer_plan_cached(structure, _key(q_in), _key(q_out), d)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _rdm_step_plan_cached(structure, q_in, q_out, d: int) -> RdmStepPlan:
+def _rdm_transfer_plan_cached(structure, q_in, q_out, d: int) -> RdmTransferPlan:
     q_in, q_out = _charges(q_in), _charges(q_out)
-    occ = np.arange(d)
-    u, slots = _sectors(q_in)
-    bi, bj, bra, ket = _blocks_of(structure, u, d)
-    # a_blk[m, r] maps the in-sector of charge u_out[r] + m to out-sector r
-    u_out, slots_out = _sectors(q_out)
-    n_out, chi_in, chi_out = u_out.shape[0], q_in.shape[0], q_out.shape[0]
-    src, has_src = _sector_of(u, u_out + occ[:, None])
-    rows = np.where(has_src[:, :, None], slots[src], chi_in)
-    a_rows = np.where(rows == chi_in, PAD, (rows * d + occ[:, None, None]) * chi_out)
-    a_cols = np.where(slots_out == chi_out, PAD, slots_out)
-    # (in block, m) pairs whose bra and ket out-sectors exist, grouped by out block
-    out_bra, ok_bra = _sector_of(u_out, u[bra][:, None] - occ)
-    out_ket, ok_ket = _sector_of(u_out, u[ket][:, None] - occ)
-    t_in, t_m = np.nonzero(ok_bra & ok_ket)
-    out_bra, out_ket = out_bra[t_in, t_m], out_ket[t_in, t_m]
-    key = (bi[t_in] * d + bj[t_in]) * n_out + out_bra
-    order = np.argsort(key, kind="stable")
-    t_in, t_m = t_in[order], t_m[order]
-    out_bra, out_ket, key = out_bra[order], out_ket[order], key[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    return _frozen(RdmStepPlan(
-        a_rows=a_rows[:, :, :, None], a_cols=a_cols[:, None, :],
-        bra=_compact(t_m * n_out + out_bra), ket=_compact(t_m * n_out + out_ket),
-        t_in=_compact(t_in), first=_compact(first),
-        structure=key[first].tobytes()))
+    g, o, t = _blocks(structure)
+    chi_in, chi_out = q_in.shape[0], q_out.shape[0]
+    # W[b, c] = B[b, q_in[b] - q_out[c], c]; where that level is outside
+    # 0..d-1, the clipped level reads an entry that the charges make zero
+    levels = np.clip(q_in[:, None] - q_out, 0, d - 1)
+    w = _compact((np.arange(chi_in)[:, None] * d + levels) * chi_out + np.arange(chi_out))
+    # first products: in group p times the W rows of charge p fills the Y
+    # rows of its rows, up to the last W column of charge <= p (W vanishes
+    # beyond it)
+    lay = _layout(g, o, t, q_in)
+    n_blocks = np.diff(lay.first)
+    y0 = np.concatenate(([0], np.cumsum(n_blocks * lay.width)))
+    grp = np.repeat(np.arange(n_blocks.shape[0]), n_blocks)
+    y_start = y0[grp] + (np.arange(g.shape[0]) - lay.first[grp]) * lay.width[grp]
+    r0 = lay.start[lay.group]
+    c1 = np.searchsorted(q_out, q_in[r0], side="right")
+    ins = tuple(zip(r0.tolist(), (r0 + lay.count[lay.group]).tolist(), y0.tolist(),
+                    c1.tolist()))
+    y_rows = int(y0[-1])
+    # out blocks: level m takes t to t - m, and the other side, contracted
+    # second, becomes the group side
+    u_out, start_out, count_out = np.unique(q_out, return_index=True, return_counts=True)
+    t_out = t[:, None] - np.arange(d)
+    ok = _sector_of(u_out, t_out - o[:, None])[1] & _sector_of(u_out, t_out - g[:, None])[1]
+    blk, m = np.nonzero(ok)
+    code = np.unique(_block_code(o[blk], g[blk], t_out[blk, m], d))
+    g2, o2 = code // d % d, code % d
+    t2 = code // (d * d) + g2
+    out = _layout(g2, o2, t2, q_out)
+    # second products: out block (g2, o2, t2) of group r = t2 - g2 sums over
+    # the in vectors x of charge r + m, m < d: the Y rows of in block
+    # (o2, g2, t2 + m), or the zero row appended to Y where that is missing
+    r = q_out[out.start[out.group]]
+    x0 = np.searchsorted(q_in, r)
+    x1 = np.searchsorted(q_in, r + d - 1, side="right")
+    codes = _block_code(g, o, t, d)
+    slot = np.arange(chi_in) - np.repeat(lay.start, lay.count)
+    stride = y_rows + 1  # Y is stored transposed: Y[row, c] at c * stride + row
+    outs = []
+    for p in range(r.shape[0]):
+        blk = slice(out.first[p], out.first[p + 1])
+        xp = np.arange(x0[p], x1[p])
+        want = _block_code(o2[blk, None], g2[blk, None], t2[blk, None] + q_in[xp] - r[p], d)
+        j = np.minimum(np.searchsorted(codes, want), codes.shape[0] - 1)
+        found = codes[j] == want
+        live = np.flatnonzero(found.any(axis=0))  # in vectors that some block reads
+        a, b = live[0], live[-1] + 1
+        rows = _compact(np.where(found, y_start[j] + slot[xp], y_rows)[:, None, a:b])
+        cols = _group_rows(out, p, chi_out) * stride
+        cols = cols.astype(np.min_scalar_type(int(cols.max()) + stride))[:, :, None]
+        outs.append((int(x0[p] + a), int(x0[p] + b), int(out.start[out.group[p]]),
+                     int(out.start[out.group[p]] + out.count[out.group[p]]), cols, rows))
+    return _frozen(RdmTransferPlan(w=w, ins=ins, y_rows=y_rows, outs=tuple(outs),
+                                   structure=_structure(g2, o2, t2)))
 
 
-def _rdm_close_plan(structure: bytes, q: np.ndarray, d: int) -> RdmClosePlan:
-    return _rdm_close_plan_cached(structure, _key(q), d)
+def _rdm_close_plan(structure: bytes, q: np.ndarray, d: int, ket_grouped: bool) -> RdmClosePlan:
+    return _rdm_close_plan_cached(structure, _key(q), d, ket_grouped)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _rdm_close_plan_cached(structure, q, d: int) -> RdmClosePlan:
+def _rdm_close_plan_cached(structure, q, d: int, ket_grouped: bool) -> RdmClosePlan:
     q = _charges(q)
-    u, slots = _sectors(q)
-    bi, bj, bra, ket = _blocks_of(structure, u, d)
-    width = q.shape[0] + 1  # bond l-1 plus the padding slot
-    off = np.flatnonzero(bi > bj)
-    rows = ((bi * d + bj) * width)[:, None] + slots[bra]
-    mirror_rows = ((bj * d + bi) * width)[off, None] + slots[ket[off]]
-    return _frozen(RdmClosePlan(
-        rows=_compact(rows)[:, :, None], cols=_compact(slots[ket])[:, None, :],
-        off=_compact(off), mirror_rows=_compact(mirror_rows)[:, :, None],
-        mirror_cols=_compact(slots[bra[off]])[:, None, :]))
+    g, o, t = _blocks(structure)
+    lay = _layout(g, o, t, q)
+    chi = q.shape[0]
+    width = chi + 1  # bond l-1 plus the padding slot, which the close drops
+    bra, ket = (o, g) if ket_grouped else (g, o)
+    # X[i, i', b, b'] is entry ((i d + i') width + b) width + b'; a diagonal
+    # block (i = i') is Hermitian, so its mirror rewrites it to round-off
+    other_step, group_step = (width, 1) if ket_grouped else (1, width)
+    groups = []
+    for p in range(lay.group.shape[0]):
+        blk = slice(lay.first[p], lay.first[p + 1])
+        other = _group_rows(lay, p, chi)
+        cols = _group_columns(lay, p)
+        groups.append(
+            _factors((bra * d + ket)[blk, None] * width**2 + other * other_step,
+                     cols * group_step)
+            + _factors((ket * d + bra)[blk, None] * width**2 + other * group_step,
+                       cols * other_step))
+    return _frozen(RdmClosePlan(groups=tuple(groups)))
+
+
+def _transfer(state: BlockDecimationState, env: list, structure: bytes, k: int, l: int):
+    """Carry the group matrices of `reduced_density_two_sites` from bond k to bond l-1."""
+    d = state.local_dim
+    buffer = np.empty(0, dtype=complex)  # Y of every step, grown as needed
+    for s in range(k, l - 1):
+        step = _rdm_transfer_plan(structure, state.charges[s], state.charges[s + 1], d)
+        w = np.ravel(state.gammas[s]).take(step.w)
+        wc = w.conj()
+        # the ket side contracts with W and the bra side with conj(W); the
+        # opening groups by the ket side, and the sides alternate
+        v, u = (w, wc) if (s - k) % 2 == 0 else (wc, w)
+        # Y stored transposed; its last row and column read zero
+        size = (w.shape[1] + 1) * (step.y_rows + 1)
+        if buffer.shape[0] < size:
+            buffer = np.empty(size, dtype=complex)
+        y = buffer[:size].reshape(w.shape[1] + 1, step.y_rows + 1)
+        y[-1] = 0
+        y[:, -1] = 0
+        for mat, (r0, r1, y0, c1) in zip(env, step.ins):
+            np.matmul(v[r0:r1, :c1].T, mat.T, out=y[:c1, y0:y0 + mat.shape[0]])
+        env = [y.take(cols + rows).reshape(-1, x1 - x0) @ u[x0:x1, c0:c1]
+               for x0, x1, c0, c1, cols, rows in step.outs]
+        structure = step.structure
+    return env, structure
 
 
 def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np.ndarray:
     """rho_{k,l} on the d^2-dimensional pair space, sites 1-based, k < l.
 
     The open-index environment X[i, i', b, b'] between sites k and l is
-    carried as S x S charge blocks (i, i', bra sector), S the largest sector
-    size: the ket charge of b' is the bra charge of b plus i - i', and
-    A_s[m] only maps in-charge r + m to out-charge r.  X is Hermitian,
-    X[i', i] = X[i, i']^dag, and each step keeps that, so only the blocks
-    with i >= i' are opened and carried.  Each transfer step is one batched
-    B^dag X B product over the (out block, m) pairs whose charges exist,
-    summed over m.  The close writes each carried block and, where i > i',
-    its conjugate transpose into the mirrored (i', i) slot, then contracts
-    site l per imbalance delta = i - i': rho[(i, j), (i', j')] vanishes
-    unless j' - j = delta, so each delta is one product with d - |delta|
-    rows and columns.  Only L[k-1] and R[l] are contracted; no canonical
-    form is assumed.  The block tables of the opening, of each step and of
-    the close come from cached plans of the bond charges and the incoming
-    block structure.
+    carried as charge blocks (see `_block_code`): the ket charge of b' is
+    the bra charge of b plus i - i'.  X is Hermitian, X[i', i] = X[i, i']^dag,
+    and each step keeps that, so only the blocks with i >= i' are opened and
+    carried.  The charges fix every level of a site: B^[s][b, m, c] is
+    W[b, c] at m = q(b) - q(c), W one chi_in x chi_out matrix.  A transfer
+    step X -> sum_m A(m)^dag X A(m) then contracts one side of every block
+    with W and the other with conj(W); both sides of an out block keep the
+    charge offset of its in blocks, which makes their levels m equal, so the
+    sum over m is no more than the inner dimension of the second product.
+    The first products take each group matrix (the blocks with one charge p
+    on the side contracted first) times the W rows of charge p, into Y.
+    The second take, for each charge r of the other side on the new bond,
+    the Y rows of every m as one matrix whose inner dimension runs over the
+    in vectors of charge r + m, times W[:, r] (conjugated on the bra side).
+    A step is thus two plain products per charge, and the side contracted
+    second becomes the group side of the next step.  The close writes each
+    carried block and its conjugate transpose into the mirrored (i', i)
+    slot, then contracts site l per imbalance delta = i - i':
+    rho[(i, j), (i', j')] vanishes unless j' - j = delta, so
+    each delta is one product with d - |delta| rows and columns.  Only
+    L[k-1] and R[l] are contracted; no canonical form is assumed.  The index
+    tables of the opening, of each step and of the close come from cached
+    plans of the bond charges and the incoming block structure.
     """
     if not (1 <= k < l <= state.n_sites):
         raise ValidationError(f"need 1 <= k < l <= N, got ({k}, {l})")
@@ -677,23 +808,19 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
     # pairs i >= i' in row-major order (i bra, i' ket; b bra bond, b' ket)
     plan = _rdm_open_plan(state.charges[k - 1], state.charges[k], d)
     x = ak.conj().swapaxes(1, 2)[plan.hi] @ (left @ ak)[plan.lo]
-    blocks = _gather(x, plan.rows, plan.cols)
-    structure = plan.structure
-    for s in range(k, l - 1):
-        step = _rdm_step_plan(structure, state.charges[s], state.charges[s + 1], d)
-        a_blk = _gather(state.gammas[s], step.a_rows, step.a_cols)
-        a_blk = a_blk.reshape(-1, *a_blk.shape[2:])  # (m, out sector) flattened
-        a_blk_h = a_blk.conj().swapaxes(1, 2)
-        prod = np.matmul(a_blk_h[step.bra], np.matmul(blocks[step.t_in], a_blk[step.ket]))
-        blocks = np.add.reduceat(prod, step.first, axis=0)
-        structure = step.structure
-    close = _rdm_close_plan(structure, state.charges[l - 1], d)
+    flat = np.append(x.reshape(-1), 0)
+    env = [flat.take(rows + cols, mode="clip").reshape(-1, cols.shape[2])
+           for rows, cols in plan.groups]
+    env, structure = _transfer(state, env, plan.structure, k, l)
+    close = _rdm_close_plan(structure, state.charges[l - 1], d, (l - 1 - k) % 2 == 0)
     al = _site_matrices(state, l - 1)
     chi_b = al.shape[1]
     x = np.zeros((d, d, chi_b + 1, chi_b + 1), dtype=complex)
-    rows_x = x.reshape(-1, chi_b + 1)  # row (i, i', b) of X, column b'
-    rows_x[close.rows, close.cols] = blocks
-    rows_x[close.mirror_rows, close.mirror_cols] = blocks[close.off].conj().swapaxes(1, 2)
+    flat = x.reshape(-1)
+    for mat, (rows, cols, mirror_rows, mirror_cols) in zip(env, close.groups):
+        mat = mat.reshape(rows.shape[0], -1, cols.shape[2])
+        flat[rows + cols] = mat
+        flat[mirror_rows + mirror_cols] = mat.conj()
     x = x[:, :, :chi_b, :chi_b]
     # close site l and the right environment per imbalance delta = i - i':
     # rho[i, j, i', j'] = sum_{b, b'} X[i, i', b, b'] T[j, j', b, b'] with

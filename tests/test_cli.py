@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from bosefold import cli
 from bosefold.cli import main
+from bosefold.errors import ValidationError
 from bosefold.folding import plan_from_text
 
 SWEEP_CFG = """\
@@ -166,6 +168,18 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
     assert "FAIL" not in out
+
+
+def test_selftest_reports_a_raising_check_as_fail(monkeypatch, capsys):
+    def broken(state, k, l):
+        raise ValidationError(f"rho_{{{k},{l}}} left the charge blocks")
+
+    monkeypatch.setattr(cli, "reduced_density_two_sites", broken)
+    assert main(["selftest"]) == 3
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 3
+    assert out.count("FAIL two-sum rho_") == 2
+    assert "ValidationError: rho_{1,5} left the charge blocks" in out
 
 
 def test_sweep_threads_flag(tmp_path):

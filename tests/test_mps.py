@@ -94,7 +94,7 @@ def test_sector_eigenbasis_is_cached(monkeypatch):
 
 
 PLAN_CACHES = (mps._two_site_plan_cached, mps._rdm_open_plan_cached,
-               mps._rdm_step_plan_cached, mps._rdm_close_plan_cached)
+               mps._rdm_transfer_plan_cached, mps._rdm_close_plan_cached)
 
 
 def _clear_plan_caches():
@@ -177,8 +177,8 @@ def test_cached_plans_are_read_only():
     d = st.local_dim
     plans = [mps._two_site_plan(*st.charges[3:6], d),
              mps._rdm_open_plan(st.charges[1], st.charges[2], d)]
-    plans.append(mps._rdm_step_plan(plans[-1].structure, st.charges[2], st.charges[3], d))
-    plans.append(mps._rdm_close_plan(plans[-1].structure, st.charges[3], d))
+    plans.append(mps._rdm_transfer_plan(plans[-1].structure, st.charges[2], st.charges[3], d))
+    plans.append(mps._rdm_close_plan(plans[-1].structure, st.charges[3], d, False))
     assert all(cache.cache_info().hits > 0 for cache in PLAN_CACHES)
 
     def arrays(fields):
@@ -370,6 +370,53 @@ def test_interior_pair_rdms_match_reduced_pair_oracle_at_scenario_scale():
         ref = dense.reduced_pair_oracle(z, c, m // 2, m // 2, k, l)
         assert np.max(np.abs(rho - ref)) < 1e-12, (k, l)
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14, (k, l)
+
+
+def _dense_pair_rdm(st, k, l):
+    """rho_{k,l} of an MPS by a plain dense contraction, with no charge structure.
+
+    Environments are (ket, bra) matrices; X[i, i'] carries the open levels
+    of site k through every level m of the sites between k and l.
+    """
+    b = [np.transpose(g, (1, 0, 2)) for g in st.gammas]  # b[s][m]: (chi_left, chi_right)
+    bt = [np.swapaxes(g, 1, 2) for g in b]
+    left = np.ones((1, 1), dtype=complex)
+    for s in range(k - 1):
+        left = sum(bt[s][m] @ left @ b[s][m].conj() for m in range(st.local_dim))
+    right = np.ones((1, 1), dtype=complex)
+    for s in range(st.n_sites - 1, l - 1, -1):
+        right = sum(b[s][m] @ right @ bt[s][m].conj() for m in range(st.local_dim))
+    x = bt[k - 1][:, None] @ (left @ b[k - 1].conj())[None, :]  # (i, i', chi, chi)
+    for s in range(k, l - 1):
+        x = sum(bt[s][m] @ x @ b[s][m].conj() for m in range(st.local_dim))
+    z = bt[l - 1][None, None, :, None] @ x[:, :, None, None] @ b[l - 1].conj()[None, None, None, :]
+    rho = np.sum(z * right, axis=(-2, -1))  # (i, i', j, j')
+    d = st.local_dim
+    rho = rho.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return rho / np.trace(rho).real
+
+
+def test_dense_pair_rdm_matches_dense_fock_rdm():
+    n = 5
+    st = two_sum_state(_random_mode(n, 71), _random_mode(n, 72), 2, 1)
+    amps = _all_amplitudes(st, n, 3)
+    for k, l in [(1, 5), (2, 4), (3, 4)]:
+        ref = dense.dense_rdm_two_sites(amps, n, 3, k, l, st.local_dim)
+        assert np.max(np.abs(_dense_pair_rdm(st, k, l) - ref / np.trace(ref).real)) < 1e-13
+
+
+def test_truncated_rdms_match_dense_contraction_at_scenario_scale():
+    # chi_max = 8 and 12 truncate the M = 8 collision (discarded weight about
+    # 7.5e-2 and 6.7e-3), so the oracles no longer describe the MPS; the
+    # dense contraction of the same tensors does
+    n, mu, m = 20, 6.0, 8
+    z, c = _collision_modes(n, mu)
+    for chi_max in (8, 12):
+        st = two_sum_state(z, c, m // 2, m // 2, chi_max=chi_max)
+        assert st.discarded_weight > 1e-3
+        for k, l in [(1, n), (2, n - 1), (5, 16), (10, 11)]:
+            rho = reduced_density_two_sites(st, k, l)
+            assert np.max(np.abs(rho - _dense_pair_rdm(st, k, l))) < 1e-13, (chi_max, k, l)
 
 
 def test_every_bond_matches_bond_schmidt_oracle_at_scenario_scale():
