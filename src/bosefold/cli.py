@@ -21,7 +21,8 @@ from .errors import BosefoldError, ConfigError
 from .folding import fold_single, plan_to_text
 from .heisenberg import ground_mode, spectral_decompose
 from .model import build_coupling
-from .mps import amplitude, condensate_state, reduced_density_two_sites, two_sum_state
+from .mps import (amplitude, condensate_state, occupations, reduced_density_two_sites,
+                  two_sum_state)
 from .scenarios import (run_collision_sweep, run_ground_state, run_quench,
                         run_transfer)
 
@@ -155,6 +156,9 @@ def _selftest() -> int:
     amps = np.array([amplitude(state, cfg) for cfg in configs])
     check("ground-state fold vs dense expansion",
           lambda: float(np.max(np.abs(amps - dense.condensate_amplitudes(c, m)))), 1e-9)
+    check("condensate occupations vs m |c_k|^2",
+          lambda: float(np.max(np.abs(occupations(state) - m * np.abs(c.coefficients) ** 2))),
+          1e-12)
 
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
     w = rng.normal(size=n) + 1j * rng.normal(size=n)

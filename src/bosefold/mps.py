@@ -15,38 +15,52 @@ stored charge by charge (ascending charge, descending lambda within one), so
 the vectors of a charge range are one window found with searchsorted.  Gates
 conserve boson number by construction: a phase gate is its diagonal, and a
 pair-rotation gate is one real orthogonal block per sector
-n_k + n_{k+1} = n < d, all built in cache-sized batched products from a
-cached real eigenbasis.  The two-site update never forms the dense two-site
-matrix, and each of its stages is one batched call over the charge windows,
-stacked as slot tables padded with a zero row and column: one product
-contracts the windows into sector vectors, the pairs of each sector are
-rotated by its block, one SVD call takes every lam-weighted window block
-(after a QR where the blocks are tall), a mask keeps the largest singular
+n_k + n_{k+1} = n < d, sectors n and d-1-n sharing one (d+1) x (d+1) slot,
+all built in cache-sized batched products from a cached real eigenbasis and
+kept as that read-only slot array.  The two-site update never forms the
+dense two-site matrix, and each of its stages is one batched call over the
+charge windows, stacked as slot tables padded with a zero row and column:
+one product contracts the windows into sector vectors, one real product
+rotates every slot's stack of pairs (a pair of sector n and one of sector
+d-1-n per column), one SVD call takes every lam-weighted window block (after
+a QR where the blocks are tall; where every block is one column, its norm is
+its singular value and no SVD runs), a mask keeps the largest singular
 values, and one assignment per tensor writes the kept right singular vectors
 and the blocks projected onto them.  The first-site lifting implements
 (a_1^dag)^M2 as a local index shift plus a rescale of B^[1] and lambda^[1],
-reading site-1 occupations from the labels.  The two-site reduced density
-matrix carries its open-index environment as charge blocks, and since that
-environment is Hermitian in its two open levels, only the half with bra
-level >= ket level.  The charges make each site between the pair one
-chi_L x chi_R matrix W[b, c] = B[b, q(b) - q(c), c], so a transfer step is
-two plain products per charge: the blocks sharing a charge on one side
-times that charge's rows of W, then, for each charge r of the new bond, the
-rows of every level m gathered into one matrix whose inner dimension runs
-over the vectors of charge r + m, times W[:, r].  The two sides of a block
-keep their charge offset, so the level m of one side fixes the other's, and
-the sum over m is just that inner dimension.  The close mirrors the half
-and contracts only the level pairs whose imbalances match.
+reading site-1 occupations from the labels.
 
-Every slot table, window, sector sort and block list of those two calls
-depends only on the bond charges and d (and, for a transfer step, on the
-blocks it receives), so each is built once per charge pattern into a plan of
-read-only arrays, held in bounded per-process caches keyed on the charges'
-bytes: scans over states of the same N, M and chi revisit the same patterns.
+The charges make each site one chi_L x chi_R matrix
+W[b, c] = B[b, q(b) - q(c), c], gathered through one cached flat-index
+table per (q_k, q_{k+1}, d).  The environments L and R are block-diagonal in
+the bond charge, so L[k+1] = mask o (W^dag L[k] W) and
+R[k] = mask o (W R[k+1] W^dag), where the mask [q(b) = q(b')] drops exactly
+the products of two different levels: two plain products per site, with no
+canonical form assumed.  Occupations, the norm, the canonical defect and the
+outer environments of the reduced density matrices all come from them.
+
+The two-site reduced density matrix carries its open-index environment as
+charge blocks, and since that environment is Hermitian in its two open
+levels, only the half with bra level >= ket level.  Through the W of each
+site between the pair, a transfer step is two plain products per charge:
+the blocks sharing a charge on one side times that charge's rows of W, then,
+for each charge r of the new bond, the rows of every level m gathered into
+one matrix whose inner dimension runs over the vectors of charge r + m,
+times W[:, r].  The two sides of a block keep their charge offset, so the
+level m of one side fixes the other's, and the sum over m is just that inner
+dimension.  The close mirrors the half and contracts only the level pairs
+whose imbalances match.
+
+Every slot table, window, rotation table, W table and block list of the
+two-site update, the environments and the RDM depends only on the bond
+charges and d (and, for a transfer step, on the blocks it receives), so
+each is built once per charge pattern into a plan of read-only arrays, held
+in bounded per-process caches keyed on the charges' bytes: scans over
+states of the same N, M and chi revisit the same patterns.
 A transfer step's plan, keyed on its incoming block structure, q_s,
-q_{s+1} and d, holds W's flat-index table, a (block, slot) and a
-(block, vector) gather factor per charge of the new bond, and the out
-structure; at M = 16 the largest is 0.15 MB.
+q_{s+1} and d, holds a (block, slot) and a (block, vector) gather factor per
+charge of the new bond, and the out structure; at M = 16 the largest is
+0.15 MB.
 """
 from __future__ import annotations
 
@@ -96,7 +110,10 @@ class SingleModeGate:
 @dataclass(frozen=True)
 class TwoModeGate:
     bond: int
-    blocks: tuple  # blocks[n]: (n+1) x (n+1) unitary on n_k + n_{k+1} = n, n_k ascending
+    # read-only real (ceil(d/2), d+1, d+1) slots: slot j holds the orthogonal
+    # block of sector n_k + n_{k+1} = j at rows and columns 0..j and that of
+    # sector d-1-j at j+1..d, n_k ascending in each (see `_sector_eigh`)
+    slots: np.ndarray
 
 
 def from_fock(occupations, d: int, chi_max: int, trunc_tol: float) -> BlockDecimationState:
@@ -123,8 +140,7 @@ def build_phase_gate(site: int, theta: float, d: int) -> SingleModeGate:
 
 @functools.lru_cache(maxsize=None)
 def _sector_eigh(d: int):
-    """Real eigenbasis (X, X', mu, X^T) of Q on the pair sectors n = 0..d-1,
-    and where each sector sits in it.
+    """Real eigenbasis (X, X', mu, X^T) of Q on the pair sectors n = 0..d-1.
 
     Q = (a_2^dag a_1 - a_1^dag a_2) / 2i is imaginary, so its eigenvectors of
     +m and -m are v and conj(v); with v = (x + i y) / sqrt(2), e^{-i phi Q}
@@ -134,15 +150,13 @@ def _sector_eigh(d: int):
     (X cos(phi mu) + X' sin(phi mu)) X^T.  Sectors n and d-1-n share one
     zero-padded (d+1) x (d+1) slot j = min(n, d-1-n), at offset 0 and j+1,
     so the products of all sectors take about half the work of padding each
-    to d x d; where[n] = (j, rows) locates sector n in a slot product.  Q does
-    not depend on the angle, so each local dimension is diagonalized once per
-    process; the arrays are read-only.
+    to d x d.  Q does not depend on the angle, so each local dimension is
+    diagonalized once per process; the arrays are read-only.
     """
     slots = (d + 1) // 2
     x = np.zeros((slots, d + 1, d + 1))
     xs = np.zeros((slots, d + 1, d + 1))
     mu = np.zeros((slots, d + 1))
-    where = []
     for n in range(d):
         n1 = np.arange(n)  # a_2^dag a_1 |n1+1, n-n1-1> -> sqrt((n1+1)(n-n1)) |n1, n-n1>
         q = np.zeros((n + 1, n + 1), dtype=complex)
@@ -151,7 +165,6 @@ def _sector_eigh(d: int):
         h = (n + 1) // 2  # pairs +-m; w ascends, so m > 0 are the last h
         re, im = math.sqrt(2.0) * v[:, n + 1 - h:].real, math.sqrt(2.0) * v[:, n + 1 - h:].imag
         j, o = (n, 0) if n < slots else (d - 1 - n, d - n)
-        where.append((j, slice(o, o + n + 1)))
         x[j, o:o + n + 1, o:o + 2 * h] = np.hstack([re, im])
         xs[j, o:o + n + 1, o:o + 2 * h] = np.hstack([im, -re])
         mu[j, o:o + 2 * h] = np.tile(np.arange(n + 1 - h, n + 1) - n / 2, 2)  # exact m
@@ -161,7 +174,7 @@ def _sector_eigh(d: int):
     xt = np.ascontiguousarray(x.swapaxes(1, 2))
     for arr in (x, xs, mu, xt):
         arr.setflags(write=False)
-    return x, xs, mu, xt, tuple(where)
+    return x, xs, mu, xt
 
 
 def build_pair_rotation_gate(bond: int, phi: float, d: int) -> TwoModeGate:
@@ -172,7 +185,7 @@ def build_pair_rotation_gate(bond: int, phi: float, d: int) -> TwoModeGate:
     cache.  Up to d = 31 that is one chunk; from d = 49 on, where one product
     over all slots is bound by memory traffic, chunks take 0.5-0.75 of its time.
     """
-    x, xs, mu, xt, where = _sector_eigh(d)
+    x, xs, mu, xt = _sector_eigh(d)
     c, s = np.cos(phi * mu)[:, None, :], np.sin(phi * mu)[:, None, :]
     full = np.empty_like(x)
     step = max(GATE_CHUNK_BYTES // x[0].nbytes, 1)
@@ -181,7 +194,8 @@ def build_pair_rotation_gate(bond: int, phi: float, d: int) -> TwoModeGate:
         rot = x[part] * c[part]
         rot += xs[part] * s[part]
         np.matmul(rot, xt[part], out=full[part])
-    return TwoModeGate(bond=bond, blocks=tuple(full[j, rows, rows] for j, rows in where))
+    full.setflags(write=False)
+    return TwoModeGate(bond=bond, slots=full)
 
 
 def apply_single(state: BlockDecimationState, gate: SingleModeGate) -> BlockDecimationState:
@@ -221,8 +235,9 @@ def _slots(start: np.ndarray, count: np.ndarray, pad: int) -> np.ndarray:
 # rather than the size of the gathered stack; a factor of PAD reads zero.
 # Index tables that carry no PAD are stored in the smallest unsigned type.
 
-# Plans per cache.  A benchmark pass builds at most 82 plans in one cache
-# (sweep_small's transfer steps).  The largest plan measured, a transfer step
+# Plans per cache.  A benchmark pass builds at most 125 plans in one cache
+# (the W tables of quench_snapshots' 21 states, N = 40; one `occupations`
+# call looks up 2N, N distinct).  The largest plan measured, a transfer step
 # at M = 32, takes 2.0 MB, so a full cache of those would hold about 260 MB;
 # rho_{1,N} of three N = 20, M = 32 collisions (mu = 6, 20, 40) builds 7.1 MB
 # of RDM plans in all.
@@ -273,7 +288,7 @@ class TwoSitePlan(NamedTuple):
     win_rows: np.ndarray  # (q, row, 1) and (q, 1, col) factors of window flat indices into v
     win_cols: np.ndarray
     rows: np.ndarray  # (q, row) left bond index, chi_l for padding
-    sectors: tuple  # (n, rows of v.reshape(-1, d) with pair sector n), nonempty sectors
+    rotation: np.ndarray  # (slot, d+1, pair) flat indices into v of the gate's slot stack
     qr_first: bool  # the padded SVD stack starts with a QR
     valid: np.ndarray  # (q, min(row, col)) singular values that belong to the block
     left_out: np.ndarray  # (q, row) flat (row, level) of the new left tensor
@@ -282,6 +297,31 @@ class TwoSitePlan(NamedTuple):
 
 def _two_site_plan(ql: np.ndarray, qm: np.ndarray, qr: np.ndarray, d: int) -> TwoSitePlan:
     return _two_site_plan_cached(_key(ql), _key(qm), _key(qr), d)
+
+
+def _rotation_table(ql: np.ndarray, qr: np.ndarray, d: int) -> np.ndarray:
+    """Flat indices into v of the pairs that the gate's slots rotate.
+
+    Slot j holds sector j at rows 0..j and sector d-1-j at rows j+1..d, so
+    column p of slot j stacks the levels of the p-th pair of sector j and
+    then those of the p-th pair of sector d-1-j.  A sector with fewer pairs
+    than the widest, and the rows past sector j where d-1-j = j, read the
+    zero pair (chi_l, chi_r) of v.
+    """
+    chi_l, chi_r = ql.shape[0], qr.shape[0]
+    n = (ql[:, None] - qr).ravel()  # sector of pair a * chi_r + b
+    pairs = np.flatnonzero(n >= 0)
+    pairs = pairs[np.argsort(n[pairs], kind="stable")]
+    n = n[pairs]
+    rank = np.arange(n.shape[0]) - np.searchsorted(n, n)  # place within its sector
+    n_slots = (d + 1) // 2
+    base = np.full((n_slots, 2, rank.max(initial=-1) + 1), (chi_l * (chi_r + 1) + chi_r) * d)
+    base[np.minimum(n, d - 1 - n), (n >= n_slots).astype(np.intp), rank] = \
+        (pairs + pairs // chi_r) * d  # row a * (chi_r + 1) + b of v
+    j = np.arange(n_slots)[:, None]
+    upper = (np.arange(d + 1) > j).astype(np.intp)  # rows of sector d-1-j
+    level = np.arange(d + 1) - upper * (j + 1)
+    return _compact(np.take_along_axis(base, upper[:, :, None], axis=1) + level[:, :, None])
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -303,22 +343,12 @@ def _two_site_plan_cached(ql, qm, qr, d: int) -> TwoSitePlan:
     left_cols = np.where(mids == chi_m, PAD, mids)
     right_rows = np.where(mids == chi_m, PAD, mids * d * chi_r)
     right_cols = np.where(cols == chi_r, PAD, lvl_r * chi_r + cols)
-
-    # rotation: pairs grouped by sector n with one sort
-    pair_n = (ql[:, None] - qr[None, :]).ravel()
-    order = np.argsort(pair_n, kind="stable")
-    pair = order + order // chi_r  # row a * (chi_r + 1) + b of v, pair by pair
-    n_lo = max(ql[0] - qr[-1], 0)
-    bounds = np.searchsorted(pair_n[order], np.arange(n_lo, ql[-1] - qr[0] + 2))
-    sectors = tuple((n, _compact(pair[s0:s1]))
-                    for n, s0, s1 in zip(range(n_lo, ql[-1] - qr[0] + 1),
-                                         bounds[:-1], bounds[1:]) if s1 > s0)
     n_rows, n_cols = rows.shape[1], cols.shape[1]
     return _frozen(TwoSitePlan(
         qs=qs, left_rows=left_rows[:, :, None], left_cols=left_cols[:, None, :],
         right_rows=right_rows[:, :, None], right_cols=right_cols[:, None, :],
         win_rows=(rows * (chi_r + 1) * d + lvl_l)[:, :, None],
-        win_cols=(cols * d)[:, None, :], rows=rows, sectors=sectors,
+        win_cols=(cols * d)[:, None, :], rows=rows, rotation=_rotation_table(ql, qr, d),
         qr_first=n_cols >= QR_FIRST_MIN_COLS and n_rows >= 2 * n_cols,
         valid=np.arange(min(n_rows, n_cols)) < np.minimum(a1 - a0, b1 - b0)[:, None],
         left_out=left_out, right_out=lvl_r * (chi_r + 1) + cols))
@@ -330,12 +360,16 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
 
     v[a, b, i] is the B^[k] B^[k+1] amplitude with n_k = i and
     n_{k+1} = n - i, where n = ql[a] - qr[b] is the pair sector: middle charge
-    p fills i = ql[a] - p, blocks[n] rotates v[a, b, :n+1], and new middle
-    charge q is the block v[a, b, ql[a] - q] of its windows.  Charge windows
-    are stacked as slot tables padded with an extra zero row and column of v,
-    so every middle-charge product runs in one matmul and every new-charge
-    block, lambda^[k-1]-weighted, in one SVD call; the singular values of a
-    block are the first min(rows, cols) of its padded SVD.  The new right
+    p fills i = ql[a] - p, the sector-n block of the gate rotates
+    v[a, b, :n+1], and new middle charge q is the block v[a, b, ql[a] - q] of
+    its windows.  Charge windows are stacked as slot tables padded with an
+    extra zero row and column of v, so every middle-charge product runs in
+    one matmul and every new-charge block, lambda^[k-1]-weighted, in one SVD
+    call; the singular values of a block are the first min(rows, cols) of
+    its padded SVD, and a stack of one-column blocks needs no SVD: the norm
+    of each column is its singular value, and V^dag = 1.  The rotation
+    stacks the pairs of sectors n and d-1-n in the columns of the gate's
+    shared slot and runs one real product over all slots.  The new right
     tensor is the kept V^dag rows and the new left tensor the unweighted block
     times V.  Every table these stages index with comes from the cached
     `_two_site_plan` of the three bond charges.
@@ -344,13 +378,10 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     if not (0 <= k < state.n_sites - 1):
         raise ValidationError(f"bond {gate.bond} outside chain")
     d = state.local_dim
-    if len(gate.blocks) != d:
-        raise ValidationError(
-            f"gate has {len(gate.blocks)} sector blocks; local dimension {d} needs {d}")
-    for n, blk in enumerate(gate.blocks):
-        if np.shape(blk) != (n + 1, n + 1):
-            raise ValidationError(f"gate block {n} has shape {np.shape(blk)}, "
-                                  f"sector dimension is {n + 1}")
+    shape = ((d + 1) // 2, d + 1, d + 1)
+    if np.shape(gate.slots) != shape:
+        raise ValidationError(f"gate slots have shape {np.shape(gate.slots)}; "
+                              f"local dimension {d} needs {shape}")
     ql, qm, qr = state.charges[k], state.charges[k + 1], state.charges[k + 2]
     if ql[-1] - qr[0] >= d:
         raise CutoffError(f"two-site sector of {int(ql[-1] - qr[0])} bosons "
@@ -365,10 +396,10 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     v = np.zeros((chi_l + 1, chi_r + 1, d), dtype=complex)
     v.reshape(-1)[window] = left @ right
 
-    # rotation: the pairs of each sector n by its block
-    flat = v.reshape(-1, d)
-    for n, sel in plan.sectors:
-        flat[sel, :n + 1] = flat[sel, :n + 1] @ gate.blocks[n].T
+    # rotation: every slot times its stack of pairs, one real product
+    flat = v.reshape(-1)
+    stack = flat.take(plan.rotation)
+    flat[plan.rotation] = np.matmul(gate.slots, stack.view(np.float64)).view(complex)
     lam = np.append(state.lambdas[k], 0.0)
     weighted = lam[:, None, None] * v
     norm2 = float(np.vdot(weighted, weighted).real)
@@ -378,10 +409,15 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     # SVD: the window blocks of every new middle charge q in one padded stack
     mats = v.reshape(-1)[window]
     stack = lam[plan.rows][:, :, None] * mats
-    if plan.qr_first:
-        # same singular values and V^dag; the SVD then skips forming the tall U
-        stack = np.linalg.qr(stack, mode="r")
-    _, s_pad, vh = np.linalg.svd(stack, full_matrices=False)
+    if stack.shape[2] == 1:
+        # one column per block: its norm is the singular value, and V^dag = 1
+        s_pad = np.linalg.norm(stack, axis=1)
+        vh = np.ones(stack.shape[:1] + (1, 1))
+    else:
+        if plan.qr_first:
+            # same singular values and V^dag; the SVD then skips forming the tall U
+            stack = np.linalg.qr(stack, mode="r")
+        _, s_pad, vh = np.linalg.svd(stack, full_matrices=False)
     s_all = s_pad[plan.valid]  # concatenation order: q ascending, descending within q
     total = float(np.sum(s_all**2))
     if abs(norm2 - total) > SECTOR_LEAK_TOL * norm2:
@@ -456,31 +492,58 @@ def _site_matrices(state: BlockDecimationState, k: int) -> np.ndarray:
     return np.transpose(state.gammas[k], (1, 0, 2))
 
 
-def _left_terms(a: np.ndarray, env: np.ndarray) -> np.ndarray:
-    """A(i)^dag env A(i) for every level i, shape (d, chiR, chiR)."""
-    return a.conj().swapaxes(1, 2) @ env @ a
+def _w_index(q_in: np.ndarray, q_out: np.ndarray, d: int) -> np.ndarray:
+    return _w_index_cached(_key(q_in), _key(q_out), d)
 
 
-def _right_terms(a: np.ndarray, env: np.ndarray) -> np.ndarray:
-    """A(i) env A(i)^dag for every level i, shape (d, chiL, chiL)."""
-    return a @ env @ a.conj().swapaxes(1, 2)
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _w_index_cached(q_in, q_out, d: int) -> np.ndarray:
+    """(chi_in, chi_out) flat indices of W[b, c] = B[b, q_in[b] - q_out[c], c] into B.
+
+    Where that level is outside 0..d-1, the clipped level reads an entry that
+    the charges make zero.
+    """
+    q_in, q_out = _charges(q_in), _charges(q_out)
+    levels = np.clip(q_in[:, None] - q_out, 0, d - 1)
+    chi_out = q_out.shape[0]
+    w = _compact((np.arange(q_in.shape[0])[:, None] * d + levels) * chi_out + np.arange(chi_out))
+    w.setflags(write=False)
+    return w
+
+
+def _site_w(state: BlockDecimationState, k: int) -> np.ndarray:
+    """Site k+1 as its charge-implied chi_L x chi_R matrix W."""
+    return np.ravel(state.gammas[k]).take(
+        _w_index(state.charges[k], state.charges[k + 1], state.local_dim))
+
+
+def _same_charge(q: np.ndarray) -> np.ndarray:
+    """mask[a, a'] = [q(a) = q(a')] of one bond."""
+    return q[:, None] == q
 
 
 def _left_envs(state: BlockDecimationState):
-    """Yield L[0], L[1], ..., L[N]: L[k] contracts sites 1..k (L[0] = 1)."""
+    """Yield L[0], L[1], ..., L[N]: L[k] contracts sites 1..k (L[0] = 1).
+
+    L[k+1] = mask o (W^dag L[k] W): L is block-diagonal in the bond charge,
+    so the mask drops exactly the products of two different levels.
+    """
     env = np.ones((1, 1), dtype=complex)
     yield env
     for k in range(state.n_sites):
-        env = _left_terms(_site_matrices(state, k), env).sum(0)
+        w = _site_w(state, k)
+        env = (w.conj().T @ env @ w) * _same_charge(state.charges[k + 1])
         yield env
 
 
 def _right_envs(state: BlockDecimationState):
-    """Yield R[N], R[N-1], ..., R[0]: R[k] contracts sites k+1..N (R[N] = 1)."""
+    """Yield R[N], R[N-1], ..., R[0]: R[k] contracts sites k+1..N (R[N] = 1),
+    R[k] = mask o (W R[k+1] W^dag)."""
     env = np.ones((1, 1), dtype=complex)
     yield env
     for k in range(state.n_sites - 1, -1, -1):
-        env = _right_terms(_site_matrices(state, k), env).sum(0)
+        w = _site_w(state, k)
+        env = (w @ env @ w.conj().T) * _same_charge(state.charges[k])
         yield env
 
 
@@ -504,16 +567,20 @@ def amplitude(state: BlockDecimationState, config) -> complex:
 
 
 def occupations(state: BlockDecimationState) -> np.ndarray:
-    """Per-site <n_k> for all sites: one right sweep, then one left sweep."""
+    """Per-site <n_k> for all sites: one right sweep, then one left sweep.
+
+    <n_k> = Re sum conj(W) o (L[k-1] W R[k]) o (q_in[a] - q_out[b]), the level
+    of each entry of W read off the charges.
+    """
     right = list(_right_envs(state))[::-1]
-    nvals = np.arange(state.local_dim, dtype=float)
     out = np.zeros(state.n_sites)
     env = np.ones((1, 1), dtype=complex)
     for k in range(state.n_sites):
-        terms = _left_terms(_site_matrices(state, k), env)
-        # <n_k> = tr(sum_i i A(i)^dag L[k] A(i) R[k+1])
-        out[k] = np.sum(np.tensordot(nvals, terms, 1) * right[k + 1].T).real
-        env = terms.sum(0)
+        w = _site_w(state, k)
+        lw = env @ w
+        level = state.charges[k][:, None] - state.charges[k + 1]
+        out[k] = np.sum(w.conj() * (lw @ right[k + 1]) * level).real
+        env = (w.conj().T @ lw) * _same_charge(state.charges[k + 1])
     return out
 
 
@@ -603,7 +670,6 @@ class RdmOpenPlan(NamedTuple):
 
 class RdmTransferPlan(NamedTuple):
     """One transfer step through site s+1, from the incoming structure and bonds s, s+1."""
-    w: np.ndarray  # (chi_in, chi_out) flat indices of W[b, c] into B^[s+1]
     ins: tuple  # per in group: its W rows r0:r1, first Y row y0, and W columns :c1
     y_rows: int  # rows of Y, before its appended zero row
     outs: tuple  # per out group: the W rows x0:x1 and columns c0:c1 of its
@@ -661,10 +727,6 @@ def _rdm_transfer_plan_cached(structure, q_in, q_out, d: int) -> RdmTransferPlan
     q_in, q_out = _charges(q_in), _charges(q_out)
     g, o, t = _blocks(structure)
     chi_in, chi_out = q_in.shape[0], q_out.shape[0]
-    # W[b, c] = B[b, q_in[b] - q_out[c], c]; where that level is outside
-    # 0..d-1, the clipped level reads an entry that the charges make zero
-    levels = np.clip(q_in[:, None] - q_out, 0, d - 1)
-    w = _compact((np.arange(chi_in)[:, None] * d + levels) * chi_out + np.arange(chi_out))
     # first products: in group p times the W rows of charge p fills the Y
     # rows of its rows, up to the last W column of charge <= p (W vanishes
     # beyond it)
@@ -711,7 +773,7 @@ def _rdm_transfer_plan_cached(structure, q_in, q_out, d: int) -> RdmTransferPlan
         cols = cols.astype(np.min_scalar_type(int(cols.max()) + stride))[:, :, None]
         outs.append((int(x0[p] + a), int(x0[p] + b), int(out.start[out.group[p]]),
                      int(out.start[out.group[p]] + out.count[out.group[p]]), cols, rows))
-    return _frozen(RdmTransferPlan(w=w, ins=ins, y_rows=y_rows, outs=tuple(outs),
+    return _frozen(RdmTransferPlan(ins=ins, y_rows=y_rows, outs=tuple(outs),
                                    structure=_structure(g2, o2, t2)))
 
 
@@ -749,7 +811,7 @@ def _transfer(state: BlockDecimationState, env: list, structure: bytes, k: int, 
     buffer = np.empty(0, dtype=complex)  # Y of every step, grown as needed
     for s in range(k, l - 1):
         step = _rdm_transfer_plan(structure, state.charges[s], state.charges[s + 1], d)
-        w = np.ravel(state.gammas[s]).take(step.w)
+        w = _site_w(state, s)
         wc = w.conj()
         # the ket side contracts with W and the bra side with conj(W); the
         # opening groups by the ket side, and the sides alternate

@@ -166,7 +166,8 @@ def test_numeric_error_exit_code(tmp_path):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6
+    assert "PASS condensate occupations vs m |c_k|^2" in out
     assert "FAIL" not in out
 
 
@@ -177,7 +178,7 @@ def test_selftest_reports_a_raising_check_as_fail(monkeypatch, capsys):
     monkeypatch.setattr(cli, "reduced_density_two_sites", broken)
     assert main(["selftest"]) == 3
     out = capsys.readouterr().out
-    assert out.count("PASS") == 3
+    assert out.count("PASS") == 4
     assert out.count("FAIL two-sum rho_") == 2
     assert "ValidationError: rho_{1,5} left the charge blocks" in out
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from bosefold import dense, mps
 from bosefold.errors import CutoffError, ValidationError
@@ -35,18 +36,38 @@ def test_from_fock_amplitudes():
         from_fock([4], d=4, chi_max=8, trunc_tol=1e-12)
 
 
+def _sector_rows(n, d):
+    """Slot and rows of sector n_k + n_{k+1} = n in a gate's slots."""
+    j, o = (n, 0) if n < (d + 1) // 2 else (d - 1 - n, d - n)
+    return j, slice(o, o + n + 1)
+
+
+def _sector_block(slots, n):
+    """The (n+1) x (n+1) block of sector n, n_k ascending."""
+    j, rows = _sector_rows(n, slots.shape[1] - 1)
+    return slots[j, rows, rows]
+
+
 def test_gates_are_unitary_and_number_conserving():
-    d = 5
-    # a phase gate is stored as its diagonal, so it cannot change boson number
-    phases = build_phase_gate(1, 0.7, d).phases
-    assert phases.shape == (d,)
-    assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-12
-    # a pair-rotation gate is stored as one block per sector n_k + n_{k+1} = n
-    blocks = build_pair_rotation_gate(1, 1.3, d).blocks
-    assert len(blocks) == d
-    for n, blk in enumerate(blocks):
-        assert blk.shape == (n + 1, n + 1)
-        assert np.max(np.abs(blk @ blk.conj().T - np.eye(n + 1))) < 1e-12
+    for d in (5, 6):
+        # a phase gate is stored as its diagonal, so it cannot change boson number
+        phases = build_phase_gate(1, 0.7, d).phases
+        assert phases.shape == (d,)
+        assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-12
+        # a pair-rotation gate is stored as one real block per sector
+        # n_k + n_{k+1} = n, sectors n and d-1-n sharing one read-only slot
+        slots = build_pair_rotation_gate(1, 1.3, d).slots
+        assert slots.shape == ((d + 1) // 2, d + 1, d + 1)
+        assert slots.dtype == np.float64 and not slots.flags.writeable
+        inside = np.zeros(slots.shape, dtype=bool)
+        for n in range(d):
+            blk = _sector_block(slots, n)
+            assert blk.shape == (n + 1, n + 1)
+            assert np.max(np.abs(blk @ blk.conj().T - np.eye(n + 1))) < 1e-12
+            j, rows = _sector_rows(n, d)
+            inside[j, rows, rows] = True
+        # nothing outside the sector blocks, so no slot mixes two sectors
+        assert np.all(slots[~inside] == 0.0)
 
 
 def _sector_generator(n):
@@ -61,21 +82,21 @@ def _sector_generator(n):
 def test_pair_rotation_blocks_match_expm_of_sector_generator():
     for d in (2, 5, 21):
         for phi in (-6.5, 0.7, 3.0, 9.0):
-            blocks = build_pair_rotation_gate(1, phi, d).blocks
+            slots = build_pair_rotation_gate(1, phi, d).slots
             for n in range(d):
                 ref = expm(-1j * phi * _sector_generator(n))
-                assert np.max(np.abs(blocks[n] - ref)) < 1e-13, (d, phi, n)
+                assert np.max(np.abs(_sector_block(slots, n) - ref)) < 1e-13, (d, phi, n)
 
 
 def test_pair_rotation_gate_does_not_depend_on_chunking(monkeypatch):
     # at d = 41 the default chunk size gives three chunks of slots; one slot
-    # per chunk and all slots in one chunk give the same blocks bit for bit
+    # per chunk and all slots in one chunk give the same slots bit for bit
     gates = []
     for chunk_bytes in (1, mps.GATE_CHUNK_BYTES, 1 << 40):
         monkeypatch.setattr(mps, "GATE_CHUNK_BYTES", chunk_bytes)
-        gates.append(build_pair_rotation_gate(1, 0.7, 41).blocks)
-    for blocks in gates[1:]:
-        assert all(np.array_equal(a, b) for a, b in zip(gates[0], blocks))
+        gates.append(build_pair_rotation_gate(1, 0.7, 41).slots)
+    for slots in gates[1:]:
+        assert slots.tobytes() == gates[0].tobytes()
 
 
 def test_sector_eigenbasis_is_cached(monkeypatch):
@@ -93,7 +114,7 @@ def test_sector_eigenbasis_is_cached(monkeypatch):
     assert len(calls) <= 9
 
 
-PLAN_CACHES = (mps._two_site_plan_cached, mps._rdm_open_plan_cached,
+PLAN_CACHES = (mps._two_site_plan_cached, mps._w_index_cached, mps._rdm_open_plan_cached,
                mps._rdm_transfer_plan_cached, mps._rdm_close_plan_cached)
 
 
@@ -179,6 +200,7 @@ def test_cached_plans_are_read_only():
              mps._rdm_open_plan(st.charges[1], st.charges[2], d)]
     plans.append(mps._rdm_transfer_plan(plans[-1].structure, st.charges[2], st.charges[3], d))
     plans.append(mps._rdm_close_plan(plans[-1].structure, st.charges[3], d, False))
+    plans.append((mps._w_index(st.charges[3], st.charges[4], d),))
     assert all(cache.cache_info().hits > 0 for cache in PLAN_CACHES)
 
     def arrays(fields):
@@ -221,11 +243,11 @@ def test_gates_must_conserve_boson_number():
     st = from_fock([1, 0], d=2, chi_max=4, trunc_tol=1e-12)
     with pytest.raises(ValidationError, match="dimension"):
         apply_single(st, SingleModeGate(site=1, phases=np.ones(3, dtype=complex)))
-    good = build_pair_rotation_gate(1, 0.3, 2).blocks
-    with pytest.raises(ValidationError, match="sector blocks"):
-        apply_two(st, TwoModeGate(bond=1, blocks=good + (np.eye(3),)))
-    with pytest.raises(ValidationError, match="block 1"):
-        apply_two(st, TwoModeGate(bond=1, blocks=(good[0], np.eye(3))))
+    good = build_pair_rotation_gate(1, 0.3, 2).slots
+    assert good.shape == (1, 3, 3)
+    for slots in (np.concatenate([good, good]), good[:, :2, :2], np.eye(3), good[0]):
+        with pytest.raises(ValidationError, match="gate slots have shape"):
+            apply_two(st, TwoModeGate(bond=1, slots=slots))
 
 
 def test_two_site_sector_beyond_cutoff_raises():
@@ -288,6 +310,47 @@ def test_canonical_defect_at_scenario_scale():
         for trunc_tol, bound in [(1e-30, 1e-13), (1e-12, 1e-11)]:
             st = two_sum_state(z, c, 8, 8, chi_max=81, trunc_tol=trunc_tol)
             assert canonical_defect(st) < bound, (mu, trunc_tol)
+
+
+def test_condensate_bond_spectra_match_binomial_law():
+    # (sum_k c_k a_k^dag)^M |0> splits at bond b into sqrt(1 - p_b) A_L^dag +
+    # sqrt(p_b) A_R^dag, so the bond-b Schmidt weight of charge j (bosons to
+    # the right) is Binomial(M, p_b) at j, with p_b = sum_{k > b} |c_k|^2
+    n, m = 40, 20
+    c = _random_mode(n, 11)
+    st = condensate_state(c, m, trunc_tol=0.0)
+    assert st.discarded_weight == 0.0
+    j = np.arange(m + 1)
+    for bond in range(1, n):
+        p = np.sum(np.abs(c[bond:]) ** 2)
+        ref = np.exp(gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)) * p**j * (1 - p) ** (m - j)
+        weights = np.zeros(m + 1)
+        np.add.at(weights, st.charges[bond], st.lambdas[bond] ** 2)
+        assert np.max(np.abs(weights - ref)) < 1e-13, bond
+    assert np.max(np.abs(occupations(st) - m * np.abs(c) ** 2)) < 1e-13
+
+
+def test_environments_match_dense_contraction_on_truncated_states():
+    # chi_max = 8 and 12 truncate the M = 8 collision, so no canonical form
+    # holds; occupations, norm and canonical defect come from environments
+    # that keep only the charge-diagonal blocks of W^dag L W and W R W^dag
+    n, mu, m = 20, 6.0, 8
+    z, c = _collision_modes(n, mu)
+    for chi_max in (8, 12):
+        st = two_sum_state(z, c, m // 2, m // 2, chi_max=chi_max)
+        assert st.discarded_weight > 1e-3
+        left, right = _dense_envs(st)
+        b = [np.transpose(g, (1, 0, 2)) for g in st.gammas]
+        occ = [sum(lvl * np.trace(b[s][lvl].conj().T @ left[s] @ b[s][lvl] @ right[s + 1])
+                   for lvl in range(st.local_dim)).real for s in range(n)]
+        assert np.max(np.abs(occupations(st) - occ)) < 1e-13, chi_max
+        assert abs(state_norm(st) - np.sqrt(left[n][0, 0].real)) < 1e-13
+        defect = max([np.max(np.abs(env - np.diag(lam**2)))
+                      for lam, env in zip(st.lambdas, left)]
+                     + [np.max(np.abs(lam[:, None] * (env - np.eye(lam.shape[0])) * lam))
+                        for lam, env in zip(st.lambdas, right)])
+        assert defect > 1e-3  # truncation leaves the right condition broken
+        assert abs(canonical_defect(st) - defect) < 1e-13, chi_max
 
 
 def test_two_sum_state_matches_dense():
@@ -372,6 +435,18 @@ def test_interior_pair_rdms_match_reduced_pair_oracle_at_scenario_scale():
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14, (k, l)
 
 
+def _dense_envs(st):
+    """L[0..N] and R[0..N] by a plain per-level dense contraction, with no charge structure."""
+    b = [np.transpose(g, (1, 0, 2)) for g in st.gammas]  # b[s][m]: (chi_left, chi_right)
+    left = [np.ones((1, 1), dtype=complex)]
+    for s in range(st.n_sites):
+        left.append(sum(b[s][m].conj().T @ left[-1] @ b[s][m] for m in range(st.local_dim)))
+    right = [np.ones((1, 1), dtype=complex)]
+    for s in range(st.n_sites - 1, -1, -1):
+        right.append(sum(b[s][m] @ right[-1] @ b[s][m].conj().T for m in range(st.local_dim)))
+    return left, right[::-1]
+
+
 def _dense_pair_rdm(st, k, l):
     """rho_{k,l} of an MPS by a plain dense contraction, with no charge structure.
 
@@ -380,12 +455,8 @@ def _dense_pair_rdm(st, k, l):
     """
     b = [np.transpose(g, (1, 0, 2)) for g in st.gammas]  # b[s][m]: (chi_left, chi_right)
     bt = [np.swapaxes(g, 1, 2) for g in b]
-    left = np.ones((1, 1), dtype=complex)
-    for s in range(k - 1):
-        left = sum(bt[s][m] @ left @ b[s][m].conj() for m in range(st.local_dim))
-    right = np.ones((1, 1), dtype=complex)
-    for s in range(st.n_sites - 1, l - 1, -1):
-        right = sum(b[s][m] @ right @ bt[s][m].conj() for m in range(st.local_dim))
+    lefts, rights = _dense_envs(st)
+    left, right = lefts[k - 1].T, rights[l]  # L is (bra, ket), R (ket, bra)
     x = bt[k - 1][:, None] @ (left @ b[k - 1].conj())[None, :]  # (i, i', chi, chi)
     for s in range(k, l - 1):
         x = sum(bt[s][m] @ x @ b[s][m].conj() for m in range(st.local_dim))
@@ -501,9 +572,9 @@ def test_truncation_records_discarded_weight():
 def _dense_pair_gate(gate, d):
     """The d^2 x d^2 matrix of a pair-rotation gate, row index n_k * d + n_{k+1}."""
     u = np.zeros((d * d, d * d), dtype=complex)
-    for n, blk in enumerate(gate.blocks):
+    for n in range(d):
         idx = [n1 * d + (n - n1) for n1 in range(n + 1)]
-        u[np.ix_(idx, idx)] = blk
+        u[np.ix_(idx, idx)] = _sector_block(gate.slots, n)
     return u
 
 
