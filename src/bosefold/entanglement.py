@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ValidationError
 
@@ -76,8 +75,8 @@ def binomial_end_entanglement_exact(m: int) -> EntanglementResult:
     """E_N of the binomial Schmidt spectrum lambda_k = sqrt(C(M,k)/2^M)."""
     if m < 1:
         raise ValidationError("boson number must be >= 1")
-    k = np.arange(m + 1, dtype=float)
-    logc = gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+    logc = np.array([math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+                     for k in range(m + 1)])
     log_lam = 0.5 * (logc - m * math.log(2.0))
     peak = log_lam.max()
     total = peak + math.log(np.sum(np.exp(log_lam - peak)))

@@ -71,7 +71,6 @@ from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CutoffError, ValidationError
 from .folding import (FoldPlan, PairRotationOp, PhaseOp, TwoSumPlan, fold_single,
@@ -452,7 +451,7 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
 
 def _lift_factors(j: np.ndarray, m2: int) -> np.ndarray:
     """sqrt((j+m2)!/j!) in log space; exact matrix element of (a^dag)^m2."""
-    return np.exp(0.5 * (gammaln(j + m2 + 1) - gammaln(j + 1)))
+    return np.exp([0.5 * (math.lgamma(x + m2 + 1) - math.lgamma(x + 1)) for x in j.tolist()])
 
 
 def lift_first_site(state: BlockDecimationState, m2: int) -> BlockDecimationState:

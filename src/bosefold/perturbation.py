@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .heisenberg import propagate, spectral_decompose
 from .model import CouplingMatrix, build_jx, jz_values
@@ -71,8 +70,8 @@ def closed_form_series(n: int, beta: float) -> np.ndarray:
     out = np.zeros(n, dtype=complex)
     for k in range(j2 + 1):
         half = (j2 - k) / 2.0
-        logc = 0.5 * (gammaln(j2 + 1) - gammaln(k + 1) - gammaln(j2 - k + 1))
-        logg = 2.0 * gammaln(half + 0.5) - gammaln(half + 1.0)
+        logc = 0.5 * (math.lgamma(j2 + 1) - math.lgamma(k + 1) - math.lgamma(j2 - k + 1))
+        logg = 2.0 * math.lgamma(half + 0.5) - math.lgamma(half + 1.0)
         if beta == 0.0:
             mag = math.exp(logc + logg) if half == 0.0 else 0.0
         else:

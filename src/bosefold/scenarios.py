@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,6 +200,7 @@ def run_collision_sweep(spec: ScenarioSpec, threads: int = 1):
     m2 = spec.m2 if spec.m2 is not None else m - m1
     jobs = [(spec.model, float(mu), m1, m2, spec.numerics) for mu in spec.mu_values]
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # runs without a pool skip this import
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_sweep_point, jobs))
     return [_sweep_point(job) for job in jobs]

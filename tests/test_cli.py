@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -181,6 +186,39 @@ def test_selftest_reports_a_raising_check_as_fail(monkeypatch, capsys):
     assert out.count("PASS") == 4
     assert out.count("FAIL two-sum rho_") == 2
     assert "ValidationError: rho_{1,5} left the charge blocks" in out
+
+
+# Runs in a fresh interpreter, since the test modules themselves import scipy.
+# With sys.modules["scipy"] = None any import of scipy raises ImportError.
+RUNTIME_DEPS_SCRIPT = """\
+import json, sys
+sys.modules["scipy"] = None
+from bosefold.cli import main
+sweep_cfg, quench_cfg, out = sys.argv[1:]
+codes = [main(["selftest"]),
+         main(["sweep", "--config", sweep_cfg, "--out-dir", out + "/sweep", "--threads", "1"]),
+         main(["quench", "--config", quench_cfg, "--out-dir", out + "/quench"])]
+loaded = sorted(name for name, mod in sys.modules.items() if mod is not None
+                and (name.split(".")[0] == "scipy" or name == "concurrent.futures.process"))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_runs_without_scipy_or_the_process_pool(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    configs = {"sweep.ini": SWEEP_CFG, "quench.ini": QUENCH_CFG}
+    for name, text in configs.items():
+        (tmp_path / name).write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNTIME_DEPS_SCRIPT]
+        + [str(tmp_path / name) for name in configs] + [str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "loaded": []}
+    assert (tmp_path / "sweep" / "sweep.csv").exists()
+    assert (tmp_path / "quench" / "occupations_mps.csv").exists()
 
 
 def test_sweep_threads_flag(tmp_path):

