@@ -23,12 +23,23 @@ charge windows, stacked as slot tables padded with a zero row and column:
 one product contracts the windows into sector vectors, one real product
 rotates every slot's stack of pairs (a pair of sector n and one of sector
 d-1-n per column), one SVD call takes every lam-weighted window block (after
-a QR where the blocks are tall; where every block is one column, its norm is
-its singular value and no SVD runs), a mask keeps the largest singular
-values, and one assignment per tensor writes the kept right singular vectors
-and the blocks projected onto them.  The first-site lifting implements
+a QR where the blocks are tall), a mask keeps the largest singular values,
+and one assignment per tensor writes the kept right singular vectors and the
+blocks projected onto them.  The first-site lifting implements
 (a_1^dag)^M2 as a local index shift plus a rescale of B^[1] and lambda^[1],
 reading site-1 occupations from the labels.
+
+The fold replays rotate mostly into vacuum: every rotation of a condensate
+build, and the bridge and outer sweep of a two-sum build, acts on a bond
+whose right site, and every site beyond it, holds no boson.  There
+e^{-i phi Q}|r, 0> = sum_n sqrt(C(r, n)) cos^n(phi/2) (-sin(phi/2))^(r-n)
+|n, r-n>, so each left vector a, with all its ql[a] bosons on the left site,
+spreads over the new charges p = r - n with that amplitude: the new left
+tensor is the old B[a, ql[a], 0] times it at level ql[a] - p, the new right
+tensor is 1 at level p, and the Schmidt value of charge p is the
+lam-weighted norm of its column.  `_rotate_into_vacuum` writes a run of
+such rotations, and the phases after them, in that closed form, with the
+truncation rule of `apply_two` and no gate, plan or SVD.
 
 The charges make each site one chi_L x chi_R matrix
 W[b, c] = B[b, q(b) - q(c), c], gathered through one cached flat-index
@@ -353,6 +364,24 @@ def _two_site_plan_cached(ql, qm, qr, d: int) -> TwoSitePlan:
         left_out=left_out, right_out=lvl_r * (chi_r + 1) + cols))
 
 
+def _truncate(state: BlockDecimationState, s_all: np.ndarray, total: float):
+    """Keep rule of a bond update over its new singular values s_all, total = sum s_all^2.
+
+    Keeps the values with s^2 / total >= trunc_tol and s > 0, at most chi_max
+    of the largest and at least one, and adds the rest, summed in descending
+    order, to the discarded weight.  Returns the kept mask over s_all and the
+    kept norm, which the update divides out.
+    """
+    order = np.argsort(-s_all, kind="stable")
+    s_sorted = s_all[order]
+    keep = (s_sorted**2 / total >= state.trunc_tol) & (s_sorted > 0)
+    chi_new = max(min(int(np.count_nonzero(keep)), state.chi_max), 1)
+    state.discarded_weight += float(np.sum(s_sorted[chi_new:] ** 2) / total)
+    kept = np.zeros(s_all.shape[0], dtype=bool)
+    kept[order[:chi_new]] = True
+    return kept, math.sqrt(float(np.sum(s_all[kept] ** 2)))
+
+
 def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimationState:
     """Inverse-free two-site update on charge blocks: contract, rotate, SVD,
     truncate, write back, each stage one padded batched call.
@@ -365,8 +394,7 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     extra zero row and column of v, so every middle-charge product runs in
     one matmul and every new-charge block, lambda^[k-1]-weighted, in one SVD
     call; the singular values of a block are the first min(rows, cols) of
-    its padded SVD, and a stack of one-column blocks needs no SVD: the norm
-    of each column is its singular value, and V^dag = 1.  The rotation
+    its padded SVD.  The rotation
     stacks the pairs of sectors n and d-1-n in the columns of the gate's
     shared slot and runs one real product over all slots.  The new right
     tensor is the kept V^dag rows and the new left tensor the unweighted block
@@ -408,35 +436,24 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     # SVD: the window blocks of every new middle charge q in one padded stack
     mats = v.reshape(-1)[window]
     stack = lam[plan.rows][:, :, None] * mats
-    if stack.shape[2] == 1:
-        # one column per block: its norm is the singular value, and V^dag = 1
-        s_pad = np.linalg.norm(stack, axis=1)
-        vh = np.ones(stack.shape[:1] + (1, 1))
-    else:
-        if plan.qr_first:
-            # same singular values and V^dag; the SVD then skips forming the tall U
-            stack = np.linalg.qr(stack, mode="r")
-        _, s_pad, vh = np.linalg.svd(stack, full_matrices=False)
+    if plan.qr_first:
+        # same singular values and V^dag; the SVD then skips forming the tall U
+        stack = np.linalg.qr(stack, mode="r")
+    _, s_pad, vh = np.linalg.svd(stack, full_matrices=False)
     s_all = s_pad[plan.valid]  # concatenation order: q ascending, descending within q
     total = float(np.sum(s_all**2))
     if abs(norm2 - total) > SECTOR_LEAK_TOL * norm2:
         raise ValidationError("two-site update left weight outside the charge blocks")
 
-    # truncation: keep the largest values, as a mask over (block, index)
-    order = np.argsort(-s_all, kind="stable")
-    s_sorted = s_all[order]
-    keep = (s_sorted**2 / total >= state.trunc_tol) & (s_sorted > 0)
-    chi_new = max(min(int(np.count_nonzero(keep)), state.chi_max), 1)
-    state.discarded_weight += float(np.sum(s_sorted[chi_new:] ** 2) / total)
-    kept = np.zeros(s_all.shape[0], dtype=bool)
-    kept[order[:chi_new]] = True
+    # truncation, as a mask over (block, index)
+    kept, s_norm = _truncate(state, s_all, total)
     mask = np.zeros(s_pad.shape, dtype=bool)
     mask[plan.valid] = kept
     blk, t = np.nonzero(mask)  # row-major: new bond sorted by charge
     s = s_pad[blk, t]
-    s_norm = math.sqrt(float(np.sum(s**2)))
 
     # write-back: kept columns of mats V, kept rows of V^dag
+    chi_new = s.shape[0]
     col = np.arange(chi_new)[:, None]
     gam_l = np.zeros((chi_l + 1, d, chi_new), dtype=complex)
     gam_l.reshape(-1, chi_new)[plan.left_out[blk], col] = \
@@ -446,6 +463,72 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     state.gammas[k], state.gammas[k + 1] = gam_l[:-1], gam_r[:, :, :-1]
     state.lambdas[k + 1] = s / s_norm
     state.charges[k + 1] = plan.qs[blk]
+    return state
+
+
+@functools.lru_cache(maxsize=None)
+def _sqrt_binomials(d: int) -> np.ndarray:
+    """Read-only (d, d) table of sqrt(C(r, p)), 0 for p > r."""
+    table = np.array([[math.sqrt(math.comb(r, p)) for p in range(d)] for r in range(d)])
+    table.setflags(write=False)
+    return table
+
+
+def _rotate_into_vacuum(state: BlockDecimationState, site: int, angles,
+                        phases) -> BlockDecimationState:
+    """Rotations e^{-i phi Q} on bonds site, site+1, ... (one per angle), then
+    phases e^{-i theta n} on sites site..site+len(angles) (one per site),
+    all in closed form.
+
+    The state must be vacuum to the right of `site`, its vacuum sites the
+    1 at level 0 of `from_fock`.  The rotation on bond b then sees every
+    left vector a of bond b-1 with all its ql[a] bosons on site b, at
+    amplitude B[a, ql[a], 0], and leaves p of them on site b+1 at amplitude
+    sqrt(C(ql[a], p)) cos^(ql[a]-p)(phi/2) (-sin(phi/2))^p: one column per
+    new charge p, with its lam-weighted norm for singular value and
+    V^dag = 1.  `_truncate` keeps what `apply_two` would keep.  Site b is
+    final after the rotation on bond b, so its phase is folded in as it is
+    written; site b+1 is then one vector per charge, 1 at level p, the
+    vacuum input of the next rotation, and the last site takes its phase at
+    that level.  The sector of bond b is the occupation of site b, below d,
+    so the CutoffError of `apply_two` cannot arise.
+    """
+    d = state.local_dim
+    k0 = site - 1
+    last = k0 + len(angles)  # last site touched, 0-based
+    if k0 < 0 or last >= state.n_sites:
+        raise ValidationError(f"bonds {site}..{site + len(angles) - 1} outside chain")
+    for q in state.charges[k0 + 1:last + 2]:
+        if q.shape != (1,) or q[0] != 0:
+            raise ValidationError(f"site {site} is not followed by vacuum; "
+                                  "the closed-form rotations need it")
+    ql = state.charges[k0]
+    rows = np.arange(ql.shape[0])
+    amp = state.gammas[k0][rows, ql, 0]
+    lam = state.lambdas[k0]
+    sqrt_binom = _sqrt_binomials(d)
+    n = np.arange(d)
+    for k, phi in enumerate(angles, start=k0):
+        p = n[:ql[-1] + 1]
+        level = np.maximum(ql[:, None] - p, 0)  # left on site k+1; p > ql[a] reads 0
+        rot = (sqrt_binom[ql, :p.shape[0]] * (math.cos(phi / 2) ** n)[level]
+               * (-math.sin(phi / 2)) ** p)
+        s_all = np.sqrt(np.abs(lam * amp) ** 2 @ rot**2)
+        total = float(np.sum(s_all**2))
+        if total == 0.0:
+            raise ValidationError("two-site block vanished; state is not normalized")
+        kept, s_norm = _truncate(state, s_all, total)
+        level = level[:, kept]
+        gam = np.zeros((ql.shape[0], d, level.shape[1]), dtype=complex)
+        gam[rows[:, None], level, np.arange(level.shape[1])] = (
+            (amp / s_norm)[:, None] * rot[:, kept] * np.exp(-1j * phases[k - k0] * n)[level])
+        state.gammas[k] = gam
+        lam = state.lambdas[k + 1] = s_all[kept] / s_norm
+        ql = state.charges[k + 1] = p[kept]
+        rows, amp = np.arange(ql.shape[0]), np.ones(ql.shape[0])
+    gam = np.zeros((ql.shape[0], d, 1), dtype=complex)
+    gam[rows, ql, 0] = amp * np.exp(-1j * phases[-1] * ql)
+    state.gammas[last] = gam
     return state
 
 
@@ -535,13 +618,13 @@ def _left_envs(state: BlockDecimationState):
         yield env
 
 
-def _right_envs(state: BlockDecimationState):
+def _right_envs(state: BlockDecimationState, ws=None):
     """Yield R[N], R[N-1], ..., R[0]: R[k] contracts sites k+1..N (R[N] = 1),
-    R[k] = mask o (W R[k+1] W^dag)."""
+    R[k] = mask o (W R[k+1] W^dag); ws, if given, lists the W of every site."""
     env = np.ones((1, 1), dtype=complex)
     yield env
     for k in range(state.n_sites - 1, -1, -1):
-        w = _site_w(state, k)
+        w = _site_w(state, k) if ws is None else ws[k]
         env = (w @ env @ w.conj().T) * _same_charge(state.charges[k])
         yield env
 
@@ -569,13 +652,13 @@ def occupations(state: BlockDecimationState) -> np.ndarray:
     """Per-site <n_k> for all sites: one right sweep, then one left sweep.
 
     <n_k> = Re sum conj(W) o (L[k-1] W R[k]) o (q_in[a] - q_out[b]), the level
-    of each entry of W read off the charges.
+    of each entry of W read off the charges.  Both sweeps share one W per site.
     """
-    right = list(_right_envs(state))[::-1]
+    ws = [_site_w(state, k) for k in range(state.n_sites)]
+    right = list(_right_envs(state, ws))[::-1]
     out = np.zeros(state.n_sites)
     env = np.ones((1, 1), dtype=complex)
-    for k in range(state.n_sites):
-        w = _site_w(state, k)
+    for k, w in enumerate(ws):
         lw = env @ w
         level = state.charges[k][:, None] - state.charges[k + 1]
         out[k] = np.sum(w.conj() * (lw @ right[k + 1]) * level).real
@@ -694,7 +777,7 @@ def _rdm_open_plan_cached(q_before, q, d: int) -> RdmOpenPlan:
     hi, lo = np.tril_indices(d)
     # blocks (i, i', t), i >= i', with t a bond-(k-1) charge and bra charge
     # t - i and ket charge t - i' on bond k; X vanishes outside them
-    u = np.unique(q)
+    u = np.unique(q, return_index=True)[0]  # the bare call form imports numpy.ma
     t = u + occ[:, None]
     has_ket = np.isin(t[:, None, :] - occ[None, :, None], u)
     reach = np.isin(t, q_before)[:, None, :] & (occ[:, None] >= occ)[:, :, None]
@@ -741,11 +824,11 @@ def _rdm_transfer_plan_cached(structure, q_in, q_out, d: int) -> RdmTransferPlan
     y_rows = int(y0[-1])
     # out blocks: level m takes t to t - m, and the other side, contracted
     # second, becomes the group side
-    u_out, start_out, count_out = np.unique(q_out, return_index=True, return_counts=True)
+    u_out = np.unique(q_out, return_index=True)[0]
     t_out = t[:, None] - np.arange(d)
     ok = _sector_of(u_out, t_out - o[:, None])[1] & _sector_of(u_out, t_out - g[:, None])[1]
     blk, m = np.nonzero(ok)
-    code = np.unique(_block_code(o[blk], g[blk], t_out[blk, m], d))
+    code = np.unique(_block_code(o[blk], g[blk], t_out[blk, m], d), return_index=True)[0]
     g2, o2 = code // d % d, code % d
     t2 = code // (d * d) + g2
     out = _layout(g2, o2, t2, q_out)
@@ -937,6 +1020,26 @@ def replay_plan_gates(state: BlockDecimationState, plan: FoldPlan) -> BlockDecim
     return state
 
 
+def _inverse_angles(plan: FoldPlan, first_bond: int):
+    """The inverse of a fold plan as rotation angles, in replay order, and one
+    phase angle per site.
+
+    A fold plan strips its phases before it rotates on bonds N-1 down to
+    `first_bond`, so its inverse rotates on bonds first_bond..N-1 first, and
+    its phases, which commute, follow.
+    """
+    inverse = invert_plan(plan).ops
+    angles = [op.angle for op in inverse if isinstance(op, PairRotationOp)]
+    if [getattr(op, "bond", None) for op in inverse[:len(angles)]] != \
+            list(range(first_bond, plan.n_modes)):
+        raise ValidationError(f"fold plan must rotate on bonds {plan.n_modes - 1}..{first_bond} "
+                              "after its phases")
+    phases = np.zeros(plan.n_modes)
+    for op in inverse[len(angles):]:
+        phases[op.site - 1] += op.angle
+    return angles, phases
+
+
 def _numerics(m_total, d, chi_max, trunc_tol):
     if d is None:
         d = m_total + 1
@@ -949,17 +1052,20 @@ def _numerics(m_total, d, chi_max, trunc_tol):
 
 def condensate_state(c, m: int, d: int | None = None, chi_max: int | None = None,
                      trunc_tol: float = 1e-12) -> BlockDecimationState:
-    """MPS of the single-condensate state (sum_k c_k a_k^dag)^M |0> (normalized)."""
+    """MPS of the single-condensate state (sum_k c_k a_k^dag)^M |0> (normalized).
+
+    The inverse fold plan rotates |M, 0, ..., 0> into vacuum on bonds 1..N-1
+    and then strips phases, so the whole replay is one `_rotate_into_vacuum`.
+    """
     c = _coeffs(c)
     norm = np.linalg.norm(c)
     if norm == 0.0:
         raise ValidationError("condensate mode must be nonzero")
     c = c / norm
     d, chi_max, trunc_tol = _numerics(m, d, chi_max, trunc_tol)
-    plan = fold_single(c)
-    occ = [m] + [0] * (c.shape[0] - 1)
-    state = from_fock(occ, d, chi_max, trunc_tol)
-    return replay_plan_gates(state, invert_plan(plan))
+    angles, phases = _inverse_angles(fold_single(c), 1)
+    state = from_fock([m] + [0] * (c.shape[0] - 1), d, chi_max, trunc_tol)
+    return _rotate_into_vacuum(state, 1, angles, phases)
 
 
 def two_sum_state(z, c, m1: int, m2: int, d: int | None = None,
@@ -969,6 +1075,9 @@ def two_sum_state(z, c, m1: int, m2: int, d: int | None = None,
 
     Replays the folding in reverse: seed |M1,0,...>, bridge rotation on bond
     1, lift by M2, inverse bridge, inverse partial plan, inverse inner plan.
+    The bridge and the rotations of the inverse partial plan rotate into
+    vacuum (`_rotate_into_vacuum`); the inverse bridge and the inner plan run
+    as gates.
     The inverse bridge undoes the conjugation picked up when the seed form
     is pushed through the bond-1 rotation; the final scalar phase accounts
     for the site-1 phase strip acting on the already-folded inner sum.
@@ -982,10 +1091,13 @@ def two_sum_state(z, c, m1: int, m2: int, d: int | None = None,
         plan = fold_two(z, c, m1, m2)
     n = z.shape[0]
     state = from_fock([m1] + [0] * (n - 1), d, chi_max, trunc_tol)
-    apply_two(state, build_pair_rotation_gate(1, plan.bridging_angle, d))
+    _rotate_into_vacuum(state, 1, [plan.bridging_angle], [0.0, 0.0])
     lift_first_site(state, m2)
     apply_two(state, build_pair_rotation_gate(1, -plan.bridging_angle, d))
-    replay_plan_gates(state, invert_plan(plan.plan2_partial))
+    # sites 3..N are still vacuum for the inverse partial plan
+    angles, phases = _inverse_angles(plan.plan2_partial, 2)
+    _rotate_into_vacuum(state, 2, angles, phases[1:])
+    apply_single(state, build_phase_gate(1, phases[0], d))
     replay_plan_gates(state, invert_plan(plan.plan1))
     state.gammas[0] = state.gammas[0] * np.exp(-1j * plan.site1_phase * plan.m1)
     return state

@@ -89,6 +89,12 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
         raise ConfigError(f"chi_max must be >= 1, got {num.chi_max}")
     if not 0.0 <= num.trunc_tol < 1.0:  # also rejects nan
         raise ConfigError(f"trunc_tol must be finite and in [0, 1), got {num.trunc_tol}")
+    if not all(math.isfinite(t) for t in (spec.t_start, spec.t_end, *spec.snapshot_times)):
+        raise ConfigError("t_start, t_end and snapshot_times must be finite")
+    for key in ("m", "m1", "m2"):
+        count = getattr(spec, key)
+        if count is not None and count < 0:
+            raise ConfigError(f"{key} must be >= 0, got {count}")
     if spec.kind == "transfer_report":
         if spec.model is None or spec.epsilon is None or spec.beta is None:
             raise ConfigError("transfer_report needs a model plus epsilon and beta")

@@ -139,6 +139,22 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "[scenario]\nkind = nope\n")
     assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+    # non-finite times and negative boson counts are config errors too, not
+    # nan rows or a numeric error at run time
+    bad = [QUENCH_CFG.replace("snapshot_times = 1.0", f"snapshot_times = {t}")
+           for t in ("nan", "inf")]
+    bad += [QUENCH_CFG.replace("t_end = 2", "t_end = nan"),
+            QUENCH_CFG.replace("m = 3", "m = -1")]
+    for i, text in enumerate(bad):
+        out = tmp_path / f"quench-{i}"
+        assert main(["quench", "--config", _write(tmp_path, text), "--out-dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+    for key in ("m1", "m2"):
+        text = SWEEP_CFG.replace(f"{key} = 1", f"{key} = -1")
+        assert main(["sweep", "--config", _write(tmp_path, text), "--out-dir",
+                     str(tmp_path / key)]) == 2
+        assert f"{key} must be >= 0" in capsys.readouterr().err
 
 
 def test_kind_must_match_subcommand(tmp_path, capsys):
@@ -199,7 +215,8 @@ codes = [main(["selftest"]),
          main(["sweep", "--config", sweep_cfg, "--out-dir", out + "/sweep", "--threads", "1"]),
          main(["quench", "--config", quench_cfg, "--out-dir", out + "/quench"])]
 loaded = sorted(name for name, mod in sys.modules.items() if mod is not None
-                and (name.split(".")[0] == "scipy" or name == "concurrent.futures.process"))
+                and (name.split(".")[0] == "scipy"
+                     or name in ("concurrent.futures.process", "numpy.ma")))
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 

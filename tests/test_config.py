@@ -117,6 +117,22 @@ def test_validation_rules_surface_as_config_errors():
     odd_m = GOOD_SWEEP.replace("m2 = 2", "m2 = 1")
     with pytest.raises(ConfigError):
         parse_config_text(odd_m)
+    for key in ("m1", "m2"):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
+            parse_config_text(GOOD_SWEEP.replace(f"{key} = 2", f"{key} = -2"))
+    quench = ("[scenario]\nkind = quench_release\nm = {m}\nt_start = {t0}\nt_end = {t1}\n"
+              "steps = 3\nsnapshot_times = {snap}\n\n"
+              "[model]\nn_sites = 6\nbase = jx\nbarrier = 3 4 50\n")
+    good = dict(m="3", t0="0", t1="2", snap="0.5 1")
+    assert parse_config_text(quench.format(**good)).snapshot_times == (0.5, 1.0)
+    with pytest.raises(ConfigError, match="m must be >= 0"):
+        parse_config_text(quench.format(**dict(good, m="-1")))
+    for key in ("t0", "t1", "snap"):
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match="must be finite"):
+                parse_config_text(quench.format(**dict(good, **{key: bad})))
+    with pytest.raises(ConfigError, match="must be finite"):
+        parse_config_text(quench.format(**dict(good, snap="0.5 nan")))
 
 
 def test_chi_max_below_one_rejected():

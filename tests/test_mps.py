@@ -7,7 +7,7 @@ from scipy.special import gammaln
 
 from bosefold import dense, mps
 from bosefold.errors import CutoffError, ValidationError
-from bosefold.folding import fold_single, invert_plan
+from bosefold.folding import fold_single, fold_two, invert_plan
 from bosefold.heisenberg import propagate, spectral_decompose
 from bosefold.model import ModelSpec, add_onsite_barrier, build_coupling
 from bosefold.mps import (SingleModeGate, TwoModeGate, _sector_eigh, amplitude, apply_single,
@@ -652,6 +652,101 @@ def test_replay_inverse_plan_builds_condensate():
     replay_plan_gates(st, invert_plan(plan))
     ref = dense.condensate_amplitudes(c, m)
     assert np.max(np.abs(_all_amplitudes(st, n, m) - ref)) < 1e-12
+
+
+def test_closed_form_rotation_matches_gate_column():
+    # e^{-i phi Q}|r, 0> written in closed form against the |r, 0> column of
+    # the gate's sector-r block (rows n_k = 0..r)
+    phis = (0.0, np.pi, -np.pi, np.random.default_rng(5).uniform(-np.pi, np.pi))
+    for d in (2, 5, 21, 33):
+        for phi in phis:
+            slots = build_pair_rotation_gate(1, phi, d).slots
+            for r in range(d):
+                st = from_fock([r, 0], d=d, chi_max=d, trunc_tol=0.0)
+                mps._rotate_into_vacuum(st, 1, [phi], [0.0, 0.0])
+                column = [amplitude(st, (n, r - n)) for n in range(r + 1)]
+                dev = np.max(np.abs(column - _sector_block(slots, r)[:, r]))
+                assert dev < 1e-13, (d, phi, r)
+
+
+def _overlap(a, b):
+    """<a|b> by a dense per-level contraction of the two site-tensor chains."""
+    env = np.ones((1, 1), dtype=complex)
+    for ga, gb in zip(a.gammas, b.gammas):
+        env = np.einsum("xy,xnu,ynv->uv", env, ga.conj(), gb)
+    return env[0, 0]
+
+
+def _assert_same_state(st, ref, same_gauge, tol=1e-13):
+    for b in range(st.n_sites + 1):
+        assert np.array_equal(st.charges[b], ref.charges[b]), b
+        assert np.max(np.abs(st.lambdas[b] - ref.lambdas[b])) < tol, b
+    if same_gauge:
+        for k, (g, g_ref) in enumerate(zip(st.gammas, ref.gammas)):
+            assert g.shape == g_ref.shape and np.max(np.abs(g - g_ref)) < tol, k
+    else:
+        assert abs(_overlap(st, ref) - 1.0) < 10 * tol
+    # weights of singular values at round-off (~1e-15) are compared absolutely
+    assert st.discarded_weight == pytest.approx(ref.discarded_weight, rel=1e-9, abs=1e-20)
+
+
+def test_condensate_state_matches_gate_replay():
+    n, m = 40, 20
+    c = _random_mode(n, 13)
+    for chi_max, trunc_tol in ((84, 1e-12), (2, 1e-12), (84, 0.0)):
+        st = condensate_state(c, m, chi_max=chi_max, trunc_tol=trunc_tol)
+        ref = from_fock([m] + [0] * (n - 1), d=m + 1, chi_max=chi_max, trunc_tol=trunc_tol)
+        replay_plan_gates(ref, invert_plan(fold_single(c)))
+        _assert_same_state(st, ref, same_gauge=True)
+        assert (st.discarded_weight > 0) == (trunc_tol > 0)
+
+
+def test_two_sum_state_matches_gate_replay():
+    # the bridge and the inverse partial plan in closed form against the same
+    # build with every rotation an `apply_two` and every phase an `apply_single`;
+    # the inner sweep's SVDs may pick other singular vectors within a
+    # degenerate value, so the states are compared by their overlap
+    n, m1, m2 = 20, 4, 4
+    z, c = _collision_modes(n, 6.0)
+    z, c = z / np.linalg.norm(z), c / np.linalg.norm(c)
+    plan = fold_two(z, c, m1, m2)
+    d = m1 + m2 + 1
+    for chi_max in (36, 12):
+        st = two_sum_state(z, c, m1, m2, chi_max=chi_max)
+        ref = from_fock([m1] + [0] * (n - 1), d=d, chi_max=chi_max, trunc_tol=1e-12)
+        apply_two(ref, build_pair_rotation_gate(1, plan.bridging_angle, d))
+        lift_first_site(ref, m2)
+        apply_two(ref, build_pair_rotation_gate(1, -plan.bridging_angle, d))
+        replay_plan_gates(ref, invert_plan(plan.plan2_partial))
+        replay_plan_gates(ref, invert_plan(plan.plan1))
+        ref.gammas[0] = ref.gammas[0] * np.exp(-1j * plan.site1_phase * m1)
+        _assert_same_state(st, ref, same_gauge=False)
+        assert np.max(np.abs(occupations(st) - occupations(ref))) < 1e-13
+        assert np.max(np.abs(reduced_density_two_sites(st, 1, n)
+                             - reduced_density_two_sites(ref, 1, n))) < 1e-13
+
+
+def test_closed_form_rotations_check_their_input():
+    st = from_fock([2, 1, 0], d=4, chi_max=8, trunc_tol=1e-12)
+    with pytest.raises(ValidationError, match="not followed by vacuum"):
+        mps._rotate_into_vacuum(st, 1, [0.3], [0.0, 0.0])
+    with pytest.raises(ValidationError, match="not followed by vacuum"):
+        mps._rotate_into_vacuum(from_fock([2, 0, 1], d=4, chi_max=8, trunc_tol=1e-12),
+                                1, [0.3, 0.2], [0.0, 0.0, 0.0])
+    for site, angles in ((0, [0.3]), (2, [0.3, 0.2])):
+        with pytest.raises(ValidationError, match="outside chain"):
+            mps._rotate_into_vacuum(st, site, angles, [0.0] * (len(angles) + 1))
+    st.lambdas[1] = np.zeros(1)
+    with pytest.raises(ValidationError, match="vanished"):
+        mps._rotate_into_vacuum(st, 2, [0.3], [0.0, 0.0])
+    # a two-sum plan whose partial plan rotates before its phases
+    z, c = _random_mode(5, 1), _random_mode(5, 2)
+    plan = fold_two(z, c, 1, 1)
+    bad = replace(plan, plan2_partial=replace(plan.plan2_partial,
+                                              ops=plan.plan2_partial.ops[::-1]))
+    two_sum_state(z, c, 1, 1, plan=plan)
+    with pytest.raises(ValidationError, match="fold plan must rotate"):
+        two_sum_state(z, c, 1, 1, plan=bad)
 
 
 def test_total_boson_cutoff_check():
