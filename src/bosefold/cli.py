@@ -43,11 +43,13 @@ def _fmt(x: float) -> str:
 
 
 def write_occupations_csv(path, times, occ) -> None:
+    lines = ["t,site,n\n"]
+    for t, row in zip(times, occ):
+        t = _fmt(float(t))
+        lines.extend(f"{t},{site},{_fmt(n)}\n"
+                     for site, n in enumerate(np.asarray(row, dtype=float).tolist(), start=1))
     with open(path, "w", newline="") as fh:
-        fh.write("t,site,n\n")
-        for t, row in zip(times, occ):
-            for site, n in enumerate(row, start=1):
-                fh.write(f"{_fmt(float(t))},{site},{_fmt(float(n))}\n")
+        fh.write("".join(lines))
 
 
 def write_sweep_csv(path, records) -> None:

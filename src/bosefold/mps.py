@@ -37,9 +37,18 @@ e^{-i phi Q}|r, 0> = sum_n sqrt(C(r, n)) cos^n(phi/2) (-sin(phi/2))^(r-n)
 spreads over the new charges p = r - n with that amplitude: the new left
 tensor is the old B[a, ql[a], 0] times it at level ql[a] - p, the new right
 tensor is 1 at level p, and the Schmidt value of charge p is the
-lam-weighted norm of its column.  `_rotate_into_vacuum` writes a run of
-such rotations, and the phases after them, in that closed form, with the
-truncation rule of `apply_two` and no gate, plan or SVD.
+lam-weighted norm of its column.  Past its first bond such a run has at
+most one Schmidt vector per charge, so each bond of a state is a row over
+the charge axis 0..M with a kept mask, and `_vacuum_rotations` runs the
+keep pass of many states at once: per bond, one batched product
+s^2 = w rot^2 gives every state's squared Schmidt values from the lam^2
+row w of the bond before, `_truncate` applies the keep rule of `apply_two`
+row by row, and the kept, renormalized lam^2 is the next row.  A state's
+tensors, phases folded in, are written only when it is yielded, every site
+from one index table, so a caller that measures the states one by one
+holds at most two (`condensate_states`).  The bridge and outer sweep of a
+two-sum build run the same code with one row.  No gate, plan or SVD runs
+there.
 
 The charges make each site one chi_L x chi_R matrix
 W[b, c] = B[b, q(b) - q(c), c], gathered through one cached flat-index
@@ -364,22 +373,29 @@ def _two_site_plan_cached(ql, qm, qr, d: int) -> TwoSitePlan:
         left_out=left_out, right_out=lvl_r * (chi_r + 1) + cols))
 
 
-def _truncate(state: BlockDecimationState, s_all: np.ndarray, total: float):
-    """Keep rule of a bond update over its new singular values s_all, total = sum s_all^2.
+def _truncate(s: np.ndarray, total: np.ndarray, chi_max: int, trunc_tol: float):
+    """Keep rule of bond updates, one row of new singular values s per update,
+    total[row] = sum s[row]^2.
 
-    Keeps the values with s^2 / total >= trunc_tol and s > 0, at most chi_max
-    of the largest and at least one, and adds the rest, summed in descending
-    order, to the discarded weight.  Returns the kept mask over s_all and the
-    kept norm, which the update divides out.
+    Each row keeps the values with s^2 / total >= trunc_tol and s > 0, at most
+    chi_max of the largest (the first on ties) and at least one.  Returns the
+    kept mask over s, the kept norms, which the updates divide out, and the
+    discarded weights, the rest of each row summed in descending order.
     """
-    order = np.argsort(-s_all, kind="stable")
-    s_sorted = s_all[order]
-    keep = (s_sorted**2 / total >= state.trunc_tol) & (s_sorted > 0)
-    chi_new = max(min(int(np.count_nonzero(keep)), state.chi_max), 1)
-    state.discarded_weight += float(np.sum(s_sorted[chi_new:] ** 2) / total)
-    kept = np.zeros(s_all.shape[0], dtype=bool)
-    kept[order[:chi_new]] = True
-    return kept, math.sqrt(float(np.sum(s_all[kept] ** 2)))
+    rows, n = s.shape
+    order = np.argsort(-s, axis=1, kind="stable")
+    order += np.arange(0, rows * n, n)[:, None]  # flat indices into s
+    s_sorted = s.reshape(-1)[order]
+    sq = s_sorted**2
+    # both conditions hold on a prefix of each descending row, so the kept
+    # values are that prefix, cut at chi_max and at least the first
+    head = (sq / total[:, None] >= trunc_tol) & (s_sorted > 0)
+    head[:, max(chi_max, 1):] = False
+    head[:, 0] = True
+    kept = np.empty(s.shape, dtype=bool)
+    kept.reshape(-1)[order] = head
+    tail = np.where(head, 0.0, sq)
+    return kept, np.sqrt(np.add.reduce(sq - tail, 1)), np.add.reduce(tail, 1) / total
 
 
 def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimationState:
@@ -446,9 +462,12 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
         raise ValidationError("two-site update left weight outside the charge blocks")
 
     # truncation, as a mask over (block, index)
-    kept, s_norm = _truncate(state, s_all, total)
+    kept, s_norm, discarded = _truncate(s_all[None], np.array([total]), state.chi_max,
+                                        state.trunc_tol)
+    state.discarded_weight += float(discarded[0])
+    s_norm = float(s_norm[0])
     mask = np.zeros(s_pad.shape, dtype=bool)
-    mask[plan.valid] = kept
+    mask[plan.valid] = kept[0]
     blk, t = np.nonzero(mask)  # row-major: new bond sorted by charge
     s = s_pad[blk, t]
 
@@ -467,33 +486,129 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
 
 
 @functools.lru_cache(maxsize=None)
-def _sqrt_binomials(d: int) -> np.ndarray:
-    """Read-only (d, d) table of sqrt(C(r, p)), 0 for p > r."""
-    table = np.array([[math.sqrt(math.comb(r, p)) for p in range(d)] for r in range(d)])
-    table.setflags(write=False)
-    return table
+def _charge_axis(width: int):
+    """Read-only (width, width) tables over charges r, p = 0..width-1:
+    sqrt(C(r, p)) (0 for p > r), the level max(r - p, 0), and p <= r."""
+    r, p = np.arange(width)[:, None], np.arange(width)
+    tables = (np.array([[math.sqrt(math.comb(i, j)) for j in range(width)]
+                        for i in range(width)]), np.maximum(r - p, 0), r >= p)
+    return _frozen(tables)
+
+
+def _rotation_factors(angles, q: int):
+    """cos^n(phi/2) and (-sin(phi/2))^n for n = 0..q, one row per angle phi.
+
+    e^{-i phi Q}|r, 0> leaves |r-p, p> at amplitude
+    sqrt(C(r, p)) cos^(r-p)(phi/2) (-sin(phi/2))^p, 0 for p > r.
+    """
+    n = np.arange(q + 1)
+    half = np.asarray(angles)[:, None] / 2
+    return np.cos(half) ** n, (-np.sin(half)) ** n
+
+
+def _vacuum_rotations(starts, angles, phases, d: int, chi_max: int, trunc_tol: float):
+    """Rotations e^{-i phi Q} on bonds k..k+B-1, then phases e^{-i theta n} on
+    sites k..k+B, in closed form for a batch of states that hold no boson
+    right of site k; a generator over the states, in order.
+
+    starts[i] = (ql, amp, lam) is state i's bond k-1: its charges, the
+    amplitudes B[a, ql[a], 0] and the Schmidt values; angles[i] and
+    phases[i] hold its B rotation and B+1 phase angles.  The rotation on
+    bond b sees every left vector a with all its ql[a] bosons on site b and
+    leaves p of them on site b+1 at amplitude rot[ql[a], p] (see
+    `_rotation_factors`): one column per new charge p, with its lam-weighted
+    norm for singular value and V^dag = 1.  So each bond of a state is a row
+    over the charges 0..q, q the largest start charge.  Per bond, one
+    batched product gives every state's squared singular values,
+    s^2 = w rot^2 with w[r] the lam^2 weight of charge r on the bond before;
+    `_truncate` keeps, row by row, what `apply_two` would keep; and the
+    kept, renormalized lam^2 is the next w.  Past bond k-1 a bond has at
+    most one vector per charge, 1 at level p of its right site: the vacuum
+    input of the next rotation.  The last site's right bond is the chain
+    end, reached as a rotation by 0 with norm 1.  The sector of bond b is
+    the occupation of site b, below d, so the CutoffError of `apply_two`
+    cannot arise.
+
+    The keep pass runs for every state at the first `next`, so a vanished
+    block raises before anything is yielded.  Then each state's tensors are
+    written as it is yielded: the sites k..k+B, each with its phase folded
+    in, the Schmidt values and charges of bonds k..k+B-1, and the discarded
+    weight.  Site k, whose left bond can hold several vectors per charge, is
+    written vector by vector; sites k+1..k+B come from one index table over
+    (site, r, p), with one `zeros` and one put per site.
+    """
+    angles = np.asarray(angles, dtype=float)
+    q = max(int(ql[-1]) for ql, _, _ in starts)
+    w = np.array([np.bincount(ql, np.abs(lam * amp) ** 2, q + 1) for ql, amp, lam in starts])
+    rows, bonds = angles.shape
+    kept = np.ones((rows, bonds + 1, q + 1), dtype=bool)
+    kept[:, bonds, 1:] = False  # the chain end: charge 0
+    lam = np.empty((rows, bonds, q + 1))
+    norm = np.ones((rows, bonds + 1))
+    discarded = np.zeros(rows)
+    width = q + 1
+    n = np.arange(width)
+    sqrt_binom, level, below = _charge_axis(width)
+    for b in range(bonds):
+        cos_l, sin_p = _rotation_factors(angles[:, b], q)
+        rot = sqrt_binom * cos_l[:, level] * sin_p[:, None, :]
+        s2 = np.matmul(w[:, None, :], rot**2)[:, 0]
+        total = s2.sum(axis=1)
+        if not total.all():
+            raise ValidationError("two-site block vanished; state is not normalized")
+        s = np.sqrt(s2)
+        kept[:, b], norm[:, b], dropped = _truncate(s, total, chi_max, trunc_tol)
+        discarded += dropped
+        lam[:, b] = np.where(kept[:, b], s, 0.0) / norm[:, b, None]
+        w = lam[:, b] ** 2
+
+    sqrt_binom, below = sqrt_binom.reshape(-1), below.reshape(-1)
+    for i, (ql, amp, _) in enumerate(starts):
+        chi = np.count_nonzero(kept[i], axis=1)
+        rank = (np.cumsum(kept[i], axis=1) - 1).reshape(-1)
+        # per site and charge p, (-sin)^p; per site and level l, cos^l with
+        # the site's phase and its right bond's kept norm folded in
+        cos_l, sin_p = _rotation_factors(np.append(angles[i], 0.0), q)
+        sin_p = sin_p.reshape(-1)
+        cos_l = ((1.0 / norm[i])[:, None] * cos_l
+                 * np.exp(-1j * np.asarray(phases[i])[:, None] * n)).reshape(-1)
+        p = np.flatnonzero(kept[i, 0])
+        a, j = np.nonzero(ql[:, None] >= p)
+        r, p = ql[a], p[j]
+        first = np.zeros((ql.shape[0], d, chi[0]), dtype=complex)
+        first[a, r - p, j] = amp[a] * sqrt_binom[r * width + p] * sin_p[p] * cos_l[r - p]
+        gammas = [first]
+        # site t+1 takes bond t's kept charge r (its rank there) to bond
+        # t+1's kept p; every entry of those sites from one index table
+        pair = np.flatnonzero((kept[i, :-1, :, None] & kept[i, 1:, None, :]).reshape(
+            bonds, width * width) & below)
+        t, rp = np.divmod(pair, width * width)
+        r, p = np.divmod(rp, width)
+        site = (t + 1) * width  # row of site t+1 in the per-site tables
+        flat = (rank[site - width + r] * d + r - p) * chi[t + 1] + rank[site + p]
+        values = sqrt_binom[rp] * sin_p[site + p] * cos_l[site + r - p]
+        ends = np.cumsum(np.bincount(t, minlength=bonds)).tolist()
+        for t, (e0, e1) in enumerate(zip([0] + ends, ends), start=1):
+            g = np.zeros(chi[t - 1] * d * chi[t], dtype=complex)
+            g[flat[e0:e1]] = values[e0:e1]
+            gammas.append(g.reshape(chi[t - 1], d, chi[t]))
+        _, charges = np.nonzero(kept[i, :-1])
+        kept_lam = lam[i][kept[i, :-1]]
+        cuts = np.cumsum(chi[:-1]).tolist()
+        bounds = list(zip([0] + cuts, cuts))
+        yield (gammas, [kept_lam[c0:c1] for c0, c1 in bounds],
+               [charges[c0:c1] for c0, c1 in bounds], float(discarded[i]))
 
 
 def _rotate_into_vacuum(state: BlockDecimationState, site: int, angles,
                         phases) -> BlockDecimationState:
     """Rotations e^{-i phi Q} on bonds site, site+1, ... (one per angle), then
-    phases e^{-i theta n} on sites site..site+len(angles) (one per site),
-    all in closed form.
+    phases e^{-i theta n} on sites site..site+len(angles) (one per site), on
+    one state: `_vacuum_rotations` with one row.
 
-    The state must be vacuum to the right of `site`, its vacuum sites the
-    1 at level 0 of `from_fock`.  The rotation on bond b then sees every
-    left vector a of bond b-1 with all its ql[a] bosons on site b, at
-    amplitude B[a, ql[a], 0], and leaves p of them on site b+1 at amplitude
-    sqrt(C(ql[a], p)) cos^(ql[a]-p)(phi/2) (-sin(phi/2))^p: one column per
-    new charge p, with its lam-weighted norm for singular value and
-    V^dag = 1.  `_truncate` keeps what `apply_two` would keep.  Site b is
-    final after the rotation on bond b, so its phase is folded in as it is
-    written; site b+1 is then one vector per charge, 1 at level p, the
-    vacuum input of the next rotation, and the last site takes its phase at
-    that level.  The sector of bond b is the occupation of site b, below d,
-    so the CutoffError of `apply_two` cannot arise.
+    The state must be vacuum to the right of `site`, its vacuum sites the 1
+    at level 0 of `from_fock`.
     """
-    d = state.local_dim
     k0 = site - 1
     last = k0 + len(angles)  # last site touched, 0-based
     if k0 < 0 or last >= state.n_sites:
@@ -503,32 +618,13 @@ def _rotate_into_vacuum(state: BlockDecimationState, site: int, angles,
             raise ValidationError(f"site {site} is not followed by vacuum; "
                                   "the closed-form rotations need it")
     ql = state.charges[k0]
-    rows = np.arange(ql.shape[0])
-    amp = state.gammas[k0][rows, ql, 0]
-    lam = state.lambdas[k0]
-    sqrt_binom = _sqrt_binomials(d)
-    n = np.arange(d)
-    for k, phi in enumerate(angles, start=k0):
-        p = n[:ql[-1] + 1]
-        level = np.maximum(ql[:, None] - p, 0)  # left on site k+1; p > ql[a] reads 0
-        rot = (sqrt_binom[ql, :p.shape[0]] * (math.cos(phi / 2) ** n)[level]
-               * (-math.sin(phi / 2)) ** p)
-        s_all = np.sqrt(np.abs(lam * amp) ** 2 @ rot**2)
-        total = float(np.sum(s_all**2))
-        if total == 0.0:
-            raise ValidationError("two-site block vanished; state is not normalized")
-        kept, s_norm = _truncate(state, s_all, total)
-        level = level[:, kept]
-        gam = np.zeros((ql.shape[0], d, level.shape[1]), dtype=complex)
-        gam[rows[:, None], level, np.arange(level.shape[1])] = (
-            (amp / s_norm)[:, None] * rot[:, kept] * np.exp(-1j * phases[k - k0] * n)[level])
-        state.gammas[k] = gam
-        lam = state.lambdas[k + 1] = s_all[kept] / s_norm
-        ql = state.charges[k + 1] = p[kept]
-        rows, amp = np.arange(ql.shape[0]), np.ones(ql.shape[0])
-    gam = np.zeros((ql.shape[0], d, 1), dtype=complex)
-    gam[rows, ql, 0] = amp * np.exp(-1j * phases[-1] * ql)
-    state.gammas[last] = gam
+    start = (ql, state.gammas[k0][np.arange(ql.shape[0]), ql, 0], state.lambdas[k0])
+    (gammas, lambdas, charges, discarded), = _vacuum_rotations(
+        [start], [angles], [phases], state.local_dim, state.chi_max, state.trunc_tol)
+    state.gammas[k0:last + 1] = gammas
+    state.lambdas[k0 + 1:last + 1] = lambdas
+    state.charges[k0 + 1:last + 1] = charges
+    state.discarded_weight += discarded
     return state
 
 
@@ -618,13 +714,13 @@ def _left_envs(state: BlockDecimationState):
         yield env
 
 
-def _right_envs(state: BlockDecimationState, ws=None):
+def _right_envs(state: BlockDecimationState):
     """Yield R[N], R[N-1], ..., R[0]: R[k] contracts sites k+1..N (R[N] = 1),
-    R[k] = mask o (W R[k+1] W^dag); ws, if given, lists the W of every site."""
+    R[k] = mask o (W R[k+1] W^dag)."""
     env = np.ones((1, 1), dtype=complex)
     yield env
     for k in range(state.n_sites - 1, -1, -1):
-        w = _site_w(state, k) if ws is None else ws[k]
+        w = _site_w(state, k)
         env = (w @ env @ w.conj().T) * _same_charge(state.charges[k])
         yield env
 
@@ -652,17 +748,23 @@ def occupations(state: BlockDecimationState) -> np.ndarray:
     """Per-site <n_k> for all sites: one right sweep, then one left sweep.
 
     <n_k> = Re sum conj(W) o (L[k-1] W R[k]) o (q_in[a] - q_out[b]), the level
-    of each entry of W read off the charges.  Both sweeps share one W per site.
+    of each entry of W read off the charges.  Both sweeps share each site's W
+    and conj(W) and each bond's charge mask.
     """
     ws = [_site_w(state, k) for k in range(state.n_sites)]
-    right = list(_right_envs(state, ws))[::-1]
+    wcs = [w.conj() for w in ws]
+    masks = [_same_charge(q) for q in state.charges]
+    right = [np.ones((1, 1), dtype=complex)]  # R[N], ..., R[0] as in `_right_envs`
+    for w, wc, mask in zip(ws[::-1], wcs[::-1], masks[-2::-1]):
+        right.append((w @ right[-1] @ wc.T) * mask)
+    right.reverse()
     out = np.zeros(state.n_sites)
     env = np.ones((1, 1), dtype=complex)
-    for k, w in enumerate(ws):
+    for k, (w, wc) in enumerate(zip(ws, wcs)):
         lw = env @ w
         level = state.charges[k][:, None] - state.charges[k + 1]
-        out[k] = np.sum(w.conj() * (lw @ right[k + 1]) * level).real
-        env = (w.conj().T @ lw) * _same_charge(state.charges[k + 1])
+        out[k] = np.sum(wc * (lw @ right[k + 1]) * level).real
+        env = (wc.T @ lw) * masks[k + 1]
     return out
 
 
@@ -1050,22 +1152,45 @@ def _numerics(m_total, d, chi_max, trunc_tol):
     return d, chi_max, trunc_tol
 
 
-def condensate_state(c, m: int, d: int | None = None, chi_max: int | None = None,
-                     trunc_tol: float = 1e-12) -> BlockDecimationState:
-    """MPS of the single-condensate state (sum_k c_k a_k^dag)^M |0> (normalized).
+def condensate_states(modes, m: int, d: int | None = None, chi_max: int | None = None,
+                      trunc_tol: float = 1e-12):
+    """MPS of the single-condensate state (sum_k c_k a_k^dag)^M |0> (normalized)
+    of each mode c in `modes`, yielded in input order.
 
     The inverse fold plan rotates |M, 0, ..., 0> into vacuum on bonds 1..N-1
-    and then strips phases, so the whole replay is one `_rotate_into_vacuum`.
+    and then strips phases, so each build is one row of `_vacuum_rotations`:
+    the keep pass of every mode runs at the first `next`, after every mode is
+    checked, and each state is written only when it is yielded, so a caller
+    that keeps one state at a time holds at most two.  The modes must share
+    one length.
     """
-    c = _coeffs(c)
-    norm = np.linalg.norm(c)
-    if norm == 0.0:
-        raise ValidationError("condensate mode must be nonzero")
-    c = c / norm
+    cs = []
+    for c in modes:
+        c = _coeffs(c)
+        norm = np.linalg.norm(c)
+        if norm == 0.0:
+            raise ValidationError("condensate mode must be nonzero")
+        cs.append(c / norm)
+    if not cs:
+        return
+    if len({c.shape[0] for c in cs}) > 1:
+        raise ValidationError("condensate modes must share one length")
     d, chi_max, trunc_tol = _numerics(m, d, chi_max, trunc_tol)
-    angles, phases = _inverse_angles(fold_single(c), 1)
-    state = from_fock([m] + [0] * (c.shape[0] - 1), d, chi_max, trunc_tol)
-    return _rotate_into_vacuum(state, 1, angles, phases)
+    angles, phases = zip(*(_inverse_angles(fold_single(c), 1) for c in cs))
+    start = (np.array([m]), np.ones(1), np.ones(1))
+    for gammas, lambdas, charges, discarded in _vacuum_rotations(
+            [start] * len(cs), angles, phases, d, chi_max, trunc_tol):
+        yield BlockDecimationState(
+            gammas=gammas, lambdas=[np.ones(1), *lambdas, np.ones(1)],
+            charges=[np.array([m]), *charges, np.zeros(1, dtype=int)], local_dim=d,
+            chi_max=chi_max, trunc_tol=trunc_tol, discarded_weight=discarded)
+
+
+def condensate_state(c, m: int, d: int | None = None, chi_max: int | None = None,
+                     trunc_tol: float = 1e-12) -> BlockDecimationState:
+    """MPS of the single-condensate state (sum_k c_k a_k^dag)^M |0> (normalized):
+    `condensate_states` of one mode."""
+    return next(condensate_states([c], m, d, chi_max, trunc_tol))
 
 
 def two_sum_state(z, c, m1: int, m2: int, d: int | None = None,
@@ -1076,8 +1201,8 @@ def two_sum_state(z, c, m1: int, m2: int, d: int | None = None,
     Replays the folding in reverse: seed |M1,0,...>, bridge rotation on bond
     1, lift by M2, inverse bridge, inverse partial plan, inverse inner plan.
     The bridge and the rotations of the inverse partial plan rotate into
-    vacuum (`_rotate_into_vacuum`); the inverse bridge and the inner plan run
-    as gates.
+    vacuum (`_rotate_into_vacuum`, one row of `_vacuum_rotations`); the
+    inverse bridge and the inner plan run as gates.
     The inverse bridge undoes the conjugation picked up when the seed form
     is pushed through the bond-1 rotation; the final scalar phase accounts
     for the site-1 phase strip acting on the already-folded inner sum.

@@ -11,7 +11,7 @@ from .entanglement import collection_fraction, logneg_partial_transpose
 from .errors import ConfigError
 from .heisenberg import evolve_mode, ground_mode, propagate, spectral_decompose
 from .model import ModelSpec, add_onsite_barrier, build_coupling
-from .mps import (condensate_state, occupations, reduced_density_two_sites,
+from .mps import (condensate_state, condensate_states, occupations, reduced_density_two_sites,
                   schmidt_values, two_sum_state)
 from .perturbation import TransferReport, transfer_report
 
@@ -79,6 +79,13 @@ def _total_bosons(spec: ScenarioSpec) -> int:
     raise ConfigError("scenario needs m (or m1 and m2)")
 
 
+def _packet_counts(spec: ScenarioSpec):
+    """Bosons (m1, m2) of a collision's two packets: as given, else m split in half."""
+    m = _total_bosons(spec)
+    m1 = spec.m1 if spec.m1 is not None else m // 2
+    return m1, spec.m2 if spec.m2 is not None else m - m1
+
+
 def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
     if spec.kind not in SCENARIO_KINDS:
         raise ConfigError(f"unknown scenario kind {spec.kind!r}")
@@ -95,6 +102,10 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
         count = getattr(spec, key)
         if count is not None and count < 0:
             raise ConfigError(f"{key} must be >= 0, got {count}")
+    for key in ("model", "model_pre", "model_post"):
+        model = getattr(spec, key)
+        if model is not None and model.n_sites < 2:
+            raise ConfigError(f"[{key}] chain needs at least 2 sites, got {model.n_sites}")
     if spec.kind == "transfer_report":
         if spec.model is None or spec.epsilon is None or spec.beta is None:
             raise ConfigError("transfer_report needs a model plus epsilon and beta")
@@ -112,6 +123,9 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
             raise ConfigError(f"collision_sweep needs even N, got {spec.model.n_sites}")
         if m % 2 != 0:
             raise ConfigError(f"collision_sweep needs even M, got {m}")
+        m1, m2 = _packet_counts(spec)
+        if min(m1, m2) < 1:
+            raise ConfigError(f"collision_sweep needs m1 >= 1 and m2 >= 1, got {m1} and {m2}")
         if not spec.mu_values:
             raise ConfigError("collision_sweep needs mu_values")
         if not all(math.isfinite(mu) for mu in spec.mu_values):
@@ -148,6 +162,8 @@ def run_quench(spec: ScenarioSpec) -> QuenchResult:
 
     Occupations come from the closed form M |c_k(t)|^2; at snapshot times the
     full MPS is built from the evolved mode as an independent cross-check.
+    The snapshot states are built together (`condensate_states`, one keep
+    pass) and written one at a time as they are measured.
     """
     validate_spec(spec)
     pre, post = resolve_quench_models(spec)
@@ -159,14 +175,12 @@ def run_quench(spec: ScenarioSpec) -> QuenchResult:
     for i, t in enumerate(times):
         ct = evolve_mode(propagate(post_spec, t), c0.coefficients)
         occ[i] = m * np.abs(ct) ** 2
-    snapshots = []
+    modes = [evolve_mode(propagate(post_spec, t), c0.coefficients) for t in spec.snapshot_times]
     num = spec.numerics
-    for t in spec.snapshot_times:
-        ct = evolve_mode(propagate(post_spec, t), c0.coefficients)
-        closed = m * np.abs(ct) ** 2
-        state = condensate_state(ct, m, d=num.local_dim, chi_max=num.chi_max,
-                                 trunc_tol=num.trunc_tol)
-        snapshots.append((t, closed, occupations(state)))
+    states = condensate_states(modes, m, d=num.local_dim, chi_max=num.chi_max,
+                               trunc_tol=num.trunc_tol)
+    snapshots = [(t, m * np.abs(ct) ** 2, occupations(state))
+                 for t, ct, state in zip(spec.snapshot_times, modes, states)]
     return QuenchResult(times=times, occupations=occ, snapshots=tuple(snapshots), m=m)
 
 
@@ -201,9 +215,7 @@ def run_collision_sweep(spec: ScenarioSpec, threads: int = 1):
     keep the input mu order.
     """
     validate_spec(spec)
-    m = _total_bosons(spec)
-    m1 = spec.m1 if spec.m1 is not None else m // 2
-    m2 = spec.m2 if spec.m2 is not None else m - m1
+    m1, m2 = _packet_counts(spec)
     jobs = [(spec.model, float(mu), m1, m2, spec.numerics) for mu in spec.mu_values]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # runs without a pool skip this import

@@ -144,7 +144,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad = [QUENCH_CFG.replace("snapshot_times = 1.0", f"snapshot_times = {t}")
            for t in ("nan", "inf")]
     bad += [QUENCH_CFG.replace("t_end = 2", "t_end = nan"),
-            QUENCH_CFG.replace("m = 3", "m = -1")]
+            QUENCH_CFG.replace("m = 3", "m = -1"),
+            QUENCH_CFG.replace("n_sites = 6", "n_sites = 1")]
     for i, text in enumerate(bad):
         out = tmp_path / f"quench-{i}"
         assert main(["quench", "--config", _write(tmp_path, text), "--out-dir", str(out)]) == 2
@@ -155,6 +156,13 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert main(["sweep", "--config", _write(tmp_path, text), "--out-dir",
                      str(tmp_path / key)]) == 2
         assert f"{key} must be >= 0" in capsys.readouterr().err
+    # a packet with no boson is a config error, not a numeric one from the fold
+    for counts in ("m1 = 0\nm2 = 2", "m1 = 2\nm2 = 0"):
+        out = tmp_path / counts.replace("\n", "-").replace(" = ", "")
+        text = SWEEP_CFG.replace("m1 = 1\nm2 = 1", counts)
+        assert main(["sweep", "--config", _write(tmp_path, text), "--out-dir", str(out)]) == 2
+        assert "m1 >= 1 and m2 >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_kind_must_match_subcommand(tmp_path, capsys):

@@ -133,6 +133,20 @@ def test_validation_rules_surface_as_config_errors():
                 parse_config_text(quench.format(**dict(good, **{key: bad})))
     with pytest.raises(ConfigError, match="must be finite"):
         parse_config_text(quench.format(**dict(good, snap="0.5 nan")))
+    # a chain of one site, in any model section
+    with pytest.raises(ConfigError, match="at least 2 sites"):
+        parse_config_text(quench.format(**good).replace("n_sites = 6", "n_sites = 1"))
+    explicit = ("[scenario]\nkind = quench_release\nm = 3\nt_start = 0\nt_end = 2\n\n"
+                "[model_pre]\nn_sites = {pre}\nbase = jx\n\n"
+                "[model_post]\nn_sites = {post}\nbase = jx\n")
+    assert parse_config_text(explicit.format(pre=6, post=6)).model_post.n_sites == 6
+    for pre, post in ((1, 6), (6, 1), (0, 6)):
+        with pytest.raises(ConfigError, match="at least 2 sites"):
+            parse_config_text(explicit.format(pre=pre, post=post))
+    # a collision packet with no boson, given or from splitting m
+    for counts in ("m1 = 0\nm2 = 2", "m1 = 2\nm2 = 0", "m = 0"):
+        with pytest.raises(ConfigError, match="m1 >= 1 and m2 >= 1"):
+            parse_config_text(GOOD_SWEEP.replace("m1 = 2\nm2 = 2", counts))
 
 
 def test_chi_max_below_one_rejected():

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -747,6 +749,92 @@ def test_closed_form_rotations_check_their_input():
     two_sum_state(z, c, 1, 1, plan=plan)
     with pytest.raises(ValidationError, match="fold plan must rotate"):
         two_sum_state(z, c, 1, 1, plan=bad)
+
+
+def test_condensate_states_match_one_build_per_mode():
+    # the keep pass runs every mode as one row of a batch; each state must be
+    # the one a build of its mode alone gives, in input order
+    n, m = 40, 20
+    single = np.zeros(n, dtype=complex)
+    single[7] = 0.6 - 0.8j  # every boson on one site: chi = 1 above round-off
+    sparse = _random_mode(n, 70)
+    sparse[::3] = 0.0
+    modes = [_random_mode(n, 60 + s) for s in range(4)] + [single, sparse]
+    for chi_max, trunc_tol in ((None, 1e-12), (2, 1e-12), (None, 0.0)):
+        states = list(mps.condensate_states(modes, m, chi_max=chi_max, trunc_tol=trunc_tol))
+        assert len(states) == len(modes)
+        for c, st in zip(modes, states):
+            ref = condensate_state(c, m, chi_max=chi_max, trunc_tol=trunc_tol)
+            _assert_same_state(st, ref, same_gauge=True)
+        if trunc_tol > 0:
+            assert all(lam.shape == (1,) for lam in states[4].lambdas)
+        assert max(lam.shape[0] for lam in states[0].lambdas) == min(m + 1, chi_max or m + 1)
+
+
+def _keep_reference(row, total, chi_max, trunc_tol):
+    """The keep rule on one row, value by value: sort, cut, sum the tail."""
+    order = sorted(range(len(row)), key=lambda i: -row[i])  # stable: first on ties
+    passing = [i for i in order if row[i] ** 2 / total >= trunc_tol and row[i] > 0]
+    chi = max(min(len(passing), chi_max), 1)
+    kept = np.zeros(len(row), dtype=bool)
+    kept[order[:chi]] = True
+    discarded = 0.0
+    for i in order[chi:]:  # descending
+        discarded += row[i] ** 2
+    return kept, math.sqrt(sum(row[i] ** 2 for i in order[:chi])), discarded / total
+
+
+def test_truncate_matches_per_row_reference():
+    rows = np.array([
+        [0.5, 0.1, 0.7, 0.3, 0.2, 0.0, 0.05, 0.6],  # chi_max binds
+        [0.4, 0.4, 0.1, 0.4, 0.0, 0.2, 0.4, 0.1],  # ties at the cut
+        [1.0, 1e-8, 1e-9, 0.0, 3e-7, 0.0, 2e-8, 1e-7],  # only the largest clears 1e-12
+        [0.0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.0],  # one positive value
+        np.random.default_rng(9).random(8) ** 6,
+    ])
+    total = np.sum(rows**2, axis=1)
+    for chi_max, trunc_tol in ((3, 1e-12), (1, 1e-12), (8, 1e-12), (2, 0.0), (8, 0.0), (8, 1e-3)):
+        kept, norm, discarded = mps._truncate(rows, total, chi_max, trunc_tol)
+        for r, row in enumerate(rows):
+            ref_kept, ref_norm, ref_discarded = _keep_reference(row.tolist(), total[r],
+                                                                chi_max, trunc_tol)
+            assert np.array_equal(kept[r], ref_kept), (chi_max, trunc_tol, r)
+            assert norm[r] == pytest.approx(ref_norm, rel=1e-15)
+            assert discarded[r] == pytest.approx(ref_discarded, rel=1e-14, abs=1e-300)
+        if chi_max == 3 and trunc_tol == 1e-12:
+            assert kept[0].sum() == 3 and kept[1].tolist() == [1, 1, 0, 1, 0, 0, 0, 0]
+            assert kept[2].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_condensate_states_hold_one_state_at_a_time():
+    # states are written as they are yielded: a caller that keeps only the
+    # current one holds it and the one being built, not all 21
+    n, m = 40, 20
+    modes = [_random_mode(n, 80 + s) for s in range(21)]
+    largest = 0
+    tracemalloc.start()
+    try:
+        for st in mps.condensate_states(modes, m):
+            largest = max(largest, sum(g.nbytes for g in st.gammas))
+        del st
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * largest, (peak, largest)
+
+
+def test_condensate_states_check_every_mode_first():
+    good = [_random_mode(6, s) for s in range(3)]
+    for where in (0, 2, 3):
+        modes = good[:where] + [np.zeros(6)] + good[where:]
+        states = mps.condensate_states(modes, 3)
+        with pytest.raises(ValidationError, match="nonzero"):
+            next(states)
+    with pytest.raises(ValidationError, match="one length"):
+        next(mps.condensate_states(good + [_random_mode(5, 9)], 3))
+    with pytest.raises(CutoffError):
+        next(mps.condensate_states(good, 3, d=3))
+    assert list(mps.condensate_states([], 3)) == []
 
 
 def test_total_boson_cutoff_check():
