@@ -379,23 +379,24 @@ def _truncate(s: np.ndarray, total: np.ndarray, chi_max: int, trunc_tol: float):
 
     Each row keeps the values with s^2 / total >= trunc_tol and s > 0, at most
     chi_max of the largest (the first on ties) and at least one.  Returns the
-    kept mask over s, the kept norms, which the updates divide out, and the
-    discarded weights, the rest of each row summed in descending order.
+    kept mask over s, the kept norms sqrt(total - rest), which the updates
+    divide out, and the discarded weights rest / total, the rest of each row
+    summed in descending order.
     """
     rows, n = s.shape
     order = np.argsort(-s, axis=1, kind="stable")
     order += np.arange(0, rows * n, n)[:, None]  # flat indices into s
     s_sorted = s.reshape(-1)[order]
     sq = s_sorted**2
-    # both conditions hold on a prefix of each descending row, so the kept
-    # values are that prefix, cut at chi_max and at least the first
-    head = (sq / total[:, None] >= trunc_tol) & (s_sorted > 0)
+    # the passing values are a prefix of each descending row (s^2 / total >=
+    # trunc_tol > 0 implies s > 0), cut at chi_max and at least the first
+    head = sq / total[:, None] >= trunc_tol if trunc_tol > 0 else s_sorted > 0
     head[:, max(chi_max, 1):] = False
     head[:, 0] = True
     kept = np.empty(s.shape, dtype=bool)
     kept.reshape(-1)[order] = head
-    tail = np.where(head, 0.0, sq)
-    return kept, np.sqrt(np.add.reduce(sq - tail, 1)), np.add.reduce(tail, 1) / total
+    tail = np.add.reduce(np.where(head, 0.0, sq), 1)
+    return kept, np.sqrt(total - tail), tail / total
 
 
 def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimationState:
@@ -496,13 +497,14 @@ def _charge_axis(width: int):
 
 
 def _rotation_factors(angles, q: int):
-    """cos^n(phi/2) and (-sin(phi/2))^n for n = 0..q, one row per angle phi.
+    """cos^n(phi/2) and (-sin(phi/2))^n for n = 0..q, along a last axis
+    added to the angles phi.
 
     e^{-i phi Q}|r, 0> leaves |r-p, p> at amplitude
     sqrt(C(r, p)) cos^(r-p)(phi/2) (-sin(phi/2))^p, 0 for p > r.
     """
     n = np.arange(q + 1)
-    half = np.asarray(angles)[:, None] / 2
+    half = np.asarray(angles)[..., None] / 2
     return np.cos(half) ** n, (-np.sin(half)) ** n
 
 
@@ -549,9 +551,11 @@ def _vacuum_rotations(starts, angles, phases, d: int, chi_max: int, trunc_tol: f
     width = q + 1
     n = np.arange(width)
     sqrt_binom, level, below = _charge_axis(width)
+    # per state and site, the factors of the rotation on its right bond; the
+    # last site's is the chain end, a rotation by 0
+    cos_l, sin_p = _rotation_factors(np.hstack([angles, np.zeros((rows, 1))]), q)
     for b in range(bonds):
-        cos_l, sin_p = _rotation_factors(angles[:, b], q)
-        rot = sqrt_binom * cos_l[:, level] * sin_p[:, None, :]
+        rot = sqrt_binom * cos_l[:, b][:, level] * sin_p[:, b, None, :]
         s2 = np.matmul(w[:, None, :], rot**2)[:, 0]
         total = s2.sum(axis=1)
         if not total.all():
@@ -568,15 +572,14 @@ def _vacuum_rotations(starts, angles, phases, d: int, chi_max: int, trunc_tol: f
         rank = (np.cumsum(kept[i], axis=1) - 1).reshape(-1)
         # per site and charge p, (-sin)^p; per site and level l, cos^l with
         # the site's phase and its right bond's kept norm folded in
-        cos_l, sin_p = _rotation_factors(np.append(angles[i], 0.0), q)
-        sin_p = sin_p.reshape(-1)
-        cos_l = ((1.0 / norm[i])[:, None] * cos_l
+        sin_i = sin_p[i].reshape(-1)
+        cos_i = ((1.0 / norm[i])[:, None] * cos_l[i]
                  * np.exp(-1j * np.asarray(phases[i])[:, None] * n)).reshape(-1)
         p = np.flatnonzero(kept[i, 0])
         a, j = np.nonzero(ql[:, None] >= p)
         r, p = ql[a], p[j]
         first = np.zeros((ql.shape[0], d, chi[0]), dtype=complex)
-        first[a, r - p, j] = amp[a] * sqrt_binom[r * width + p] * sin_p[p] * cos_l[r - p]
+        first[a, r - p, j] = amp[a] * sqrt_binom[r * width + p] * sin_i[p] * cos_i[r - p]
         gammas = [first]
         # site t+1 takes bond t's kept charge r (its rank there) to bond
         # t+1's kept p; every entry of those sites from one index table
@@ -586,7 +589,7 @@ def _vacuum_rotations(starts, angles, phases, d: int, chi_max: int, trunc_tol: f
         r, p = np.divmod(rp, width)
         site = (t + 1) * width  # row of site t+1 in the per-site tables
         flat = (rank[site - width + r] * d + r - p) * chi[t + 1] + rank[site + p]
-        values = sqrt_binom[rp] * sin_p[site + p] * cos_l[site + r - p]
+        values = sqrt_binom[rp] * sin_i[site + p] * cos_i[site + r - p]
         ends = np.cumsum(np.bincount(t, minlength=bonds)).tolist()
         for t, (e0, e1) in enumerate(zip([0] + ends, ends), start=1):
             g = np.zeros(chi[t - 1] * d * chi[t], dtype=complex)
