@@ -526,10 +526,10 @@ def _vacuum_rotations(starts, angles, phases, d: int, chi_max: int, trunc_tol: f
     `_truncate` keeps, row by row, what `apply_two` would keep; and the
     kept, renormalized lam^2 is the next w.  Past bond k-1 a bond has at
     most one vector per charge, 1 at level p of its right site: the vacuum
-    input of the next rotation.  The last site's right bond is the chain
-    end, reached as a rotation by 0 with norm 1.  The sector of bond b is
-    the occupation of site b, below d, so the CutoffError of `apply_two`
-    cannot arise.
+    input of the next rotation.  The last site's right bond is the vacuum
+    bond past the run, charge 0, reached as a rotation by 0 with norm 1.
+    The sector of bond b is the occupation of site b, below d, so the
+    CutoffError of `apply_two` cannot arise.
 
     The keep pass runs for every state at the first `next`, so a vanished
     block raises before anything is yielded.  Then each state's tensors are
@@ -544,7 +544,7 @@ def _vacuum_rotations(starts, angles, phases, d: int, chi_max: int, trunc_tol: f
     w = np.array([np.bincount(ql, np.abs(lam * amp) ** 2, q + 1) for ql, amp, lam in starts])
     rows, bonds = angles.shape
     kept = np.ones((rows, bonds + 1, q + 1), dtype=bool)
-    kept[:, bonds, 1:] = False  # the chain end: charge 0
+    kept[:, bonds, 1:] = False  # the vacuum bond past the run: charge 0
     lam = np.empty((rows, bonds, q + 1))
     norm = np.ones((rows, bonds + 1))
     discarded = np.zeros(rows)
@@ -552,7 +552,7 @@ def _vacuum_rotations(starts, angles, phases, d: int, chi_max: int, trunc_tol: f
     n = np.arange(width)
     sqrt_binom, level, below = _charge_axis(width)
     # per state and site, the factors of the rotation on its right bond; the
-    # last site's is the chain end, a rotation by 0
+    # last site's right bond is the vacuum past the run, a rotation by 0
     cos_l, sin_p = _rotation_factors(np.hstack([angles, np.zeros((rows, 1))]), q)
     for b in range(bonds):
         rot = sqrt_binom * cos_l[:, b][:, level] * sin_p[:, b, None, :]
