@@ -191,62 +191,3 @@ def parse_config_text(text: str) -> ScenarioSpec:
 def parse_config(path) -> ScenarioSpec:
     with open(path) as fh:
         return parse_config_text(fh.read())
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-def _model_lines(name: str, m: ModelSpec):
-    lines = [f"[{name}]", f"n_sites = {m.n_sites}", f"base = {m.base}"]
-    if m.base == "inverse_distance":
-        lines.append(f"j1 = {_fmt(m.j1)}")
-    if m.trap_omega is not None:
-        lines.append(f"trap_omega = {_fmt(m.trap_omega)}")
-    if m.trap_center is not None:
-        lines.append(f"trap_center = {_fmt(m.trap_center)}")
-    for first, last, height in m.barriers:
-        lines.append(f"barrier = {first} {last} {_fmt(height)}")
-    if m.perturbation_eps is not None:
-        lines.append(f"perturbation_epsilon = {_fmt(m.perturbation_eps)}")
-    if m.perturbation_beta is not None:
-        lines.append(f"perturbation_beta = {_fmt(m.perturbation_beta)}")
-    return lines
-
-
-def serialize_config(spec: ScenarioSpec) -> str:
-    """Deterministic text form; parse_config_text round-trips it."""
-    lines = ["[scenario]", f"kind = {spec.kind}"]
-    for key in ("m", "m1", "m2"):
-        val = getattr(spec, key)
-        if val is not None:
-            lines.append(f"{key} = {val}")
-    if spec.kind in ("quench_release", "quench_raise"):
-        lines.append(f"t_start = {_fmt(spec.t_start)}")
-        lines.append(f"t_end = {_fmt(spec.t_end)}")
-        lines.append(f"steps = {spec.steps}")
-    if spec.snapshot_times:
-        lines.append("snapshot_times = " + " ".join(_fmt(t) for t in spec.snapshot_times))
-    if spec.mu_values:
-        lines.append("mu_values = " + " ".join(_fmt(mu) for mu in spec.mu_values))
-    if spec.epsilon is not None:
-        lines.append(f"epsilon = {_fmt(spec.epsilon)}")
-    if spec.beta is not None:
-        lines.append(f"beta = {_fmt(spec.beta)}")
-    for name, model in (("model", spec.model), ("model_pre", spec.model_pre),
-                        ("model_post", spec.model_post)):
-        if model is not None:
-            if model.custom is not None:
-                raise ConfigError("custom matrices cannot be serialized inline")
-            lines.append("")
-            lines.extend(_model_lines(name, model))
-    lines.append("")
-    lines.append("[numerics]")
-    if spec.numerics.local_dim is not None:
-        lines.append(f"local_dim = {spec.numerics.local_dim}")
-    if spec.numerics.chi_max is not None:
-        lines.append(f"chi_max = {spec.numerics.chi_max}")
-    lines.append(f"trunc_tol = {_fmt(spec.numerics.trunc_tol)}")
-    return "\n".join(lines) + "\n"

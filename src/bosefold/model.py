@@ -162,17 +162,6 @@ def build_coupling(spec: ModelSpec) -> CouplingMatrix:
     return r
 
 
-def save_matrix_csv(path, r: CouplingMatrix) -> None:
-    """Plain-text complex dump: one row per site, alternating re, im columns."""
-    with open(path, "w", newline="") as fh:
-        for row in r.entries:
-            cells = []
-            for z in row:
-                cells.append(format(z.real, ".17g"))
-                cells.append(format(z.imag, ".17g"))
-            fh.write(",".join(cells) + "\n")
-
-
 def load_matrix_csv(path) -> CouplingMatrix:
     rows = []
     with open(path) as fh:

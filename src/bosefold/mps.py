@@ -1,7 +1,7 @@
 """Block-decimation engine for number-conserving bosonic chains.
 
-State layout: gammas[k] has shape (chi_left, d, chi_right) and holds the
-right-normalized site tensor B^[k+1] = Gamma^[k+1] lam^[k+1] of site k+1;
+State layout: the right-normalized site tensor B^[k+1] = Gamma^[k+1] lam^[k+1]
+of site k+1 is stored as ws[k], one chi_left x chi_right matrix W (below);
 lambdas[b] is the bond-b Schmidt vector (b = 0..N with trivial [1.0] ends).
 Amplitudes contract as B^[1] B^[2] ... B^[N], and lam^[b] B^[b+1] ... B^[N]
 are the Schmidt vectors of bond b, so no step divides by a Schmidt value
@@ -10,24 +10,30 @@ are the Schmidt vectors of bond b, so no step divides by a Schmidt value
 Every bond index carries an explicit U(1) label: charges[b][alpha] is the
 number of bosons to the right of bond b in Schmidt vector alpha, so
 B^[k+1][a, n, b] is nonzero only where charges[k][a] == n + charges[k+1][b]
-(U(1)-symmetric tensor networks, Singh, Pfeifer & Vidal).  Each bond is
-stored charge by charge (ascending charge, descending lambda within one), so
-the vectors of a charge range are one window found with searchsorted.  Gates
-conserve boson number by construction: a phase gate is its diagonal, and a
-pair-rotation gate is one real orthogonal block per sector
-n_k + n_{k+1} = n < d, sectors n and d-1-n sharing one (d+1) x (d+1) slot,
-all built in cache-sized batched products from a cached real eigenbasis and
-kept as that read-only slot array.  The two-site update never forms the
-dense two-site matrix, and each of its stages is one batched call over the
-charge windows, stacked as slot tables padded with a zero row and column:
-one product contracts the windows into sector vectors, one real product
-rotates every slot's stack of pairs (a pair of sector n and one of sector
-d-1-n per column), one SVD call takes every lam-weighted window block (after
-a QR where the blocks are tall), a mask keeps the largest singular values,
-and one assignment per tensor writes the kept right singular vectors and the
-blocks projected onto them.  The first-site lifting implements
-(a_1^dag)^M2 as a local index shift plus a rescale of B^[1] and lambda^[1],
-reading site-1 occupations from the labels.
+(U(1)-symmetric tensor networks, Singh, Pfeifer & Vidal).  The level axis n
+is therefore implied, and a site is stored as
+W[a, b] = B[a, charges[k][a] - charges[k+1][b], b], exactly 0 wherever that
+level lies outside 0..d-1: about 1/d of the dense (chi_L, d, chi_R) tensor,
+which `BlockDecimationState.gammas` rebuilds, site by site, as a read-only
+view for callers that want that layout.  Each bond is stored charge by
+charge (ascending charge, descending lambda within one), so the vectors of a
+charge range are one window found with searchsorted.  Gates conserve boson
+number by construction: a phase gate is its diagonal, applied to W through
+the level each entry implies, and a pair-rotation gate is one real
+orthogonal block per sector n_k + n_{k+1} = n < d, sectors n and d-1-n
+sharing one (d+1) x (d+1) slot, all built in cache-sized batched products
+from a cached real eigenbasis and kept as that read-only slot array.  The
+two-site update never forms the dense two-site matrix, and each of its
+stages is one batched call over the charge windows, stacked as slot tables
+padded with an extra row and column: one product contracts the windows of
+the two W into sector vectors, one real product rotates every slot's stack
+of pairs (a pair of sector n and one of sector d-1-n per column), one SVD
+call takes every lam-weighted window block (after a QR where the blocks are
+tall), a mask keeps the largest singular values, and one assignment per
+matrix writes the kept right singular vectors and the blocks projected onto
+them.  The first-site lifting implements (a_1^dag)^M2 as a rescale of the
+columns of W^[1] and of lambda^[1] plus M2 added to the charge of bond 0,
+which shifts every implied site-1 level.
 
 The fold replays rotate mostly into vacuum: every rotation of a condensate
 build, and the bridge and outer sweep of a two-sum build, acts on a bond
@@ -35,33 +41,32 @@ whose right site, and every site beyond it, holds no boson.  There
 e^{-i phi Q}|r, 0> = sum_n sqrt(C(r, n)) cos^n(phi/2) (-sin(phi/2))^(r-n)
 |n, r-n>, so each left vector a, with all its ql[a] bosons on the left site,
 spreads over the new charges p = r - n with that amplitude: the new left
-tensor is the old B[a, ql[a], 0] times it at level ql[a] - p, the new right
-tensor is 1 at level p, and the Schmidt value of charge p is the
-lam-weighted norm of its column.  Past its first bond such a run has at
-most one Schmidt vector per charge, so each bond of a state is a row over
-the charge axis 0..M with a kept mask, and `_vacuum_rotations` runs the
-keep pass of many states at once: per bond, one batched product
-s^2 = w rot^2 gives every state's squared Schmidt values from the lam^2
-row w of the bond before, `_truncate` applies the keep rule of `apply_two`
-row by row, and the kept, renormalized lam^2 is the next row.  A state's
-tensors, phases folded in, are written only when it is yielded, every site
-from one index table, so a caller that measures the states one by one
-holds at most two (`condensate_states`).  The bridge and outer sweep of a
-two-sum build run the same code with one row.  No gate, plan or SVD runs
-there.
+matrix is the old W[a, 0] times it in column p, the new right matrix is 1
+in row p, and the Schmidt value of charge p is the lam-weighted norm of its
+column.  Past its first bond such a run has at most one Schmidt vector per
+charge, so each bond of a state is a row over the charge axis 0..M with a
+kept mask, and `_vacuum_rotations` runs the keep pass of many states at
+once: per bond, one batched product s^2 = w rot^2 gives every state's
+squared Schmidt values from the lam^2 row w of the bond before, `_truncate`
+applies the keep rule of `apply_two` row by row, and the kept, renormalized
+lam^2 is the next row.  A state's matrices, phases folded in, are written
+only when it is yielded, each the kept part of its site's charge-axis
+matrix, so a caller that measures the states one by one holds at most two
+(`condensate_states`).
+The bridge and outer sweep of a two-sum build run the same code with one
+row.  No gate, plan or SVD runs there.
 
-The charges make each site one chi_L x chi_R matrix
-W[b, c] = B[b, q(b) - q(c), c], gathered through one cached flat-index
-table per (q_k, q_{k+1}, d).  The environments L and R are block-diagonal in
-the bond charge, so L[k+1] = mask o (W^dag L[k] W) and
-R[k] = mask o (W R[k+1] W^dag), where the mask [q(b) = q(b')] drops exactly
-the products of two different levels: two plain products per site, with no
-canonical form assumed.  Occupations, the norm, the canonical defect and the
-outer environments of the reduced density matrices all come from them.
+The environments L and R are block-diagonal in the bond charge, so
+L[k+1] = mask o (W^dag L[k] W) and R[k] = mask o (W R[k+1] W^dag), where the
+mask [q(b) = q(b')] drops exactly the products of two different levels: two
+plain products per site, with no canonical form assumed.  Occupations, the
+norm, the canonical defect and the outer environments of the reduced density
+matrices all come from them.
 
 The two-site reduced density matrix carries its open-index environment as
 charge blocks, and since that environment is Hermitian in its two open
-levels, only the half with bra level >= ket level.  Through the W of each
+levels, only the half with bra level >= ket level.  Only its first and last
+site are split into levels, each as a temporary.  Through the W of each
 site between the pair, a transfer step is two plain products per charge:
 the blocks sharing a charge on one side times that charge's rows of W, then,
 for each charge r of the new bond, the rows of every level m gathered into
@@ -71,21 +76,21 @@ level m of one side fixes the other's, and the sum over m is just that inner
 dimension.  The close mirrors the half and contracts only the level pairs
 whose imbalances match.
 
-Every slot table, window, rotation table, W table and block list of the
-two-site update, the environments and the RDM depends only on the bond
-charges and d (and, for a transfer step, on the blocks it receives), so
-each is built once per charge pattern into a plan of read-only arrays, held
-in bounded per-process caches keyed on the charges' bytes: scans over
-states of the same N, M and chi revisit the same patterns.
-A transfer step's plan, keyed on its incoming block structure, q_s,
-q_{s+1} and d, holds a (block, slot) and a (block, vector) gather factor per
-charge of the new bond, and the out structure; at M = 16 the largest is
-0.15 MB.
+Every slot table, window, rotation table and block list of the two-site
+update and the RDM depends only on the bond charges and d (and, for a
+transfer step, on the blocks it receives), so each is built once per charge
+pattern into a plan of read-only arrays, held in bounded per-process caches
+keyed on the charges' bytes: scans over states of the same N, M and chi
+revisit the same patterns.  A transfer step's plan, keyed on its incoming
+block structure, q_s, q_{s+1} and d, holds a (block, slot) and a (block,
+vector) gather factor per charge of the new bond, and the out structure; at
+M = 16 the largest is 0.15 MB.
 """
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
@@ -107,7 +112,9 @@ GATE_CHUNK_BYTES = 1 << 17  # slot-table bytes per batched gate product
 
 @dataclass
 class BlockDecimationState:
-    gammas: list  # per-site right-normalized (chiL, d, chiR) tensors Gamma lambda
+    # per-site (chiL, chiR) matrices W[a, b] = B[a, qL[a] - qR[b], b] of the
+    # right-normalized tensors B = Gamma lambda, 0 where that level is outside 0..d-1
+    ws: list
     lambdas: list  # per-bond vectors, length n_sites + 1, trivial ends
     charges: list  # per-bond int arrays: bosons to the right of the bond, ascending
     local_dim: int
@@ -117,7 +124,45 @@ class BlockDecimationState:
 
     @property
     def n_sites(self) -> int:
-        return len(self.gammas)
+        return len(self.ws)
+
+    @property
+    def gammas(self) -> "DenseSites":
+        """The sites in the dense (chiL, d, chiR) layout: a read-only view."""
+        return DenseSites(self)
+
+
+def _levels(q_left: np.ndarray, q_right: np.ndarray) -> np.ndarray:
+    """(chiL, chiR) site levels qL[a] - qR[b] that the bond charges imply."""
+    return q_left[:, None] - q_right
+
+
+def _split_levels(state: BlockDecimationState, k: int) -> np.ndarray:
+    """Site k+1 as a new (chiL, d, chiR) tensor B[a, n, b], W placed at its levels."""
+    w = state.ws[k]
+    level = _levels(state.charges[k], state.charges[k + 1])
+    a, b = np.nonzero((level >= 0) & (level < state.local_dim))
+    g = np.zeros((w.shape[0], state.local_dim, w.shape[1]), dtype=w.dtype)
+    g[a, level[a, b], b] = w[a, b]
+    return g
+
+
+class DenseSites(Sequence):
+    """Read-only (chiL, d, chiR) tensors of a state's sites, item k expanded
+    from ws[k] when it is read; the state stores only W."""
+
+    def __init__(self, state: BlockDecimationState):
+        self._state = state
+
+    def __len__(self) -> int:
+        return self._state.n_sites
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        g = _split_levels(self._state, range(len(self))[k])
+        g.setflags(write=False)
+        return g
 
 
 @dataclass(frozen=True)
@@ -139,16 +184,13 @@ def from_fock(occupations, d: int, chi_max: int, trunc_tol: float) -> BlockDecim
     """Product Fock state |n_1, ..., n_N>."""
     occupations = list(occupations)
     n = len(occupations)
-    gammas = []
     for occ in occupations:
         if not (0 <= occ < d):
             raise CutoffError(f"occupation {occ} outside local dimension {d}")
-        g = np.zeros((1, d, 1), dtype=complex)
-        g[0, occ, 0] = 1.0
-        gammas.append(g)
+    ws = [np.ones((1, 1), dtype=complex) for _ in range(n)]
     lambdas = [np.array([1.0]) for _ in range(n + 1)]
     charges = [np.array([sum(occupations[b:])]) for b in range(n + 1)]
-    return BlockDecimationState(gammas=gammas, lambdas=lambdas, charges=charges,
+    return BlockDecimationState(ws=ws, lambdas=lambdas, charges=charges,
                                 local_dim=d, chi_max=chi_max, trunc_tol=trunc_tol)
 
 
@@ -223,7 +265,10 @@ def apply_single(state: BlockDecimationState, gate: SingleModeGate) -> BlockDeci
         raise ValidationError(f"site {gate.site} outside chain")
     if np.shape(gate.phases) != (state.local_dim,):
         raise ValidationError("gate dimension does not match local dimension")
-    state.gammas[k] = state.gammas[k] * gate.phases[None, :, None]
+    # each entry of W takes the phase of its implied level; the levels
+    # outside 0..d-1 hold zeros, so clipping them changes nothing
+    level = np.clip(_levels(state.charges[k], state.charges[k + 1]), 0, state.local_dim - 1)
+    state.ws[k] = state.ws[k] * gate.phases[level]
     return state
 
 
@@ -249,19 +294,18 @@ def _slots(start: np.ndarray, count: np.ndarray, pad: int) -> np.ndarray:
 
 # -- charge-structure plans ------------------------------------------------
 #
-# A plan stores each gather from a tensor as two broadcastable factors of its
-# flat index (row part + column part), so it stays O(blocks x (rows + columns))
-# rather than the size of the gathered stack; a factor of PAD reads zero.
-# Index tables that carry no PAD are stored in the smallest unsigned type.
+# A plan stores each gather as two broadcastable factors of its flat index
+# (row part + column part), so it stays O(blocks x (rows + columns)) rather
+# than the size of the gathered stack.  The RDM plans store their index
+# tables in the smallest unsigned type that holds them.
 
-# Plans per cache.  A benchmark pass builds at most 125 plans in one cache
-# (the W tables of quench_snapshots' 21 states, N = 40; one `occupations`
-# call looks up 2N, N distinct).  The largest plan measured, a transfer step
-# at M = 32, takes 2.0 MB, so a full cache of those would hold about 260 MB;
-# rho_{1,N} of three N = 20, M = 32 collisions (mu = 6, 20, 40) builds 7.1 MB
-# of RDM plans in all.
+# Plans per cache.  A benchmark pass builds at most 82 plans in one cache
+# (the RDM transfer steps of sweep_small); quench_snapshots builds none,
+# since its states are written and read as W with no plan.  The largest
+# plan measured, a transfer step at M = 32, takes 3.6 MB, so a full cache
+# of those would hold about 460 MB; rho_{1,N} of three N = 20, M = 32
+# collisions (mu = 6, 20, 40) builds 11.7 MB of RDM plans in all.
 PLAN_CACHE_SIZE = 128
-PAD = 1 << 60  # flat-index factor of a padding slot; any sum with it is past the end
 
 
 def _key(q: np.ndarray) -> bytes:
@@ -289,29 +333,26 @@ def _frozen(fields):
     return fields
 
 
-def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """a.ravel()[rows + cols], where an index past the end reads zero."""
-    flat = np.empty(a.size + 1, dtype=a.dtype)
-    flat[:-1].reshape(a.shape)[...] = a
-    flat[-1] = 0
-    return flat.take(rows + cols, mode="clip")
-
-
 class TwoSitePlan(NamedTuple):
-    """What `apply_two` needs of the charges (ql, qm, qr) and d, q the window charges."""
+    """What `apply_two` needs of the charges (ql, qm, qr) and d, q the window charges.
+
+    A padding slot gathers entry 0 of its matrix: padded middle vectors are
+    masked out of the contraction, and padded rows and columns land in the
+    extra row and column of v, which the update zeroes.
+    """
     qs: np.ndarray  # new middle charge of each window
-    left_rows: np.ndarray  # (q, row, 1) and (q, 1, mid) factors of the B^[k] gather
+    left_rows: np.ndarray  # (q, row, 1) and (q, 1, mid) factors of the W^[k] gather
     left_cols: np.ndarray
-    right_rows: np.ndarray  # (q, mid, 1) and (q, 1, col) factors of the B^[k+1] gather
+    mids: np.ndarray  # (q, 1, mid) whether a middle slot holds a vector
+    right_rows: np.ndarray  # (q, mid, 1) and (q, 1, col) factors of the W^[k+1] gather
     right_cols: np.ndarray
     win_rows: np.ndarray  # (q, row, 1) and (q, 1, col) factors of window flat indices into v
     win_cols: np.ndarray
     rows: np.ndarray  # (q, row) left bond index, chi_l for padding
+    cols: np.ndarray  # (q, col) right bond index, chi_r for padding
     rotation: np.ndarray  # (slot, d+1, pair) flat indices into v of the gate's slot stack
     qr_first: bool  # the padded SVD stack starts with a QR
     valid: np.ndarray  # (q, min(row, col)) singular values that belong to the block
-    left_out: np.ndarray  # (q, row) flat (row, level) of the new left tensor
-    right_out: np.ndarray  # (q, col) flat (level, col) of the new right tensor
 
 
 def _two_site_plan(ql: np.ndarray, qm: np.ndarray, qr: np.ndarray, d: int) -> TwoSitePlan:
@@ -349,28 +390,26 @@ def _two_site_plan_cached(ql, qm, qr, d: int) -> TwoSitePlan:
     chi_l, chi_m, chi_r = ql.shape[0], qm.shape[0], qr.shape[0]
     # window q: left vectors with n_k = ql[a] - q, right ones with
     # n_{k+1} = q - qr[b]; padded slots point at the last row and column of v
-    # and read a level every q allows (ql[-1] - q and q - qr[0])
+    # and read a level every q allows (ql[-1] - q)
     qs = np.arange(qr[0], ql[-1] + 1)
     a0, a1, b0, b1 = _windows(ql, qr, qs, d)
     rows, cols = _slots(a0, a1 - a0, chi_l), _slots(b0, b1 - b0, chi_r)
     lvl_l = np.append(ql, ql[-1])[rows] - qs[:, None]
-    lvl_r = qs[:, None] - np.append(qr, qr[0])[cols]
-    left_out = rows * d + lvl_l  # flat (row, level) of B^[k] in window q
     m0, m1 = np.searchsorted(qm, qs), np.searchsorted(qm, qs, side="right")
     mids = _slots(m0, m1 - m0, chi_m)  # middle vectors of charge q
-    left_rows = np.where(rows == chi_l, PAD, left_out * chi_m)
-    left_cols = np.where(mids == chi_m, PAD, mids)
-    right_rows = np.where(mids == chi_m, PAD, mids * d * chi_r)
-    right_cols = np.where(cols == chi_r, PAD, lvl_r * chi_r + cols)
+    live = mids < chi_m
+    mids = np.where(live, mids, 0)
     n_rows, n_cols = rows.shape[1], cols.shape[1]
     return _frozen(TwoSitePlan(
-        qs=qs, left_rows=left_rows[:, :, None], left_cols=left_cols[:, None, :],
-        right_rows=right_rows[:, :, None], right_cols=right_cols[:, None, :],
+        qs=qs, left_rows=(np.where(rows < chi_l, rows, 0) * chi_m)[:, :, None],
+        left_cols=mids[:, None, :], mids=live[:, None, :],
+        right_rows=(mids * chi_r)[:, :, None],
+        right_cols=np.where(cols < chi_r, cols, 0)[:, None, :],
         win_rows=(rows * (chi_r + 1) * d + lvl_l)[:, :, None],
-        win_cols=(cols * d)[:, None, :], rows=rows, rotation=_rotation_table(ql, qr, d),
+        win_cols=(cols * d)[:, None, :], rows=rows, cols=cols,
+        rotation=_rotation_table(ql, qr, d),
         qr_first=n_cols >= QR_FIRST_MIN_COLS and n_rows >= 2 * n_cols,
-        valid=np.arange(min(n_rows, n_cols)) < np.minimum(a1 - a0, b1 - b0)[:, None],
-        left_out=left_out, right_out=lvl_r * (chi_r + 1) + cols))
+        valid=np.arange(min(n_rows, n_cols)) < np.minimum(a1 - a0, b1 - b0)[:, None]))
 
 
 def _truncate(s: np.ndarray, total: np.ndarray, chi_max: int, trunc_tol: float):
@@ -407,16 +446,18 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     n_{k+1} = n - i, where n = ql[a] - qr[b] is the pair sector: middle charge
     p fills i = ql[a] - p, the sector-n block of the gate rotates
     v[a, b, :n+1], and new middle charge q is the block v[a, b, ql[a] - q] of
-    its windows.  Charge windows are stacked as slot tables padded with an
-    extra zero row and column of v, so every middle-charge product runs in
-    one matmul and every new-charge block, lambda^[k-1]-weighted, in one SVD
-    call; the singular values of a block are the first min(rows, cols) of
-    its padded SVD.  The rotation
-    stacks the pairs of sectors n and d-1-n in the columns of the gate's
-    shared slot and runs one real product over all slots.  The new right
-    tensor is the kept V^dag rows and the new left tensor the unweighted block
-    times V.  Every table these stages index with comes from the cached
-    `_two_site_plan` of the three bond charges.
+    its windows, gathered from the rows and columns of W^[k] and W^[k+1]
+    that hold charge q in the middle.  Charge windows are stacked as slot
+    tables padded with an extra zero row and column of v, so every
+    middle-charge product runs in one matmul and every new-charge block,
+    lambda^[k-1]-weighted, in one SVD call; the singular values of a block
+    are the first min(rows, cols) of its padded SVD.  The rotation stacks
+    the pairs of sectors n and d-1-n in the columns of the gate's shared
+    slot and runs one real product over all slots.  The new right matrix
+    holds the kept V^dag rows and the new left matrix the unweighted block
+    times V, each in the rows and columns of its window.  Every table these
+    stages index with comes from the cached `_two_site_plan` of the three
+    bond charges.
     """
     k = gate.bond - 1
     if not (0 <= k < state.n_sites - 1):
@@ -433,12 +474,17 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     plan = _two_site_plan(ql, qm, qr, d)
     chi_l, chi_r = ql.shape[0], qr.shape[0]
 
-    # contraction: the middle-charge-q vectors fill window q, one stacked product
-    left = _gather(state.gammas[k], plan.left_rows, plan.left_cols)
-    right = _gather(state.gammas[k + 1], plan.right_rows, plan.right_cols)
+    # contraction: the middle-charge-q vectors fill window q, one stacked
+    # product; the padded rows and columns of every window fill the extra
+    # row and column of v, zeroed before anything reads them
+    left = state.ws[k].take(plan.left_rows + plan.left_cols)
+    left *= plan.mids
+    right = state.ws[k + 1].take(plan.right_rows + plan.right_cols)
     window = plan.win_rows + plan.win_cols  # flat indices into v
     v = np.zeros((chi_l + 1, chi_r + 1, d), dtype=complex)
     v.reshape(-1)[window] = left @ right
+    v[chi_l] = 0
+    v[:, chi_r] = 0
 
     # rotation: every slot times its stack of pairs, one real product
     flat = v.reshape(-1)
@@ -472,15 +518,16 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     blk, t = np.nonzero(mask)  # row-major: new bond sorted by charge
     s = s_pad[blk, t]
 
-    # write-back: kept columns of mats V, kept rows of V^dag
+    # write-back: kept columns of mats V, kept rows of V^dag, each new vector
+    # in the rows (columns) of its window; padding lands in a dropped extra
+    # row (column)
     chi_new = s.shape[0]
     col = np.arange(chi_new)[:, None]
-    gam_l = np.zeros((chi_l + 1, d, chi_new), dtype=complex)
-    gam_l.reshape(-1, chi_new)[plan.left_out[blk], col] = \
-        (mats @ vh.conj().swapaxes(1, 2))[blk, :, t] / s_norm
-    gam_r = np.zeros((chi_new, d, chi_r + 1), dtype=complex)
-    gam_r.reshape(chi_new, -1)[col, plan.right_out[blk]] = vh[blk, t]
-    state.gammas[k], state.gammas[k + 1] = gam_l[:-1], gam_r[:, :, :-1]
+    w_l = np.zeros((chi_l + 1, chi_new), dtype=complex)
+    w_l[plan.rows[blk], col] = (mats @ vh.conj().swapaxes(1, 2))[blk, :, t] / s_norm
+    w_r = np.zeros((chi_new, chi_r + 1), dtype=complex)
+    w_r[col, plan.cols[blk]] = vh[blk, t]
+    state.ws[k], state.ws[k + 1] = w_l[:chi_l], np.ascontiguousarray(w_r[:, :chi_r])
     state.lambdas[k + 1] = s / s_norm
     state.charges[k + 1] = plan.qs[blk]
     return state
@@ -489,10 +536,10 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
 @functools.lru_cache(maxsize=None)
 def _charge_axis(width: int):
     """Read-only (width, width) tables over charges r, p = 0..width-1:
-    sqrt(C(r, p)) (0 for p > r), the level max(r - p, 0), and p <= r."""
+    sqrt(C(r, p)) (0 for p > r) and the level max(r - p, 0)."""
     r, p = np.arange(width)[:, None], np.arange(width)
     tables = (np.array([[math.sqrt(math.comb(i, j)) for j in range(width)]
-                        for i in range(width)]), np.maximum(r - p, 0), r >= p)
+                        for i in range(width)]), np.maximum(r - p, 0))
     return _frozen(tables)
 
 
@@ -514,48 +561,98 @@ def _vacuum_rotations(starts, angles, phases, d: int, chi_max: int, trunc_tol: f
     right of site k; a generator over the states, in order.
 
     starts[i] = (ql, amp, lam) is state i's bond k-1: its charges, the
-    amplitudes B[a, ql[a], 0] and the Schmidt values; angles[i] and
-    phases[i] hold its B rotation and B+1 phase angles.  The rotation on
-    bond b sees every left vector a with all its ql[a] bosons on site b and
-    leaves p of them on site b+1 at amplitude rot[ql[a], p] (see
+    amplitudes W[a, 0] = B[a, ql[a], 0] of site k and the Schmidt values;
+    angles[i] and phases[i] hold its B rotation and B+1 phase angles.  The
+    rotation on bond b sees every left vector a with all its ql[a] bosons on
+    site b and leaves p of them on site b+1 at amplitude rot[ql[a], p] (see
     `_rotation_factors`): one column per new charge p, with its lam-weighted
     norm for singular value and V^dag = 1.  So each bond of a state is a row
     over the charges 0..q, q the largest start charge.  Per bond, one
     batched product gives every state's squared singular values,
     s^2 = w rot^2 with w[r] the lam^2 weight of charge r on the bond before;
     `_truncate` keeps, row by row, what `apply_two` would keep; and the
-    kept, renormalized lam^2 is the next w.  Past bond k-1 a bond has at
-    most one vector per charge, 1 at level p of its right site: the vacuum
-    input of the next rotation.  The last site's right bond is the vacuum
-    bond past the run, charge 0, reached as a rotation by 0 with norm 1.
-    The sector of bond b is the occupation of site b, below d, so the
-    CutoffError of `apply_two` cannot arise.
+    kept, renormalized lam^2 is the next w (`_keep_pass`).  Past bond k-1 a
+    bond has at most one vector per charge, whose row of its right site's W
+    is 1 in the column of charge 0: the vacuum input of the next rotation.
+    The last site's right bond is the vacuum bond past the run, charge 0,
+    reached as a rotation by 0 with norm 1.  The sector of bond b is the
+    occupation of site b, below d, so the CutoffError of `apply_two` cannot
+    arise.
 
     The keep pass runs for every state at the first `next`, so a vanished
-    block raises before anything is yielded.  Then each state's tensors are
-    written as it is yielded: the sites k..k+B, each with its phase folded
+    block raises before anything is yielded.  Then each state's matrices W
+    are written as it is yielded: the sites k..k+B, each with its phase folded
     in, the Schmidt values and charges of bonds k..k+B-1, and the discarded
     weight.  Site k, whose left bond can hold several vectors per charge, is
-    written vector by vector; sites k+1..k+B come from one index table over
-    (site, r, p), with one `zeros` and one put per site.
+    written vector by vector.  Each of sites k+1..k+B is its charge-axis
+    matrix rot[r, p], phase and norm folded in, over the kept charges r of
+    its left bond and p of its right one: three products per site and no
+    index table.  Every entry sits at level r - p in 0..q, and rot vanishes
+    for p > r, so W keeps the charge invariant.
     """
     angles = np.asarray(angles, dtype=float)
     q = max(int(ql[-1]) for ql, _, _ in starts)
-    w = np.array([np.bincount(ql, np.abs(lam * amp) ** 2, q + 1) for ql, amp, lam in starts])
+    width = q + 1
+    w = np.array([np.bincount(ql, np.abs(lam * amp) ** 2, width) for ql, amp, lam in starts])
+    kept, lam, norm, discarded = _keep_pass(w, angles, chi_max, trunc_tol)
+    bonds = angles.shape[1]
+    n = np.arange(width)
+    sqrt_binom, level = _charge_axis(width)
+    for i, (ql, amp, _) in enumerate(starts):
+        chi = np.count_nonzero(kept[i], axis=1)
+        # per site and charge p, (-sin)^p; per site and level l, cos^l with
+        # the site's phase and its right bond's kept norm folded in; the
+        # last site's right bond is the vacuum past the run, a rotation by 0
+        cos_l, sin_p = _rotation_factors(np.append(angles[i], 0.0), q)
+        cos_l = ((1.0 / norm[i])[:, None] * cos_l
+                 * np.exp(-1j * np.asarray(phases[i])[:, None] * n))
+        p = np.flatnonzero(kept[i, 0])
+        a, j = np.nonzero(ql[:, None] >= p)
+        r, p = ql[a], p[j]
+        first = np.zeros((ql.shape[0], chi[0]), dtype=complex)
+        first[a, j] = amp[a] * sqrt_binom[r, p] * sin_p[0, p] * cos_l[0, r - p]
+        ws = [first]
+        # site t+1 takes bond t's kept charge r to bond t+1's kept p at
+        # sqrt(C(r, p)) (-sin)^p cos^(r-p), 0 for p > r; the kept charges of
+        # a bond are mostly one range, read as a slice
+        lo = kept[i].argmax(axis=1).tolist()
+        hi = (width - kept[i, :, ::-1].argmax(axis=1)).tolist()
+        sel = [slice(a, b) if b - a == c else np.flatnonzero(mask)
+               for a, b, c, mask in zip(lo, hi, chi.tolist(), kept[i])]
+        for t in range(bonds):
+            r, p = sel[t], sel[t + 1]
+            w = cos_l[t + 1].take(level[r][:, p])
+            w *= sqrt_binom[r][:, p]
+            w *= sin_p[t + 1, p]
+            ws.append(w)
+        _, charges = np.nonzero(kept[i, :-1])
+        kept_lam = lam[i][kept[i, :-1]]
+        cuts = np.cumsum(chi[:-1]).tolist()
+        bounds = list(zip([0] + cuts, cuts))
+        yield (ws, [kept_lam[c0:c1] for c0, c1 in bounds],
+               [charges[c0:c1] for c0, c1 in bounds], float(discarded[i]))
+
+
+def _keep_pass(w: np.ndarray, angles: np.ndarray, chi_max: int, trunc_tol: float):
+    """The bonds of `_vacuum_rotations`, one row per state: w[i, r] the lam^2
+    weight of charge r on state i's start bond, angles[i] its rotations.
+
+    Returns the kept masks over (state, bond, charge), the vacuum bond past
+    the run included; the kept, renormalized Schmidt values over (state,
+    bond, charge), 0 where not kept; the kept norms, 1 on the vacuum bond;
+    and each state's discarded weight.
+    """
     rows, bonds = angles.shape
+    q = w.shape[1] - 1
     kept = np.ones((rows, bonds + 1, q + 1), dtype=bool)
     kept[:, bonds, 1:] = False  # the vacuum bond past the run: charge 0
     lam = np.empty((rows, bonds, q + 1))
     norm = np.ones((rows, bonds + 1))
     discarded = np.zeros(rows)
-    width = q + 1
-    n = np.arange(width)
-    sqrt_binom, level, below = _charge_axis(width)
-    # per state and site, the factors of the rotation on its right bond; the
-    # last site's right bond is the vacuum past the run, a rotation by 0
-    cos_l, sin_p = _rotation_factors(np.hstack([angles, np.zeros((rows, 1))]), q)
+    sqrt_binom, level = _charge_axis(q + 1)
     for b in range(bonds):
-        rot = sqrt_binom * cos_l[:, b][:, level] * sin_p[:, b, None, :]
+        cos_l, sin_p = _rotation_factors(angles[:, b], q)
+        rot = sqrt_binom * cos_l[:, level] * sin_p[:, None, :]
         s2 = np.matmul(w[:, None, :], rot**2)[:, 0]
         total = s2.sum(axis=1)
         if not total.all():
@@ -565,42 +662,7 @@ def _vacuum_rotations(starts, angles, phases, d: int, chi_max: int, trunc_tol: f
         discarded += dropped
         lam[:, b] = np.where(kept[:, b], s, 0.0) / norm[:, b, None]
         w = lam[:, b] ** 2
-
-    sqrt_binom, below = sqrt_binom.reshape(-1), below.reshape(-1)
-    for i, (ql, amp, _) in enumerate(starts):
-        chi = np.count_nonzero(kept[i], axis=1)
-        rank = (np.cumsum(kept[i], axis=1) - 1).reshape(-1)
-        # per site and charge p, (-sin)^p; per site and level l, cos^l with
-        # the site's phase and its right bond's kept norm folded in
-        sin_i = sin_p[i].reshape(-1)
-        cos_i = ((1.0 / norm[i])[:, None] * cos_l[i]
-                 * np.exp(-1j * np.asarray(phases[i])[:, None] * n)).reshape(-1)
-        p = np.flatnonzero(kept[i, 0])
-        a, j = np.nonzero(ql[:, None] >= p)
-        r, p = ql[a], p[j]
-        first = np.zeros((ql.shape[0], d, chi[0]), dtype=complex)
-        first[a, r - p, j] = amp[a] * sqrt_binom[r * width + p] * sin_i[p] * cos_i[r - p]
-        gammas = [first]
-        # site t+1 takes bond t's kept charge r (its rank there) to bond
-        # t+1's kept p; every entry of those sites from one index table
-        pair = np.flatnonzero((kept[i, :-1, :, None] & kept[i, 1:, None, :]).reshape(
-            bonds, width * width) & below)
-        t, rp = np.divmod(pair, width * width)
-        r, p = np.divmod(rp, width)
-        site = (t + 1) * width  # row of site t+1 in the per-site tables
-        flat = (rank[site - width + r] * d + r - p) * chi[t + 1] + rank[site + p]
-        values = sqrt_binom[rp] * sin_i[site + p] * cos_i[site + r - p]
-        ends = np.cumsum(np.bincount(t, minlength=bonds)).tolist()
-        for t, (e0, e1) in enumerate(zip([0] + ends, ends), start=1):
-            g = np.zeros(chi[t - 1] * d * chi[t], dtype=complex)
-            g[flat[e0:e1]] = values[e0:e1]
-            gammas.append(g.reshape(chi[t - 1], d, chi[t]))
-        _, charges = np.nonzero(kept[i, :-1])
-        kept_lam = lam[i][kept[i, :-1]]
-        cuts = np.cumsum(chi[:-1]).tolist()
-        bounds = list(zip([0] + cuts, cuts))
-        yield (gammas, [kept_lam[c0:c1] for c0, c1 in bounds],
-               [charges[c0:c1] for c0, c1 in bounds], float(discarded[i]))
+    return kept, lam, norm, discarded
 
 
 def _rotate_into_vacuum(state: BlockDecimationState, site: int, angles,
@@ -609,8 +671,8 @@ def _rotate_into_vacuum(state: BlockDecimationState, site: int, angles,
     phases e^{-i theta n} on sites site..site+len(angles) (one per site), on
     one state: `_vacuum_rotations` with one row.
 
-    The state must be vacuum to the right of `site`, its vacuum sites the 1
-    at level 0 of `from_fock`.
+    The state must be vacuum to the right of `site`, its vacuum sites the
+    1 x 1 W = 1 of `from_fock`.
     """
     k0 = site - 1
     last = k0 + len(angles)  # last site touched, 0-based
@@ -620,11 +682,10 @@ def _rotate_into_vacuum(state: BlockDecimationState, site: int, angles,
         if q.shape != (1,) or q[0] != 0:
             raise ValidationError(f"site {site} is not followed by vacuum; "
                                   "the closed-form rotations need it")
-    ql = state.charges[k0]
-    start = (ql, state.gammas[k0][np.arange(ql.shape[0]), ql, 0], state.lambdas[k0])
-    (gammas, lambdas, charges, discarded), = _vacuum_rotations(
+    start = (state.charges[k0], state.ws[k0][:, 0], state.lambdas[k0])
+    (ws, lambdas, charges, discarded), = _vacuum_rotations(
         [start], [angles], [phases], state.local_dim, state.chi_max, state.trunc_tol)
-    state.gammas[k0:last + 1] = gammas
+    state.ws[k0:last + 1] = ws
     state.lambdas[k0 + 1:last + 1] = lambdas
     state.charges[k0 + 1:last + 1] = charges
     state.discarded_weight += discarded
@@ -640,9 +701,10 @@ def lift_first_site(state: BlockDecimationState, m2: int) -> BlockDecimationStat
     """Apply (a_1^dag)^m2 followed by renormalization.
 
     The site-1 occupation of bond-1 Schmidt vector gamma is
-    charges[0][0] - charges[1][gamma]; the lift shifts that local index and
-    scales column gamma of B^[1] and lambda^[1][gamma] by the same normalized
-    lift factor, leaving every other site and bond untouched.  The factor is
+    charges[0][0] - charges[1][gamma]; the lift adds m2 to charges[0][0],
+    which shifts that implied level, and scales column gamma of W^[1] and
+    lambda^[1][gamma] by the same normalized lift factor, leaving every other
+    site and bond untouched.  The factor is
     the same within a charge group, so bond 1 keeps its layout.
     """
     if m2 < 0:
@@ -654,48 +716,15 @@ def lift_first_site(state: BlockDecimationState, m2: int) -> BlockDecimationStat
     if np.any(occ_of + m2 >= d):
         raise CutoffError(f"lift by {m2} exceeds local dimension {d} "
                           f"(max occupation {int(occ_of.max())})")
-    cols = np.arange(occ_of.shape[0])
     factors = _lift_factors(occ_of.astype(float), m2)
     factors /= np.linalg.norm(state.lambdas[1] * factors)
-    g_new = np.zeros_like(state.gammas[0])
-    g_new[0, occ_of + m2, cols] = state.gammas[0][0, occ_of, cols] * factors
-    state.gammas[0] = g_new
+    state.ws[0] = state.ws[0] * factors
     state.lambdas[1] = state.lambdas[1] * factors
     state.charges[0] = state.charges[0] + m2
     return state
 
 
 # -- observables ---------------------------------------------------------
-
-
-def _site_matrices(state: BlockDecimationState, k: int) -> np.ndarray:
-    """B_k(i) as a (d, chiL, chiR) view of gammas[k]."""
-    return np.transpose(state.gammas[k], (1, 0, 2))
-
-
-def _w_index(q_in: np.ndarray, q_out: np.ndarray, d: int) -> np.ndarray:
-    return _w_index_cached(_key(q_in), _key(q_out), d)
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _w_index_cached(q_in, q_out, d: int) -> np.ndarray:
-    """(chi_in, chi_out) flat indices of W[b, c] = B[b, q_in[b] - q_out[c], c] into B.
-
-    Where that level is outside 0..d-1, the clipped level reads an entry that
-    the charges make zero.
-    """
-    q_in, q_out = _charges(q_in), _charges(q_out)
-    levels = np.clip(q_in[:, None] - q_out, 0, d - 1)
-    chi_out = q_out.shape[0]
-    w = _compact((np.arange(q_in.shape[0])[:, None] * d + levels) * chi_out + np.arange(chi_out))
-    w.setflags(write=False)
-    return w
-
-
-def _site_w(state: BlockDecimationState, k: int) -> np.ndarray:
-    """Site k+1 as its charge-implied chi_L x chi_R matrix W."""
-    return np.ravel(state.gammas[k]).take(
-        _w_index(state.charges[k], state.charges[k + 1], state.local_dim))
 
 
 def _same_charge(q: np.ndarray) -> np.ndarray:
@@ -712,7 +741,7 @@ def _left_envs(state: BlockDecimationState):
     env = np.ones((1, 1), dtype=complex)
     yield env
     for k in range(state.n_sites):
-        w = _site_w(state, k)
+        w = state.ws[k]
         env = (w.conj().T @ env @ w) * _same_charge(state.charges[k + 1])
         yield env
 
@@ -723,7 +752,7 @@ def _right_envs(state: BlockDecimationState):
     env = np.ones((1, 1), dtype=complex)
     yield env
     for k in range(state.n_sites - 1, -1, -1):
-        w = _site_w(state, k)
+        w = state.ws[k]
         env = (w @ env @ w.conj().T) * _same_charge(state.charges[k])
         yield env
 
@@ -735,7 +764,8 @@ def state_norm(state: BlockDecimationState) -> float:
 
 
 def amplitude(state: BlockDecimationState, config) -> complex:
-    """Fock-basis coefficient of |config>."""
+    """Fock-basis coefficient of |config>: per site, the entries of W whose
+    implied level is config[k]."""
     config = list(config)
     if len(config) != state.n_sites:
         raise ValidationError("configuration length does not match chain")
@@ -743,7 +773,8 @@ def amplitude(state: BlockDecimationState, config) -> complex:
     for k, occ in enumerate(config):
         if not (0 <= occ < state.local_dim):
             raise ValidationError(f"occupation {occ} outside local dimension")
-        v = v @ state.gammas[k][:, occ, :]
+        level = _levels(state.charges[k], state.charges[k + 1])
+        v = v @ np.where(level == occ, state.ws[k], 0)
     return complex(v[0])
 
 
@@ -754,7 +785,7 @@ def occupations(state: BlockDecimationState) -> np.ndarray:
     of each entry of W read off the charges.  Both sweeps share each site's W
     and conj(W) and each bond's charge mask.
     """
-    ws = [_site_w(state, k) for k in range(state.n_sites)]
+    ws = state.ws
     wcs = [w.conj() for w in ws]
     masks = [_same_charge(q) for q in state.charges]
     right = [np.ones((1, 1), dtype=complex)]  # R[N], ..., R[0] as in `_right_envs`
@@ -791,8 +822,9 @@ def _sector_of(u: np.ndarray, charge: np.ndarray):
 # sides).  A structure lists the blocks as int16 rows g, o, t, sorted by
 # `_block_code`, so the blocks of one group charge p are consecutive and
 # form one group matrix: its rows are (block, other-side vector), each block
-# padded with zero rows to the group's widest, and its columns are the
-# vectors of charge p.
+# padded to the group's widest with rows that no step and no close reads
+# (zero after the opening, any finite value after a step), and its columns
+# are the vectors of charge p.
 
 
 def _block_code(g, o, t, d: int):
@@ -857,10 +889,10 @@ class RdmOpenPlan(NamedTuple):
 
 class RdmTransferPlan(NamedTuple):
     """One transfer step through site s+1, from the incoming structure and bonds s, s+1."""
-    ins: tuple  # per in group: its W rows r0:r1, first Y row y0, and W columns :c1
-    y_rows: int  # rows of Y, before its appended zero row
+    ins: tuple  # per in group: its W rows r0:r1, the offset of its Y block, and W columns :c1
+    y_size: int  # entries of Y, before its zero tail of chi_out + 1
     outs: tuple  # per out group: the W rows x0:x1 and columns c0:c1 of its
-    # product, and the (block, slot, 1) column offsets and (block, 1, x) rows
+    # product, and the (block, slot, 1) columns and (block, 1, x) row offsets
     # of its gather from Y
     structure: bytes  # the out blocks, grouped by the side contracted second
 
@@ -914,19 +946,21 @@ def _rdm_transfer_plan_cached(structure, q_in, q_out, d: int) -> RdmTransferPlan
     q_in, q_out = _charges(q_in), _charges(q_out)
     g, o, t = _blocks(structure)
     chi_in, chi_out = q_in.shape[0], q_out.shape[0]
-    # first products: in group p times the W rows of charge p fills the Y
-    # rows of its rows, up to the last W column of charge <= p (W vanishes
-    # beyond it)
+    # first products: in group p times the W rows of charge p, up to the
+    # last W column c1 of charge <= p (W vanishes beyond it), fills its own
+    # row-major (rows, c1) block of Y, so Y holds no column a group cannot
+    # reach; row i of block j starts at y_start[j] + i * c1
     lay = _layout(g, o, t, q_in)
     n_blocks = np.diff(lay.first)
-    y0 = np.concatenate(([0], np.cumsum(n_blocks * lay.width)))
-    grp = np.repeat(np.arange(n_blocks.shape[0]), n_blocks)
-    y_start = y0[grp] + (np.arange(g.shape[0]) - lay.first[grp]) * lay.width[grp]
     r0 = lay.start[lay.group]
     c1 = np.searchsorted(q_out, q_in[r0], side="right")
+    y0 = np.concatenate(([0], np.cumsum(n_blocks * lay.width * c1)))
+    grp = np.repeat(np.arange(n_blocks.shape[0]), n_blocks)
+    y_step = c1[grp]  # Y row length of each block
+    y_start = y0[grp] + (np.arange(g.shape[0]) - lay.first[grp]) * lay.width[grp] * y_step
     ins = tuple(zip(r0.tolist(), (r0 + lay.count[lay.group]).tolist(), y0.tolist(),
                     c1.tolist()))
-    y_rows = int(y0[-1])
+    y_size = int(y0[-1])
     # out blocks: level m takes t to t - m, and the other side, contracted
     # second, becomes the group side
     u_out = np.unique(q_out, return_index=True)[0]
@@ -939,13 +973,15 @@ def _rdm_transfer_plan_cached(structure, q_in, q_out, d: int) -> RdmTransferPlan
     out = _layout(g2, o2, t2, q_out)
     # second products: out block (g2, o2, t2) of group r = t2 - g2 sums over
     # the in vectors x of charge r + m, m < d: the Y rows of in block
-    # (o2, g2, t2 + m), or the zero row appended to Y where that is missing
+    # (o2, g2, t2 + m), or Y's zero tail where that is missing.  A padded
+    # slot reads past its row; it only fills a padded row of the out group
+    # matrix, which no later step and no close reads
     r = q_out[out.start[out.group]]
     x0 = np.searchsorted(q_in, r)
     x1 = np.searchsorted(q_in, r + d - 1, side="right")
     codes = _block_code(g, o, t, d)
     slot = np.arange(chi_in) - np.repeat(lay.start, lay.count)
-    stride = y_rows + 1  # Y is stored transposed: Y[row, c] at c * stride + row
+    dtype = np.min_scalar_type(y_size + chi_out)  # holds every sum of the two factors
     outs = []
     for p in range(r.shape[0]):
         blk = slice(out.first[p], out.first[p + 1])
@@ -955,12 +991,12 @@ def _rdm_transfer_plan_cached(structure, q_in, q_out, d: int) -> RdmTransferPlan
         found = codes[j] == want
         live = np.flatnonzero(found.any(axis=0))  # in vectors that some block reads
         a, b = live[0], live[-1] + 1
-        rows = _compact(np.where(found, y_start[j] + slot[xp], y_rows)[:, None, a:b])
-        cols = _group_rows(out, p, chi_out) * stride
-        cols = cols.astype(np.min_scalar_type(int(cols.max()) + stride))[:, :, None]
+        rows = np.where(found, y_start[j] + slot[xp] * y_step[j], y_size)[:, None, a:b]
+        cols = _group_rows(out, p, chi_out)[:, :, None]
         outs.append((int(x0[p] + a), int(x0[p] + b), int(out.start[out.group[p]]),
-                     int(out.start[out.group[p]] + out.count[out.group[p]]), cols, rows))
-    return _frozen(RdmTransferPlan(ins=ins, y_rows=y_rows, outs=tuple(outs),
+                     int(out.start[out.group[p]] + out.count[out.group[p]]),
+                     cols.astype(dtype), rows.astype(dtype)))
+    return _frozen(RdmTransferPlan(ins=ins, y_size=y_size, outs=tuple(outs),
                                    structure=_structure(g2, o2, t2)))
 
 
@@ -998,20 +1034,19 @@ def _transfer(state: BlockDecimationState, env: list, structure: bytes, k: int, 
     buffer = np.empty(0, dtype=complex)  # Y of every step, grown as needed
     for s in range(k, l - 1):
         step = _rdm_transfer_plan(structure, state.charges[s], state.charges[s + 1], d)
-        w = _site_w(state, s)
+        w = state.ws[s]
         wc = w.conj()
         # the ket side contracts with W and the bra side with conj(W); the
         # opening groups by the ket side, and the sides alternate
         v, u = (w, wc) if (s - k) % 2 == 0 else (wc, w)
-        # Y stored transposed; its last row and column read zero
-        size = (w.shape[1] + 1) * (step.y_rows + 1)
+        # one (rows, c1) block per in group, then a zero tail
+        size = step.y_size + w.shape[1] + 1
         if buffer.shape[0] < size:
             buffer = np.empty(size, dtype=complex)
-        y = buffer[:size].reshape(w.shape[1] + 1, step.y_rows + 1)
-        y[-1] = 0
-        y[:, -1] = 0
+        y = buffer[:size]
+        y[step.y_size:] = 0
         for mat, (r0, r1, y0, c1) in zip(env, step.ins):
-            np.matmul(v[r0:r1, :c1].T, mat.T, out=y[:c1, y0:y0 + mat.shape[0]])
+            np.matmul(mat, v[r0:r1, :c1], out=y[y0:y0 + mat.shape[0] * c1].reshape(-1, c1))
         env = [y.take(cols + rows).reshape(-1, x1 - x0) @ u[x0:x1, c0:c1]
                for x0, x1, c0, c1, cols, rows in step.outs]
         structure = step.structure
@@ -1032,7 +1067,8 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
     charge offset of its in blocks, which makes their levels m equal, so the
     sum over m is no more than the inner dimension of the second product.
     The first products take each group matrix (the blocks with one charge p
-    on the side contracted first) times the W rows of charge p, into Y.
+    on the side contracted first) times the W rows of charge p, each into
+    its own block of Y, only as wide as the W columns of charge <= p.
     The second take, for each charge r of the other side on the new bond,
     the Y rows of every m as one matrix whose inner dimension runs over the
     in vectors of charge r + m, times W[:, r] (conjugated on the bra side).
@@ -1042,7 +1078,8 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
     slot, then contracts site l per imbalance delta = i - i':
     rho[(i, j), (i', j')] vanishes unless j' - j = delta, so
     each delta is one product with d - |delta| rows and columns.  Only
-    L[k-1] and R[l] are contracted; no canonical form is assumed.  The index
+    sites k and l are split into their levels A(i), each as a temporary.
+    Only L[k-1] and R[l] are contracted; no canonical form is assumed.  The index
     tables of the opening, of each step and of the close come from cached
     plans of the bond charges and the incoming block structure.
     """
@@ -1052,7 +1089,7 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
     occ = np.arange(d)
     left = next(islice(_left_envs(state), k - 1, None))
     right = next(islice(_right_envs(state), state.n_sites - l, None))
-    ak = _site_matrices(state, k - 1)
+    ak = np.transpose(_split_levels(state, k - 1), (1, 0, 2))  # (d, chiL, chiR)
     # X[(i, i'), b, b'] = A(i)^dag L A(i') after opening site k, for the level
     # pairs i >= i' in row-major order (i bra, i' ket; b bra bond, b' ket)
     plan = _rdm_open_plan(state.charges[k - 1], state.charges[k], d)
@@ -1062,7 +1099,7 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
            for rows, cols in plan.groups]
     env, structure = _transfer(state, env, plan.structure, k, l)
     close = _rdm_close_plan(structure, state.charges[l - 1], d, (l - 1 - k) % 2 == 0)
-    al = _site_matrices(state, l - 1)
+    al = np.transpose(_split_levels(state, l - 1), (1, 0, 2))
     chi_b = al.shape[1]
     x = np.zeros((d, d, chi_b + 1, chi_b + 1), dtype=complex)
     flat = x.reshape(-1)
@@ -1181,10 +1218,10 @@ def condensate_states(modes, m: int, d: int | None = None, chi_max: int | None =
     d, chi_max, trunc_tol = _numerics(m, d, chi_max, trunc_tol)
     angles, phases = zip(*(_inverse_angles(fold_single(c), 1) for c in cs))
     start = (np.array([m]), np.ones(1), np.ones(1))
-    for gammas, lambdas, charges, discarded in _vacuum_rotations(
+    for ws, lambdas, charges, discarded in _vacuum_rotations(
             [start] * len(cs), angles, phases, d, chi_max, trunc_tol):
         yield BlockDecimationState(
-            gammas=gammas, lambdas=[np.ones(1), *lambdas, np.ones(1)],
+            ws=ws, lambdas=[np.ones(1), *lambdas, np.ones(1)],
             charges=[np.array([m]), *charges, np.zeros(1, dtype=int)], local_dim=d,
             chi_max=chi_max, trunc_tol=trunc_tol, discarded_weight=discarded)
 
@@ -1227,5 +1264,5 @@ def two_sum_state(z, c, m1: int, m2: int, d: int | None = None,
     _rotate_into_vacuum(state, 2, angles, phases[1:])
     apply_single(state, build_phase_gate(1, phases[0], d))
     replay_plan_gates(state, invert_plan(plan.plan1))
-    state.gammas[0] = state.gammas[0] * np.exp(-1j * plan.site1_phase * plan.m1)
+    state.ws[0] = state.ws[0] * np.exp(-1j * plan.site1_phase * plan.m1)
     return state

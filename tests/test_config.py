@@ -1,6 +1,6 @@
 import pytest
 
-from bosefold.config import parse_config, parse_config_text, serialize_config
+from bosefold.config import parse_config, parse_config_text
 from bosefold.errors import ConfigError
 
 GOOD_SWEEP = """\
@@ -176,14 +176,6 @@ def test_negative_beta_rejected():
     for bad in ("-0.5", "nan"):
         with pytest.raises(ConfigError, match="beta"):
             parse_config_text(text.format(bad))
-
-
-def test_serialize_roundtrip():
-    spec = parse_config_text(GOOD_SWEEP)
-    text = serialize_config(spec)
-    again = parse_config_text(text)
-    assert again == spec
-    assert serialize_config(again) == text
 
 
 def test_parse_config_file(tmp_path):

@@ -5,7 +5,7 @@ from bosefold.errors import ModelError, ValidationError
 from bosefold.model import (CouplingMatrix, ModelSpec, add_gaussian_center_perturbation,
                             add_onsite_barrier, add_parabolic_trap, build_coupling,
                             build_inverse_distance, build_jx, coupling_from_array,
-                            jz_values, load_matrix_csv, save_matrix_csv)
+                            jz_values, load_matrix_csv)
 
 
 def test_inverse_distance_entries():
@@ -94,7 +94,9 @@ def test_matrix_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     r = coupling_from_array((h + h.conj().T) / 2)
+    # the custom_matrix format: one row per site, alternating re, im columns
     path = tmp_path / "r.csv"
-    save_matrix_csv(path, r)
+    path.write_text("".join(",".join(f"{x:.17g}" for z in row for x in (z.real, z.imag)) + "\n"
+                            for row in r.entries) + "\n")
     back = load_matrix_csv(path)
     assert np.allclose(back.entries, r.entries, atol=0, rtol=1e-15)

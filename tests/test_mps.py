@@ -116,7 +116,7 @@ def test_sector_eigenbasis_is_cached(monkeypatch):
     assert len(calls) <= 9
 
 
-PLAN_CACHES = (mps._two_site_plan_cached, mps._w_index_cached, mps._rdm_open_plan_cached,
+PLAN_CACHES = (mps._two_site_plan_cached, mps._rdm_open_plan_cached,
                mps._rdm_transfer_plan_cached, mps._rdm_close_plan_cached)
 
 
@@ -184,7 +184,7 @@ def test_cached_plans_give_bit_identical_states(monkeypatch):
         ref = run()
     for _ in range(2):  # filling the caches, then from them alone
         for (st_ref, rhos_ref), (st, rhos) in zip(ref, run()):
-            for field in ("gammas", "lambdas", "charges"):
+            for field in ("ws", "lambdas", "charges"):
                 for a, b in zip(getattr(st_ref, field), getattr(st, field)):
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert a.tobytes() == b.tobytes(), field
@@ -202,7 +202,6 @@ def test_cached_plans_are_read_only():
              mps._rdm_open_plan(st.charges[1], st.charges[2], d)]
     plans.append(mps._rdm_transfer_plan(plans[-1].structure, st.charges[2], st.charges[3], d))
     plans.append(mps._rdm_close_plan(plans[-1].structure, st.charges[3], d, False))
-    plans.append((mps._w_index(st.charges[3], st.charges[4], d),))
     assert all(cache.cache_info().hits > 0 for cache in PLAN_CACHES)
 
     def arrays(fields):
@@ -260,24 +259,66 @@ def test_two_site_sector_beyond_cutoff_raises():
             apply_two(st, build_pair_rotation_gate(1, 0.3, 4))
 
 
-def test_bond_charges_label_every_nonzero_gamma_entry():
+def test_every_writer_keeps_w_inside_its_charge_levels():
+    # each site is stored as W[a, b] = B[a, qL[a] - qR[b], b]; an entry whose
+    # implied level lies outside 0..d-1 has no place in B and must be exactly 0
     n = 5
     states = [(condensate_state(_random_mode(n, 40 + s), 3), 3) for s in range(2)]
     states += [(two_sum_state(_random_mode(n, 42), _random_mode(n, 43), 2, 2), 4),
-               (two_sum_state(_random_mode(n, 44), _random_mode(n, 45), 1, 3), 4),
-               (from_fock([2, 0, 1, 0, 1], d=5, chi_max=8, trunc_tol=1e-12), 4)]
+               (two_sum_state(_random_mode(n, 44), _random_mode(n, 45), 1, 3), 4)]
     lifted = two_sum_state(_random_mode(n, 46), _random_mode(n, 47), 2, 1, d=6)
     states.append((lift_first_site(lifted, 2), 5))
+    # from_fock, then every gate writer and the lift
+    gated = from_fock([2, 0, 1, 0, 1], d=7, chi_max=8, trunc_tol=1e-12)
+    rng = np.random.default_rng(48)
+    for bond in (1, 2, 3, 4, 2, 1):
+        apply_two(gated, build_pair_rotation_gate(bond, rng.uniform(-np.pi, np.pi), 7))
+        apply_single(gated, build_phase_gate(bond, rng.uniform(-np.pi, np.pi), 7))
+    states.append((lift_first_site(gated, 2), 6))
+    outside = 0
     for st, m in states:
         assert st.charges[0].tolist() == [m]
         assert st.charges[n].tolist() == [0]
         # every bond is grouped by ascending charge
         assert all(np.all(np.diff(q) >= 0) for q in st.charges)
-        for k, g in enumerate(st.gammas):
-            assert st.charges[k].shape[0] == g.shape[0]
-            assert st.charges[k + 1].shape[0] == g.shape[2]
-            a, occ, b = np.nonzero(g)
-            assert np.array_equal(st.charges[k][a], occ + st.charges[k + 1][b])
+        for k, w in enumerate(st.ws):
+            assert w.shape == (st.charges[k].shape[0], st.charges[k + 1].shape[0])
+            level = st.charges[k][:, None] - st.charges[k + 1]
+            out = (level < 0) | (level >= st.local_dim)
+            assert np.all(w[out] == 0), k
+            outside += np.count_nonzero(out)
+    assert outside > 100  # the check is not vacuous
+
+
+def test_gammas_is_a_read_only_dense_view_of_w():
+    n = 6
+    st = two_sum_state(_random_mode(n, 51), _random_mode(n, 52), 2, 2)
+    d = st.local_dim
+    view = st.gammas
+    assert len(view) == n
+    for k, g in enumerate(view):
+        # every W entry at its implied level, and nothing else
+        assert g.shape == (st.ws[k].shape[0], d, st.ws[k].shape[1])
+        a, occ, b = np.nonzero(g)
+        assert np.array_equal(st.charges[k][a], occ + st.charges[k + 1][b])
+        level = np.clip(st.charges[k][:, None] - st.charges[k + 1], 0, d - 1)
+        assert np.array_equal(np.take_along_axis(g, level[:, None, :], axis=1)[:, 0], st.ws[k])
+        assert np.count_nonzero(g) == np.count_nonzero(st.ws[k])
+    assert np.array_equal(view[-1], view[n - 1])
+    assert [g.shape for g in view[1:3]] == [view[1].shape, view[2].shape]
+    # read-only: neither its arrays nor its items can be written
+    g = view[2]
+    with pytest.raises(ValueError, match="read-only"):
+        g[...] = 0
+    with pytest.raises(TypeError):
+        st.gammas[0] = g
+    with pytest.raises(IndexError):
+        view[n]
+    # the view follows the state: a gate on W shows in the next read
+    before = st.gammas[2].copy()
+    apply_single(st, build_phase_gate(3, 0.4, d))
+    assert np.max(np.abs(st.gammas[2] - before * np.exp(-0.4j * np.arange(d))[None, :, None])) \
+        < 1e-15
 
 
 def test_condensate_state_matches_dense():
@@ -419,10 +460,19 @@ def test_end_pair_rdm_matches_reduced_pair_oracle_at_scenario_scale():
     n, mu = 20, 6.0
     z, c = _collision_modes(n, mu)
     for m, numerics in [(8, {}), (16, {"chi_max": 81, "trunc_tol": 1e-30})]:
-        st = two_sum_state(z, c, m // 2, m // 2, **numerics)
-        rho = reduced_density_two_sites(st, 1, n)
+        tracemalloc.start()
+        try:
+            st = two_sum_state(z, c, m // 2, m // 2, **numerics)
+            rho = reduced_density_two_sites(st, 1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         ref = dense.reduced_pair_oracle(z, c, m // 2, m // 2, 1, n)
         assert np.max(np.abs(rho - ref)) < 1e-12
+        if m == 16:
+            # chi = 81: the sites stored as W take 1.7 MB (46 MB with their
+            # dense tensors); measured 13.6 MB with cold plan caches
+            assert peak <= 15e6, peak
 
 
 def test_interior_pair_rdms_match_reduced_pair_oracle_at_scenario_scale():
@@ -603,7 +653,7 @@ def test_truncation_keeps_top_singular_values_across_charge_blocks():
     theta = np.einsum("xy,ayb->axb", _dense_pair_gate(gate, d), theta)
     theta = theta.reshape(chi_l * d, d * chi_r)
     _, s_ref, vh_ref = np.linalg.svd(st.lambdas[k].repeat(d)[:, None] * theta)
-    full = apply_two(replace(st, gammas=list(st.gammas), lambdas=list(st.lambdas),
+    full = apply_two(replace(st, ws=list(st.ws), lambdas=list(st.lambdas),
                              charges=list(st.charges), chi_max=100), gate)
     counts_full = dict(zip(*np.unique(full.charges[k + 1], return_counts=True)))
     assert sorted(set(counts_full.values())) == [1, 2, 3, 4]
@@ -721,7 +771,7 @@ def test_two_sum_state_matches_gate_replay():
         apply_two(ref, build_pair_rotation_gate(1, -plan.bridging_angle, d))
         replay_plan_gates(ref, invert_plan(plan.plan2_partial))
         replay_plan_gates(ref, invert_plan(plan.plan1))
-        ref.gammas[0] = ref.gammas[0] * np.exp(-1j * plan.site1_phase * m1)
+        ref.ws[0] = ref.ws[0] * np.exp(-1j * plan.site1_phase * m1)
         _assert_same_state(st, ref, same_gauge=False)
         assert np.max(np.abs(occupations(st) - occupations(ref))) < 1e-13
         assert np.max(np.abs(reduced_density_two_sites(st, 1, n)
@@ -815,7 +865,7 @@ def test_condensate_states_hold_one_state_at_a_time():
     tracemalloc.start()
     try:
         for st in mps.condensate_states(modes, m):
-            largest = max(largest, sum(g.nbytes for g in st.gammas))
+            largest = max(largest, sum(w.nbytes for w in st.ws))
         del st
         peak = tracemalloc.get_traced_memory()[1]
     finally:
