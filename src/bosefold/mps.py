@@ -157,9 +157,7 @@ class DenseSites(Sequence):
     def __len__(self) -> int:
         return self._state.n_sites
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
+    def __getitem__(self, k: int) -> np.ndarray:
         g = _split_levels(self._state, range(len(self))[k])
         g.setflags(write=False)
         return g
@@ -343,7 +341,7 @@ class TwoSitePlan(NamedTuple):
     qs: np.ndarray  # new middle charge of each window
     left_rows: np.ndarray  # (q, row, 1) and (q, 1, mid) factors of the W^[k] gather
     left_cols: np.ndarray
-    mids: np.ndarray  # (q, 1, mid) whether a middle slot holds a vector
+    live_mids: np.ndarray  # (q, 1, mid) whether a middle slot holds a vector
     right_rows: np.ndarray  # (q, mid, 1) and (q, 1, col) factors of the W^[k+1] gather
     right_cols: np.ndarray
     win_rows: np.ndarray  # (q, row, 1) and (q, 1, col) factors of window flat indices into v
@@ -402,7 +400,7 @@ def _two_site_plan_cached(ql, qm, qr, d: int) -> TwoSitePlan:
     n_rows, n_cols = rows.shape[1], cols.shape[1]
     return _frozen(TwoSitePlan(
         qs=qs, left_rows=(np.where(rows < chi_l, rows, 0) * chi_m)[:, :, None],
-        left_cols=mids[:, None, :], mids=live[:, None, :],
+        left_cols=mids[:, None, :], live_mids=live[:, None, :],
         right_rows=(mids * chi_r)[:, :, None],
         right_cols=np.where(cols < chi_r, cols, 0)[:, None, :],
         win_rows=(rows * (chi_r + 1) * d + lvl_l)[:, :, None],
@@ -478,7 +476,7 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     # product; the padded rows and columns of every window fill the extra
     # row and column of v, zeroed before anything reads them
     left = state.ws[k].take(plan.left_rows + plan.left_cols)
-    left *= plan.mids
+    left *= plan.live_mids
     right = state.ws[k + 1].take(plan.right_rows + plan.right_cols)
     window = plan.win_rows + plan.win_cols  # flat indices into v
     v = np.zeros((chi_l + 1, chi_r + 1, d), dtype=complex)
