@@ -553,7 +553,7 @@ def _rotation_factors(angles, q: int):
     return np.cos(half) ** n, (-np.sin(half)) ** n
 
 
-def _vacuum_rotations(starts, angles, phases, d: int, chi_max: int, trunc_tol: float):
+def _vacuum_rotations(starts, angles, phases, chi_max: int, trunc_tol: float):
     """Rotations e^{-i phi Q} on bonds k..k+B-1, then phases e^{-i theta n} on
     sites k..k+B, in closed form for a batch of states that hold no boson
     right of site k; a generator over the states, in order.
@@ -682,7 +682,7 @@ def _rotate_into_vacuum(state: BlockDecimationState, site: int, angles,
                                   "the closed-form rotations need it")
     start = (state.charges[k0], state.ws[k0][:, 0], state.lambdas[k0])
     (ws, lambdas, charges, discarded), = _vacuum_rotations(
-        [start], [angles], [phases], state.local_dim, state.chi_max, state.trunc_tol)
+        [start], [angles], [phases], state.chi_max, state.trunc_tol)
     state.ws[k0:last + 1] = ws
     state.lambdas[k0 + 1:last + 1] = lambdas
     state.charges[k0 + 1:last + 1] = charges
@@ -1217,7 +1217,7 @@ def condensate_states(modes, m: int, d: int | None = None, chi_max: int | None =
     angles, phases = zip(*(_inverse_angles(fold_single(c), 1) for c in cs))
     start = (np.array([m]), np.ones(1), np.ones(1))
     for ws, lambdas, charges, discarded in _vacuum_rotations(
-            [start] * len(cs), angles, phases, d, chi_max, trunc_tol):
+            [start] * len(cs), angles, phases, chi_max, trunc_tol):
         yield BlockDecimationState(
             ws=ws, lambdas=[np.ones(1), *lambdas, np.ones(1)],
             charges=[np.array([m]), *charges, np.zeros(1, dtype=int)], local_dim=d,
