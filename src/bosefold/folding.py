@@ -46,7 +46,6 @@ class FoldPlan:
 
     ops: tuple
     n_modes: int
-    target_mode: int = 1
 
 
 @dataclass(frozen=True)
@@ -63,14 +62,6 @@ class TwoSumPlan:
     bridging_angle: float
     m1: int
     m2: int
-
-    @property
-    def site1_phase(self) -> float:
-        """Phase stripped from mode 1 of the outer sum by plan2_partial."""
-        for op in self.plan2_partial.ops:
-            if isinstance(op, PhaseOp) and op.site == 1:
-                return op.angle
-        return 0.0
 
 
 def _coeffs(c) -> np.ndarray:
@@ -153,7 +144,7 @@ def invert_plan(plan: FoldPlan) -> FoldPlan:
             inv.append(PhaseOp(site=op.site, angle=-op.angle))
         else:
             inv.append(PairRotationOp(bond=op.bond, angle=-op.angle))
-    return FoldPlan(ops=tuple(inv), n_modes=plan.n_modes, target_mode=plan.target_mode)
+    return FoldPlan(ops=tuple(inv), n_modes=plan.n_modes)
 
 
 def fold_two(z, c, m1: int, m2: int) -> TwoSumPlan:

@@ -33,10 +33,11 @@ tall), a mask keeps the largest singular values, and one assignment per
 matrix writes the kept right singular vectors and the blocks projected onto
 them.  The first-site lifting implements (a_1^dag)^M2 as a rescale of the
 columns of W^[1] and of lambda^[1] plus M2 added to the charge of bond 0,
-which shifts every implied site-1 level.
+which shifts every implied site-1 level; no build runs it, since a two-sum
+build writes its first two sites in closed form (`two_sum_state`).
 
 The fold replays rotate mostly into vacuum: every rotation of a condensate
-build, and the bridge and outer sweep of a two-sum build, acts on a bond
+build, and the outer sweep of a two-sum build, acts on a bond
 whose right site, and every site beyond it, holds no boson.  There
 e^{-i phi Q}|r, 0> = sum_n sqrt(C(r, n)) cos^n(phi/2) (-sin(phi/2))^(r-n)
 |n, r-n>, so each left vector a, with all its ql[a] bosons on the left site,
@@ -53,8 +54,8 @@ lam^2 is the next row.  A state's matrices, phases folded in, are written
 only when it is yielded, each the kept part of its site's charge-axis
 matrix, so a caller that measures the states one by one holds at most two
 (`condensate_states`).
-The bridge and outer sweep of a two-sum build run the same code with one
-row.  No gate, plan or SVD runs there.
+The outer sweep of a two-sum build runs the same code with one row, from
+its closed-form bond 1.  No gate, plan or SVD runs there.
 
 The environments L and R are block-diagonal in the bond charge, so
 L[k+1] = mask o (W^dag L[k] W) and R[k] = mask o (W R[k+1] W^dag), where the
@@ -98,8 +99,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CutoffError, ValidationError
-from .folding import (FoldPlan, PairRotationOp, PhaseOp, TwoSumPlan, fold_single,
-                      fold_two, invert_plan, _coeffs)
+from .folding import (FoldPlan, PairRotationOp, PhaseOp, fold_single, fold_two, invert_plan,
+                      _coeffs)
 
 SECTOR_LEAK_TOL = 1e-10  # relative two-site weight allowed outside the charge blocks
 # Padded SVD stacks of blocks with at least this many columns and at least
@@ -663,33 +664,6 @@ def _keep_pass(w: np.ndarray, angles: np.ndarray, chi_max: int, trunc_tol: float
     return kept, lam, norm, discarded
 
 
-def _rotate_into_vacuum(state: BlockDecimationState, site: int, angles,
-                        phases) -> BlockDecimationState:
-    """Rotations e^{-i phi Q} on bonds site, site+1, ... (one per angle), then
-    phases e^{-i theta n} on sites site..site+len(angles) (one per site), on
-    one state: `_vacuum_rotations` with one row.
-
-    The state must be vacuum to the right of `site`, its vacuum sites the
-    1 x 1 W = 1 of `from_fock`.
-    """
-    k0 = site - 1
-    last = k0 + len(angles)  # last site touched, 0-based
-    if k0 < 0 or last >= state.n_sites:
-        raise ValidationError(f"bonds {site}..{site + len(angles) - 1} outside chain")
-    for q in state.charges[k0 + 1:last + 2]:
-        if q.shape != (1,) or q[0] != 0:
-            raise ValidationError(f"site {site} is not followed by vacuum; "
-                                  "the closed-form rotations need it")
-    start = (state.charges[k0], state.ws[k0][:, 0], state.lambdas[k0])
-    (ws, lambdas, charges, discarded), = _vacuum_rotations(
-        [start], [angles], [phases], state.chi_max, state.trunc_tol)
-    state.ws[k0:last + 1] = ws
-    state.lambdas[k0 + 1:last + 1] = lambdas
-    state.charges[k0 + 1:last + 1] = charges
-    state.discarded_weight += discarded
-    return state
-
-
 def _lift_factors(j: np.ndarray, m2: int) -> np.ndarray:
     """sqrt((j+m2)!/j!) in log space; exact matrix element of (a^dag)^m2."""
     return np.exp([0.5 * (math.lgamma(x + m2 + 1) - math.lgamma(x + 1)) for x in j.tolist()])
@@ -1166,17 +1140,18 @@ def _inverse_angles(plan: FoldPlan, first_bond: int):
 
     A fold plan strips its phases before it rotates on bonds N-1 down to
     `first_bond`, so its inverse rotates on bonds first_bond..N-1 first, and
-    its phases, which commute, follow.
+    its phases, which commute, follow: the plan's trailing rotations reversed
+    and negated, then its phases negated.
     """
-    inverse = invert_plan(plan).ops
-    angles = [op.angle for op in inverse if isinstance(op, PairRotationOp)]
-    if [getattr(op, "bond", None) for op in inverse[:len(angles)]] != \
+    angles = [-op.angle for op in reversed(plan.ops) if isinstance(op, PairRotationOp)]
+    head = len(plan.ops) - len(angles)
+    if [getattr(op, "bond", None) for op in reversed(plan.ops[head:])] != \
             list(range(first_bond, plan.n_modes)):
         raise ValidationError(f"fold plan must rotate on bonds {plan.n_modes - 1}..{first_bond} "
                               "after its phases")
     phases = np.zeros(plan.n_modes)
-    for op in inverse[len(angles):]:
-        phases[op.site - 1] += op.angle
+    for op in reversed(plan.ops[:head]):
+        phases[op.site - 1] -= op.angle
     return angles, phases
 
 
@@ -1232,35 +1207,47 @@ def condensate_state(c, m: int, d: int | None = None, chi_max: int | None = None
 
 
 def two_sum_state(z, c, m1: int, m2: int, d: int | None = None,
-                  chi_max: int | None = None, trunc_tol: float = 1e-12,
-                  plan: TwoSumPlan | None = None) -> BlockDecimationState:
+                  chi_max: int | None = None, trunc_tol: float = 1e-12) -> BlockDecimationState:
     """MPS of (sum c a^dag)^M2 (sum z a^dag)^M1 |0> (normalized).
 
-    Replays the folding in reverse: seed |M1,0,...>, bridge rotation on bond
-    1, lift by M2, inverse bridge, inverse partial plan, inverse inner plan.
-    The bridge and the rotations of the inverse partial plan rotate into
-    vacuum (`_rotate_into_vacuum`, one row of `_vacuum_rotations`); the
-    inverse bridge and the inner plan run as gates.
-    The inverse bridge undoes the conjugation picked up when the seed form
-    is pushed through the bond-1 rotation; the final scalar phase accounts
-    for the site-1 phase strip acting on the already-folded inner sum.
+    Folded (`fold_two`), the state is, up to the inverse partial plan and
+    the inverse inner plan, (cos(beta/2) a_1^dag + sin(beta/2) a_2^dag)^M2
+    (a_1^dag)^M1 |0>, beta the bridging angle: sites 1-2 hold
+    sum_q psi_q |M-q, q>, psi_q proportional to
+    C(M2, q) cos^(M2-q)(beta/2) sin^q(beta/2) sqrt((M-q)! q!), q = 0..M2,
+    and sites 3..N are vacuum.  So bond 1 holds one Schmidt vector per
+    charge q, of Schmidt value |psi_q| (kept by the rule of `_truncate`),
+    and site 1 is the row W[0, q] = psi_q e^{-i theta_1 (M-q-M1)}: theta_1,
+    the site-1 phase of the inverse partial plan, acts on the M-q bosons of
+    site 1 but not on the M1 of the already-folded inner sum.  The rotations
+    of the inverse partial plan then rotate into vacuum from bond 1, with its
+    other phases (one row of `_vacuum_rotations`), and the inverse inner plan
+    runs as gates.
     """
     z = _coeffs(z)
     c = _coeffs(c)
     z = z / np.linalg.norm(z)
     c = c / np.linalg.norm(c)
     d, chi_max, trunc_tol = _numerics(m1 + m2, d, chi_max, trunc_tol)
-    if plan is None:
-        plan = fold_two(z, c, m1, m2)
-    n = z.shape[0]
-    state = from_fock([m1] + [0] * (n - 1), d, chi_max, trunc_tol)
-    _rotate_into_vacuum(state, 1, [plan.bridging_angle], [0.0, 0.0])
-    lift_first_site(state, m2)
-    apply_two(state, build_pair_rotation_gate(1, -plan.bridging_angle, d))
-    # sites 3..N are still vacuum for the inverse partial plan
+    plan = fold_two(z, c, m1, m2)
+    m = m1 + m2
+    # e^{i beta Q} carries a_1^dag to cos(beta/2) a_1^dag + sin(beta/2) a_2^dag;
+    # C(M2, q) sqrt((M-q)! q!) in log space, up to a constant
+    log = np.array([0.5 * (math.lgamma(m - q + 1) - math.lgamma(q + 1)) - math.lgamma(m2 - q + 1)
+                    for q in range(m2 + 1)])
+    cos_n, sin_n = _rotation_factors(-plan.bridging_angle, m2)
+    psi = np.exp(log - log.max()) * cos_n[::-1] * sin_n
+    kept, norm, discarded = _truncate(np.abs(psi)[None], np.array([psi @ psi]), chi_max,
+                                      trunc_tol)
+    q = np.flatnonzero(kept[0])
+    psi = psi[q] / norm[0]
     angles, phases = _inverse_angles(plan.plan2_partial, 2)
-    _rotate_into_vacuum(state, 2, angles, phases[1:])
-    apply_single(state, build_phase_gate(1, phases[0], d))
-    replay_plan_gates(state, invert_plan(plan.plan1))
-    state.ws[0] = state.ws[0] * np.exp(-1j * plan.site1_phase * plan.m1)
-    return state
+    lam = np.abs(psi)
+    (ws, lambdas, charges, rest), = _vacuum_rotations(
+        [(q, np.ones(q.shape[0]), lam)], [angles], [phases[1:]], chi_max, trunc_tol)
+    state = BlockDecimationState(
+        ws=[(psi * np.exp(-1j * phases[0] * (m - q - m1)))[None], *ws],
+        lambdas=[np.ones(1), lam, *lambdas, np.ones(1)],
+        charges=[np.array([m]), q, *charges, np.zeros(1, dtype=int)], local_dim=d,
+        chi_max=chi_max, trunc_tol=trunc_tol, discarded_weight=float(discarded[0]) + rest)
+    return replay_plan_gates(state, invert_plan(plan.plan1))

@@ -9,7 +9,7 @@ from scipy.special import gammaln
 
 from bosefold import dense, mps
 from bosefold.errors import CutoffError, ValidationError
-from bosefold.folding import fold_single, fold_two, invert_plan
+from bosefold.folding import PairRotationOp, PhaseOp, fold_single, fold_two, invert_plan
 from bosefold.heisenberg import propagate, spectral_decompose
 from bosefold.model import ModelSpec, add_onsite_barrier, build_coupling
 from bosefold.mps import (SingleModeGate, TwoModeGate, _sector_eigh, amplitude, apply_single,
@@ -396,13 +396,23 @@ def test_environments_match_dense_contraction_on_truncated_states():
 
 
 def test_two_sum_state_matches_dense():
-    n = 5
-    for seed, (m1, m2) in [(0, (1, 1)), (1, (2, 1)), (2, (2, 2))]:
-        z = _random_mode(n, 10 + seed)
-        c = _random_mode(n, 20 + seed)
+    cases = [(_random_mode(5, 10 + seed), _random_mode(5, 20 + seed), m1, m2)
+             for seed, (m1, m2) in [(0, (1, 1)), (1, (2, 1)), (2, (2, 2))]]
+    # both ends of the bridging angle: c = z folds to 0, where bond 1 starts
+    # with charge 0 alone, and the sweep's packets, orthogonal columns of a
+    # propagator, fold to pi, where it starts with charge M2 alone
+    for n, (m1, m2) in [(3, (2, 2)), (5, (1, 3)), (6, (2, 1))]:
+        z = _random_mode(n, 30 + n)
+        assert abs(fold_two(z, z, m1, m2).bridging_angle) < 1e-12
+        cases.append((z, z, m1, m2))
+        for mu in (0.0, 2.0):
+            z, c = _collision_modes(n, mu)
+            assert abs(abs(fold_two(z, c, m1, m2).bridging_angle) - np.pi) < 1e-12
+            cases.append((z, c, m1, m2))
+    for z, c, m1, m2 in cases:
         st = two_sum_state(z, c, m1, m2)
         ref = dense.two_sum_amplitudes(z, c, m1, m2)
-        dev = np.max(np.abs(_all_amplitudes(st, n, m1 + m2) - ref))
+        dev = np.max(np.abs(_all_amplitudes(st, z.shape[0], m1 + m2) - ref))
         assert dev < 1e-12
 
 
@@ -542,17 +552,19 @@ def test_truncated_rdms_match_dense_contraction_at_scenario_scale():
 
 
 def test_every_bond_matches_bond_schmidt_oracle_at_scenario_scale():
-    # untruncated (chi_max = 81 is the full rank at M = 16); measured <= 5.7e-15
-    for n, mu in [(20, 6.0), (40, 12.0)]:
+    # untruncated (chi_max = 81 is the full rank at M = 16, above it at
+    # M = 12); measured <= 5.7e-15; with unequal packets, bond 1 starts from
+    # the M2 + 1 charges of the closed-form first two sites
+    for n, mu, m1, m2 in [(20, 6.0, 8, 8), (40, 12.0, 8, 8), (20, 6.0, 3, 9), (20, 6.0, 9, 3)]:
         z, c = _collision_modes(n, mu)
-        st = two_sum_state(z, c, 8, 8, chi_max=81, trunc_tol=1e-30)
+        st = two_sum_state(z, c, m1, m2, chi_max=81, trunc_tol=1e-30)
         for bond in range(1, n):
-            ref = dense.bond_schmidt_oracle(z, c, 8, 8, bond)
+            ref = dense.bond_schmidt_oracle(z, c, m1, m2, bond)
             lam = schmidt_values(st, bond)
             size = max(ref.shape[0], lam.shape[0])
             dev = np.abs(np.pad(lam, (0, size - lam.shape[0]))
                          - np.pad(ref, (0, size - ref.shape[0])))
-            assert np.max(dev) < 5e-14, (n, bond)
+            assert np.max(dev) < 5e-14, (n, m1, m2, bond)
     with pytest.raises(ValidationError):
         dense.bond_schmidt_oracle(z, c, 8, 8, n)
 
@@ -706,16 +718,20 @@ def test_replay_inverse_plan_builds_condensate():
 
 
 def test_closed_form_rotation_matches_gate_column():
-    # e^{-i phi Q}|r, 0> written in closed form against the |r, 0> column of
-    # the gate's sector-r block (rows n_k = 0..r)
+    # e^{-i phi Q}|r, 0> written in closed form, `_vacuum_rotations` from one
+    # vector of charge r, against the |r, 0> column of the gate's sector-r
+    # block (rows n_k = 0..r)
     phis = (0.0, np.pi, -np.pi, np.random.default_rng(5).uniform(-np.pi, np.pi))
     for d in (2, 5, 21, 33):
         for phi in phis:
             slots = build_pair_rotation_gate(1, phi, d).slots
             for r in range(d):
-                st = from_fock([r, 0], d=d, chi_max=d, trunc_tol=0.0)
-                mps._rotate_into_vacuum(st, 1, [phi], [0.0, 0.0])
-                column = [amplitude(st, (n, r - n)) for n in range(r + 1)]
+                start = (np.array([r]), np.ones(1), np.ones(1))
+                ((w1, w2), _, (q,), _), = mps._vacuum_rotations(
+                    [start], [[phi]], [[0.0, 0.0]], d, 0.0)
+                # vector j of bond 1 carries |r - q[j], q[j]> at W1[0, j] W2[j, 0]
+                column = np.zeros(r + 1, dtype=complex)
+                column[r - q] = w1[0] * w2[:, 0]
                 dev = np.max(np.abs(column - _sector_block(slots, r)[:, r]))
                 assert dev < 1e-13, (d, phi, r)
 
@@ -753,8 +769,10 @@ def test_condensate_state_matches_gate_replay():
 
 
 def test_two_sum_state_matches_gate_replay():
-    # the bridge and the inverse partial plan in closed form against the same
-    # build with every rotation an `apply_two` and every phase an `apply_single`;
+    # the first two sites and the inverse partial plan in closed form against
+    # the build that seeds |M1, 0, ...>, rotates by the bridging angle, lifts
+    # by M2 and rotates back, every rotation an `apply_two` and every phase an
+    # `apply_single`;
     # the inner sweep's SVDs may pick other singular vectors within a
     # degenerate value, so the states are compared by their overlap
     n, m1, m2 = 20, 4, 4
@@ -770,7 +788,9 @@ def test_two_sum_state_matches_gate_replay():
         apply_two(ref, build_pair_rotation_gate(1, -plan.bridging_angle, d))
         replay_plan_gates(ref, invert_plan(plan.plan2_partial))
         replay_plan_gates(ref, invert_plan(plan.plan1))
-        ref.ws[0] = ref.ws[0] * np.exp(-1j * plan.site1_phase * m1)
+        site1_phase, = [op.angle for op in plan.plan2_partial.ops
+                        if isinstance(op, PhaseOp) and op.site == 1]
+        ref.ws[0] = ref.ws[0] * np.exp(-1j * site1_phase * m1)
         _assert_same_state(st, ref, same_gauge=False)
         assert np.max(np.abs(occupations(st) - occupations(ref))) < 1e-13
         assert np.max(np.abs(reduced_density_two_sites(st, 1, n)
@@ -778,26 +798,25 @@ def test_two_sum_state_matches_gate_replay():
 
 
 def test_closed_form_rotations_check_their_input():
-    st = from_fock([2, 1, 0], d=4, chi_max=8, trunc_tol=1e-12)
-    with pytest.raises(ValidationError, match="not followed by vacuum"):
-        mps._rotate_into_vacuum(st, 1, [0.3], [0.0, 0.0])
-    with pytest.raises(ValidationError, match="not followed by vacuum"):
-        mps._rotate_into_vacuum(from_fock([2, 0, 1], d=4, chi_max=8, trunc_tol=1e-12),
-                                1, [0.3, 0.2], [0.0, 0.0, 0.0])
-    for site, angles in ((0, [0.3]), (2, [0.3, 0.2])):
-        with pytest.raises(ValidationError, match="outside chain"):
-            mps._rotate_into_vacuum(st, site, angles, [0.0] * (len(angles) + 1))
-    st.lambdas[1] = np.zeros(1)
+    start = (np.array([2]), np.ones(1), np.zeros(1))
     with pytest.raises(ValidationError, match="vanished"):
-        mps._rotate_into_vacuum(st, 2, [0.3], [0.0, 0.0])
-    # a two-sum plan whose partial plan rotates before its phases
+        next(mps._vacuum_rotations([start], [[0.3]], [[0.0, 0.0]], 8, 1e-12))
+    # the inverse angles, read off the forward plan, are those of `invert_plan`
     z, c = _random_mode(5, 1), _random_mode(5, 2)
     plan = fold_two(z, c, 1, 1)
-    bad = replace(plan, plan2_partial=replace(plan.plan2_partial,
-                                              ops=plan.plan2_partial.ops[::-1]))
-    two_sum_state(z, c, 1, 1, plan=plan)
+    for forward, first_bond in ((plan.plan1, 1), (plan.plan2_partial, 2)):
+        angles, phases = mps._inverse_angles(forward, first_bond)
+        inverse = invert_plan(forward).ops
+        assert angles == [op.angle for op in inverse if isinstance(op, PairRotationOp)]
+        ref = np.zeros(5)
+        for op in inverse:
+            if isinstance(op, PhaseOp):
+                ref[op.site - 1] += op.angle
+        assert np.array_equal(phases, ref)
+    # a partial plan that rotates before its phases
+    bad = replace(plan.plan2_partial, ops=plan.plan2_partial.ops[::-1])
     with pytest.raises(ValidationError, match="fold plan must rotate"):
-        two_sum_state(z, c, 1, 1, plan=bad)
+        mps._inverse_angles(bad, 2)
 
 
 def test_condensate_states_match_one_build_per_mode():
