@@ -1,8 +1,12 @@
 """`bosefold` command line driver.
 
 Subcommands: quench, sweep, ground, transfer, selftest.  Only `sweep` takes
-`--threads K` (K >= 1 processes) and `--verbose` (one summary line per
-barrier height on stderr).  Exit codes:
+`--threads K` (K >= 1 processes, each building one contiguous batch of the
+barrier heights) and `--verbose` (one summary line per barrier height on
+stderr).  The states of a batch are built together, so a line's wall time is
+the time since the previous line of its batch; the first line of a batch
+also holds the work the batch shares, and a batch's lines add up to its
+time.  Exit codes:
 0 success, 2 config error, 3 numeric/convergence error, 4 I/O error.
 Output CSVs use 17 significant digits, '\n' line endings, and contain no
 timestamps, so identical configs produce byte-identical files.

@@ -1206,48 +1206,361 @@ def condensate_state(c, m: int, d: int | None = None, chi_max: int | None = None
     return next(condensate_states([c], m, d, chi_max, trunc_tol))
 
 
+# -- two-sum construction in two-mode frames -----------------------------
+#
+# Right of bond k, (sum c a^dag)^M2 (sum z a^dag)^M1 |0> lives on the two
+# modes of F_k, an orthonormal basis (g1, g2) of span(z_{>k}, c_{>k}), so a
+# Schmidt vector of charge q is a vector over the q + 1 frame states
+# |q - m, m> (m bosons in g2).  `_frames` steps F_k to F_{k+1}: a real
+# rotation H = F_k U within the frame leaves only h1 on site k+1, and
+# h1^dag = u a^dag + t g1'^dag, h2^dag = w g2'^dag (|w| = 1, phases that
+# keep the next site's row of the frame real).  So the frame state
+# |q - m, m>_H puts n bosons on the site and leaves |q - m - n, m> of F_{k+1}
+# at amplitude sqrt((q-m)! / (n! i!)) u^n t^i w^m, i = q - m - n: the
+# closed form of a pair rotation (`_rotation_factors`), with the g2
+# occupation m passing through.
+
+FRAME_FLOOR = 1e-60  # frame amplitudes below this are set to 0
+# (the sweep's packets have ~1e-17 tails; their powers would otherwise reach
+# the subnormal range, where one 68 x 17 x 68 product took 14 ms, not 25 us)
+
+
+def _floored(a: np.ndarray) -> np.ndarray:
+    a[np.abs(a) < FRAME_FLOOR] = 0.0
+    return a
+
+
+def _real_turn(first: np.ndarray) -> np.ndarray:
+    """Unit factors that turn each entry real and nonnegative, 1 on zeros."""
+    size = np.abs(first)
+    return np.where(size > 0, first.conj() / np.where(size > 0, size, 1.0), 1.0)
+
+
+def _frames(zs: np.ndarray, cs: np.ndarray):
+    """The frame steps of a batch of pairs (rows of zs and cs), site by site.
+
+    F_0 is a QR basis of span(z, c), zero-padded to two columns, on which z
+    and c have coefficients alpha and beta.  Each frame is turned so that
+    its first row (c, s) is real and nonnegative; the rotation of site k is
+    then U = [[c, -s], [s, c]] / |(c, s)| (1 where the row is 0), of angle
+    theta = 2 atan2(s, c), and F_{k+1} holds the tails of h1 / t and h2,
+    turned in turn: t and w carry those turns.  A frame mode that reaches
+    no site past k is a zero column: g1' is kept only where it stays
+    orthogonal to g2' (not on the last site, where the tails are parallel),
+    and it never gains weight, since t = 0 there.  Returns theta, u and t
+    (normalized to u^2 + |t|^2 = 1) and w per (pair, site), then alpha and
+    beta.  Every operation acts row by row, so no pair's frames depend on
+    the pairs batched with it.
+    """
+    pairs, n = zs.shape
+    q, r = np.linalg.qr(np.stack([zs, cs], axis=2))
+    frame = np.zeros((pairs, n, 2), dtype=complex)
+    frame[:, :, :q.shape[2]] = q
+    coeffs = np.zeros((pairs, 2, 2), dtype=complex)
+    coeffs[:, :r.shape[1]] = r
+    turn = _real_turn(frame[:, 0])
+    frame *= turn[:, None]
+    coeffs /= turn[:, :, None]
+    theta, u = np.empty((pairs, n)), np.empty((pairs, n))
+    t, w = np.zeros((pairs, n), dtype=complex), np.ones((pairs, n), dtype=complex)
+    for k in range(n):
+        c, s = np.abs(frame[:, 0, 0]), np.abs(frame[:, 0, 1])
+        size = np.hypot(c, s)
+        theta[:, k] = 2 * np.arctan2(s, c)
+        c, s = np.where(size > 0, c, 1.0), np.where(size > 0, s, 0.0)
+        c, s = c / np.hypot(c, s), s / np.hypot(c, s)
+        rest = frame[:, 1:]
+        h1 = rest[:, :, 0] * c[:, None] + rest[:, :, 1] * s[:, None]
+        h2 = rest[:, :, 1] * c[:, None] - rest[:, :, 0] * s[:, None]
+        tail = np.linalg.norm(h1, axis=1)
+        g1 = h1 / np.where(tail > 0, tail, 1.0)[:, None]
+        g1 -= h2 * (h2.conj() * g1).sum(axis=1)[:, None]
+        left = np.linalg.norm(g1, axis=1)
+        live = left > 0.5
+        tail[~live] = 0.0
+        scale = np.hypot(size, tail)
+        scale[scale == 0] = 1.0
+        u[:, k] = size / scale
+        frame = np.stack([np.where(live[:, None], g1 / np.where(live, left, 1.0)[:, None], 0), h2],
+                         axis=2)
+        if k < n - 1:
+            turn = _real_turn(frame[:, 0])
+            frame *= turn[:, None]
+            t[:, k], w[:, k] = tail / scale / turn[:, 0], 1 / turn[:, 1]
+    return theta, u, t, w, coeffs[:, :, 0], coeffs[:, :, 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_rows(width: int):
+    """Where the slots of `_sector_eigh(width)` hold the frame states: row
+    n_1 = q - m of slot min(q, d-1-q), offset 0 or d - q, for charge q and
+    entry m <= q, and a padding row d + 1 for m > q; and each charge's slot."""
+    q, m = np.arange(width)[:, None], np.arange(width)
+    rows = np.where(m > q, width + 1, np.where(q < (width + 1) // 2, q - m, width - m))
+    return _frozen((rows, np.minimum(q[:, 0], width - 1 - q[:, 0])))
+
+
+def _frame_rotation(vecs: np.ndarray, charges: np.ndarray, theta: np.ndarray,
+                    frames: np.ndarray, fixed: bool = True) -> np.ndarray:
+    """Vectors over the F-frame states |q - m, m> (rows of vecs, each with its
+    charge q and its frame's angle) over the H-frame states |q - m', m'>.
+
+    The rotation is the charge-q block of the real pair rotation
+    e^{-i theta Q}, read from the cached eigenbasis of Q (`_sector_eigh`)
+    at rows n_1 = q - m.  The vectors of one frame and one slot (charges j
+    and d-1-j, at most d+1 of them) are the columns of one matrix, so every
+    frame and slot is one real product of a batched call.  A frame's
+    vectors take the same columns whatever frames share the call, and with
+    `fixed` every product has d+1 columns, since a product's bits depend on
+    its column count; otherwise only as many as the call needs.
+    """
+    width = vecs.shape[1]
+    x, xs, mu, xt = _sector_eigh(width)
+    n_slots = x.shape[0]
+    angle = theta[:, None, None] * mu
+    slots = x * np.cos(angle)[:, :, None, :]
+    slots += xs * np.sin(angle)[:, :, None, :]
+    slots = np.matmul(slots, xt)
+    rows, slot = _frame_rows(width)
+    key = frames * n_slots + slot[charges]
+    order = np.argsort(key, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(key.shape[0]) - np.searchsorted(key[order], key[order])
+    lanes = width + 1 if fixed else int(column.max(initial=0)) + 1
+    flat = (key[:, None] * (width + 2) + rows[charges]) * lanes + column[:, None]
+    cols = np.zeros((theta.shape[0], n_slots, width + 2, lanes), dtype=complex)
+    cols.reshape(-1)[flat] = vecs
+    out = np.zeros_like(cols)
+    np.matmul(slots, cols[:, :, :width + 1].view(np.float64),
+              out=out[:, :, :width + 1].view(np.float64))
+    return out.reshape(-1)[flat]
+
+
+def _frame_start(alpha: np.ndarray, beta: np.ndarray, m1: int, m2: int) -> np.ndarray:
+    """(beta . g^dag)^M2 (alpha . g^dag)^M1 |0> over |M - m, m>_{F_0}, one row
+    per pair, normalized after each creation."""
+    vec = np.ones((alpha.shape[0], 1), dtype=complex)
+    for q, x in enumerate([alpha] * m1 + [beta] * m2, start=1):
+        m = np.arange(q + 1)
+        new = np.zeros((alpha.shape[0], q + 1), dtype=complex)
+        new[:, :q] = x[:, :1] * np.sqrt(q - m[:q]) * vec
+        new[:, 1:] += x[:, 1:] * np.sqrt(m[1:]) * vec
+        vec = new / np.linalg.norm(new, axis=1)[:, None]
+    return _floored(vec)
+
+
+class _FrameBond(NamedTuple):
+    """The kept Schmidt vectors of one bond of every pair, pair after pair."""
+    starts: np.ndarray  # vectors starts[i]:starts[i+1] belong to pair i
+    charges: np.ndarray
+    lam: np.ndarray
+    vectors: np.ndarray  # (vector, M+1) over the frame states |q-m, m>_F of the bond
+    norm: np.ndarray  # per pair, the kept norm that the bond's truncation divided out
+
+
+class _FramePass(NamedTuple):
+    """What `_frame_keep_pass` keeps of every pair: its bonds and frame steps."""
+    bonds: list  # _FrameBond per bond 0..N-1
+    theta: np.ndarray  # (pair, site), see `_frames`
+    fn: np.ndarray  # (pair, site, n): u^n / sqrt(n!)
+    ft: np.ndarray  # (pair, site, i): t^i / sqrt(i!)
+    fw: np.ndarray  # (pair, site, m): w^m
+    discarded: np.ndarray
+
+
+def _tails(ft: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """[..., p, m] = ft[p - m] fw[m] for m <= p, else 0: the factor of the new
+    frame state |p - m, m> in the closed form of a site's step."""
+    width = ft.shape[-1]
+    p, m = np.arange(width)[:, None], np.arange(width)
+    return np.where(m <= p, ft[..., np.maximum(p - m, 0)] * fw[..., None, :], 0)
+
+
+def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -> _FramePass:
+    """Every bond of every pair, left to right, as `apply_two` would keep it.
+
+    Bond k+1's block of charge p holds one row per kept vector a of bond k
+    with q_a >= p (site level n = q_a - p), lam_a fn[n] A_a[m] tails[p, m]
+    over m = 0..p, where A_a is the vector over the H-frame states scaled by
+    sqrt((q_a - m)!): the lam-weighted block of the state that the earlier
+    bonds' truncations left.  Its singular values are the Schmidt values of
+    charge p and its V^dag rows the new vectors over the F_{k+1} states.  A
+    block of one row or one column is its norm.  The others go through one
+    SVD call per charge, each padded with zero rows to cap[p], the rows a
+    charge p block of the exact state can have (the sum over q >= p of
+    min(q+1, M-q+1)), or at its own rows where it has more; so no block's
+    decomposition depends on the pairs batched with it, and the row of
+    every pair, p + 1 slots per charge, goes through `_truncate`.
+    """
+    pairs, n = zs.shape
+    m = m1 + m2
+    width = m + 1
+    theta, u, t, w, alpha, beta = _frames(zs, cs)
+    steps = np.ones((3, pairs, n, width), dtype=complex)
+    steps[:2, ..., 1:] = np.stack([u, t])[..., None] / np.sqrt(np.arange(1, width))
+    steps[2, ..., 1:] = w[..., None]
+    fn, ft, fw = _floored(np.cumprod(steps, axis=-1))
+    fn = fn.real.copy()
+    charge = np.arange(width)
+    sqrt_fact = np.cumprod(np.append(1.0, np.sqrt(charge[1:])))
+    above = charge[:, None] >= charge  # [p, m]: m <= p
+    level = np.maximum(charge[:, None] - charge, 0)
+    cap = np.minimum(chi_max, np.cumsum(np.minimum(charge + 1, m - charge + 1)[::-1])[::-1])
+    slot0 = np.append(0, np.cumsum(charge + 1))
+    slot_charge = np.repeat(charge, charge + 1)
+
+    pt, q = np.arange(pairs), np.full(pairs, m)
+    starts, lam, norm = np.arange(pairs + 1), np.ones(pairs), np.ones(pairs)
+    vh = _frame_start(alpha, beta, m1, m2)
+    x = _frame_rotation(vh, q, theta[:, 0], pt)
+    bonds = []
+    discarded = np.zeros(pairs)
+    for k in range(n):
+        bonds.append(_FrameBond(starts, q, lam, vh, norm))
+        if k == n - 1:
+            break
+        amat = np.where(above[q], x * sqrt_fact[level[q]], 0)
+        counts = np.bincount(pt * width + q, minlength=pairs * width).reshape(pairs, width)
+        rows = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # vectors of charge >= p
+        weights = np.where(above[q], lam[:, None] * fn[pt[:, None], k, level[q]], 0)
+        colfac = _tails(ft[:, k], fw[:, k])  # [pair, p, m]
+        # each pair's vectors right-aligned: its rows of charge >= p are its last rows[:, p]
+        depth = max(int(np.diff(starts).max()), int(cap.max()))
+        place = pt * depth + depth - starts[pt + 1] + np.arange(q.shape[0])
+        aligned = np.zeros((pairs * depth, width), dtype=complex)
+        aligned[place] = amat
+        aligned = aligned.reshape(pairs, depth, width)
+        aligned_w = np.zeros((pairs * depth, width))
+        aligned_w[place] = weights
+        aligned_w = aligned_w.reshape(pairs, depth, width)
+        s_all = np.zeros((pairs, slot0[-1]))
+        vh_all = np.zeros((pairs, slot0[-1], width), dtype=complex)
+        # charge 0 has one column, whose norm is its Schmidt value
+        s_all[:, 0] = np.sqrt(np.add.reduceat(np.abs(weights[:, 0] * amat[:, 0]) ** 2,
+                                              starts[:-1])) * np.abs(colfac[:, 0, 0])
+        vh_all[:, 0, 0] = 1.0
+        one_p, one_c = np.nonzero(rows[:, 1:] == 1)
+        one_c += 1
+        row = aligned_w[one_p, -1, one_c, None] * aligned[one_p, -1] * colfac[one_p, one_c]
+        s = np.linalg.norm(row, axis=1)
+        s_all[one_p, slot0[one_c]] = s
+        vh_all[one_p, slot0[one_c]] = row / np.where(s > 0, s, 1.0)[:, None]
+        fits = (rows > 1) & (rows <= cap)
+        for p in np.flatnonzero((rows[:, 1:] > 1).any(axis=0)) + 1:
+            r = rows[:, p]
+            groups = [(np.flatnonzero(fits[:, p]), cap[p])]
+            groups += [(np.flatnonzero(r == more), more)
+                       for more in sorted(set(r[r > cap[p]].tolist()))]
+            for grp, height in groups:
+                if grp.size == 0:
+                    continue
+                blk = (aligned_w[grp, -height:, p, None] * aligned[grp, -height:, :p + 1]
+                       * colfac[grp, p, None, :p + 1])
+                if p >= 4 and height >= 3 * (p + 1):
+                    # same singular values and V^dag; the SVD then skips forming the tall U
+                    blk = np.linalg.qr(blk, mode="r")
+                _, s, vh = np.linalg.svd(blk, full_matrices=False)
+                kept = min(height, p + 1)
+                s_all[grp, slot0[p]:slot0[p] + kept] = s[:, :kept]
+                vh_all[grp, slot0[p]:slot0[p] + kept, :p + 1] = vh[:, :kept]
+        kept, norm, dropped = _truncate(s_all, np.sum(s_all**2, axis=1), chi_max, trunc_tol)
+        discarded += dropped
+        pt, col = np.nonzero(kept)
+        q = slot_charge[col]
+        lam = s_all[pt, col] / norm[pt]
+        vh = _floored(vh_all[pt, col])
+        starts = np.searchsorted(pt, np.arange(pairs + 1))
+        x = _floored(_frame_rotation(vh, q, theta[:, k + 1], pt))
+    return _FramePass(bonds, theta, fn, ft, fw, discarded)
+
+
+def _frame_sites(fp: _FramePass, i: int) -> list:
+    """The matrices W of pair i: W[a, b] = fn[q_a - p_b] sum_m right_a[m]
+    left_b[m], 0 for q_a < p_b, from its vectors over the H frame of bond k
+    times sqrt((q_a - m)!) (right) and conj over the F frame of bond k+1 times
+    tails[p_b, m] over the kept norm (left): the unweighted block rows of
+    bond k+1 (see `_frame_keep_pass`) times V.  The last site's right bond
+    is the vacuum.  All of the pair's vectors turn into their H frames in
+    one call.
+    """
+    bonds = fp.bonds
+    width = bonds[0].vectors.shape[1]
+    spans = [slice(bond.starts[i], bond.starts[i + 1]) for bond in bonds]
+    sizes = [span.stop - span.start for span in spans]
+    vectors = np.concatenate([bond.vectors[span] for bond, span in zip(bonds, spans)])
+    charges = np.concatenate([bond.charges[span] for bond, span in zip(bonds, spans)])
+    site = np.repeat(np.arange(len(bonds)), sizes)
+    m = np.arange(width)
+    level = charges[:, None] - m
+    sqrt_fact = np.cumprod(np.append(1.0, np.sqrt(m[1:])))
+    right = _frame_rotation(vectors, charges, fp.theta[i], site, fixed=False)
+    right *= np.where(level >= 0, sqrt_fact[np.maximum(level, 0)], 0)
+    # bond k's vectors are the new frame states of site k - 1's step
+    left = vectors.conj() * _tails(fp.ft[i], fp.fw[i])[site - 1, charges]
+    left /= np.repeat([bond.norm[i] for bond in bonds], sizes)[:, None]
+    cuts = np.append(0, np.cumsum(sizes))
+    fn = np.concatenate([fp.fn[i], np.zeros((len(bonds), 2 * width))], axis=1)
+    ws = []
+    for k in range(len(bonds)):
+        a = slice(cuts[k], cuts[k + 1])
+        if k + 1 < len(bonds):
+            b = slice(cuts[k + 1], cuts[k + 2])
+            w = right[a] @ left[b].T
+            w *= fn[k][charges[a][:, None] - charges[b]]  # a level below 0 reads the zero tail
+        else:
+            w = right[a, :1] * fn[k][charges[a]][:, None]
+        ws.append(w)
+    return ws
+
+
+def two_sum_states(pairs, m1: int, m2: int, d: int | None = None, chi_max: int | None = None,
+                   trunc_tol: float = 1e-12):
+    """MPS of (sum c a^dag)^M2 (sum z a^dag)^M1 |0> (normalized) of each pair
+    (z, c), yielded in input order.
+
+    Built in two-mode frames (see above): every pair's bonds come from one
+    keep pass (`_frame_keep_pass`), which truncates each bond of the state
+    that the earlier bonds left, as the gate replay does, and batches each
+    bond's SVDs over the pairs.  Every pair is checked before anything is
+    built.  The keep pass holds each pair's kept vectors over the frame
+    states; a state's sites are written only when it is yielded:
+    W[a, b] = fn[q_a - p_b] sum_m right_a[m] left_b[m] for q_a >= p_b, so a
+    caller that keeps one state at a time holds at most two.  The pairs
+    must share one length.
+    """
+    zs, cs = [], []
+    for z, c in pairs:
+        z, c = _coeffs(z), _coeffs(c)
+        if z.shape != c.shape:
+            raise ValidationError(f"mode vectors differ in length: {z.shape} vs {c.shape}")
+        nz, nc = np.linalg.norm(z), np.linalg.norm(c)
+        if nz == 0.0 or nc == 0.0:
+            raise ValidationError("cannot fold a zero vector")
+        zs.append(z / nz)
+        cs.append(c / nc)
+    if m1 < 1 or m2 < 1:
+        raise ValidationError("boson counts must be >= 1")
+    d, chi_max, trunc_tol = _numerics(m1 + m2, d, chi_max, trunc_tol)
+    if not zs:
+        return
+    if len({z.shape[0] for z in zs}) > 1:
+        raise ValidationError("mode pairs must share one length")
+    fp = _frame_keep_pass(np.array(zs), np.array(cs), m1, m2, chi_max, trunc_tol)
+    for i in range(len(zs)):
+        spans = [slice(bond.starts[i], bond.starts[i + 1]) for bond in fp.bonds[1:]]
+        yield BlockDecimationState(
+            ws=_frame_sites(fp, i),
+            lambdas=[np.ones(1), *(bond.lam[span].copy() for bond, span in zip(fp.bonds[1:], spans)),
+                     np.ones(1)],
+            charges=[np.array([m1 + m2]),
+                     *(bond.charges[span].copy() for bond, span in zip(fp.bonds[1:], spans)),
+                     np.zeros(1, dtype=int)],
+            local_dim=d, chi_max=chi_max, trunc_tol=trunc_tol,
+            discarded_weight=float(fp.discarded[i]))
+
+
 def two_sum_state(z, c, m1: int, m2: int, d: int | None = None,
                   chi_max: int | None = None, trunc_tol: float = 1e-12) -> BlockDecimationState:
-    """MPS of (sum c a^dag)^M2 (sum z a^dag)^M1 |0> (normalized).
-
-    Folded (`fold_two`), the state is, up to the inverse partial plan and
-    the inverse inner plan, (cos(beta/2) a_1^dag + sin(beta/2) a_2^dag)^M2
-    (a_1^dag)^M1 |0>, beta the bridging angle: sites 1-2 hold
-    sum_q psi_q |M-q, q>, psi_q proportional to
-    C(M2, q) cos^(M2-q)(beta/2) sin^q(beta/2) sqrt((M-q)! q!), q = 0..M2,
-    and sites 3..N are vacuum.  So bond 1 holds one Schmidt vector per
-    charge q, of Schmidt value |psi_q| (kept by the rule of `_truncate`),
-    and site 1 is the row W[0, q] = psi_q e^{-i theta_1 (M-q-M1)}: theta_1,
-    the site-1 phase of the inverse partial plan, acts on the M-q bosons of
-    site 1 but not on the M1 of the already-folded inner sum.  The rotations
-    of the inverse partial plan then rotate into vacuum from bond 1, with its
-    other phases (one row of `_vacuum_rotations`), and the inverse inner plan
-    runs as gates.
-    """
-    z = _coeffs(z)
-    c = _coeffs(c)
-    z = z / np.linalg.norm(z)
-    c = c / np.linalg.norm(c)
-    d, chi_max, trunc_tol = _numerics(m1 + m2, d, chi_max, trunc_tol)
-    plan = fold_two(z, c, m1, m2)
-    m = m1 + m2
-    # e^{i beta Q} carries a_1^dag to cos(beta/2) a_1^dag + sin(beta/2) a_2^dag;
-    # C(M2, q) sqrt((M-q)! q!) in log space, up to a constant
-    log = np.array([0.5 * (math.lgamma(m - q + 1) - math.lgamma(q + 1)) - math.lgamma(m2 - q + 1)
-                    for q in range(m2 + 1)])
-    cos_n, sin_n = _rotation_factors(-plan.bridging_angle, m2)
-    psi = np.exp(log - log.max()) * cos_n[::-1] * sin_n
-    kept, norm, discarded = _truncate(np.abs(psi)[None], np.array([psi @ psi]), chi_max,
-                                      trunc_tol)
-    q = np.flatnonzero(kept[0])
-    psi = psi[q] / norm[0]
-    angles, phases = _inverse_angles(plan.plan2_partial, 2)
-    lam = np.abs(psi)
-    (ws, lambdas, charges, rest), = _vacuum_rotations(
-        [(q, np.ones(q.shape[0]), lam)], [angles], [phases[1:]], chi_max, trunc_tol)
-    state = BlockDecimationState(
-        ws=[(psi * np.exp(-1j * phases[0] * (m - q - m1)))[None], *ws],
-        lambdas=[np.ones(1), lam, *lambdas, np.ones(1)],
-        charges=[np.array([m]), q, *charges, np.zeros(1, dtype=int)], local_dim=d,
-        chi_max=chi_max, trunc_tol=trunc_tol, discarded_weight=float(discarded[0]) + rest)
-    return replay_plan_gates(state, invert_plan(plan.plan1))
+    """MPS of (sum c a^dag)^M2 (sum z a^dag)^M1 |0> (normalized):
+    `two_sum_states` of one pair."""
+    return next(two_sum_states([(z, c)], m1, m2, d, chi_max, trunc_tol))

@@ -248,18 +248,21 @@ def test_runs_without_scipy_or_the_process_pool(tmp_path):
 
 def test_sweep_threads_flag(tmp_path):
     # worker processes fill their own plan caches, so this also compares a
-    # warm cache with fresh ones
+    # warm cache with fresh ones; each worker builds one contiguous batch of
+    # the barrier heights, and a point's record must not depend on its
+    # batch: 3 workers split the 4 points unevenly, 6 leave none to spare
     cfg = _write(tmp_path, SWEEP_CFG.replace("m1 = 1\nm2 = 1", "m1 = 4\nm2 = 4")
                  .replace("mu_values = 0 2 6", "mu_values = 0 2 3 6")
                  .replace("n_sites = 6", "n_sites = 12"))
     csv = {}
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "3", "6"):
         out = tmp_path / f"thr{threads}"
         assert main(["sweep", "--config", cfg, "--out-dir", str(out),
                      "--threads", threads]) == 0
         csv[threads] = (out / "sweep.csv").read_bytes()
     assert csv["1"].count(b"\n") == 5
     assert csv["1"] == csv["2"]
+    assert csv["1"] == csv["3"] == csv["6"]
 
 
 def test_threads_and_verbose_belong_to_sweep_only(tmp_path, capsys):

@@ -132,6 +132,26 @@ def _collision_modes(n, mu):
     return a.entries[:, 0], a.entries[:, n - 1]
 
 
+def _gate_two_sum(z, c, m1, m2, d=None, chi_max=None, trunc_tol=1e-12):
+    """The two-sum state by the gate path: seed |M1, 0, ...>, rotate by the
+    bridging angle, lift by M2, rotate back, then replay both inverse plans,
+    every rotation an `apply_two` and every phase an `apply_single`."""
+    z, c = z / np.linalg.norm(z), c / np.linalg.norm(c)
+    plan = fold_two(z, c, m1, m2)
+    d = d or m1 + m2 + 1
+    st = from_fock([m1] + [0] * (z.shape[0] - 1), d=d, chi_max=chi_max or 4 * (m1 + m2 + 1),
+                   trunc_tol=trunc_tol)
+    apply_two(st, build_pair_rotation_gate(1, plan.bridging_angle, d))
+    lift_first_site(st, m2)
+    apply_two(st, build_pair_rotation_gate(1, -plan.bridging_angle, d))
+    replay_plan_gates(st, invert_plan(plan.plan2_partial))
+    replay_plan_gates(st, invert_plan(plan.plan1))
+    site1_phase, = [op.angle for op in plan.plan2_partial.ops
+                    if isinstance(op, PhaseOp) and op.site == 1]
+    st.ws[0] = st.ws[0] * np.exp(-1j * site1_phase * m1)
+    return st
+
+
 def test_two_site_plans_are_built_once_per_charge_triple(monkeypatch):
     # the 31-point M = 8 grid of a collision sweep revisits its charge triples
     triples = []
@@ -145,7 +165,7 @@ def test_two_site_plans_are_built_once_per_charge_triple(monkeypatch):
     _clear_plan_caches()
     for mu in np.linspace(0.0, 60.0, 31):
         z, c = _collision_modes(20, mu)
-        st = two_sum_state(z, c, 4, 4, chi_max=25)
+        st = _gate_two_sum(z, c, 4, 4, chi_max=25)
         reduced_density_two_sites(st, 1, 20)
     builds = mps._two_site_plan_cached.cache_info().misses
     assert len(triples) > 10 * len(set(triples))
@@ -164,7 +184,7 @@ def test_cached_plans_give_bit_identical_states(monkeypatch):
     def run():
         out = []
         for m1, m2 in ((3, 5), (5, 3), (4, 4)):
-            st = two_sum_state(z, c, m1, m2, d=9, chi_max=25, trunc_tol=1e-12)
+            st = _gate_two_sum(z, c, m1, m2, d=9, chi_max=25, trunc_tol=1e-12)
             out.append((st, [mps.reduced_density_two_sites(st, k, l)
                              for k, l in ((1, n), (3, 9), (n - 1, n))]))
         st = condensate_state(cond, 3)
@@ -194,7 +214,7 @@ def test_cached_plans_give_bit_identical_states(monkeypatch):
 
 def test_cached_plans_are_read_only():
     z, c = _collision_modes(8, 3.0)
-    st = two_sum_state(z, c, 2, 2)
+    st = _gate_two_sum(z, c, 2, 2)
     reduced_density_two_sites(st, 1, 8)
     reduced_density_two_sites(st, 2, 7)
     d = st.local_dim
@@ -409,6 +429,18 @@ def test_two_sum_state_matches_dense():
             z, c = _collision_modes(n, mu)
             assert abs(abs(fold_two(z, c, m1, m2).bridging_angle) - np.pi) < 1e-12
             cases.append((z, c, m1, m2))
+    # degenerate frames: c = e^{i alpha} z spans one mode; packets on the two
+    # halves of the chain, so the frame loses a mode halfway along (and gains
+    # its second mode only there when reversed); N = 2; one lone boson
+    z = _random_mode(5, 41)
+    cases.append((z, np.exp(0.7j) * z, 2, 2))
+    half = np.zeros(6, dtype=complex)
+    left, right = half.copy(), half.copy()
+    left[:3], right[3:] = _random_mode(3, 42), _random_mode(3, 43)
+    cases += [(left, right, 2, 2), (right, left, 2, 3)]
+    cases.append((_random_mode(2, 44), _random_mode(2, 45), 2, 3))
+    cases += [(_random_mode(4, 46), _random_mode(4, 47), 1, 5),
+              (_random_mode(4, 48), _random_mode(4, 49), 5, 1)]
     for z, c, m1, m2 in cases:
         st = two_sum_state(z, c, m1, m2)
         ref = dense.two_sum_amplitudes(z, c, m1, m2)
@@ -694,7 +726,7 @@ def test_qr_first_svd_builds_the_same_state(monkeypatch):
     states = []
     for min_cols in (1, 10**9):  # QR on every stack twice as tall as wide, then on none
         monkeypatch.setattr(mps, "QR_FIRST_MIN_COLS", min_cols)
-        states.append(two_sum_state(z, c, 4, 4, chi_max=25, trunc_tol=1e-12))
+        states.append(_gate_two_sum(z, c, 4, 4, chi_max=25, trunc_tol=1e-12))
     assert any(s[2] >= 4 for s in qr_shapes)
     with_qr, plain = states
     for b in range(n + 1):
@@ -769,28 +801,17 @@ def test_condensate_state_matches_gate_replay():
 
 
 def test_two_sum_state_matches_gate_replay():
-    # the first two sites and the inverse partial plan in closed form against
-    # the build that seeds |M1, 0, ...>, rotates by the bridging angle, lifts
-    # by M2 and rotates back, every rotation an `apply_two` and every phase an
-    # `apply_single`;
-    # the inner sweep's SVDs may pick other singular vectors within a
-    # degenerate value, so the states are compared by their overlap
+    # the frame writer against the build that seeds |M1, 0, ...>, rotates by
+    # the bridging angle, lifts by M2 and rotates back, every rotation an
+    # `apply_two` and every phase an `apply_single`: both truncate each bond
+    # of the state the earlier bonds left, so they keep the same vectors;
+    # the SVDs may pick other singular vectors within a degenerate value, so
+    # the states are compared by their overlap
     n, m1, m2 = 20, 4, 4
     z, c = _collision_modes(n, 6.0)
-    z, c = z / np.linalg.norm(z), c / np.linalg.norm(c)
-    plan = fold_two(z, c, m1, m2)
-    d = m1 + m2 + 1
     for chi_max in (36, 12):
         st = two_sum_state(z, c, m1, m2, chi_max=chi_max)
-        ref = from_fock([m1] + [0] * (n - 1), d=d, chi_max=chi_max, trunc_tol=1e-12)
-        apply_two(ref, build_pair_rotation_gate(1, plan.bridging_angle, d))
-        lift_first_site(ref, m2)
-        apply_two(ref, build_pair_rotation_gate(1, -plan.bridging_angle, d))
-        replay_plan_gates(ref, invert_plan(plan.plan2_partial))
-        replay_plan_gates(ref, invert_plan(plan.plan1))
-        site1_phase, = [op.angle for op in plan.plan2_partial.ops
-                        if isinstance(op, PhaseOp) and op.site == 1]
-        ref.ws[0] = ref.ws[0] * np.exp(-1j * site1_phase * m1)
+        ref = _gate_two_sum(z, c, m1, m2, chi_max=chi_max)
         _assert_same_state(st, ref, same_gauge=False)
         assert np.max(np.abs(occupations(st) - occupations(ref))) < 1e-13
         assert np.max(np.abs(reduced_density_two_sites(st, 1, n)
@@ -903,6 +924,83 @@ def test_condensate_states_check_every_mode_first():
     with pytest.raises(CutoffError):
         next(mps.condensate_states(good, 3, d=3))
     assert list(mps.condensate_states([], 3)) == []
+
+
+def _sweep_grid(n, count):
+    """Packets of barrier heights mu / N = 0..3."""
+    return [_collision_modes(n, mu) for mu in np.linspace(0.0, 3.0 * n, count)]
+
+
+def test_two_sum_states_match_one_build_per_pair():
+    # the keep pass batches every bond's SVDs over the pairs; a pair's
+    # state must be the one it gets built alone, bit for bit
+    pairs = _sweep_grid(20, 31)
+    states = list(mps.two_sum_states(pairs, 4, 4, chi_max=25))
+    assert len(states) == len(pairs)
+    assert len({st.lambdas[10].shape[0] for st in states}) > 5  # bonds of many shapes
+    for pair, st in zip(pairs, states):
+        ref = two_sum_state(*pair, 4, 4, chi_max=25)
+        for field in ("ws", "lambdas", "charges"):
+            for a, b in zip(getattr(st, field), getattr(ref, field)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), field
+        assert st.discarded_weight == ref.discarded_weight
+
+
+def test_two_sum_states_hold_one_state_at_a_time(monkeypatch):
+    # states are written as they are yielded: besides the keep pass's record
+    # (each pair's kept vectors over the frame states), a caller that keeps
+    # only the current state holds it and the one being built, not all 21
+    pairs = [_collision_modes(20, mu) for mu in np.linspace(4.0, 12.0, 21)]  # near the peak
+    record = []
+    keep_pass = mps._frame_keep_pass
+
+    def recording(*args):
+        out = keep_pass(*args)
+        record.append(sum(a.nbytes for bond in out.bonds for a in bond)
+                      + sum(a.nbytes for a in out[1:]))
+        return out
+
+    monkeypatch.setattr(mps, "_frame_keep_pass", recording)
+    sizes = []
+    tracemalloc.start()
+    try:
+        states = mps.two_sum_states(pairs, 8, 8, chi_max=81)
+        st = next(states)
+        after_first = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sizes.append(sum(w.nbytes for w in st.ws))
+        for st in states:
+            sizes.append(sum(w.nbytes for w in st.ws))
+        del st
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == 21 and sum(sizes) > 10 * max(sizes)
+    assert after_first < record[0] + 2 * max(sizes), (after_first, record, max(sizes))
+    assert peak < after_first + 3 * max(sizes), (peak, after_first, max(sizes))
+
+
+def test_two_sum_states_check_every_pair_first():
+    good = [(_random_mode(6, s), _random_mode(6, s + 10)) for s in range(3)]
+    for where in (0, 2, 3):
+        for bad in ((np.zeros(6), good[0][1]), (good[0][0], np.zeros(6))):
+            states = mps.two_sum_states(good[:where] + [bad] + good[where:], 2, 2)
+            with pytest.raises(ValidationError, match="zero vector"):
+                next(states)
+    with pytest.raises(ValidationError, match="differ in length"):
+        next(mps.two_sum_states(good + [(_random_mode(6, 7), _random_mode(5, 8))], 2, 2))
+    with pytest.raises(ValidationError, match="one length"):
+        next(mps.two_sum_states(good + [(_random_mode(5, 7), _random_mode(5, 8))], 2, 2))
+    for m1, m2 in ((0, 2), (2, 0), (-1, 3)):
+        with pytest.raises(ValidationError, match="boson counts"):
+            next(mps.two_sum_states(good, m1, m2))
+    with pytest.raises(CutoffError):
+        next(mps.two_sum_states(good, 2, 2, d=4))
+    # a single pair raises as `two_sum_state` does
+    with pytest.raises(ValidationError, match="zero vector"):
+        two_sum_state(np.zeros(6), good[0][1], 2, 2)
+    assert list(mps.two_sum_states([], 2, 2)) == []
 
 
 def test_total_boson_cutoff_check():
