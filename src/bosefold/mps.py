@@ -33,12 +33,13 @@ tall), a mask keeps the largest singular values, and one assignment per
 matrix writes the kept right singular vectors and the blocks projected onto
 them.  The first-site lifting implements (a_1^dag)^M2 as a rescale of the
 columns of W^[1] and of lambda^[1] plus M2 added to the charge of bond 0,
-which shifts every implied site-1 level; no build runs it, since a two-sum
-build writes its first two sites in closed form (`two_sum_state`).
+which shifts every implied site-1 level.  No build runs the gates, the
+two-site update, the lift or `from_fock`: they stay as public API, as the
+names perfbench's tracer patches, and as the gate-path reference that the
+tests build the two writers' states against.
 
-The fold replays rotate mostly into vacuum: every rotation of a condensate
-build, and the outer sweep of a two-sum build, acts on a bond
-whose right site, and every site beyond it, holds no boson.  There
+Every rotation of a condensate build's fold replay acts on a bond whose
+right site, and every site beyond it, holds no boson.  There
 e^{-i phi Q}|r, 0> = sum_n sqrt(C(r, n)) cos^n(phi/2) (-sin(phi/2))^(r-n)
 |n, r-n>, so each left vector a, with all its ql[a] bosons on the left site,
 spreads over the new charges p = r - n with that amplitude: the new left
@@ -53,9 +54,21 @@ applies the keep rule of `apply_two` row by row, and the kept, renormalized
 lam^2 is the next row.  A state's matrices, phases folded in, are written
 only when it is yielded, each the kept part of its site's charge-axis
 matrix, so a caller that measures the states one by one holds at most two
-(`condensate_states`).
-The outer sweep of a two-sum build runs the same code with one row, from
-its closed-form bond 1.  No gate, plan or SVD runs there.
+(`condensate_states`).  No gate, plan or SVD runs there.
+
+A two-sum state (sum c a^dag)^M2 (sum z a^dag)^M1 |0> is written in
+two-mode frames (`two_sum_states`): right of bond k it lives on two modes,
+an orthonormal basis F_k of span(z_{>k}, c_{>k}), so each Schmidt vector
+of charge q is a vector over the q + 1 frame states, and site k+1 steps
+F_k to F_{k+1} by a real rotation within the frame (a charge block of the
+pair rotation, from the cached eigenbasis above) and then the closed form
+of one pair rotation, as in the paper's fold (arXiv:0907.4315) carried in
+each bond's frame.  Bond by bond, the lam-weighted charge blocks of the
+state that the earlier truncations left go through one SVD call per
+charge for a batch of states (every point of a collision sweep), each
+block at a shape of its own, and `_truncate` keeps what `apply_two` would
+keep.  No gate, plan, lift or chi-sized contraction runs, and a state's W
+are written only when it is yielded.
 
 The environments L and R are block-diagonal in the bond charge, so
 L[k+1] = mask o (W^dag L[k] W) and R[k] = mask o (W R[k+1] W^dag), where the
@@ -99,8 +112,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CutoffError, ValidationError
-from .folding import (FoldPlan, PairRotationOp, PhaseOp, fold_single, fold_two, invert_plan,
-                      _coeffs)
+from .folding import FoldPlan, PairRotationOp, PhaseOp, fold_single, _coeffs
+# No build calls fold_two or invert_plan; perfbench's tracer patches them
+# here by name, and Tracer.install() stops on a name the module lacks.
+from .folding import fold_two, invert_plan  # noqa: F401
 
 SECTOR_LEAK_TOL = 1e-10  # relative two-site weight allowed outside the charge blocks
 # Padded SVD stacks of blocks with at least this many columns and at least
@@ -299,8 +314,9 @@ def _slots(start: np.ndarray, count: np.ndarray, pad: int) -> np.ndarray:
 # tables in the smallest unsigned type that holds them.
 
 # Plans per cache.  A benchmark pass builds at most 82 plans in one cache
-# (the RDM transfer steps of sweep_small); quench_snapshots builds none,
-# since its states are written and read as W with no plan.  The largest
+# (the RDM transfer steps of sweep_small), and no two-site plan: the
+# sweeps build their states in two-mode frames and quench_snapshots as
+# charge-axis rows, both written and read as W with no plan.  The largest
 # plan measured, a transfer step at M = 32, takes 3.6 MB, so a full cache
 # of those would hold about 460 MB; rho_{1,N} of three N = 20, M = 32
 # collisions (mu = 6, 20, 40) builds 11.7 MB of RDM plans in all.
@@ -1267,8 +1283,7 @@ def _frames(zs: np.ndarray, cs: np.ndarray):
         c, s = np.abs(frame[:, 0, 0]), np.abs(frame[:, 0, 1])
         size = np.hypot(c, s)
         theta[:, k] = 2 * np.arctan2(s, c)
-        c, s = np.where(size > 0, c, 1.0), np.where(size > 0, s, 0.0)
-        c, s = c / np.hypot(c, s), s / np.hypot(c, s)
+        c, s = np.cos(theta[:, k] / 2), np.sin(theta[:, k] / 2)
         rest = frame[:, 1:]
         h1 = rest[:, :, 0] * c[:, None] + rest[:, :, 1] * s[:, None]
         h2 = rest[:, :, 1] * c[:, None] - rest[:, :, 0] * s[:, None]
@@ -1292,9 +1307,10 @@ def _frames(zs: np.ndarray, cs: np.ndarray):
 
 @functools.lru_cache(maxsize=None)
 def _frame_rows(width: int):
-    """Where the slots of `_sector_eigh(width)` hold the frame states: row
-    n_1 = q - m of slot min(q, d-1-q), offset 0 or d - q, for charge q and
-    entry m <= q, and a padding row d + 1 for m > q; and each charge's slot."""
+    """Read-only [q, m] rows and [q] slots of the frame states |q - m, m> in
+    the slots of `_sector_eigh(width)`: charge q is sector n = q, in slot
+    min(q, d-1-q) at offset 0 or d - q, and entry m at n_1 = q - m; the
+    entries m > q point at a padding row d + 1."""
     q, m = np.arange(width)[:, None], np.arange(width)
     rows = np.where(m > q, width + 1, np.where(q < (width + 1) // 2, q - m, width - m))
     return _frozen((rows, np.minimum(q[:, 0], width - 1 - q[:, 0])))
@@ -1522,11 +1538,11 @@ def two_sum_states(pairs, m1: int, m2: int, d: int | None = None, chi_max: int |
     keep pass (`_frame_keep_pass`), which truncates each bond of the state
     that the earlier bonds left, as the gate replay does, and batches each
     bond's SVDs over the pairs.  Every pair is checked before anything is
-    built.  The keep pass holds each pair's kept vectors over the frame
-    states; a state's sites are written only when it is yielded:
-    W[a, b] = fn[q_a - p_b] sum_m right_a[m] left_b[m] for q_a >= p_b, so a
-    caller that keeps one state at a time holds at most two.  The pairs
-    must share one length.
+    built.  The keep pass records each pair's kept vectors over the frame
+    states, and a state's sites are written from them only when it is
+    yielded (`_frame_sites`), so a caller that keeps one state at a time
+    holds, besides that record, at most two.  The pairs must share one
+    length.
     """
     zs, cs = [], []
     for z, c in pairs:
@@ -1547,13 +1563,11 @@ def two_sum_states(pairs, m1: int, m2: int, d: int | None = None, chi_max: int |
         raise ValidationError("mode pairs must share one length")
     fp = _frame_keep_pass(np.array(zs), np.array(cs), m1, m2, chi_max, trunc_tol)
     for i in range(len(zs)):
-        spans = [slice(bond.starts[i], bond.starts[i + 1]) for bond in fp.bonds[1:]]
+        spans = [slice(bond.starts[i], bond.starts[i + 1]) for bond in fp.bonds]
         yield BlockDecimationState(
             ws=_frame_sites(fp, i),
-            lambdas=[np.ones(1), *(bond.lam[span].copy() for bond, span in zip(fp.bonds[1:], spans)),
-                     np.ones(1)],
-            charges=[np.array([m1 + m2]),
-                     *(bond.charges[span].copy() for bond, span in zip(fp.bonds[1:], spans)),
+            lambdas=[*(bond.lam[span].copy() for bond, span in zip(fp.bonds, spans)), np.ones(1)],
+            charges=[*(bond.charges[span].copy() for bond, span in zip(fp.bonds, spans)),
                      np.zeros(1, dtype=int)],
             local_dim=d, chi_max=chi_max, trunc_tol=trunc_tol,
             discarded_weight=float(fp.discarded[i]))

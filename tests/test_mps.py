@@ -418,9 +418,9 @@ def test_environments_match_dense_contraction_on_truncated_states():
 def test_two_sum_state_matches_dense():
     cases = [(_random_mode(5, 10 + seed), _random_mode(5, 20 + seed), m1, m2)
              for seed, (m1, m2) in [(0, (1, 1)), (1, (2, 1)), (2, (2, 2))]]
-    # both ends of the bridging angle: c = z folds to 0, where bond 1 starts
-    # with charge 0 alone, and the sweep's packets, orthogonal columns of a
-    # propagator, fold to pi, where it starts with charge M2 alone
+    # both ends of the fold's bridging angle: c = z folds to 0 (a one-mode
+    # frame), and the sweep's packets, orthogonal columns of a propagator,
+    # fold to pi
     for n, (m1, m2) in [(3, (2, 2)), (5, (1, 3)), (6, (2, 1))]:
         z = _random_mode(n, 30 + n)
         assert abs(fold_two(z, z, m1, m2).bridging_angle) < 1e-12
@@ -512,7 +512,7 @@ def test_end_pair_rdm_matches_reduced_pair_oracle_at_scenario_scale():
         assert np.max(np.abs(rho - ref)) < 1e-12
         if m == 16:
             # chi = 81, d = 17: the sites take 1.7 MB as W, about 1/d of
-            # their dense tensors; measured 13.6 MB with cold plan caches
+            # their dense tensors; measured 13.5 MB with cold plan caches
             assert peak <= 15e6, peak
 
 
@@ -585,8 +585,7 @@ def test_truncated_rdms_match_dense_contraction_at_scenario_scale():
 
 def test_every_bond_matches_bond_schmidt_oracle_at_scenario_scale():
     # untruncated (chi_max = 81 is the full rank at M = 16, above it at
-    # M = 12); measured <= 5.7e-15; with unequal packets, bond 1 starts from
-    # the M2 + 1 charges of the closed-form first two sites
+    # M = 12); measured <= 6.1e-15, with equal and with unequal packets
     for n, mu, m1, m2 in [(20, 6.0, 8, 8), (40, 12.0, 8, 8), (20, 6.0, 3, 9), (20, 6.0, 9, 3)]:
         z, c = _collision_modes(n, mu)
         st = two_sum_state(z, c, m1, m2, chi_max=81, trunc_tol=1e-30)
