@@ -1393,21 +1393,9 @@ def _tails(ft: np.ndarray, fw: np.ndarray) -> np.ndarray:
 
 
 def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -> _FramePass:
-    """Every bond of every pair, left to right, as `apply_two` would keep it.
-
-    Bond k+1's block of charge p holds one row per kept vector a of bond k
-    with q_a >= p (site level n = q_a - p), lam_a fn[n] A_a[m] tails[p, m]
-    over m = 0..p, where A_a is the vector over the H-frame states scaled by
-    sqrt((q_a - m)!): the lam-weighted block of the state that the earlier
-    bonds' truncations left.  Its singular values are the Schmidt values of
-    charge p and its V^dag rows the new vectors over the F_{k+1} states.  A
-    block of one row or one column is its norm.  The others go through one
-    SVD call per charge, each padded with zero rows to cap[p], the rows a
-    charge p block of the exact state can have (the sum over q >= p of
-    min(q+1, M-q+1)), or at its own rows where it has more; so no block's
-    decomposition depends on the pairs batched with it, and the row of
-    every pair, p + 1 slots per charge, goes through `_truncate`.
-    """
+    """Every bond of every pair, left to right, as `apply_two` would keep it
+    (`_frame_bond`), each bond's vectors turned into the next site's H frame
+    for the step after it."""
     pairs, n = zs.shape
     m = m1 + m2
     width = m + 1
@@ -1418,76 +1406,95 @@ def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -
     fn, ft, fw = _floored(np.cumprod(steps, axis=-1))
     fn = fn.real.copy()
     charge = np.arange(width)
-    sqrt_fact = np.cumprod(np.append(1.0, np.sqrt(charge[1:])))
-    above = charge[:, None] >= charge  # [p, m]: m <= p
-    level = np.maximum(charge[:, None] - charge, 0)
+    # the rows a charge block of the exact state can have: the vectors of
+    # charge q >= p, at most min(q+1, M-q+1) of each
     cap = np.minimum(chi_max, np.cumsum(np.minimum(charge + 1, m - charge + 1)[::-1])[::-1])
-    slot0 = np.append(0, np.cumsum(charge + 1))
-    slot_charge = np.repeat(charge, charge + 1)
-
-    pt, q = np.arange(pairs), np.full(pairs, m)
-    starts, lam, norm = np.arange(pairs + 1), np.ones(pairs), np.ones(pairs)
     vh = _frame_start(alpha, beta, m1, m2)
-    x = _frame_rotation(vh, q, theta[:, 0], pt)
-    bonds = []
+    bonds = [_FrameBond(np.arange(pairs + 1), np.full(pairs, m), np.ones(pairs), vh,
+                        np.ones(pairs))]
     discarded = np.zeros(pairs)
-    for k in range(n):
-        bonds.append(_FrameBond(starts, q, lam, vh, norm))
-        if k == n - 1:
-            break
-        amat = np.where(above[q], x * sqrt_fact[level[q]], 0)
-        counts = np.bincount(pt * width + q, minlength=pairs * width).reshape(pairs, width)
-        rows = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # vectors of charge >= p
-        weights = np.where(above[q], lam[:, None] * fn[pt[:, None], k, level[q]], 0)
-        colfac = _tails(ft[:, k], fw[:, k])  # [pair, p, m]
-        # each pair's vectors right-aligned: its rows of charge >= p are its last rows[:, p]
-        depth = max(int(np.diff(starts).max()), int(cap.max()))
-        place = pt * depth + depth - starts[pt + 1] + np.arange(q.shape[0])
-        aligned = np.zeros((pairs * depth, width), dtype=complex)
-        aligned[place] = amat
-        aligned = aligned.reshape(pairs, depth, width)
-        aligned_w = np.zeros((pairs * depth, width))
-        aligned_w[place] = weights
-        aligned_w = aligned_w.reshape(pairs, depth, width)
-        s_all = np.zeros((pairs, slot0[-1]))
-        vh_all = np.zeros((pairs, slot0[-1], width), dtype=complex)
-        # charge 0 has one column, whose norm is its Schmidt value
-        s_all[:, 0] = np.sqrt(np.add.reduceat(np.abs(weights[:, 0] * amat[:, 0]) ** 2,
-                                              starts[:-1])) * np.abs(colfac[:, 0, 0])
-        vh_all[:, 0, 0] = 1.0
-        one_p, one_c = np.nonzero(rows[:, 1:] == 1)
-        one_c += 1
-        row = aligned_w[one_p, -1, one_c, None] * aligned[one_p, -1] * colfac[one_p, one_c]
-        s = np.linalg.norm(row, axis=1)
-        s_all[one_p, slot0[one_c]] = s
-        vh_all[one_p, slot0[one_c]] = row / np.where(s > 0, s, 1.0)[:, None]
-        fits = (rows > 1) & (rows <= cap)
-        for p in np.flatnonzero((rows[:, 1:] > 1).any(axis=0)) + 1:
-            r = rows[:, p]
-            groups = [(np.flatnonzero(fits[:, p]), cap[p])]
-            groups += [(np.flatnonzero(r == more), more)
-                       for more in sorted(set(r[r > cap[p]].tolist()))]
-            for grp, height in groups:
-                if grp.size == 0:
-                    continue
-                blk = (aligned_w[grp, -height:, p, None] * aligned[grp, -height:, :p + 1]
-                       * colfac[grp, p, None, :p + 1])
-                if p >= 4 and height >= 3 * (p + 1):
-                    # same singular values and V^dag; the SVD then skips forming the tall U
-                    blk = np.linalg.qr(blk, mode="r")
-                _, s, vh = np.linalg.svd(blk, full_matrices=False)
-                kept = min(height, p + 1)
-                s_all[grp, slot0[p]:slot0[p] + kept] = s[:, :kept]
-                vh_all[grp, slot0[p]:slot0[p] + kept, :p + 1] = vh[:, :kept]
-        kept, norm, dropped = _truncate(s_all, np.sum(s_all**2, axis=1), chi_max, trunc_tol)
+    for k in range(n - 1):
+        x = _frame_rotation(bonds[-1].vectors, bonds[-1].charges, theta[:, k],
+                            np.repeat(np.arange(pairs), np.diff(bonds[-1].starts)))
+        bond, dropped = _frame_bond(bonds[-1], _floored(x), fn[:, k], _tails(ft[:, k], fw[:, k]),
+                                    cap, chi_max, trunc_tol)
+        bonds.append(bond)
         discarded += dropped
-        pt, col = np.nonzero(kept)
-        q = slot_charge[col]
-        lam = s_all[pt, col] / norm[pt]
-        vh = _floored(vh_all[pt, col])
-        starts = np.searchsorted(pt, np.arange(pairs + 1))
-        x = _floored(_frame_rotation(vh, q, theta[:, k + 1], pt))
     return _FramePass(bonds, theta, fn, ft, fw, discarded)
+
+
+def _frame_bond(bond: _FrameBond, x: np.ndarray, fn: np.ndarray, tails: np.ndarray,
+                cap: np.ndarray, chi_max: int, trunc_tol: float):
+    """The next bond of every pair, and the weights its truncation discards.
+
+    Its block of charge p holds one row per kept vector a of `bond` with
+    q_a >= p (site level n = q_a - p), lam_a fn[n] A_a[m] tails[p, m] over
+    m = 0..p, where A_a is a's row of x (over the H-frame states) times
+    sqrt((q_a - m)!): the lam-weighted block of the state that the earlier
+    bonds' truncations left.  Its singular values are the Schmidt values of
+    charge p and its V^dag rows the new vectors over the F-frame states.  A
+    block of one row or one column is its norm.  The others go through one
+    SVD call per charge, each padded with zero rows to cap[p], or at its
+    own rows where it has more; so no block's decomposition depends on the
+    pairs batched with it, and the row of every pair, p + 1 slots per
+    charge, goes through `_truncate`.
+    """
+    pairs, width = fn.shape
+    charge = np.arange(width)
+    above = charge[:, None] >= charge  # [q, m]: m <= q
+    level = np.maximum(charge[:, None] - charge, 0)
+    slot0 = np.append(0, np.cumsum(charge + 1))
+    starts, q = bond.starts, bond.charges
+    pt = np.repeat(np.arange(pairs), np.diff(starts))
+    sqrt_fact = np.cumprod(np.append(1.0, np.sqrt(charge[1:])))
+    amat = np.where(above[q], x * sqrt_fact[level[q]], 0)
+    weights = np.where(above[q], bond.lam[:, None] * fn[pt[:, None], level[q]], 0)
+    counts = np.bincount(pt * width + q, minlength=pairs * width).reshape(pairs, width)
+    rows = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # vectors of charge >= p
+    # each pair's vectors right-aligned: its rows of charge >= p are its last rows[:, p]
+    depth = max(int(np.diff(starts).max()), int(cap.max()))
+    place = pt * depth + depth - starts[pt + 1] + np.arange(q.shape[0])
+    aligned = np.zeros((pairs * depth, width), dtype=complex)
+    aligned[place] = amat
+    aligned = aligned.reshape(pairs, depth, width)
+    aligned_w = np.zeros((pairs * depth, width))
+    aligned_w[place] = weights
+    aligned_w = aligned_w.reshape(pairs, depth, width)
+    s_all = np.zeros((pairs, slot0[-1]))
+    vh_all = np.zeros((pairs, slot0[-1], width), dtype=complex)
+    # charge 0 has one column, whose norm is its Schmidt value
+    s_all[:, 0] = np.sqrt(np.add.reduceat(np.abs(weights[:, 0] * amat[:, 0]) ** 2,
+                                          starts[:-1])) * np.abs(tails[:, 0, 0])
+    vh_all[:, 0, 0] = 1.0
+    one_p, one_c = np.nonzero(rows[:, 1:] == 1)
+    one_c += 1
+    row = aligned_w[one_p, -1, one_c, None] * aligned[one_p, -1] * tails[one_p, one_c]
+    s = np.linalg.norm(row, axis=1)
+    s_all[one_p, slot0[one_c]] = s
+    vh_all[one_p, slot0[one_c]] = row / np.where(s > 0, s, 1.0)[:, None]
+    fits = (rows > 1) & (rows <= cap)
+    for p in np.flatnonzero((rows[:, 1:] > 1).any(axis=0)) + 1:
+        r = rows[:, p]
+        groups = [(np.flatnonzero(fits[:, p]), cap[p])]
+        groups += [(np.flatnonzero(r == more), more)
+                   for more in sorted(set(r[r > cap[p]].tolist()))]
+        for grp, height in groups:
+            if grp.size == 0:
+                continue
+            blk = (aligned_w[grp, -height:, p, None] * aligned[grp, -height:, :p + 1]
+                   * tails[grp, p, None, :p + 1])
+            if p >= 4 and height >= 3 * (p + 1):
+                # same singular values and V^dag; the SVD then skips forming the tall U
+                blk = np.linalg.qr(blk, mode="r")
+            _, s, vh = np.linalg.svd(blk, full_matrices=False)
+            kept = min(height, p + 1)
+            s_all[grp, slot0[p]:slot0[p] + kept] = s[:, :kept]
+            vh_all[grp, slot0[p]:slot0[p] + kept, :p + 1] = vh[:, :kept]
+    kept, norm, dropped = _truncate(s_all, np.sum(s_all**2, axis=1), chi_max, trunc_tol)
+    pt, col = np.nonzero(kept)
+    new = _FrameBond(np.searchsorted(pt, np.arange(pairs + 1)), np.repeat(charge, charge + 1)[col],
+                     s_all[pt, col] / norm[pt], _floored(vh_all[pt, col]), norm)
+    return new, dropped
 
 
 def _frame_sites(fp: _FramePass, i: int) -> list:
@@ -1495,7 +1502,7 @@ def _frame_sites(fp: _FramePass, i: int) -> list:
     left_b[m], 0 for q_a < p_b, from its vectors over the H frame of bond k
     times sqrt((q_a - m)!) (right) and conj over the F frame of bond k+1 times
     tails[p_b, m] over the kept norm (left): the unweighted block rows of
-    bond k+1 (see `_frame_keep_pass`) times V.  The last site's right bond
+    bond k+1 (see `_frame_bond`) times V.  The last site's right bond
     is the vacuum.  All of the pair's vectors turn into their H frames in
     one call.
     """
