@@ -190,6 +190,16 @@ def run_quench(spec: ScenarioSpec) -> QuenchResult:
     return QuenchResult(times=times, occupations=occ, snapshots=tuple(snapshots), m=m)
 
 
+def _end_pair(state, m: int):
+    """E_N of rho_{1,N} and the collection fraction read off its diagonal."""
+    rho = reduced_density_two_sites(state, 1, state.n_sites)
+    e_n = logneg_partial_transpose(rho).value
+    # <n_1> and <n_N> from the diagonal of rho_{1,N} (row index n_1 * d + n_N)
+    diag = rho.diagonal().real.reshape(state.local_dim, state.local_dim)
+    levels = np.arange(state.local_dim)
+    return e_n, collection_fraction([levels @ diag.sum(1), levels @ diag.sum(0)], m)
+
+
 def _sweep_batch(args):
     """Records of a run of barrier heights whose states are built together."""
     base, mus, m1, m2, num = args
@@ -204,12 +214,7 @@ def _sweep_batch(args):
                             trunc_tol=num.trunc_tol)
     records = []
     for mu, state in zip(mus, states):
-        rho = reduced_density_two_sites(state, 1, n)
-        e_n = logneg_partial_transpose(rho).value
-        # <n_1> and <n_N> from the diagonal of rho_{1,N} (row index n_1 * d + n_N)
-        diag = rho.diagonal().real.reshape(state.local_dim, state.local_dim)
-        levels = np.arange(state.local_dim)
-        frac = collection_fraction([levels @ diag.sum(1), levels @ diag.sum(0)], m1 + m2)
+        e_n, frac = _end_pair(state, m1 + m2)
         now = time.perf_counter()
         records.append(SweepRecord(mu=mu, e_n_bits=e_n, collection_fraction=frac,
                                    discarded_weight=state.discarded_weight,
