@@ -21,22 +21,18 @@ charge range are one window found with searchsorted.  Gates conserve boson
 number by construction: a phase gate is its diagonal, applied to W through
 the level each entry implies, and a pair-rotation gate is one real
 orthogonal block per sector n_k + n_{k+1} = n < d, sectors n and d-1-n
-sharing one (d+1) x (d+1) slot, all built in cache-sized batched products
-from a cached real eigenbasis and kept as that read-only slot array.  The
-two-site update never forms the dense two-site matrix, and each of its
-stages is one batched call over the charge windows, stacked as slot tables
-padded with an extra row and column: one product contracts the windows of
-the two W into sector vectors, one real product rotates every slot's stack
-of pairs (a pair of sector n and one of sector d-1-n per column), one SVD
-call takes every lam-weighted window block (after a QR where the blocks are
-tall), a mask keeps the largest singular values, and one assignment per
-matrix writes the kept right singular vectors and the blocks projected onto
-them.  The first-site lifting implements (a_1^dag)^M2 as a rescale of the
-columns of W^[1] and of lambda^[1] plus M2 added to the charge of bond 0,
-which shifts every implied site-1 level.  No build runs the gates, the
-two-site update, the lift or `from_fock`: they stay as public API, as the
-names perfbench's tracer patches, and as the gate-path reference that the
-tests build the two writers' states against.
+sharing one (d+1) x (d+1) slot, built from a cached real eigenbasis
+(`_rotation_slots`) and kept as that read-only slot array.  `apply_two` is
+the plain reference of the two-site update: it forms the dense
+(chi_L, d, d, chi_R) two-site block, rotates each sector with its block of
+the gate, and takes one SVD per new middle charge of the lam-weighted
+block, which is fine at test sizes and not meant for large chi.  The
+first-site lifting implements (a_1^dag)^M2 as a rescale of the columns of
+W^[1] and of lambda^[1] plus M2 added to the charge of bond 0, which shifts
+every implied site-1 level.  No build runs the gates, the two-site update,
+the lift or `from_fock`: they stay as public API, as the names perfbench's
+tracer patches, and as the gate-path reference that the tests build the two
+writers' states against.
 
 Every rotation of a condensate build's fold replay acts on a bond whose
 right site, and every site beyond it, holds no boson.  There
@@ -54,7 +50,9 @@ applies the keep rule of `apply_two` row by row, and the kept, renormalized
 lam^2 is the next row.  A state's matrices, phases folded in, are written
 only when it is yielded, each the kept part of its site's charge-axis
 matrix, so a caller that measures the states one by one holds at most two
-(`condensate_states`).  No gate, plan or SVD runs there.
+(`condensate_states`).  The fold's angles are closed forms of the mode c:
+bond k rotates by -2 atan2(|c_{>k}|, |c_k|) and site k takes the phase
+-arg c_k, so no gate, fold plan or SVD runs there.
 
 A two-sum state (sum c a^dag)^M2 (sum z a^dag)^M1 |0> is written in
 two-mode frames (`two_sum_states`): right of bond k it lives on two modes,
@@ -90,15 +88,14 @@ level m of one side fixes the other's, and the sum over m is just that inner
 dimension.  The close mirrors the half and contracts only the level pairs
 whose imbalances match.
 
-Every slot table, window, rotation table and block list of the two-site
-update and the RDM depends only on the bond charges and d (and, for a
-transfer step, on the blocks it receives), so each is built once per charge
-pattern into a plan of read-only arrays, held in bounded per-process caches
-keyed on the charges' bytes: scans over states of the same N, M and chi
-revisit the same patterns.  A transfer step's plan, keyed on its incoming
-block structure, q_s, q_{s+1} and d, holds a (block, slot) and a (block,
-vector) gather factor per charge of the new bond, and the out structure; at
-M = 16 the largest is 0.15 MB.
+Every index table of the RDM depends only on the bond charges and d (and,
+for a transfer step, on the blocks it receives), so each is built once per
+charge pattern into a plan of read-only arrays, held in bounded per-process
+caches keyed on the charges' bytes: scans over states of the same N, M and
+chi revisit the same patterns.  A transfer step's plan, keyed on its
+incoming block structure, q_s, q_{s+1} and d, holds a (block, slot) and a
+(block, vector) gather factor per charge of the new bond, and the out
+structure; at M = 16 the largest is 0.15 MB.
 """
 from __future__ import annotations
 
@@ -112,18 +109,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CutoffError, ValidationError
-from .folding import FoldPlan, PairRotationOp, PhaseOp, fold_single, _coeffs
-# No build calls fold_two or invert_plan; perfbench's tracer patches them
-# here by name, and Tracer.install() stops on a name the module lacks.
-from .folding import fold_two, invert_plan  # noqa: F401
-
-SECTOR_LEAK_TOL = 1e-10  # relative two-site weight allowed outside the charge blocks
-# Padded SVD stacks of blocks with at least this many columns and at least
-# twice as many rows start with a QR, since the SVD of R does not form the
-# tall U.  On complex stacks of 9-33 blocks, QR first was faster at every
-# shape from 6 columns and 2 rows per column on, and slower at 1.75 rows.
-QR_FIRST_MIN_COLS = 6
-GATE_CHUNK_BYTES = 1 << 17  # slot-table bytes per batched gate product
+from .folding import FoldPlan, PairRotationOp, PhaseOp, _coeffs
+# No build calls fold_single, fold_two or invert_plan; perfbench's tracer
+# patches them here by name, and Tracer.install() stops on a name the module lacks.
+from .folding import fold_single, fold_two, invert_plan  # noqa: F401
 
 
 @dataclass
@@ -252,25 +241,21 @@ def _sector_eigh(d: int):
     return x, xs, mu, xt
 
 
-def build_pair_rotation_gate(bond: int, phi: float, d: int) -> TwoModeGate:
-    """Exact e^{-i phi Q} on the sectors n_k + n_{k+1} = 0..d-1, batched over slots.
-
-    The slots go through the product in chunks of GATE_CHUNK_BYTES per
-    operand, so that the operands, temporaries and output of a chunk stay in
-    cache.  Up to d = 31 that is one chunk; from d = 49 on, where one product
-    over all slots is bound by memory traffic, chunks take 0.5-0.75 of its time.
-    """
+def _rotation_slots(angles, d: int) -> np.ndarray:
+    """Slots (X cos(phi mu) + X' sin(phi mu)) X^T of e^{-i phi Q} (see
+    `_sector_eigh`), one (ceil(d/2), d+1, d+1) array per angle phi."""
     x, xs, mu, xt = _sector_eigh(d)
-    c, s = np.cos(phi * mu)[:, None, :], np.sin(phi * mu)[:, None, :]
-    full = np.empty_like(x)
-    step = max(GATE_CHUNK_BYTES // x[0].nbytes, 1)
-    for j in range(0, x.shape[0], step):
-        part = slice(j, j + step)
-        rot = x[part] * c[part]
-        rot += xs[part] * s[part]
-        np.matmul(rot, xt[part], out=full[part])
-    full.setflags(write=False)
-    return TwoModeGate(bond=bond, slots=full)
+    angle = np.asarray(angles)[..., None, None] * mu
+    slots = x * np.cos(angle)[..., None, :]
+    slots += xs * np.sin(angle)[..., None, :]
+    return np.matmul(slots, xt)
+
+
+def build_pair_rotation_gate(bond: int, phi: float, d: int) -> TwoModeGate:
+    """Exact e^{-i phi Q} on the sectors n_k + n_{k+1} = 0..d-1, as read-only slots."""
+    slots = _rotation_slots(phi, d)
+    slots.setflags(write=False)
+    return TwoModeGate(bond=bond, slots=slots)
 
 
 def apply_single(state: BlockDecimationState, gate: SingleModeGate) -> BlockDecimationState:
@@ -284,16 +269,6 @@ def apply_single(state: BlockDecimationState, gate: SingleModeGate) -> BlockDeci
     level = np.clip(_levels(state.charges[k], state.charges[k + 1]), 0, state.local_dim - 1)
     state.ws[k] = state.ws[k] * gate.phases[level]
     return state
-
-
-def _windows(ql: np.ndarray, qr: np.ndarray, p, d: int):
-    """Left and right index ranges [a0, a1), [b0, b1) of middle-bond charge p.
-
-    On bonds sorted by charge, the left vectors with n_k = ql[a] - p and the
-    right vectors with n_{k+1} = p - qr[b] in 0..d-1 are contiguous.
-    """
-    return (np.searchsorted(ql, p), np.searchsorted(ql, p + d - 1, side="right"),
-            np.searchsorted(qr, p - d + 1), np.searchsorted(qr, p, side="right"))
 
 
 def _slots(start: np.ndarray, count: np.ndarray, pad: int) -> np.ndarray:
@@ -310,16 +285,14 @@ def _slots(start: np.ndarray, count: np.ndarray, pad: int) -> np.ndarray:
 #
 # A plan stores each gather as two broadcastable factors of its flat index
 # (row part + column part), so it stays O(blocks x (rows + columns)) rather
-# than the size of the gathered stack.  The RDM plans store their index
-# tables in the smallest unsigned type that holds them.
+# than the size of the gathered stack, and stores its index tables in the
+# smallest unsigned type that holds them.
 
 # Plans per cache.  A benchmark pass builds at most 82 plans in one cache
-# (the RDM transfer steps of sweep_small), and no two-site plan: the
-# sweeps build their states in two-mode frames and quench_snapshots as
-# charge-axis rows, both written and read as W with no plan.  The largest
-# plan measured, a transfer step at M = 32, takes 3.6 MB, so a full cache
-# of those would hold about 460 MB; rho_{1,N} of three N = 20, M = 32
-# collisions (mu = 6, 20, 40) builds 11.7 MB of RDM plans in all.
+# (the RDM transfer steps of sweep_small).  The largest plan measured, a
+# transfer step at M = 32, takes 3.6 MB, so a full cache of those would
+# hold about 460 MB; rho_{1,N} of three N = 20, M = 32 collisions (mu = 6,
+# 20, 40) builds 11.7 MB of RDM plans in all.
 PLAN_CACHE_SIZE = 128
 
 
@@ -333,11 +306,6 @@ def _charges(key: bytes) -> np.ndarray:
     return np.frombuffer(key, dtype=np.int64)
 
 
-def _compact(a: np.ndarray) -> np.ndarray:
-    """Nonnegative index table a in the smallest unsigned type that holds it."""
-    return a.astype(np.min_scalar_type(a.max(initial=0)))
-
-
 def _frozen(fields):
     """Make every array among fields, nested tuples included, read-only."""
     for f in fields:
@@ -346,85 +314,6 @@ def _frozen(fields):
         elif isinstance(f, tuple):
             _frozen(f)
     return fields
-
-
-class TwoSitePlan(NamedTuple):
-    """What `apply_two` needs of the charges (ql, qm, qr) and d, q the window charges.
-
-    A padding slot gathers entry 0 of its matrix: padded middle vectors are
-    masked out of the contraction, and padded rows and columns land in the
-    extra row and column of v, which the update zeroes.
-    """
-    qs: np.ndarray  # new middle charge of each window
-    left_rows: np.ndarray  # (q, row, 1) and (q, 1, mid) factors of the W^[k] gather
-    left_cols: np.ndarray
-    live_mids: np.ndarray  # (q, 1, mid) whether a middle slot holds a vector
-    right_rows: np.ndarray  # (q, mid, 1) and (q, 1, col) factors of the W^[k+1] gather
-    right_cols: np.ndarray
-    win_rows: np.ndarray  # (q, row, 1) and (q, 1, col) factors of window flat indices into v
-    win_cols: np.ndarray
-    rows: np.ndarray  # (q, row) left bond index, chi_l for padding
-    cols: np.ndarray  # (q, col) right bond index, chi_r for padding
-    rotation: np.ndarray  # (slot, d+1, pair) flat indices into v of the gate's slot stack
-    qr_first: bool  # the padded SVD stack starts with a QR
-    valid: np.ndarray  # (q, min(row, col)) singular values that belong to the block
-
-
-def _two_site_plan(ql: np.ndarray, qm: np.ndarray, qr: np.ndarray, d: int) -> TwoSitePlan:
-    return _two_site_plan_cached(_key(ql), _key(qm), _key(qr), d)
-
-
-def _rotation_table(ql: np.ndarray, qr: np.ndarray, d: int) -> np.ndarray:
-    """Flat indices into v of the pairs that the gate's slots rotate.
-
-    Slot j holds sector j at rows 0..j and sector d-1-j at rows j+1..d, so
-    column p of slot j stacks the levels of the p-th pair of sector j and
-    then those of the p-th pair of sector d-1-j.  A sector with fewer pairs
-    than the widest, and the rows past sector j where d-1-j = j, read the
-    zero pair (chi_l, chi_r) of v.
-    """
-    chi_l, chi_r = ql.shape[0], qr.shape[0]
-    n = (ql[:, None] - qr).ravel()  # sector of pair a * chi_r + b
-    pairs = np.flatnonzero(n >= 0)
-    pairs = pairs[np.argsort(n[pairs], kind="stable")]
-    n = n[pairs]
-    rank = np.arange(n.shape[0]) - np.searchsorted(n, n)  # place within its sector
-    n_slots = (d + 1) // 2
-    base = np.full((n_slots, 2, rank.max(initial=-1) + 1), (chi_l * (chi_r + 1) + chi_r) * d)
-    base[np.minimum(n, d - 1 - n), (n >= n_slots).astype(np.intp), rank] = \
-        (pairs + pairs // chi_r) * d  # row a * (chi_r + 1) + b of v
-    j = np.arange(n_slots)[:, None]
-    upper = (np.arange(d + 1) > j).astype(np.intp)  # rows of sector d-1-j
-    level = np.arange(d + 1) - upper * (j + 1)
-    return _compact(np.take_along_axis(base, upper[:, :, None], axis=1) + level[:, :, None])
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _two_site_plan_cached(ql, qm, qr, d: int) -> TwoSitePlan:
-    ql, qm, qr = _charges(ql), _charges(qm), _charges(qr)
-    chi_l, chi_m, chi_r = ql.shape[0], qm.shape[0], qr.shape[0]
-    # window q: left vectors with n_k = ql[a] - q, right ones with
-    # n_{k+1} = q - qr[b]; padded slots point at the last row and column of v
-    # and read a level every q allows (ql[-1] - q)
-    qs = np.arange(qr[0], ql[-1] + 1)
-    a0, a1, b0, b1 = _windows(ql, qr, qs, d)
-    rows, cols = _slots(a0, a1 - a0, chi_l), _slots(b0, b1 - b0, chi_r)
-    lvl_l = np.append(ql, ql[-1])[rows] - qs[:, None]
-    m0, m1 = np.searchsorted(qm, qs), np.searchsorted(qm, qs, side="right")
-    mids = _slots(m0, m1 - m0, chi_m)  # middle vectors of charge q
-    live = mids < chi_m
-    mids = np.where(live, mids, 0)
-    n_rows, n_cols = rows.shape[1], cols.shape[1]
-    return _frozen(TwoSitePlan(
-        qs=qs, left_rows=(np.where(rows < chi_l, rows, 0) * chi_m)[:, :, None],
-        left_cols=mids[:, None, :], live_mids=live[:, None, :],
-        right_rows=(mids * chi_r)[:, :, None],
-        right_cols=np.where(cols < chi_r, cols, 0)[:, None, :],
-        win_rows=(rows * (chi_r + 1) * d + lvl_l)[:, :, None],
-        win_cols=(cols * d)[:, None, :], rows=rows, cols=cols,
-        rotation=_rotation_table(ql, qr, d),
-        qr_first=n_cols >= QR_FIRST_MIN_COLS and n_rows >= 2 * n_cols,
-        valid=np.arange(min(n_rows, n_cols)) < np.minimum(a1 - a0, b1 - b0)[:, None]))
 
 
 def _truncate(s: np.ndarray, total: np.ndarray, chi_max: int, trunc_tol: float):
@@ -454,97 +343,71 @@ def _truncate(s: np.ndarray, total: np.ndarray, chi_max: int, trunc_tol: float):
 
 
 def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimationState:
-    """Inverse-free two-site update on charge blocks: contract, rotate, SVD,
-    truncate, write back, each stage one padded batched call.
+    """Inverse-free two-site update, the plain reference: contract, rotate,
+    SVD per charge, truncate, write back.
 
-    v[a, b, i] is the B^[k] B^[k+1] amplitude with n_k = i and
-    n_{k+1} = n - i, where n = ql[a] - qr[b] is the pair sector: middle charge
-    p fills i = ql[a] - p, the sector-n block of the gate rotates
-    v[a, b, :n+1], and new middle charge q is the block v[a, b, ql[a] - q] of
-    its windows, gathered from the rows and columns of W^[k] and W^[k+1]
-    that hold charge q in the middle.  Charge windows are stacked as slot
-    tables padded with an extra zero row and column of v, so every
-    middle-charge product runs in one matmul and every new-charge block,
-    lambda^[k-1]-weighted, in one SVD call; the singular values of a block
-    are the first min(rows, cols) of its padded SVD.  The rotation stacks
-    the pairs of sectors n and d-1-n in the columns of the gate's shared
-    slot and runs one real product over all slots.  The new right matrix
-    holds the kept V^dag rows and the new left matrix the unweighted block
-    times V, each in the rows and columns of its window.  Every table these
-    stages index with comes from the cached `_two_site_plan` of the three
-    bond charges.
+    theta[a, i, j, b] is the dense B^[k] B^[k+1] block, (chi_L, d, d, chi_R),
+    and the sector-n block of the gate rotates its pairs i + j = n (i = n_k
+    ascending).  New middle charge q holds the entries
+    theta[a, ql[a] - q, q - qr[b], b] whose levels lie in 0..d-1; the
+    lambda^[k-1]-weighted block of each q takes one SVD, and `_truncate`
+    keeps the largest singular values over all of them.  The new right
+    matrix holds the kept V^dag rows and the new left matrix the unweighted
+    block times V, each in the rows and columns of its charge.
     """
     k = gate.bond - 1
     if not (0 <= k < state.n_sites - 1):
         raise ValidationError(f"bond {gate.bond} outside chain")
     d = state.local_dim
-    shape = ((d + 1) // 2, d + 1, d + 1)
+    n_slots = (d + 1) // 2
+    shape = (n_slots, d + 1, d + 1)
     if np.shape(gate.slots) != shape:
         raise ValidationError(f"gate slots have shape {np.shape(gate.slots)}; "
                               f"local dimension {d} needs {shape}")
-    ql, qm, qr = state.charges[k], state.charges[k + 1], state.charges[k + 2]
+    ql, qr = state.charges[k], state.charges[k + 2]
     if ql[-1] - qr[0] >= d:
         raise CutoffError(f"two-site sector of {int(ql[-1] - qr[0])} bosons "
                           f"exceeds local dimension {d}")
-    plan = _two_site_plan(ql, qm, qr, d)
-    chi_l, chi_r = ql.shape[0], qr.shape[0]
+    theta = np.tensordot(_split_levels(state, k), _split_levels(state, k + 1), axes=(2, 0))
+    for n in range(d):
+        i = np.arange(n + 1)
+        j, o = (n, 0) if n < n_slots else (d - 1 - n, d - n)
+        theta[:, i, n - i] = gate.slots[j, o:o + n + 1, o:o + n + 1] @ theta[:, i, n - i]
 
-    # contraction: the middle-charge-q vectors fill window q, one stacked
-    # product; the padded rows and columns of every window fill the extra
-    # row and column of v, zeroed before anything reads them
-    left = state.ws[k].take(plan.left_rows + plan.left_cols)
-    left *= plan.live_mids
-    right = state.ws[k + 1].take(plan.right_rows + plan.right_cols)
-    window = plan.win_rows + plan.win_cols  # flat indices into v
-    v = np.zeros((chi_l + 1, chi_r + 1, d), dtype=complex)
-    v.reshape(-1)[window] = left @ right
-    v[chi_l] = 0
-    v[:, chi_r] = 0
-
-    # rotation: every slot times its stack of pairs, one real product
-    flat = v.reshape(-1)
-    stack = flat.take(plan.rotation)
-    flat[plan.rotation] = np.matmul(gate.slots, stack.view(np.float64)).view(complex)
-    lam = np.append(state.lambdas[k], 0.0)
-    weighted = lam[:, None, None] * v
-    norm2 = float(np.vdot(weighted, weighted).real)
-    if norm2 == 0.0:
-        raise ValidationError("two-site block vanished; state is not normalized")
-
-    # SVD: the window blocks of every new middle charge q in one padded stack
-    mats = v.reshape(-1)[window]
-    stack = lam[plan.rows][:, :, None] * mats
-    if plan.qr_first:
-        # same singular values and V^dag; the SVD then skips forming the tall U
-        stack = np.linalg.qr(stack, mode="r")
-    _, s_pad, vh = np.linalg.svd(stack, full_matrices=False)
-    s_all = s_pad[plan.valid]  # concatenation order: q ascending, descending within q
+    lam = state.lambdas[k]
+    blocks = []  # (q, left vectors, right vectors, block, s, V^dag), q ascending
+    for q in range(int(qr[0]), int(ql[-1]) + 1):
+        a = np.flatnonzero((ql >= q) & (ql - q < d))
+        b = np.flatnonzero((qr <= q) & (q - qr < d))
+        if a.size and b.size:
+            mat = theta[a[:, None], (ql[a] - q)[:, None], q - qr[b], b]
+            _, s, vh = np.linalg.svd(lam[a, None] * mat, full_matrices=False)
+            blocks.append((q, a, b, mat, s, vh))
+    s_all = np.concatenate([blk[4] for blk in blocks])
     total = float(np.sum(s_all**2))
-    if abs(norm2 - total) > SECTOR_LEAK_TOL * norm2:
-        raise ValidationError("two-site update left weight outside the charge blocks")
-
-    # truncation, as a mask over (block, index)
+    if total == 0.0:
+        raise ValidationError("two-site block vanished; state is not normalized")
     kept, s_norm, discarded = _truncate(s_all[None], np.array([total]), state.chi_max,
                                         state.trunc_tol)
     state.discarded_weight += float(discarded[0])
     s_norm = float(s_norm[0])
-    mask = np.zeros(s_pad.shape, dtype=bool)
-    mask[plan.valid] = kept[0]
-    blk, t = np.nonzero(mask)  # row-major: new bond sorted by charge
-    s = s_pad[blk, t]
+    kept = kept[0]
 
-    # write-back: kept columns of mats V, kept rows of V^dag, each new vector
-    # in the rows (columns) of its window; padding lands in a dropped extra
-    # row (column)
-    chi_new = s.shape[0]
-    col = np.arange(chi_new)[:, None]
-    w_l = np.zeros((chi_l + 1, chi_new), dtype=complex)
-    w_l[plan.rows[blk], col] = (mats @ vh.conj().swapaxes(1, 2))[blk, :, t] / s_norm
-    w_r = np.zeros((chi_new, chi_r + 1), dtype=complex)
-    w_r[col, plan.cols[blk]] = vh[blk, t]
-    state.ws[k], state.ws[k + 1] = w_l[:chi_l], np.ascontiguousarray(w_r[:, :chi_r])
-    state.lambdas[k + 1] = s / s_norm
-    state.charges[k + 1] = plan.qs[blk]
+    chi_new = int(np.count_nonzero(kept))
+    w_l = np.zeros((ql.shape[0], chi_new), dtype=complex)
+    w_r = np.zeros((chi_new, qr.shape[0]), dtype=complex)
+    charges, start, col = [], 0, 0
+    for q, a, b, mat, s, vh in blocks:
+        t = np.flatnonzero(kept[start:start + s.shape[0]])
+        new = slice(col, col + t.shape[0])
+        w_l[a, new] = mat @ vh[t].conj().T / s_norm
+        w_r[new, b] = vh[t]
+        charges += [q] * t.shape[0]
+        start += s.shape[0]
+        col += t.shape[0]
+    state.ws[k], state.ws[k + 1] = w_l, w_r
+    state.lambdas[k + 1] = s_all[kept] / s_norm
+    state.charges[k + 1] = np.array(charges)
     return state
 
 
@@ -570,76 +433,67 @@ def _rotation_factors(angles, q: int):
     return np.cos(half) ** n, (-np.sin(half)) ** n
 
 
-def _vacuum_rotations(starts, angles, phases, chi_max: int, trunc_tol: float):
-    """Rotations e^{-i phi Q} on bonds k..k+B-1, then phases e^{-i theta n} on
-    sites k..k+B, in closed form for a batch of states that hold no boson
-    right of site k; a generator over the states, in order.
+def _vacuum_rotations(m: int, angles, phases, chi_max: int, trunc_tol: float):
+    """Rotations e^{-i phi Q} on bonds 1..B, then phases e^{-i theta n} on
+    sites 1..B+1, in closed form for a batch of states that start as
+    |m, 0, ..., 0>; a generator over the states, in order.
 
-    starts[i] = (ql, amp, lam) is state i's bond k-1: its charges, the
-    amplitudes W[a, 0] = B[a, ql[a], 0] of site k and the Schmidt values;
-    angles[i] and phases[i] hold its B rotation and B+1 phase angles.  The
-    rotation on bond b sees every left vector a with all its ql[a] bosons on
-    site b and leaves p of them on site b+1 at amplitude rot[ql[a], p] (see
-    `_rotation_factors`): one column per new charge p, with its lam-weighted
-    norm for singular value and V^dag = 1.  So each bond of a state is a row
-    over the charges 0..q, q the largest start charge.  Per bond, one
-    batched product gives every state's squared singular values,
-    s^2 = w rot^2 with w[r] the lam^2 weight of charge r on the bond before;
-    `_truncate` keeps, row by row, what `apply_two` would keep; and the
-    kept, renormalized lam^2 is the next w (`_keep_pass`).  Past bond k-1 a
-    bond has at most one vector per charge, whose row of its right site's W
-    is 1 in the column of charge 0: the vacuum input of the next rotation.
-    The last site's right bond is the vacuum bond past the run, charge 0,
-    reached as a rotation by 0 with norm 1.  The sector of bond b is the
-    occupation of site b, below d, so the CutoffError of `apply_two` cannot
-    arise.
+    angles[i] and phases[i] hold state i's B rotation and B+1 phase angles.
+    The rotation on bond b sees every left vector of charge r with all its
+    bosons on site b and leaves p of them on site b+1 at amplitude rot[r, p]
+    (see `_rotation_factors`): one column per new charge p, with its
+    lam-weighted norm for singular value and V^dag = 1.  So a bond has at
+    most one vector per charge, and each bond of a state is a row over the
+    charges 0..m.  Per bond, one batched product gives every state's
+    squared singular values, s^2 = w rot^2 with w[r] the lam^2 weight of
+    charge r on the bond before (bond 0: all of it on charge m); `_truncate`
+    keeps, row by row, what `apply_two` would keep; and the kept,
+    renormalized lam^2 is the next w (`_keep_pass`).  A vector's row of its
+    right site's W is 1 in the column of charge 0: the vacuum input of the
+    next rotation.  The last site's right bond is the vacuum bond past the
+    run, charge 0, reached as a rotation by 0 with norm 1.  The sector of
+    bond b is the occupation of site b, below d, so the CutoffError of
+    `apply_two` cannot arise.
 
-    The keep pass runs for every state at the first `next`, so a vanished
-    block raises before anything is yielded.  Then each state's matrices W
-    are written as it is yielded: the sites k..k+B, each with its phase folded
-    in, the Schmidt values and charges of bonds k..k+B-1, and the discarded
-    weight.  Site k, whose left bond can hold several vectors per charge, is
-    written vector by vector.  Each of sites k+1..k+B is its charge-axis
-    matrix rot[r, p], phase and norm folded in, over the kept charges r of
-    its left bond and p of its right one: three products per site and no
-    index table.  Every entry sits at level r - p in 0..q, and rot vanishes
-    for p > r, so W keeps the charge invariant.
+    The keep pass runs for every state at the first `next`.  Then each
+    state's matrices W are written as it is yielded, with the Schmidt values
+    and charges of bonds 1..B and the discarded weight.  Each site is its
+    charge-axis matrix rot[r, p], phase and norm folded in, over the kept
+    charges r of its left bond (m alone on bond 0) and p of its right one:
+    three products per site and no index table.  Every entry sits at level
+    r - p in 0..m, and rot vanishes for p > r, so W keeps the charge
+    invariant.
     """
     angles = np.asarray(angles, dtype=float)
-    q = max(int(ql[-1]) for ql, _, _ in starts)
-    width = q + 1
-    w = np.array([np.bincount(ql, np.abs(lam * amp) ** 2, width) for ql, amp, lam in starts])
-    kept, lam, norm, discarded = _keep_pass(w, angles, chi_max, trunc_tol)
+    width = m + 1
+    start = np.zeros((angles.shape[0], width))
+    start[:, m] = 1.0
+    kept, lam, norm, discarded = _keep_pass(start, angles, chi_max, trunc_tol)
     bonds = angles.shape[1]
     n = np.arange(width)
     sqrt_binom, level = _charge_axis(width)
-    for i, (ql, amp, _) in enumerate(starts):
+    for i in range(angles.shape[0]):
         chi = np.count_nonzero(kept[i], axis=1)
         # per site and charge p, (-sin)^p; per site and level l, cos^l with
         # the site's phase and its right bond's kept norm folded in; the
         # last site's right bond is the vacuum past the run, a rotation by 0
-        cos_l, sin_p = _rotation_factors(np.append(angles[i], 0.0), q)
+        cos_l, sin_p = _rotation_factors(np.append(angles[i], 0.0), m)
         cos_l = ((1.0 / norm[i])[:, None] * cos_l
                  * np.exp(-1j * np.asarray(phases[i])[:, None] * n))
-        p = np.flatnonzero(kept[i, 0])
-        a, j = np.nonzero(ql[:, None] >= p)
-        r, p = ql[a], p[j]
-        first = np.zeros((ql.shape[0], chi[0]), dtype=complex)
-        first[a, j] = amp[a] * sqrt_binom[r, p] * sin_p[0, p] * cos_l[0, r - p]
-        ws = [first]
-        # site t+1 takes bond t's kept charge r to bond t+1's kept p at
+        # site t takes bond t's kept charge r to bond t+1's kept p at
         # sqrt(C(r, p)) (-sin)^p cos^(r-p), 0 for p > r; the kept charges of
         # a bond are mostly one range, read as a slice
         lo = kept[i].argmax(axis=1).tolist()
         hi = (width - kept[i, :, ::-1].argmax(axis=1)).tolist()
-        sel = [slice(a, b) if b - a == c else np.flatnonzero(mask)
-               for a, b, c, mask in zip(lo, hi, chi.tolist(), kept[i])]
-        for t in range(bonds):
+        sel = [slice(m, width)] + [slice(a, b) if b - a == c else np.flatnonzero(mask)
+                                   for a, b, c, mask in zip(lo, hi, chi.tolist(), kept[i])]
+        ws = []
+        for t in range(bonds + 1):
             r, p = sel[t], sel[t + 1]
-            w = cos_l[t + 1].take(level[r][:, p])
-            w *= sqrt_binom[r][:, p]
-            w *= sin_p[t + 1, p]
-            ws.append(w)
+            site = cos_l[t].take(level[r][:, p])
+            site *= sqrt_binom[r][:, p]
+            site *= sin_p[t, p]
+            ws.append(site)
         _, charges = np.nonzero(kept[i, :-1])
         kept_lam = lam[i][kept[i, :-1]]
         cuts = np.cumsum(chi[:-1]).tolist()
@@ -655,7 +509,8 @@ def _keep_pass(w: np.ndarray, angles: np.ndarray, chi_max: int, trunc_tol: float
     Returns the kept masks over (state, bond, charge), the vacuum bond past
     the run included; the kept, renormalized Schmidt values over (state,
     bond, charge), 0 where not kept; the kept norms, 1 on the vacuum bond;
-    and each state's discarded weight.
+    and each state's discarded weight.  Each rotation keeps the norm of its
+    row, so every total is that of the unit start.
     """
     rows, bonds = angles.shape
     q = w.shape[1] - 1
@@ -669,11 +524,8 @@ def _keep_pass(w: np.ndarray, angles: np.ndarray, chi_max: int, trunc_tol: float
         cos_l, sin_p = _rotation_factors(angles[:, b], q)
         rot = sqrt_binom * cos_l[:, level] * sin_p[:, None, :]
         s2 = np.matmul(w[:, None, :], rot**2)[:, 0]
-        total = s2.sum(axis=1)
-        if not total.all():
-            raise ValidationError("two-site block vanished; state is not normalized")
         s = np.sqrt(s2)
-        kept[:, b], norm[:, b], dropped = _truncate(s, total, chi_max, trunc_tol)
+        kept[:, b], norm[:, b], dropped = _truncate(s, s2.sum(axis=1), chi_max, trunc_tol)
         discarded += dropped
         lam[:, b] = np.where(kept[:, b], s, 0.0) / norm[:, b, None]
         w = lam[:, b] ** 2
@@ -1150,27 +1002,6 @@ def replay_plan_gates(state: BlockDecimationState, plan: FoldPlan) -> BlockDecim
     return state
 
 
-def _inverse_angles(plan: FoldPlan, first_bond: int):
-    """The inverse of a fold plan as rotation angles, in replay order, and one
-    phase angle per site.
-
-    A fold plan strips its phases before it rotates on bonds N-1 down to
-    `first_bond`, so its inverse rotates on bonds first_bond..N-1 first, and
-    its phases, which commute, follow: the plan's trailing rotations reversed
-    and negated, then its phases negated.
-    """
-    angles = [-op.angle for op in reversed(plan.ops) if isinstance(op, PairRotationOp)]
-    head = len(plan.ops) - len(angles)
-    if [getattr(op, "bond", None) for op in reversed(plan.ops[head:])] != \
-            list(range(first_bond, plan.n_modes)):
-        raise ValidationError(f"fold plan must rotate on bonds {plan.n_modes - 1}..{first_bond} "
-                              "after its phases")
-    phases = np.zeros(plan.n_modes)
-    for op in reversed(plan.ops[:head]):
-        phases[op.site - 1] -= op.angle
-    return angles, phases
-
-
 def _numerics(m_total, d, chi_max, trunc_tol):
     if d is None:
         d = m_total + 1
@@ -1186,16 +1017,20 @@ def condensate_states(modes, m: int, d: int | None = None, chi_max: int | None =
     """MPS of the single-condensate state (sum_k c_k a_k^dag)^M |0> (normalized)
     of each mode c in `modes`, yielded in input order.
 
-    The inverse fold plan rotates |M, 0, ..., 0> into vacuum on bonds 1..N-1
-    and then strips phases, so each build is one row of `_vacuum_rotations`:
-    the keep pass of every mode runs at the first `next`, after every mode is
-    checked, and each state is written only when it is yielded, so a caller
-    that keeps one state at a time holds at most two.  The modes must share
-    one length.
+    The fold rotates on bonds N-1 down to 1 by 2 atan2(|c_{>k}|, |c_k|) after
+    it strips the phases arg c_k, so its inverse, written in closed form,
+    rotates |M, 0, ..., 0> on bonds 1..N-1 by the negated angles and then
+    puts on the phases -arg c_k: each build is one row of
+    `_vacuum_rotations`.  The keep pass of every mode runs at the first
+    `next`, after every mode is checked, and each state is written only when
+    it is yielded, so a caller that keeps one state at a time holds at most
+    two.  The modes must be finite and nonzero and share one length.
     """
     cs = []
     for c in modes:
         c = _coeffs(c)
+        if not np.isfinite(c).all():
+            raise ValidationError("condensate mode must be finite")
         norm = np.linalg.norm(c)
         if norm == 0.0:
             raise ValidationError("condensate mode must be nonzero")
@@ -1205,10 +1040,13 @@ def condensate_states(modes, m: int, d: int | None = None, chi_max: int | None =
     if len({c.shape[0] for c in cs}) > 1:
         raise ValidationError("condensate modes must share one length")
     d, chi_max, trunc_tol = _numerics(m, d, chi_max, trunc_tol)
-    angles, phases = zip(*(_inverse_angles(fold_single(c), 1) for c in cs))
-    start = (np.array([m]), np.ones(1), np.ones(1))
+    cs = np.array(cs)
+    r = np.abs(cs)
+    # |c_{>k}| for k = 1..N-1, accumulated from the right as the fold does
+    tails = np.hypot.accumulate(r[:, :0:-1], axis=1)[:, ::-1]
+    angles = -2.0 * np.arctan2(tails, r[:, :-1])
     for ws, lambdas, charges, discarded in _vacuum_rotations(
-            [start] * len(cs), angles, phases, chi_max, trunc_tol):
+            m, angles, -np.angle(cs), chi_max, trunc_tol):
         yield BlockDecimationState(
             ws=ws, lambdas=[np.ones(1), *lambdas, np.ones(1)],
             charges=[np.array([m]), *charges, np.zeros(1, dtype=int)], local_dim=d,
@@ -1331,12 +1169,8 @@ def _frame_rotation(vecs: np.ndarray, charges: np.ndarray, theta: np.ndarray,
     its column count; otherwise only as many as the call needs.
     """
     width = vecs.shape[1]
-    x, xs, mu, xt = _sector_eigh(width)
-    n_slots = x.shape[0]
-    angle = theta[:, None, None] * mu
-    slots = x * np.cos(angle)[:, :, None, :]
-    slots += xs * np.sin(angle)[:, :, None, :]
-    slots = np.matmul(slots, xt)
+    slots = _rotation_slots(theta, width)
+    n_slots = slots.shape[1]
     rows, slot = _frame_rows(width)
     key = frames * n_slots + slot[charges]
     order = np.argsort(key, kind="stable")
@@ -1548,14 +1382,16 @@ def two_sum_states(pairs, m1: int, m2: int, d: int | None = None, chi_max: int |
     built.  The keep pass records each pair's kept vectors over the frame
     states, and a state's sites are written from them only when it is
     yielded (`_frame_sites`), so a caller that keeps one state at a time
-    holds, besides that record, at most two.  The pairs must share one
-    length.
+    holds, besides that record, at most two.  The modes must be finite and
+    nonzero, and the pairs must share one length.
     """
     zs, cs = [], []
     for z, c in pairs:
         z, c = _coeffs(z), _coeffs(c)
         if z.shape != c.shape:
             raise ValidationError(f"mode vectors differ in length: {z.shape} vs {c.shape}")
+        if not (np.isfinite(z).all() and np.isfinite(c).all()):
+            raise ValidationError("mode vectors must be finite")
         nz, nc = np.linalg.norm(z), np.linalg.norm(c)
         if nz == 0.0 or nc == 0.0:
             raise ValidationError("cannot fold a zero vector")
