@@ -38,7 +38,7 @@ _MODEL_KEYS = {
     "perturbation_epsilon": float,
     "perturbation_beta": float,
 }
-_NUMERICS_KEYS = {"local_dim": int, "chi_max": int, "trunc_tol": float}
+_NUMERICS_KEYS = {"chi_max": int, "trunc_tol": float}
 _SECTIONS = {
     "scenario": _SCENARIO_KEYS,
     "model": _MODEL_KEYS,
@@ -147,9 +147,7 @@ def parse_config_text(text: str) -> ScenarioSpec:
         if key not in _NUMERICS_KEYS:
             raise ConfigError(f"unknown key {key!r} in [numerics]", line=lineno)
         num[key] = _parse_value(_NUMERICS_KEYS[key], raw, lineno)
-    numerics = NumericsSpec(local_dim=num.get("local_dim"),
-                            chi_max=num.get("chi_max"),
-                            trunc_tol=num.get("trunc_tol", 1e-12))
+    numerics = NumericsSpec(chi_max=num.get("chi_max"), trunc_tol=num.get("trunc_tol", 1e-12))
 
     mu_values = sc.get("mu_values", ())
     if "mu_over_n" in sc:

@@ -13,10 +13,6 @@ class ValidationError(BosefoldError):
     """An input violates a structural invariant (Hermiticity, norm, ...)."""
 
 
-class CutoffError(BosefoldError):
-    """A Fock occupation would exceed the local dimension."""
-
-
 class ConfigError(BosefoldError):
     """Bad scenario configuration; carries the offending line when known."""
 

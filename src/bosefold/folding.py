@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-PLAN_TOL = 1e-12
 _ZERO = 1e-300  # both-coefficients-zero guard inside fold loops
 
 

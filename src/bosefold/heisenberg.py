@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ValidationError
 from .model import CouplingMatrix
 
-ORTHONORMALITY_TOL = 1e-12
 DEGENERACY_GAP = 1e-12
 
 

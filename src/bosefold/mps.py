@@ -10,8 +10,11 @@ are the Schmidt vectors of bond b, so no step divides by a Schmidt value
 Every bond index carries an explicit U(1) label: charges[b][alpha] is the
 number of bosons to the right of bond b in Schmidt vector alpha, so
 B^[k+1][a, n, b] is nonzero only where charges[k][a] == n + charges[k+1][b]
-(U(1)-symmetric tensor networks, Singh, Pfeifer & Vidal).  The level axis n
-is therefore implied, and a site is stored as
+(U(1)-symmetric tensor networks, Singh, Pfeifer & Vidal).  Bosons are
+conserved, so no site holds more than the charges[0][0] = M of the whole
+chain: the local dimension d = M + 1 is read off bond 0, and a lift that
+adds to that charge grows it.  The level axis n is implied, and a site is
+stored as
 W[a, b] = B[a, charges[k][a] - charges[k+1][b], b], exactly 0 wherever that
 level lies outside 0..d-1: about 1/d of the dense (chi_L, d, chi_R) tensor,
 which `BlockDecimationState.gammas` rebuilds, site by site, as a read-only
@@ -108,7 +111,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CutoffError, ValidationError
+from .errors import ValidationError
 from .folding import FoldPlan, PairRotationOp, PhaseOp, _coeffs
 # No build calls fold_single, fold_two or invert_plan; perfbench's tracer
 # patches them here by name, and Tracer.install() stops on a name the module lacks.
@@ -122,10 +125,14 @@ class BlockDecimationState:
     ws: list
     lambdas: list  # per-bond vectors, length n_sites + 1, trivial ends
     charges: list  # per-bond int arrays: bosons to the right of the bond, ascending
-    local_dim: int
     chi_max: int
     trunc_tol: float
     discarded_weight: float = 0.0
+
+    @property
+    def local_dim(self) -> int:
+        """d = M + 1: no site holds more than the M bosons on bond 0."""
+        return int(self.charges[0][0]) + 1
 
     @property
     def n_sites(self) -> int:
@@ -183,18 +190,17 @@ class TwoModeGate:
     slots: np.ndarray
 
 
-def from_fock(occupations, d: int, chi_max: int, trunc_tol: float) -> BlockDecimationState:
+def from_fock(occupations, *, chi_max: int, trunc_tol: float) -> BlockDecimationState:
     """Product Fock state |n_1, ..., n_N>."""
     occupations = list(occupations)
     n = len(occupations)
-    for occ in occupations:
-        if not (0 <= occ < d):
-            raise CutoffError(f"occupation {occ} outside local dimension {d}")
+    if any(occ < 0 for occ in occupations):
+        raise ValidationError(f"occupations must be >= 0, got {occupations}")
     ws = [np.ones((1, 1), dtype=complex) for _ in range(n)]
     lambdas = [np.array([1.0]) for _ in range(n + 1)]
     charges = [np.array([sum(occupations[b:])]) for b in range(n + 1)]
     return BlockDecimationState(ws=ws, lambdas=lambdas, charges=charges,
-                                local_dim=d, chi_max=chi_max, trunc_tol=trunc_tol)
+                                chi_max=chi_max, trunc_tol=trunc_tol)
 
 
 def build_phase_gate(site: int, theta: float, d: int) -> SingleModeGate:
@@ -365,9 +371,6 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
         raise ValidationError(f"gate slots have shape {np.shape(gate.slots)}; "
                               f"local dimension {d} needs {shape}")
     ql, qr = state.charges[k], state.charges[k + 2]
-    if ql[-1] - qr[0] >= d:
-        raise CutoffError(f"two-site sector of {int(ql[-1] - qr[0])} bosons "
-                          f"exceeds local dimension {d}")
     theta = np.tensordot(_split_levels(state, k), _split_levels(state, k + 1), axes=(2, 0))
     for n in range(d):
         i = np.arange(n + 1)
@@ -451,9 +454,7 @@ def _vacuum_rotations(m: int, angles, phases, chi_max: int, trunc_tol: float):
     renormalized lam^2 is the next w (`_keep_pass`).  A vector's row of its
     right site's W is 1 in the column of charge 0: the vacuum input of the
     next rotation.  The last site's right bond is the vacuum bond past the
-    run, charge 0, reached as a rotation by 0 with norm 1.  The sector of
-    bond b is the occupation of site b, below d, so the CutoffError of
-    `apply_two` cannot arise.
+    run, charge 0, reached as a rotation by 0 with norm 1.
 
     The keep pass runs for every state at the first `next`.  Then each
     state's matrices W are written as it is yielded, with the Schmidt values
@@ -545,17 +546,14 @@ def lift_first_site(state: BlockDecimationState, m2: int) -> BlockDecimationStat
     which shifts that implied level, and scales column gamma of W^[1] and
     lambda^[1][gamma] by the same normalized lift factor, leaving every other
     site and bond untouched.  The factor is
-    the same within a charge group, so bond 1 keeps its layout.
+    the same within a charge group, so bond 1 keeps its layout, and the
+    local dimension, read off bond 0, grows by m2.
     """
     if m2 < 0:
         raise ValidationError("lift count must be nonnegative")
     if m2 == 0:
         return state
-    d = state.local_dim
     occ_of = state.charges[0][0] - state.charges[1]
-    if np.any(occ_of + m2 >= d):
-        raise CutoffError(f"lift by {m2} exceeds local dimension {d} "
-                          f"(max occupation {int(occ_of.max())})")
     factors = _lift_factors(occ_of.astype(float), m2)
     factors /= np.linalg.norm(state.lambdas[1] * factors)
     state.ws[0] = state.ws[0] * factors
@@ -1002,17 +1000,29 @@ def replay_plan_gates(state: BlockDecimationState, plan: FoldPlan) -> BlockDecim
     return state
 
 
-def _numerics(m_total, d, chi_max, trunc_tol):
-    if d is None:
-        d = m_total + 1
-    if chi_max is None:
-        chi_max = 4 * (m_total + 1)
-    if m_total >= d:
-        raise CutoffError(f"total boson number {m_total} needs local dimension > {m_total}")
-    return d, chi_max, trunc_tol
+def _chi_max(m_total: int, chi_max: int | None) -> int:
+    return 4 * (m_total + 1) if chi_max is None else chi_max
 
 
-def condensate_states(modes, m: int, d: int | None = None, chi_max: int | None = None,
+def _unit_mode(c) -> np.ndarray:
+    """The mode c / |c|, checked to be finite and nonzero.
+
+    c is first scaled by the power of two that brings its largest entry into
+    [1/2, 1): an exact step, so |c|^2 neither overflows nor underflows, and
+    a mode whose norm needs no scaling keeps its bits.  A peak below 2^-1023
+    is scaled by 2^1023 only (2^1024 overflows), which leaves it above 2^-52.
+    """
+    c = _coeffs(c)
+    if not np.isfinite(c).all():
+        raise ValidationError("mode vectors must be finite")
+    peak = np.max(np.abs(c), initial=0.0)
+    if peak == 0.0:
+        raise ValidationError("cannot fold a zero vector: modes must be nonzero")
+    c = c * math.ldexp(1.0, -max(int(np.frexp(peak)[1]), -1023))
+    return c / np.linalg.norm(c)
+
+
+def condensate_states(modes, m: int, *, chi_max: int | None = None,
                       trunc_tol: float = 1e-12):
     """MPS of the single-condensate state (sum_k c_k a_k^dag)^M |0> (normalized)
     of each mode c in `modes`, yielded in input order.
@@ -1026,20 +1036,12 @@ def condensate_states(modes, m: int, d: int | None = None, chi_max: int | None =
     it is yielded, so a caller that keeps one state at a time holds at most
     two.  The modes must be finite and nonzero and share one length.
     """
-    cs = []
-    for c in modes:
-        c = _coeffs(c)
-        if not np.isfinite(c).all():
-            raise ValidationError("condensate mode must be finite")
-        norm = np.linalg.norm(c)
-        if norm == 0.0:
-            raise ValidationError("condensate mode must be nonzero")
-        cs.append(c / norm)
+    cs = [_unit_mode(c) for c in modes]
     if not cs:
         return
     if len({c.shape[0] for c in cs}) > 1:
         raise ValidationError("condensate modes must share one length")
-    d, chi_max, trunc_tol = _numerics(m, d, chi_max, trunc_tol)
+    chi_max = _chi_max(m, chi_max)
     cs = np.array(cs)
     r = np.abs(cs)
     # |c_{>k}| for k = 1..N-1, accumulated from the right as the fold does
@@ -1049,15 +1051,15 @@ def condensate_states(modes, m: int, d: int | None = None, chi_max: int | None =
             m, angles, -np.angle(cs), chi_max, trunc_tol):
         yield BlockDecimationState(
             ws=ws, lambdas=[np.ones(1), *lambdas, np.ones(1)],
-            charges=[np.array([m]), *charges, np.zeros(1, dtype=int)], local_dim=d,
+            charges=[np.array([m]), *charges, np.zeros(1, dtype=int)],
             chi_max=chi_max, trunc_tol=trunc_tol, discarded_weight=discarded)
 
 
-def condensate_state(c, m: int, d: int | None = None, chi_max: int | None = None,
+def condensate_state(c, m: int, *, chi_max: int | None = None,
                      trunc_tol: float = 1e-12) -> BlockDecimationState:
     """MPS of the single-condensate state (sum_k c_k a_k^dag)^M |0> (normalized):
     `condensate_states` of one mode."""
-    return next(condensate_states([c], m, d, chi_max, trunc_tol))
+    return next(condensate_states([c], m, chi_max=chi_max, trunc_tol=trunc_tol))
 
 
 # -- two-sum construction in two-mode frames -----------------------------
@@ -1370,7 +1372,7 @@ def _frame_sites(fp: _FramePass, i: int) -> list:
     return ws
 
 
-def two_sum_states(pairs, m1: int, m2: int, d: int | None = None, chi_max: int | None = None,
+def two_sum_states(pairs, m1: int, m2: int, *, chi_max: int | None = None,
                    trunc_tol: float = 1e-12):
     """MPS of (sum c a^dag)^M2 (sum z a^dag)^M1 |0> (normalized) of each pair
     (z, c), yielded in input order.
@@ -1387,19 +1389,14 @@ def two_sum_states(pairs, m1: int, m2: int, d: int | None = None, chi_max: int |
     """
     zs, cs = [], []
     for z, c in pairs:
-        z, c = _coeffs(z), _coeffs(c)
+        z, c = _unit_mode(z), _unit_mode(c)
         if z.shape != c.shape:
             raise ValidationError(f"mode vectors differ in length: {z.shape} vs {c.shape}")
-        if not (np.isfinite(z).all() and np.isfinite(c).all()):
-            raise ValidationError("mode vectors must be finite")
-        nz, nc = np.linalg.norm(z), np.linalg.norm(c)
-        if nz == 0.0 or nc == 0.0:
-            raise ValidationError("cannot fold a zero vector")
-        zs.append(z / nz)
-        cs.append(c / nc)
+        zs.append(z)
+        cs.append(c)
     if m1 < 1 or m2 < 1:
         raise ValidationError("boson counts must be >= 1")
-    d, chi_max, trunc_tol = _numerics(m1 + m2, d, chi_max, trunc_tol)
+    chi_max = _chi_max(m1 + m2, chi_max)
     if not zs:
         return
     if len({z.shape[0] for z in zs}) > 1:
@@ -1412,12 +1409,11 @@ def two_sum_states(pairs, m1: int, m2: int, d: int | None = None, chi_max: int |
             lambdas=[*(bond.lam[span].copy() for bond, span in zip(fp.bonds, spans)), np.ones(1)],
             charges=[*(bond.charges[span].copy() for bond, span in zip(fp.bonds, spans)),
                      np.zeros(1, dtype=int)],
-            local_dim=d, chi_max=chi_max, trunc_tol=trunc_tol,
-            discarded_weight=float(fp.discarded[i]))
+            chi_max=chi_max, trunc_tol=trunc_tol, discarded_weight=float(fp.discarded[i]))
 
 
-def two_sum_state(z, c, m1: int, m2: int, d: int | None = None,
-                  chi_max: int | None = None, trunc_tol: float = 1e-12) -> BlockDecimationState:
+def two_sum_state(z, c, m1: int, m2: int, *, chi_max: int | None = None,
+                  trunc_tol: float = 1e-12) -> BlockDecimationState:
     """MPS of (sum c a^dag)^M2 (sum z a^dag)^M1 |0> (normalized):
     `two_sum_states` of one pair."""
-    return next(two_sum_states([(z, c)], m1, m2, d, chi_max, trunc_tol))
+    return next(two_sum_states([(z, c)], m1, m2, chi_max=chi_max, trunc_tol=trunc_tol))

@@ -24,7 +24,6 @@ SCENARIO_KINDS = ("quench_release", "quench_raise", "collision_sweep",
 
 @dataclass(frozen=True)
 class NumericsSpec:
-    local_dim: int | None = None  # default M+1
     chi_max: int | None = None  # default 4*(M+1)
     trunc_tol: float = 1e-12
 
@@ -119,9 +118,6 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
             raise ConfigError(f"beta must be >= 0, got {spec.beta}")
         return spec
     m = _total_bosons(spec)
-    d = spec.numerics.local_dim
-    if d is not None and m >= d:
-        raise ConfigError(f"m={m} requires local_dim > {m}, got local_dim={d}")
     if spec.kind == "collision_sweep":
         if spec.model is None:
             raise ConfigError("collision_sweep needs a model")
@@ -183,8 +179,7 @@ def run_quench(spec: ScenarioSpec) -> QuenchResult:
         occ[i] = m * np.abs(ct) ** 2
     modes = [evolve_mode(propagate(post_spec, t), c0.coefficients) for t in spec.snapshot_times]
     num = spec.numerics
-    states = condensate_states(modes, m, d=num.local_dim, chi_max=num.chi_max,
-                               trunc_tol=num.trunc_tol)
+    states = condensate_states(modes, m, chi_max=num.chi_max, trunc_tol=num.trunc_tol)
     snapshots = [(t, m * np.abs(ct) ** 2, occupations(state))
                  for t, ct, state in zip(spec.snapshot_times, modes, states)]
     return QuenchResult(times=times, occupations=occ, snapshots=tuple(snapshots), m=m)
@@ -210,8 +205,7 @@ def _sweep_batch(args):
         r = add_onsite_barrier(base, n // 2, n // 2 + 1, mu) if mu != 0.0 else base
         a = propagate(spectral_decompose(r), math.pi)
         pairs.append((a.entries[:, 0], a.entries[:, n - 1]))
-    states = two_sum_states(pairs, m1, m2, d=num.local_dim, chi_max=num.chi_max,
-                            trunc_tol=num.trunc_tol)
+    states = two_sum_states(pairs, m1, m2, chi_max=num.chi_max, trunc_tol=num.trunc_tol)
     records = []
     for mu, state in zip(mus, states):
         e_n, frac = _end_pair(state, m1 + m2)
@@ -253,8 +247,7 @@ def run_ground_state(spec: ScenarioSpec) -> GroundStateResult:
     m = _total_bosons(spec)
     c = ground_mode(spectral_decompose(build_coupling(spec.model)))
     num = spec.numerics
-    state = condensate_state(c, m, d=num.local_dim, chi_max=num.chi_max,
-                             trunc_tol=num.trunc_tol)
+    state = condensate_state(c, m, chi_max=num.chi_max, trunc_tol=num.trunc_tol)
     spectra = tuple(schmidt_values(state, b) for b in range(1, state.n_sites))
     return GroundStateResult(
         occupations=occupations(state),

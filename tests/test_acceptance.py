@@ -200,7 +200,7 @@ def test_criterion_09_lifting_correctness():
             c = rng.normal(size=n) + 1j * rng.normal(size=n)
             z /= np.linalg.norm(z)
             c /= np.linalg.norm(c)
-            state = two_sum_state(z, c, m1, 1, d=m1 + m2 + 2)
+            state = two_sum_state(z, c, m1, 1)
             before = [schmidt_values(state, b).copy() for b in range(1, n)]
             psi = _all_amplitudes(state, n, m1 + 1)
             lift_first_site(state, m2)

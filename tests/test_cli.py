@@ -185,8 +185,7 @@ def test_missing_config_is_io_error(tmp_path):
 
 
 def test_numeric_error_exit_code(tmp_path):
-    # m exceeds an explicitly tiny local dimension only at run time when the
-    # parser is bypassed; here a barrier outside the chain trips a ModelError
+    # a barrier outside the chain trips a ModelError at run time
     cfg = _write(tmp_path, QUENCH_CFG.replace("barrier = 3 4 50",
                                               "barrier = 5 9 50"))
     assert main(["quench", "--config", cfg, "--out-dir", str(tmp_path)]) == 3

@@ -42,10 +42,13 @@ def test_unknown_section_reports_line():
 
 
 def test_unknown_key_reports_line():
-    text = GOOD_SWEEP + "color = blue\n"
-    with pytest.raises(ConfigError) as exc:
-        parse_config_text(text)
-    assert exc.value.line == text.count("\n")
+    # GOOD_SWEEP ends in [numerics]; d = M + 1 is read from the charges, so
+    # local_dim is no key there
+    for line in ("color = blue", "local_dim = 17"):
+        text = GOOD_SWEEP + line + "\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text)
+        assert exc.value.line == text.count("\n")
 
 
 def test_bad_value_reports_line():

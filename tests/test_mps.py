@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from bosefold import dense, mps
-from bosefold.errors import CutoffError, ValidationError
+from bosefold.errors import ValidationError
 from bosefold.folding import PhaseOp, fold_single, fold_two, invert_plan
 from bosefold.heisenberg import propagate, spectral_decompose
 from bosefold.model import ModelSpec, add_onsite_barrier, build_coupling
@@ -30,12 +30,12 @@ def _all_amplitudes(state, n, m):
 
 
 def test_from_fock_amplitudes():
-    st = from_fock([2, 0, 1], d=4, chi_max=8, trunc_tol=1e-12)
+    st = from_fock([2, 0, 1], chi_max=8, trunc_tol=1e-12)
     assert amplitude(st, (2, 0, 1)) == pytest.approx(1.0)
     assert amplitude(st, (1, 1, 1)) == 0.0
     assert state_norm(st) == pytest.approx(1.0)
-    with pytest.raises(CutoffError):
-        from_fock([4], d=4, chi_max=8, trunc_tol=1e-12)
+    with pytest.raises(ValidationError):
+        from_fock([2, -1], chi_max=8, trunc_tol=1e-12)
 
 
 def _sector_rows(n, d):
@@ -121,18 +121,18 @@ def _collision_modes(n, mu):
     return a.entries[:, 0], a.entries[:, n - 1]
 
 
-def _gate_two_sum(z, c, m1, m2, d=None, chi_max=None, trunc_tol=1e-12):
+def _gate_two_sum(z, c, m1, m2, chi_max=None, trunc_tol=1e-12):
     """The two-sum state by the gate path: seed |M1, 0, ...>, rotate by the
     bridging angle, lift by M2, rotate back, then replay both inverse plans,
-    every rotation an `apply_two` and every phase an `apply_single`."""
+    every rotation an `apply_two` and every phase an `apply_single`, each
+    gate built for the state's local dimension (M1 + 1 before the lift)."""
     z, c = z / np.linalg.norm(z), c / np.linalg.norm(c)
     plan = fold_two(z, c, m1, m2)
-    d = d or m1 + m2 + 1
-    st = from_fock([m1] + [0] * (z.shape[0] - 1), d=d, chi_max=chi_max or 4 * (m1 + m2 + 1),
+    st = from_fock([m1] + [0] * (z.shape[0] - 1), chi_max=chi_max or 4 * (m1 + m2 + 1),
                    trunc_tol=trunc_tol)
-    apply_two(st, build_pair_rotation_gate(1, plan.bridging_angle, d))
+    apply_two(st, build_pair_rotation_gate(1, plan.bridging_angle, st.local_dim))
     lift_first_site(st, m2)
-    apply_two(st, build_pair_rotation_gate(1, -plan.bridging_angle, d))
+    apply_two(st, build_pair_rotation_gate(1, -plan.bridging_angle, st.local_dim))
     replay_plan_gates(st, invert_plan(plan.plan2_partial))
     replay_plan_gates(st, invert_plan(plan.plan1))
     site1_phase, = [op.angle for op in plan.plan2_partial.ops
@@ -153,7 +153,7 @@ def test_cached_plans_give_bit_identical_states(monkeypatch):
     def run():
         out = []
         for m1, m2 in ((3, 5), (5, 3), (4, 4)):
-            st = _gate_two_sum(z, c, m1, m2, d=9, chi_max=25, trunc_tol=1e-12)
+            st = _gate_two_sum(z, c, m1, m2, chi_max=25, trunc_tol=1e-12)
             out.append((st, [mps.reduced_density_two_sites(st, k, l)
                              for k, l in ((1, n), (3, 9), (n - 1, n))]))
         st = condensate_state(cond, 3)
@@ -207,10 +207,9 @@ def test_cached_plans_are_read_only():
 
 def test_pair_rotation_gate_matches_mode_rotation():
     # one boson on two sites transforms exactly like the mode coefficients
-    d = 3
+    st = from_fock([1, 0], chi_max=4, trunc_tol=1e-15)
     phi = 0.9
-    gate = build_pair_rotation_gate(1, phi, d)
-    st = from_fock([1, 0], d=d, chi_max=4, trunc_tol=1e-15)
+    gate = build_pair_rotation_gate(1, phi, st.local_dim)
     apply_two(st, gate)
     half = phi / 2
     assert amplitude(st, (1, 0)) == pytest.approx(np.cos(half), abs=1e-12)
@@ -218,7 +217,7 @@ def test_pair_rotation_gate_matches_mode_rotation():
 
 
 def test_apply_bounds_checked():
-    st = from_fock([0, 0], d=2, chi_max=4, trunc_tol=1e-12)
+    st = from_fock([1, 0], chi_max=4, trunc_tol=1e-12)
     with pytest.raises(ValidationError):
         apply_single(st, build_phase_gate(3, 0.1, 2))
     with pytest.raises(ValidationError):
@@ -228,7 +227,7 @@ def test_apply_bounds_checked():
 
 
 def test_gates_must_conserve_boson_number():
-    st = from_fock([1, 0], d=2, chi_max=4, trunc_tol=1e-12)
+    st = from_fock([1, 0], chi_max=4, trunc_tol=1e-12)
     with pytest.raises(ValidationError, match="dimension"):
         apply_single(st, SingleModeGate(site=1, phases=np.ones(3, dtype=complex)))
     good = build_pair_rotation_gate(1, 0.3, 2).slots
@@ -238,14 +237,6 @@ def test_gates_must_conserve_boson_number():
             apply_two(st, TwoModeGate(bond=1, slots=slots))
 
 
-def test_two_site_sector_beyond_cutoff_raises():
-    # n_1 + n_2 = 4 and 6 have no block in a d = 4 gate
-    for occ in ([2, 2], [3, 3]):
-        st = from_fock(occ, d=4, chi_max=8, trunc_tol=1e-12)
-        with pytest.raises(CutoffError):
-            apply_two(st, build_pair_rotation_gate(1, 0.3, 4))
-
-
 def test_every_writer_keeps_w_inside_its_charge_levels():
     # each site is stored as W[a, b] = B[a, qL[a] - qR[b], b]; an entry whose
     # implied level lies outside 0..d-1 has no place in B and must be exactly 0
@@ -253,18 +244,20 @@ def test_every_writer_keeps_w_inside_its_charge_levels():
     states = [(condensate_state(_random_mode(n, 40 + s), 3), 3) for s in range(2)]
     states += [(two_sum_state(_random_mode(n, 42), _random_mode(n, 43), 2, 2), 4),
                (two_sum_state(_random_mode(n, 44), _random_mode(n, 45), 1, 3), 4)]
-    lifted = two_sum_state(_random_mode(n, 46), _random_mode(n, 47), 2, 1, d=6)
+    lifted = two_sum_state(_random_mode(n, 46), _random_mode(n, 47), 2, 1)
     states.append((lift_first_site(lifted, 2), 5))
     # from_fock, then every gate writer and the lift
-    gated = from_fock([2, 0, 1, 0, 1], d=7, chi_max=8, trunc_tol=1e-12)
+    gated = from_fock([2, 0, 1, 0, 1], chi_max=8, trunc_tol=1e-12)
     rng = np.random.default_rng(48)
     for bond in (1, 2, 3, 4, 2, 1):
-        apply_two(gated, build_pair_rotation_gate(bond, rng.uniform(-np.pi, np.pi), 7))
-        apply_single(gated, build_phase_gate(bond, rng.uniform(-np.pi, np.pi), 7))
+        d = gated.local_dim
+        apply_two(gated, build_pair_rotation_gate(bond, rng.uniform(-np.pi, np.pi), d))
+        apply_single(gated, build_phase_gate(bond, rng.uniform(-np.pi, np.pi), d))
     states.append((lift_first_site(gated, 2), 6))
     outside = 0
     for st, m in states:
         assert st.charges[0].tolist() == [m]
+        assert st.local_dim == st.charges[0][0] + 1
         assert st.charges[n].tolist() == [0]
         # every bond is grouped by ascending charge
         assert all(np.all(np.diff(q) >= 0) for q in st.charges)
@@ -430,7 +423,7 @@ def test_occupations_and_rdm_match_dense():
     states = [(two_sum_state(_random_mode(n, 31), _random_mode(n, 32), 2, 2), 4),
               (two_sum_state(_random_mode(n, 33), _random_mode(n, 34), 3, 1), 4),
               (condensate_state(_random_mode(n, 35), 3), 3),
-              (from_fock([2, 0, 1, 0, 0, 1], d=5, chi_max=8, trunc_tol=1e-12), 4)]
+              (from_fock([2, 0, 1, 0, 0, 1], chi_max=8, trunc_tol=1e-12), 4)]
     sector_sizes = [np.unique(q, return_counts=True)[1].max() for q in states[0][0].charges]
     assert max(sector_sizes[2:n]) > 1
     for st, m in states:
@@ -599,7 +592,7 @@ def test_lift_first_site_matches_dense():
         for m2 in (1, 2):
             z = _random_mode(n, 50 + m1)
             c = _random_mode(n, 60 + m2)
-            st = two_sum_state(z, c, m1, 1, d=m1 + m2 + 2)
+            st = two_sum_state(z, c, m1, 1)
             before = [schmidt_values(st, b).copy() for b in range(1, n)]
             amps_before = _all_amplitudes(st, n, m1 + 1)
             lift_first_site(st, m2)
@@ -621,11 +614,10 @@ def test_lift_factors_match_gammaln():
 
 
 def test_lift_cutoff_and_validation():
-    st = from_fock([2, 0], d=3, chi_max=4, trunc_tol=1e-12)
-    with pytest.raises(CutoffError):
-        lift_first_site(st, 1)
+    st = from_fock([2, 0], chi_max=4, trunc_tol=1e-12)
     with pytest.raises(ValidationError):
         lift_first_site(st, -1)
+    assert lift_first_site(st, 1).local_dim == 4  # the lift grows d with bond 0's charge
 
 
 def test_truncation_records_discarded_weight():
@@ -683,8 +675,7 @@ def test_replay_inverse_plan_builds_condensate():
     n, m = 4, 2
     c = _random_mode(n, 5)
     plan = fold_single(c)
-    st = from_fock([m] + [0] * (n - 1), d=m + 1, chi_max=4 * (m + 1),
-                   trunc_tol=1e-12)
+    st = from_fock([m] + [0] * (n - 1), chi_max=4 * (m + 1), trunc_tol=1e-12)
     replay_plan_gates(st, invert_plan(plan))
     ref = dense.condensate_amplitudes(c, m)
     assert np.max(np.abs(_all_amplitudes(st, n, m) - ref)) < 1e-12
@@ -749,7 +740,7 @@ def test_condensate_state_matches_gate_replay():
     cases += [(c, numerics) for c in _zero_entry_modes(n) for numerics in truncated]
     for c, (chi_max, trunc_tol) in cases:
         st = condensate_state(c, m, chi_max=chi_max, trunc_tol=trunc_tol)
-        ref = from_fock([m] + [0] * (n - 1), d=m + 1, chi_max=chi_max, trunc_tol=trunc_tol)
+        ref = from_fock([m] + [0] * (n - 1), chi_max=chi_max, trunc_tol=trunc_tol)
         replay_plan_gates(ref, invert_plan(fold_single(c)))
         _assert_same_state(st, ref, same_gauge=True)
         assert (st.discarded_weight > 0) == (trunc_tol > 0)
@@ -852,8 +843,6 @@ def test_condensate_states_check_every_mode_first():
                 next(states)
     with pytest.raises(ValidationError, match="one length"):
         next(mps.condensate_states(good + [_random_mode(5, 9)], 3))
-    with pytest.raises(CutoffError):
-        next(mps.condensate_states(good, 3, d=3))
     assert list(mps.condensate_states([], 3)) == []
 
 
@@ -929,15 +918,25 @@ def test_two_sum_states_check_every_pair_first():
     for m1, m2 in ((0, 2), (2, 0), (-1, 3)):
         with pytest.raises(ValidationError, match="boson counts"):
             next(mps.two_sum_states(good, m1, m2))
-    with pytest.raises(CutoffError):
-        next(mps.two_sum_states(good, 2, 2, d=4))
     # a single pair raises as `two_sum_state` does
     with pytest.raises(ValidationError, match="zero vector"):
         two_sum_state(np.zeros(6), good[0][1], 2, 2)
     assert list(mps.two_sum_states([], 2, 2)) == []
 
 
-def test_total_boson_cutoff_check():
-    c = _random_mode(3, 1)
-    with pytest.raises(CutoffError):
-        condensate_state(c, 3, d=3)
+def test_writers_build_modes_of_any_scale():
+    # |c|^2 of these modes overflows or underflows; each mode is scaled by an
+    # exact power of two before its norm, so it builds the unit mode's state
+    # bit for bit
+    z, c = _random_mode(6, 90), _random_mode(6, 91)
+    refs = [condensate_state(c, 3), two_sum_state(z, c, 2, 2)]
+    for scale in (2.0**600, 2.0**-600):
+        states = [condensate_state(scale * c, 3), two_sum_state(scale * z, scale * c, 2, 2)]
+        for st, ref in zip(states, refs):
+            for field in ("ws", "lambdas", "charges"):
+                for a, b in zip(getattr(st, field), getattr(ref, field)):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), (scale, field)
+            assert st.discarded_weight == ref.discarded_weight
+    st = condensate_state(np.array([1e200, 1e200]), 2)
+    assert occupations(st) == pytest.approx([1.0, 1.0], abs=1e-12)

@@ -29,12 +29,6 @@ def test_validate_needs_boson_count():
                                    model=ModelSpec(n_sites=4, base="jx")))
 
 
-def test_validate_local_dim_cutoff():
-    spec = _quench_spec(numerics=NumericsSpec(local_dim=3))
-    with pytest.raises(ConfigError):
-        validate_spec(spec)
-
-
 def test_resolve_quench_models_release_and_raise():
     spec = _quench_spec()
     pre, post = resolve_quench_models(spec)
