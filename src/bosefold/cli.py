@@ -176,8 +176,11 @@ def _selftest() -> int:
     check("two-sum fold vs dense expansion",
           lambda: float(np.max(np.abs(amps2 - dense.two_sum_amplitudes(z, w, 2, 1)))), 1e-9)
     for k, l in [(1, 5), (2, 4)]:
+        # the measured pair moved to sites 1-2, the other sites in chain order
+        order = [k - 1, l - 1, *(s for s in range(n) if s not in (k - 1, l - 1))]
+        state2 = two_sum_state(z[order], w[order], 2, 1)
         check(f"two-sum rho_{{{k},{l}}} vs reduced pair oracle",
-              lambda: float(np.max(np.abs(reduced_density_two_sites(state2, k, l)
+              lambda: float(np.max(np.abs(reduced_density_two_sites(state2, 1, 2)
                                           - dense.reduced_pair_oracle(z, w, 2, 1, k, l)))),
               1e-12)
 

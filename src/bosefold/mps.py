@@ -76,29 +76,9 @@ L[k+1] = mask o (W^dag L[k] W) and R[k] = mask o (W R[k+1] W^dag), where the
 mask [q(b) = q(b')] drops exactly the products of two different levels: two
 plain products per site, with no canonical form assumed.  Occupations, the
 norm, the canonical defect and the outer environments of the reduced density
-matrices all come from them.
-
-The two-site reduced density matrix carries its open-index environment as
-charge blocks, and since that environment is Hermitian in its two open
-levels, only the half with bra level >= ket level.  Only its first and last
-site are split into levels, each as a temporary.  Through the W of each
-site between the pair, a transfer step is two plain products per charge:
-the blocks sharing a charge on one side times that charge's rows of W, then,
-for each charge r of the new bond, the rows of every level m gathered into
-one matrix whose inner dimension runs over the vectors of charge r + m,
-times W[:, r].  The two sides of a block keep their charge offset, so the
-level m of one side fixes the other's, and the sum over m is just that inner
-dimension.  The close mirrors the half and contracts only the level pairs
-whose imbalances match.
-
-Every index table of the RDM depends only on the bond charges and d (and,
-for a transfer step, on the blocks it receives), so each is built once per
-charge pattern into a plan of read-only arrays, held in bounded per-process
-caches keyed on the charges' bytes: scans over states of the same N, M and
-chi revisit the same patterns.  A transfer step's plan, keyed on its
-incoming block structure, q_s, q_{s+1} and d, holds a (block, slot) and a
-(block, vector) gather factor per charge of the new bond, and the out
-structure; at M = 16 the largest is 0.15 MB.
+matrix all come from them.  The reduced density matrix of two adjacent sites
+k, k+1 is theta R theta^dag with L[k-1], theta the contraction of the two
+sites and R = R[k+1].
 """
 from __future__ import annotations
 
@@ -277,49 +257,11 @@ def apply_single(state: BlockDecimationState, gate: SingleModeGate) -> BlockDeci
     return state
 
 
-def _slots(start: np.ndarray, count: np.ndarray, pad: int) -> np.ndarray:
-    """Slot table of contiguous index ranges: row s lists start[s] + 0..count[s]-1.
-
-    Rows shorter than the longest range are padded with `pad`, the index of an
-    appended zero row or column.
-    """
-    t = np.arange(count.max(initial=0))
-    return np.where(t < count[:, None], start[:, None] + t, pad)
-
-
-# -- charge-structure plans ------------------------------------------------
-#
-# A plan stores each gather as two broadcastable factors of its flat index
-# (row part + column part), so it stays O(blocks x (rows + columns)) rather
-# than the size of the gathered stack, and stores its index tables in the
-# smallest unsigned type that holds them.
-
-# Plans per cache.  A benchmark pass builds at most 82 plans in one cache
-# (the RDM transfer steps of sweep_small).  The largest plan measured, a
-# transfer step at M = 32, takes 3.6 MB, so a full cache of those would
-# hold about 460 MB; rho_{1,N} of three N = 20, M = 32 collisions (mu = 6,
-# 20, 40) builds 11.7 MB of RDM plans in all.
-PLAN_CACHE_SIZE = 128
-
-
-def _key(q: np.ndarray) -> bytes:
-    """Cache key of one bond's charges."""
-    return np.asarray(q, dtype=np.int64).tobytes()
-
-
-def _charges(key: bytes) -> np.ndarray:
-    """The read-only charges of a cache key."""
-    return np.frombuffer(key, dtype=np.int64)
-
-
-def _frozen(fields):
-    """Make every array among fields, nested tuples included, read-only."""
-    for f in fields:
-        if isinstance(f, np.ndarray):
-            f.setflags(write=False)
-        elif isinstance(f, tuple):
-            _frozen(f)
-    return fields
+def _frozen(arrays: tuple) -> tuple:
+    """Make every array of a tuple read-only."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _truncate(s: np.ndarray, total: np.ndarray, chi_max: int, trunc_tol: float):
@@ -647,322 +589,28 @@ def schmidt_values(state: BlockDecimationState, bond: int) -> np.ndarray:
     return np.sort(state.lambdas[bond])[::-1]
 
 
-def _sector_of(u: np.ndarray, charge: np.ndarray):
-    """Sector index of each charge on a bond with sorted charges u, and whether it exists."""
-    pos = np.minimum(np.searchsorted(u, charge), u.shape[0] - 1)
-    return pos, u[pos] == charge
-
-
-# The open-index environment X[i, i', b, b'] of `reduced_density_two_sites`
-# is carried as blocks (g, o, t): the Schmidt vectors of charge t - g on the
-# block's group side, at level g, against those of charge t - o on its
-# other side, at level o (a charge plus its level is the same t on both
-# sides).  A structure lists the blocks as int16 rows g, o, t, sorted by
-# `_block_code`, so the blocks of one group charge p are consecutive and
-# form one group matrix: its rows are (block, other-side vector), each block
-# padded to the group's widest with rows that no step and no close reads
-# (zero after the opening, any finite value after a step), and its columns
-# are the vectors of charge p.
-
-
-def _block_code(g, o, t, d: int):
-    """Sort key of environment blocks: group charge, then both levels."""
-    return ((t - g) * d + g) * d + o
-
-
-def _structure(g, o, t) -> bytes:
-    return np.stack([g, o, t]).astype(np.int16).tobytes()
-
-
-def _blocks(structure: bytes):
-    """Rows g, o, t of a structure."""
-    return np.frombuffer(structure, dtype=np.int16).reshape(3, -1).astype(np.int64)
-
-
-class _Layout(NamedTuple):
-    """The group matrices of a structure on a bond."""
-    start: np.ndarray  # first vector and vector count of each charge sector
-    count: np.ndarray
-    group: np.ndarray  # sector of each group's columns
-    first: np.ndarray  # block range first[p]:first[p+1] of group p
-    width: np.ndarray  # padded rows of each block of group p
-    other: np.ndarray  # sector of each block's other side
-
-
-def _layout(g, o, t, q: np.ndarray) -> _Layout:
-    u, start, count = np.unique(q, return_index=True, return_counts=True)
-    group, other = _sector_of(u, t - g)[0], _sector_of(u, t - o)[0]
-    first = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-    return _Layout(start=start, count=count, group=group[first],
-                   first=np.append(first, group.shape[0]),
-                   width=np.maximum.reduceat(count[other], first), other=other)
-
-
-def _group_rows(lay: _Layout, p: int, pad: int) -> np.ndarray:
-    """(block, slot) other-side vectors of the rows of group p (see `_slots`)."""
-    other = lay.other[lay.first[p]:lay.first[p + 1]]
-    return _slots(lay.start[other], lay.count[other], pad)
-
-
-def _group_columns(lay: _Layout, p: int) -> np.ndarray:
-    """Group-side vectors of the columns of group p."""
-    return lay.start[lay.group[p]] + np.arange(lay.count[lay.group[p]])
-
-
-def _factors(rows: np.ndarray, cols: np.ndarray):
-    """(block, slot, 1) and (1, 1, column) index factors of a group matrix,
-    in the smallest unsigned type that holds their sums."""
-    dtype = np.min_scalar_type(int(rows.max(initial=0)) + int(cols.max(initial=0)))
-    return rows.astype(dtype)[:, :, None], cols.astype(dtype)[None, None]
-
-
-class RdmOpenPlan(NamedTuple):
-    """Opening site k of rho_{k,l}, from the charges of bonds k-1 and k."""
-    hi: np.ndarray  # bra and ket levels i >= i' of each opened pair
-    lo: np.ndarray
-    groups: tuple  # index factors of each group matrix's gather from the
-    # opened pairs X[(i, i'), b, b']; padding reads past the end
-    structure: bytes  # the opened blocks, grouped by their ket side
-
-
-class RdmTransferPlan(NamedTuple):
-    """One transfer step through site s+1, from the incoming structure and bonds s, s+1."""
-    ins: tuple  # per in group: its W rows r0:r1, the offset of its Y block, and W columns :c1
-    y_size: int  # entries of Y, before its zero tail of chi_out + 1
-    outs: tuple  # per out group: the W rows x0:x1 and columns c0:c1 of its
-    # product, and the (block, slot, 1) columns and (block, 1, x) row offsets
-    # of its gather from Y
-    structure: bytes  # the out blocks, grouped by the side contracted second
-
-
-class RdmClosePlan(NamedTuple):
-    """Where the carried blocks go in X[i, i', b, b'] at bond l-1, padded to chi+1."""
-    groups: tuple  # per group matrix, index factors of its entries and of
-    # their mirrors X[i', i] = X[i, i']^dag
-
-
-def _rdm_open_plan(q_before: np.ndarray, q: np.ndarray, d: int) -> RdmOpenPlan:
-    return _rdm_open_plan_cached(_key(q_before), _key(q), d)
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _rdm_open_plan_cached(q_before, q, d: int) -> RdmOpenPlan:
-    q_before, q = _charges(q_before), _charges(q)
-    occ = np.arange(d)
-    hi, lo = np.tril_indices(d)
-    # blocks (i, i', t), i >= i', with t a bond-(k-1) charge and bra charge
-    # t - i and ket charge t - i' on bond k; X vanishes outside them
-    u = np.unique(q, return_index=True)[0]  # the bare call form imports numpy.ma
-    t = u + occ[:, None]
-    has_ket = np.isin(t[:, None, :] - occ[None, :, None], u)
-    reach = np.isin(t, q_before)[:, None, :] & (occ[:, None] >= occ)[:, :, None]
-    bra, ket, sec = np.nonzero(has_ket & reach)
-    t = t[bra, sec]
-    # grouped by the ket side, which the first step contracts first
-    order = np.argsort(_block_code(ket, bra, t, d), kind="stable")
-    bra, ket, t = bra[order], ket[order], t[order]
-    lay = _layout(ket, bra, t, q)
-    chi = q.shape[0]
-    pair = bra * (bra + 1) // 2 + ket  # row-major index of (i, i') among i >= i'
-    groups = []
-    for p in range(lay.group.shape[0]):
-        slots = _group_rows(lay, p, chi)
-        pairs = pair[lay.first[p]:lay.first[p + 1], None]
-        rows = np.where(slots < chi, (pairs * chi + slots) * chi, hi.shape[0] * chi * chi)
-        groups.append(_factors(rows, _group_columns(lay, p)))
-    return _frozen(RdmOpenPlan(hi=hi, lo=lo, groups=tuple(groups),
-                               structure=_structure(ket, bra, t)))
-
-
-def _rdm_transfer_plan(structure: bytes, q_in: np.ndarray, q_out: np.ndarray,
-                       d: int) -> RdmTransferPlan:
-    return _rdm_transfer_plan_cached(structure, _key(q_in), _key(q_out), d)
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _rdm_transfer_plan_cached(structure, q_in, q_out, d: int) -> RdmTransferPlan:
-    q_in, q_out = _charges(q_in), _charges(q_out)
-    g, o, t = _blocks(structure)
-    chi_in, chi_out = q_in.shape[0], q_out.shape[0]
-    # first products: in group p times the W rows of charge p, up to the
-    # last W column c1 of charge <= p (W vanishes beyond it), fills its own
-    # row-major (rows, c1) block of Y, so Y holds no column a group cannot
-    # reach; row i of block j starts at y_start[j] + i * c1
-    lay = _layout(g, o, t, q_in)
-    n_blocks = np.diff(lay.first)
-    r0 = lay.start[lay.group]
-    c1 = np.searchsorted(q_out, q_in[r0], side="right")
-    y0 = np.concatenate(([0], np.cumsum(n_blocks * lay.width * c1)))
-    grp = np.repeat(np.arange(n_blocks.shape[0]), n_blocks)
-    y_step = c1[grp]  # Y row length of each block
-    y_start = y0[grp] + (np.arange(g.shape[0]) - lay.first[grp]) * lay.width[grp] * y_step
-    ins = tuple(zip(r0.tolist(), (r0 + lay.count[lay.group]).tolist(), y0.tolist(),
-                    c1.tolist()))
-    y_size = int(y0[-1])
-    # out blocks: level m takes t to t - m, and the other side, contracted
-    # second, becomes the group side
-    u_out = np.unique(q_out, return_index=True)[0]
-    t_out = t[:, None] - np.arange(d)
-    ok = _sector_of(u_out, t_out - o[:, None])[1] & _sector_of(u_out, t_out - g[:, None])[1]
-    blk, m = np.nonzero(ok)
-    code = np.unique(_block_code(o[blk], g[blk], t_out[blk, m], d), return_index=True)[0]
-    g2, o2 = code // d % d, code % d
-    t2 = code // (d * d) + g2
-    out = _layout(g2, o2, t2, q_out)
-    # second products: out block (g2, o2, t2) of group r = t2 - g2 sums over
-    # the in vectors x of charge r + m, m < d: the Y rows of in block
-    # (o2, g2, t2 + m), or Y's zero tail where that is missing.  A padded
-    # slot reads past its row; it only fills a padded row of the out group
-    # matrix, which no later step and no close reads
-    r = q_out[out.start[out.group]]
-    x0 = np.searchsorted(q_in, r)
-    x1 = np.searchsorted(q_in, r + d - 1, side="right")
-    codes = _block_code(g, o, t, d)
-    slot = np.arange(chi_in) - np.repeat(lay.start, lay.count)
-    dtype = np.min_scalar_type(y_size + chi_out)  # holds every sum of the two factors
-    outs = []
-    for p in range(r.shape[0]):
-        blk = slice(out.first[p], out.first[p + 1])
-        xp = np.arange(x0[p], x1[p])
-        want = _block_code(o2[blk, None], g2[blk, None], t2[blk, None] + q_in[xp] - r[p], d)
-        j = np.minimum(np.searchsorted(codes, want), codes.shape[0] - 1)
-        found = codes[j] == want
-        live = np.flatnonzero(found.any(axis=0))  # in vectors that some block reads
-        a, b = live[0], live[-1] + 1
-        rows = np.where(found, y_start[j] + slot[xp] * y_step[j], y_size)[:, None, a:b]
-        cols = _group_rows(out, p, chi_out)[:, :, None]
-        outs.append((int(x0[p] + a), int(x0[p] + b), int(out.start[out.group[p]]),
-                     int(out.start[out.group[p]] + out.count[out.group[p]]),
-                     cols.astype(dtype), rows.astype(dtype)))
-    return _frozen(RdmTransferPlan(ins=ins, y_size=y_size, outs=tuple(outs),
-                                   structure=_structure(g2, o2, t2)))
-
-
-def _rdm_close_plan(structure: bytes, q: np.ndarray, d: int, ket_grouped: bool) -> RdmClosePlan:
-    return _rdm_close_plan_cached(structure, _key(q), d, ket_grouped)
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _rdm_close_plan_cached(structure, q, d: int, ket_grouped: bool) -> RdmClosePlan:
-    q = _charges(q)
-    g, o, t = _blocks(structure)
-    lay = _layout(g, o, t, q)
-    chi = q.shape[0]
-    width = chi + 1  # bond l-1 plus the padding slot, which the close drops
-    bra, ket = (o, g) if ket_grouped else (g, o)
-    # X[i, i', b, b'] is entry ((i d + i') width + b) width + b'; a diagonal
-    # block (i = i') is Hermitian, so its mirror rewrites it to round-off
-    other_step, group_step = (width, 1) if ket_grouped else (1, width)
-    groups = []
-    for p in range(lay.group.shape[0]):
-        blk = slice(lay.first[p], lay.first[p + 1])
-        other = _group_rows(lay, p, chi)
-        cols = _group_columns(lay, p)
-        groups.append(
-            _factors((bra * d + ket)[blk, None] * width**2 + other * other_step,
-                     cols * group_step)
-            + _factors((ket * d + bra)[blk, None] * width**2 + other * group_step,
-                       cols * other_step))
-    return _frozen(RdmClosePlan(groups=tuple(groups)))
-
-
-def _transfer(state: BlockDecimationState, env: list, structure: bytes, k: int, l: int):
-    """Carry the group matrices of `reduced_density_two_sites` from bond k to bond l-1."""
-    d = state.local_dim
-    buffer = np.empty(0, dtype=complex)  # Y of every step, grown as needed
-    for s in range(k, l - 1):
-        step = _rdm_transfer_plan(structure, state.charges[s], state.charges[s + 1], d)
-        w = state.ws[s]
-        wc = w.conj()
-        # the ket side contracts with W and the bra side with conj(W); the
-        # opening groups by the ket side, and the sides alternate
-        v, u = (w, wc) if (s - k) % 2 == 0 else (wc, w)
-        # one (rows, c1) block per in group, then a zero tail
-        size = step.y_size + w.shape[1] + 1
-        if buffer.shape[0] < size:
-            buffer = np.empty(size, dtype=complex)
-        y = buffer[:size]
-        y[step.y_size:] = 0
-        for mat, (r0, r1, y0, c1) in zip(env, step.ins):
-            np.matmul(mat, v[r0:r1, :c1], out=y[y0:y0 + mat.shape[0] * c1].reshape(-1, c1))
-        env = [y.take(cols + rows).reshape(-1, x1 - x0) @ u[x0:x1, c0:c1]
-               for x0, x1, c0, c1, cols, rows in step.outs]
-        structure = step.structure
-    return env, structure
-
-
 def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np.ndarray:
-    """rho_{k,l} on the d^2-dimensional pair space, sites 1-based, k < l.
+    """rho_{k,l} of the adjacent sites k and l = k + 1 (1-based) on the
+    d^2-dimensional pair space, row n_k d + n_l; any other pair raises.
 
-    The open-index environment X[i, i', b, b'] between sites k and l is
-    carried as charge blocks (see `_block_code`): the ket charge of b' is
-    the bra charge of b plus i - i'.  X is Hermitian, X[i', i] = X[i, i']^dag,
-    and each step keeps that, so only the blocks with i >= i' are opened and
-    carried.  The charges fix every level of a site: B^[s][b, m, c] is
-    W[b, c] at m = q(b) - q(c), W one chi_in x chi_out matrix.  A transfer
-    step X -> sum_m A(m)^dag X A(m) then contracts one side of every block
-    with W and the other with conj(W); both sides of an out block keep the
-    charge offset of its in blocks, which makes their levels m equal, so the
-    sum over m is no more than the inner dimension of the second product.
-    The first products take each group matrix (the blocks with one charge p
-    on the side contracted first) times the W rows of charge p, each into
-    its own block of Y, only as wide as the W columns of charge <= p.
-    The second take, for each charge r of the other side on the new bond,
-    the Y rows of every m as one matrix whose inner dimension runs over the
-    in vectors of charge r + m, times W[:, r] (conjugated on the bra side).
-    A step is thus two plain products per charge, and the side contracted
-    second becomes the group side of the next step.  The close writes each
-    carried block and its conjugate transpose into the mirrored (i', i)
-    slot, then contracts site l per imbalance delta = i - i':
-    rho[(i, j), (i', j')] vanishes unless j' - j = delta, so
-    each delta is one product with d - |delta| rows and columns.  Only
-    sites k and l are split into their levels A(i), each as a temporary.
-    Only L[k-1] and R[l] are contracted; no canonical form is assumed.  The index
-    tables of the opening, of each step and of the close come from cached
-    plans of the bond charges and the incoming block structure.
+    rho = theta R theta^dag with L[k-1]: theta[a, i, j, b] is the contraction
+    of sites k and k+1 at levels i and j, L[k-1] contracts the sites left of
+    the pair and R = R[k+1] those right of it, so no canonical form is
+    assumed.  The writers take mode vectors, so a pair that is not adjacent
+    is read from a state built with the pair moved next to each other.
     """
-    if not (1 <= k < l <= state.n_sites):
-        raise ValidationError(f"need 1 <= k < l <= N, got ({k}, {l})")
+    if not (1 <= k < state.n_sites and l == k + 1):
+        raise ValidationError(f"need adjacent sites 1 <= k < l = k + 1 <= N, got ({k}, {l})")
     d = state.local_dim
-    occ = np.arange(d)
     left = next(islice(_left_envs(state), k - 1, None))
     right = next(islice(_right_envs(state), state.n_sites - l, None))
-    ak = np.transpose(_split_levels(state, k - 1), (1, 0, 2))  # (d, chiL, chiR)
-    # X[(i, i'), b, b'] = A(i)^dag L A(i') after opening site k, for the level
-    # pairs i >= i' in row-major order (i bra, i' ket; b bra bond, b' ket)
-    plan = _rdm_open_plan(state.charges[k - 1], state.charges[k], d)
-    x = ak.conj().swapaxes(1, 2)[plan.hi] @ (left @ ak)[plan.lo]
-    flat = np.append(x.reshape(-1), 0)
-    env = [flat.take(rows + cols, mode="clip").reshape(-1, cols.shape[2])
-           for rows, cols in plan.groups]
-    env, structure = _transfer(state, env, plan.structure, k, l)
-    close = _rdm_close_plan(structure, state.charges[l - 1], d, (l - 1 - k) % 2 == 0)
-    al = np.transpose(_split_levels(state, l - 1), (1, 0, 2))
-    chi_b = al.shape[1]
-    x = np.zeros((d, d, chi_b + 1, chi_b + 1), dtype=complex)
-    flat = x.reshape(-1)
-    for mat, (rows, cols, mirror_rows, mirror_cols) in zip(env, close.groups):
-        mat = mat.reshape(rows.shape[0], -1, cols.shape[2])
-        flat[rows + cols] = mat
-        flat[mirror_rows + mirror_cols] = mat.conj()
-    x = x[:, :, :chi_b, :chi_b]
-    # close site l and the right environment per imbalance delta = i - i':
-    # rho[i, j, i', j'] = sum_{b, b'} X[i, i', b, b'] T[j, j', b, b'] with
-    # j' = j + delta and T[j, j'] = conj(A_l(j)) (A_l(j') R)^T
-    c = np.matmul(al, right[None])
-    alc = al.conj()
-    rho = np.zeros((d, d, d, d), dtype=complex)
-    for delta in range(1 - d, d):
-        n = d - abs(delta)
-        i = occ[:n] + max(delta, 0)
-        j = occ[:n] + max(-delta, 0)
-        term = alc[j] @ c[j + delta].swapaxes(1, 2)
-        rho[i[:, None], j, (i - delta)[:, None], j + delta] = (
-            x[i, i - delta].reshape(n, -1) @ term.reshape(n, -1).T)
-    # built as <bra| factors first; flip to ket-major
-    rho = rho.reshape(d * d, d * d).conj()
-    tr = np.trace(rho).real
-    return rho / tr
+    theta = np.tensordot(_split_levels(state, k - 1), _split_levels(state, k), axes=(2, 0))
+    theta = theta.reshape(theta.shape[0], d * d, theta.shape[3])
+    # rho[x, y] = sum L[a', a] theta[a, x, b] R[b, b'] conj(theta[a', y, b']):
+    # L is indexed (bra, ket) and R (ket, bra)
+    ket = np.tensordot(left, theta @ right, axes=(1, 0))
+    rho = ket.swapaxes(0, 1).reshape(d * d, -1) @ theta.swapaxes(0, 1).reshape(d * d, -1).conj().T
+    return rho / np.trace(rho).real
 
 
 def canonical_defect(state: BlockDecimationState) -> float:
@@ -1034,9 +682,12 @@ def condensate_states(modes, m: int, *, chi_max: int | None = None,
     `_vacuum_rotations`.  The keep pass of every mode runs at the first
     `next`, after every mode is checked, and each state is written only when
     it is yielded, so a caller that keeps one state at a time holds at most
-    two.  The modes must be finite and nonzero and share one length.
+    two.  The modes must be finite and nonzero and share one length, and m
+    must be >= 0.
     """
     cs = [_unit_mode(c) for c in modes]
+    if m < 0:
+        raise ValidationError(f"boson count must be >= 0, got {m}")
     if not cs:
         return
     if len({c.shape[0] for c in cs}) > 1:

@@ -186,8 +186,9 @@ def run_quench(spec: ScenarioSpec) -> QuenchResult:
 
 
 def _end_pair(state, m: int):
-    """E_N of rho_{1,N} and the collection fraction read off its diagonal."""
-    rho = reduced_density_two_sites(state, 1, state.n_sites)
+    """E_N of rho_{1,N} and the collection fraction read off its diagonal, for
+    a state built with site N moved to position 2 (see `_sweep_batch`)."""
+    rho = reduced_density_two_sites(state, 1, 2)
     e_n = logneg_partial_transpose(rho).value
     # <n_1> and <n_N> from the diagonal of rho_{1,N} (row index n_1 * d + n_N)
     diag = rho.diagonal().real.reshape(state.local_dim, state.local_dim)
@@ -196,15 +197,21 @@ def _end_pair(state, m: int):
 
 
 def _sweep_batch(args):
-    """Records of a run of barrier heights whose states are built together."""
+    """Records of a run of barrier heights whose states are built together.
+
+    Both packet modes are permuted to the site order (1, N, 2, ..., N-1)
+    before the build, so the end pair is the first two sites of the chain
+    and rho_{1,N} needs no transfer through the sites between them.
+    """
     base, mus, m1, m2, num = args
     start = time.perf_counter()
     n = base.n_sites
+    order = [0, n - 1, *range(1, n - 1)]
     pairs = []
     for mu in mus:
         r = add_onsite_barrier(base, n // 2, n // 2 + 1, mu) if mu != 0.0 else base
         a = propagate(spectral_decompose(r), math.pi)
-        pairs.append((a.entries[:, 0], a.entries[:, n - 1]))
+        pairs.append((a.entries[order, 0], a.entries[order, n - 1]))
     states = two_sum_states(pairs, m1, m2, chi_max=num.chi_max, trunc_tol=num.trunc_tol)
     records = []
     for mu, state in zip(mus, states):

@@ -208,7 +208,9 @@ def test_selftest_reports_a_raising_check_as_fail(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert out.count("FAIL two-sum rho_") == 2
-    assert "ValidationError: rho_{1,5} left the charge blocks" in out
+    # each pair is measured as sites 1-2 of a state built with it moved there
+    assert "FAIL two-sum rho_{1,5} vs reduced pair oracle: ValidationError: " \
+        "rho_{1,2} left the charge blocks" in out
 
 
 # Runs in a fresh interpreter, since the test modules themselves import scipy.

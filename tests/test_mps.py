@@ -105,20 +105,17 @@ def test_sector_eigenbasis_is_cached(monkeypatch):
     assert len(calls) <= 9
 
 
-PLAN_CACHES = (mps._rdm_open_plan_cached, mps._rdm_transfer_plan_cached,
-               mps._rdm_close_plan_cached)
-
-
-def _clear_plan_caches():
-    for cache in PLAN_CACHES:
-        cache.cache_clear()
-
-
 def _collision_modes(n, mu):
     r = add_onsite_barrier(build_coupling(ModelSpec(n_sites=n, base="jx")),
                            n // 2, n // 2 + 1, mu)
     a = propagate(spectral_decompose(r), np.pi)
     return a.entries[:, 0], a.entries[:, n - 1]
+
+
+def _front(n, k, l):
+    """Site order with sites k and l (1-based) moved to positions 1 and 2,
+    the others in chain order."""
+    return [k - 1, l - 1, *(s for s in range(n) if s not in (k - 1, l - 1))]
 
 
 def _gate_two_sum(z, c, m1, m2, chi_max=None, trunc_tol=1e-12):
@@ -139,70 +136,6 @@ def _gate_two_sum(z, c, m1, m2, chi_max=None, trunc_tol=1e-12):
                     if isinstance(op, PhaseOp) and op.site == 1]
     st.ws[0] = st.ws[0] * np.exp(-1j * site1_phase * m1)
     return st
-
-
-def test_cached_plans_give_bit_identical_states(monkeypatch):
-    # at N = 12 rho_{1,N} and rho_{N-1,N} open bond 1 and bond N-1 on the
-    # same charges from different bonds before them, the three splits of
-    # M = 8 revisit bond charges, and in the N = 5 condensate one transfer
-    # step sees the same bond charges with two block structures
-    n = 12
-    z, c = _collision_modes(n, 3.0)
-    cond = _random_mode(5, 9)
-
-    def run():
-        out = []
-        for m1, m2 in ((3, 5), (5, 3), (4, 4)):
-            st = _gate_two_sum(z, c, m1, m2, chi_max=25, trunc_tol=1e-12)
-            out.append((st, [mps.reduced_density_two_sites(st, k, l)
-                             for k, l in ((1, n), (3, 9), (n - 1, n))]))
-        st = condensate_state(cond, 3)
-        out.append((st, [mps.reduced_density_two_sites(st, k, l)
-                         for k in range(1, 5) for l in range(k + 1, 6)]))
-        return out
-
-    def cold(fn):
-        def call(*args):
-            _clear_plan_caches()
-            return fn(*args)
-        return call
-
-    with monkeypatch.context() as patch:
-        patch.setattr(mps, "reduced_density_two_sites", cold(mps.reduced_density_two_sites))
-        ref = run()
-    for _ in range(2):  # filling the caches, then from them alone
-        for (st_ref, rhos_ref), (st, rhos) in zip(ref, run()):
-            for field in ("ws", "lambdas", "charges"):
-                for a, b in zip(getattr(st_ref, field), getattr(st, field)):
-                    assert a.dtype == b.dtype and a.shape == b.shape
-                    assert a.tobytes() == b.tobytes(), field
-            assert st.discarded_weight == st_ref.discarded_weight
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(rhos_ref, rhos))
-
-
-def test_cached_plans_are_read_only():
-    z, c = _collision_modes(8, 3.0)
-    st = _gate_two_sum(z, c, 2, 2)
-    reduced_density_two_sites(st, 1, 8)
-    reduced_density_two_sites(st, 2, 7)
-    d = st.local_dim
-    plans = [mps._rdm_open_plan(st.charges[1], st.charges[2], d)]
-    plans.append(mps._rdm_transfer_plan(plans[-1].structure, st.charges[2], st.charges[3], d))
-    plans.append(mps._rdm_close_plan(plans[-1].structure, st.charges[3], d, False))
-    assert all(cache.cache_info().hits > 0 for cache in PLAN_CACHES)
-
-    def arrays(fields):
-        for f in fields:
-            if isinstance(f, np.ndarray):
-                yield f
-            elif isinstance(f, tuple):
-                yield from arrays(f)
-
-    tables = [arr for plan in plans for arr in arrays(plan)]
-    assert len(tables) > 20
-    for arr in tables:
-        with pytest.raises(ValueError, match="read-only"):
-            arr[...] = 0
 
 
 def test_pair_rotation_gate_matches_mode_rotation():
@@ -417,28 +350,37 @@ def test_two_sum_orthogonal_modes_give_product_of_fock():
 
 
 def test_occupations_and_rdm_match_dense():
-    # every pair: adjacent ones (no transfer step) and k > 1, where the opening
-    # bond has sectors holding several Schmidt vectors
+    # every pair as sites 1-2 of a build with the pair moved there, and the
+    # adjacent pairs in chain order too, where k > 1 contracts a left
+    # environment over bonds whose sectors hold several Schmidt vectors
     n = 6
-    states = [(two_sum_state(_random_mode(n, 31), _random_mode(n, 32), 2, 2), 4),
-              (two_sum_state(_random_mode(n, 33), _random_mode(n, 34), 3, 1), 4),
-              (condensate_state(_random_mode(n, 35), 3), 3),
-              (from_fock([2, 0, 1, 0, 0, 1], chi_max=8, trunc_tol=1e-12), 4)]
-    sector_sizes = [np.unique(q, return_counts=True)[1].max() for q in states[0][0].charges]
+    z1, c1, z2, c2 = (_random_mode(n, seed) for seed in (31, 32, 33, 34))
+    c3, fock = _random_mode(n, 35), np.array([2, 0, 1, 0, 0, 1])
+    builds = [(lambda p: two_sum_state(z1[p], c1[p], 2, 2), 4),
+              (lambda p: two_sum_state(z2[p], c2[p], 3, 1), 4),
+              (lambda p: condensate_state(c3[p], 3), 3),
+              (lambda p: from_fock(fock[p].tolist(), chi_max=8, trunc_tol=1e-12), 4)]
+    chain = list(range(n))
+    sector_sizes = [np.unique(q, return_counts=True)[1].max() for q in builds[0][0](chain).charges]
     assert max(sector_sizes[2:n]) > 1
-    for st, m in states:
+    for build, m in builds:
+        st = build(chain)
         amps = _all_amplitudes(st, n, m)
         occ = occupations(st)
         assert np.max(np.abs(occ - dense.dense_occupations(amps, n, m))) < 1e-12
         assert occ.sum() == pytest.approx(m, abs=1e-10)
         for k in range(1, n):
             for l in range(k + 1, n + 1):
-                rho = reduced_density_two_sites(st, k, l)
                 ref = dense.dense_rdm_two_sites(amps, n, m, k, l, st.local_dim)
                 ref = ref / np.trace(ref).real
+                rho = reduced_density_two_sites(build(_front(n, k, l)), 1, 2)
                 assert np.max(np.abs(rho - ref)) < 1e-12, (k, l)
-    with pytest.raises(ValidationError):
-        reduced_density_two_sites(st, 3, 3)
+                if l == k + 1:
+                    rho = reduced_density_two_sites(st, k, l)
+                    assert np.max(np.abs(rho - ref)) < 1e-12, (k, l)
+    for k, l in ((3, 3), (1, 3), (2, 1), (n, n + 1)):
+        with pytest.raises(ValidationError, match="adjacent"):
+            reduced_density_two_sites(st, k, l)
 
 
 def test_reduced_pair_oracle_matches_full_dense():
@@ -460,29 +402,36 @@ def test_reduced_pair_oracle_matches_full_dense():
 def test_end_pair_rdm_matches_reduced_pair_oracle_at_scenario_scale():
     n, mu = 20, 6.0
     z, c = _collision_modes(n, mu)
+    p = _front(n, 1, n)  # site N moved to position 2, as the sweep builds
     for m, numerics in [(8, {}), (16, {"chi_max": 81, "trunc_tol": 1e-30})]:
         tracemalloc.start()
         try:
-            st = two_sum_state(z, c, m // 2, m // 2, **numerics)
-            rho = reduced_density_two_sites(st, 1, n)
+            st = two_sum_state(z[p], c[p], m // 2, m // 2, **numerics)
+            rho = reduced_density_two_sites(st, 1, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         ref = dense.reduced_pair_oracle(z, c, m // 2, m // 2, 1, n)
         assert np.max(np.abs(rho - ref)) < 1e-12
         if m == 16:
-            # chi = 81, d = 17: the sites take 1.7 MB as W, about 1/d of
-            # their dense tensors; measured 13.5 MB with cold plan caches
+            # chi = 81, d = 17: the sites are stored as W, about 1/d of
+            # their dense tensors
             assert peak <= 15e6, peak
 
 
+def _pair_builds(n, pairs):
+    """(site order, first site of the pair in it, pair): each pair moved to
+    sites 1-2, and the adjacent (10, 11) also in chain order, where both outer
+    environments are contracted."""
+    return [(_front(n, k, l), 1, (k, l)) for k, l in pairs] + [(list(range(n)), 10, (10, 11))]
+
+
 def test_interior_pair_rdms_match_reduced_pair_oracle_at_scenario_scale():
-    # the environment carries only its i >= i' half; (10, 11) runs no transfer step
     n, mu, m = 20, 6.0, 16
     z, c = _collision_modes(n, mu)
-    st = two_sum_state(z, c, m // 2, m // 2, chi_max=81, trunc_tol=1e-30)
-    for k, l in [(2, 19), (5, 16), (10, 11)]:
-        rho = reduced_density_two_sites(st, k, l)
+    for p, site, (k, l) in _pair_builds(n, [(2, 19), (5, 16), (10, 11)]):
+        st = two_sum_state(z[p], c[p], m // 2, m // 2, chi_max=81, trunc_tol=1e-30)
+        rho = reduced_density_two_sites(st, site, site + 1)
         ref = dense.reduced_pair_oracle(z, c, m // 2, m // 2, k, l)
         assert np.max(np.abs(rho - ref)) < 1e-12, (k, l)
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14, (k, l)
@@ -530,17 +479,19 @@ def test_dense_pair_rdm_matches_dense_fock_rdm():
 
 
 def test_truncated_rdms_match_dense_contraction_at_scenario_scale():
-    # chi_max = 8 and 12 truncate the M = 8 collision (discarded weight about
-    # 7.5e-2 and 6.7e-3), so the oracles no longer describe the MPS; the
-    # dense contraction of the same tensors does
+    # chi_max = 6 and 8 truncate the M = 8 collision (discarded weight about
+    # 1.6e-1 and 7.5e-2 in chain order, 8.3e-2 and 1.9e-2 with site N moved
+    # to position 2), so the oracles no longer describe the MPS; the dense
+    # contraction of the same tensors does
     n, mu, m = 20, 6.0, 8
     z, c = _collision_modes(n, mu)
-    for chi_max in (8, 12):
-        st = two_sum_state(z, c, m // 2, m // 2, chi_max=chi_max)
-        assert st.discarded_weight > 1e-3
-        for k, l in [(1, n), (2, n - 1), (5, 16), (10, 11)]:
-            rho = reduced_density_two_sites(st, k, l)
-            assert np.max(np.abs(rho - _dense_pair_rdm(st, k, l))) < 1e-13, (chi_max, k, l)
+    for chi_max in (6, 8):
+        for p, site, (k, l) in _pair_builds(n, [(1, n), (2, n - 1), (5, 16), (10, 11)]):
+            st = two_sum_state(z[p], c[p], m // 2, m // 2, chi_max=chi_max)
+            assert st.discarded_weight > 1e-3
+            rho = reduced_density_two_sites(st, site, site + 1)
+            dev = np.max(np.abs(rho - _dense_pair_rdm(st, site, site + 1)))
+            assert dev < 1e-13, (chi_max, k, l)
 
 
 def test_every_bond_matches_bond_schmidt_oracle_at_scenario_scale():
@@ -752,16 +703,19 @@ def test_two_sum_state_matches_gate_replay():
     # `apply_two` and every phase an `apply_single`: both truncate each bond
     # of the state the earlier bonds left, so they keep the same vectors;
     # the SVDs may pick other singular vectors within a degenerate value, so
-    # the states are compared by their overlap
+    # the states are compared by their overlap; in both site orders, the
+    # second with site N moved to position 2, where rho_{1,2} is the sweep's
+    # rho_{1,N}
     n, m1, m2 = 20, 4, 4
     z, c = _collision_modes(n, 6.0)
     for chi_max in (36, 12):
-        st = two_sum_state(z, c, m1, m2, chi_max=chi_max)
-        ref = _gate_two_sum(z, c, m1, m2, chi_max=chi_max)
-        _assert_same_state(st, ref, same_gauge=False)
-        assert np.max(np.abs(occupations(st) - occupations(ref))) < 1e-13
-        assert np.max(np.abs(reduced_density_two_sites(st, 1, n)
-                             - reduced_density_two_sites(ref, 1, n))) < 1e-13
+        for p in (list(range(n)), _front(n, 1, n)):
+            st = two_sum_state(z[p], c[p], m1, m2, chi_max=chi_max)
+            ref = _gate_two_sum(z[p], c[p], m1, m2, chi_max=chi_max)
+            _assert_same_state(st, ref, same_gauge=False)
+            assert np.max(np.abs(occupations(st) - occupations(ref))) < 1e-13
+            assert np.max(np.abs(reduced_density_two_sites(st, 1, 2)
+                                 - reduced_density_two_sites(ref, 1, 2))) < 1e-13
 
 
 def test_condensate_states_match_one_build_per_mode():
@@ -843,6 +797,11 @@ def test_condensate_states_check_every_mode_first():
                 next(states)
     with pytest.raises(ValidationError, match="one length"):
         next(mps.condensate_states(good + [_random_mode(5, 9)], 3))
+    for states in (mps.condensate_states(good, -1), mps.condensate_states([], -1)):
+        with pytest.raises(ValidationError, match="boson count"):
+            next(states)
+    with pytest.raises(ValidationError, match="boson count"):
+        condensate_state(np.ones(3), -1)
     assert list(mps.condensate_states([], 3)) == []
 
 
