@@ -4,7 +4,8 @@ Everything here enumerates a full bosonic basis and exists as the independent
 cross-check for the tensor-network path (self-test suite and oracle-style
 tests).  Most functions work on the whole chain, so they are only usable for
 small chains; `reduced_pair_oracle` and `bond_schmidt_oracle` first reduce a
-two-packet state to four modes, so they reach scenario sizes.
+two-packet state to four modes, so they reach scenario sizes.  Pair RDMs
+come as the number blocks of `mps.reduced_density_two_sites`.
 """
 from __future__ import annotations
 
@@ -131,23 +132,23 @@ def dense_occupations(psi: np.ndarray, n_sites: int, total: int) -> np.ndarray:
 
 
 def dense_rdm_two_sites(psi: np.ndarray, n_sites: int, total: int, k: int,
-                        l: int, d: int) -> np.ndarray:
-    """Reduced density matrix of (1-based) sites k, l on the d^2 pair space."""
-    configs = fock_configs(n_sites, total)
-    rho = np.zeros((d * d, d * d), dtype=complex)
+                        l: int) -> np.ndarray:
+    """Reduced density matrix of (1-based) sites k, l as number blocks.
+
+    rho[n, i, i'] = <i, n-i| rho |i', n-i'> for n = 0..total, the form
+    `mps.reduced_density_two_sites` returns, unnormalized.  Configurations
+    that share the occupations of every other site share n = n_k + n_l, and
+    within them n_k tells the configurations apart.
+    """
+    d = total + 1
+    rho = np.zeros((d, d, d), dtype=complex)
     rest = {}
-    for amp, cfg in zip(psi, configs):
-        pair = (cfg[k - 1], cfg[l - 1])
-        if pair[0] >= d or pair[1] >= d:
-            raise ValueError("pair occupation exceeds requested dimension")
+    for amp, cfg in zip(psi, fock_configs(n_sites, total)):
         other = tuple(v for i, v in enumerate(cfg) if i not in (k - 1, l - 1))
-        rest.setdefault(other, []).append((pair, amp))
-    for entries in rest.values():
-        for (p1, a1) in entries:
-            i1 = p1[0] * d + p1[1]
-            for (p2, a2) in entries:
-                i2 = p2[0] * d + p2[1]
-                rho[i1, i2] += a1 * np.conj(a2)
+        rest.setdefault(other, []).append((cfg[k - 1], amp))
+    for other, entries in rest.items():
+        levels, amps = map(np.array, zip(*entries))
+        rho[total - sum(other), levels[:, None], levels] += np.outer(amps, amps.conj())
     return rho
 
 
@@ -170,7 +171,8 @@ def reduced_pair_oracle(z, c, m1: int, m2: int, k: int, l: int) -> np.ndarray:
 
     The sites other than k and l split into two modes (`_two_mode_split`), so
     the state lives on the four modes [k, l, u1, u2] with C(M+3, 3)
-    amplitudes.  Returned on the (M+1)^2-dimensional pair space, M = m1 + m2.
+    amplitudes.  Returned as number blocks (see `dense_rdm_two_sites`),
+    M = m1 + m2.
     """
     z = _coeffs(z)
     c = _coeffs(c)
@@ -180,9 +182,9 @@ def reduced_pair_oracle(z, c, m1: int, m2: int, k: int, l: int) -> np.ndarray:
     r = _two_mode_split(z, c, [i for i in range(n) if i not in (k - 1, l - 1)])
     z4 = np.concatenate([[z[k - 1], z[l - 1]], r[:, 0]])
     c4 = np.concatenate([[c[k - 1], c[l - 1]], r[:, 1]])
-    m = m1 + m2
-    rho = dense_rdm_two_sites(two_sum_amplitudes(z4, c4, m1, m2), 4, m, 1, 2, m + 1)
-    return rho / np.trace(rho).real
+    rho = dense_rdm_two_sites(two_sum_amplitudes(z4, c4, m1, m2), 4, m1 + m2, 1, 2)
+    rho /= np.trace(rho, axis1=1, axis2=2).sum().real
+    return rho
 
 
 def bond_schmidt_oracle(z, c, m1: int, m2: int, bond: int) -> np.ndarray:

@@ -8,8 +8,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-IMBALANCE_LEAK_TOL = 1e-10  # relative Frobenius weight allowed outside the imbalance blocks
-
 
 @dataclass(frozen=True)
 class EntanglementResult:
@@ -27,46 +25,30 @@ def logneg_pure(lams) -> EntanglementResult:
                               method="pure_schmidt")
 
 
-def partial_transpose(rho: np.ndarray) -> np.ndarray:
-    """Partial transpose on the first site of a d^2 x d^2 two-site density matrix.
-
-    The partial transpose on the second site is its full transpose, so both
-    have the same singular values.
-    """
-    dim = rho.shape[0]
-    d = math.isqrt(dim)
-    if d * d != dim:
-        raise ValidationError(f"density matrix dimension {dim} is not a square")
-    return np.transpose(rho.reshape(d, d, d, d), (2, 1, 0, 3)).reshape(dim, dim)
-
-
 def logneg_partial_transpose(rho: np.ndarray) -> EntanglementResult:
-    """E_N = log2 of the trace norm of the partially transposed matrix.
+    """E_N = log2 of the trace norm of the partially transposed pair RDM.
 
-    A two-site rho that conserves n_1 + n_2 has a partial transpose that is
-    block-diagonal in the imbalance n_2 - n_1 (Cornfeld, Goldstein & Sela,
-    arXiv:1804.00632): 2d - 1 Hermitian blocks of size d - |n_2 - n_1|, whose
-    |eigenvalues| sum to the trace norm.  The blocks are stacked zero-padded
-    to d x d for one eigvalsh call; padding adds zero eigenvalues only.
+    rho is given as number blocks, rho[n, i, i'] = <i, n-i| rho |i', n-i'>
+    (n = 0..d-1, 0 where i > n or i' > n), the form
+    `mps.reduced_density_two_sites` returns.  Its partial transpose is
+    block-diagonal in the imbalance delta = n_2 - n_1 (Cornfeld, Goldstein &
+    Sela, arXiv:1804.00632), with pt_delta[i, i'] = rho[i + i' + delta, i', i]:
+    2d - 1 Hermitian blocks, gathered zero-padded to d x d for one eigvalsh
+    call, whose |eigenvalues| sum to the trace norm; padding adds zero
+    eigenvalues only.
     """
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
+    rho = np.asarray(rho)
+    if rho.ndim != 3 or not rho.shape[0] == rho.shape[1] == rho.shape[2] > 0:
+        raise ValidationError(f"expected (d, d, d) number blocks, got shape {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().swapaxes(1, 2))) > 1e-8:
         raise ValidationError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if abs(np.trace(rho, axis1=1, axis2=2).sum().real - 1.0) > 1e-8:
         raise ValidationError("density matrix trace differs from 1")
-    pt = partial_transpose(rho)
-    d = math.isqrt(pt.shape[0])
-    n1, n2 = np.divmod(np.arange(d * d), d)
-    off = np.linalg.norm(pt[(n2 - n1)[:, None] != (n2 - n1)[None, :]]) / np.linalg.norm(pt)
-    if off > IMBALANCE_LEAK_TOL:
-        raise ValidationError(f"partial transpose has relative weight {off:.2e} outside the "
-                              "imbalance blocks; rho does not conserve n_1 + n_2")
-    # slots[s, t]: the t-th pair state |n_1, n_2> of imbalance s - (d - 1), padded with d^2
-    imbalance, t = np.arange(1 - d, d)[:, None], np.arange(d)
-    slots = np.where(t < d - np.abs(imbalance),
-                     (t + np.maximum(-imbalance, 0)) * d + t + np.maximum(imbalance, 0), d * d)
-    padded = np.zeros((d * d + 1, d * d + 1), dtype=pt.dtype)
-    padded[:-1, :-1] = pt
-    eig = np.linalg.eigvalsh(padded[slots[:, :, None], slots[:, None, :]])
+    d = rho.shape[0]
+    i, j = np.arange(d)[:, None], np.arange(d)
+    n = i + j + np.arange(1 - d, d)[:, None, None]
+    pt = np.where((n >= 0) & (n < d), rho[n % d, j, i], 0)
+    eig = np.linalg.eigvalsh(pt)
     return EntanglementResult(value=math.log2(float(np.sum(np.abs(eig)))),
                               method="partial_transpose")
 

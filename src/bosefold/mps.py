@@ -77,8 +77,9 @@ mask [q(b) = q(b')] drops exactly the products of two different levels: two
 plain products per site, with no canonical form assumed.  Occupations, the
 norm, the canonical defect and the outer environments of the reduced density
 matrix all come from them.  The reduced density matrix of two adjacent sites
-k, k+1 is theta R theta^dag with L[k-1], theta the contraction of the two
-sites and R = R[k+1].
+k, k+1 conserves n_k + n_{k+1} = n, so it is kept as its number blocks
+rho[n], each theta_n R theta_n^dag with L[k-1]: theta_n the contraction of
+the two sites at levels (i, n - i), R = R[k+1].
 """
 from __future__ import annotations
 
@@ -590,14 +591,17 @@ def schmidt_values(state: BlockDecimationState, bond: int) -> np.ndarray:
 
 
 def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np.ndarray:
-    """rho_{k,l} of the adjacent sites k and l = k + 1 (1-based) on the
-    d^2-dimensional pair space, row n_k d + n_l; any other pair raises.
+    """rho_{k,l} of the adjacent sites k and l = k + 1 (1-based) as number
+    blocks; any other pair raises.
 
-    rho = theta R theta^dag with L[k-1]: theta[a, i, j, b] is the contraction
-    of sites k and k+1 at levels i and j, L[k-1] contracts the sites left of
-    the pair and R = R[k+1] those right of it, so no canonical form is
-    assumed.  The writers take mode vectors, so a pair that is not adjacent
-    is read from a state built with the pair moved next to each other.
+    rho conserves n_k + n_l, so it is returned as the (d, d, d) array
+    rho[n, i, i'] = <i, n-i| rho |i', n-i'>, n = 0..M, 0 where i > n or i' > n.
+    rho[n] = theta_n R theta_n^dag with L[k-1]: theta_n[a, i, b] is the
+    contraction of sites k and k+1 at levels i and n - i, L[k-1] contracts
+    the sites left of the pair and R = R[k+1] those right of it, so no
+    canonical form is assumed.  The writers take mode vectors, so a pair
+    that is not adjacent is read from a state built with the pair moved next
+    to each other.
     """
     if not (1 <= k < state.n_sites and l == k + 1):
         raise ValidationError(f"need adjacent sites 1 <= k < l = k + 1 <= N, got ({k}, {l})")
@@ -605,12 +609,17 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
     left = next(islice(_left_envs(state), k - 1, None))
     right = next(islice(_right_envs(state), state.n_sites - l, None))
     theta = np.tensordot(_split_levels(state, k - 1), _split_levels(state, k), axes=(2, 0))
-    theta = theta.reshape(theta.shape[0], d * d, theta.shape[3])
-    # rho[x, y] = sum L[a', a] theta[a, x, b] R[b, b'] conj(theta[a', y, b']):
+    # theta[a, n, i, b] = theta[a, i, n - i, b]; where i > n, index n - i
+    # wraps to level n - i + d, and levels summing to n + d > M hold exactly 0
+    n, i = np.arange(d)[:, None], np.arange(d)
+    theta = theta[:, i, n - i]
+    # rho[n, i, i'] = sum L[a', a] theta[a, n, i, b] R[b, b'] conj(theta[a', n, i', b']):
     # L is indexed (bra, ket) and R (ket, bra)
     ket = np.tensordot(left, theta @ right, axes=(1, 0))
-    rho = ket.swapaxes(0, 1).reshape(d * d, -1) @ theta.swapaxes(0, 1).reshape(d * d, -1).conj().T
-    return rho / np.trace(rho).real
+    rho = (ket.transpose(1, 2, 0, 3).reshape(d, d, -1)
+           @ theta.transpose(1, 0, 3, 2).reshape(d, -1, d).conj())
+    rho /= np.trace(rho, axis1=1, axis2=2).sum().real
+    return rho
 
 
 def canonical_defect(state: BlockDecimationState) -> float:

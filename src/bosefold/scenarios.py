@@ -190,10 +190,11 @@ def _end_pair(state, m: int):
     a state built with site N moved to position 2 (see `_sweep_batch`)."""
     rho = reduced_density_two_sites(state, 1, 2)
     e_n = logneg_partial_transpose(rho).value
-    # <n_1> and <n_N> from the diagonal of rho_{1,N} (row index n_1 * d + n_N)
-    diag = rho.diagonal().real.reshape(state.local_dim, state.local_dim)
-    levels = np.arange(state.local_dim)
-    return e_n, collection_fraction([levels @ diag.sum(1), levels @ diag.sum(0)], m)
+    # <n_1> and <n_N> from the block diagonals of rho_{1,N}: p[n, i] is the
+    # weight of n_1 = i, n_N = n - i
+    p = rho.diagonal(axis1=1, axis2=2).real
+    n, i = np.arange(state.local_dim)[:, None], np.arange(state.local_dim)
+    return e_n, collection_fraction([np.sum(i * p), np.sum((n - i) * p)], m)
 
 
 def _sweep_batch(args):

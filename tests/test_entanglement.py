@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from bosefold.entanglement import (IMBALANCE_LEAK_TOL, binomial_end_entanglement_asymptotic,
+from bosefold.entanglement import (binomial_end_entanglement_asymptotic,
                                    binomial_end_entanglement_exact,
                                    collection_fraction, logneg_partial_transpose,
-                                   logneg_pure, partial_transpose)
+                                   logneg_pure)
 from bosefold.errors import ValidationError
 
 
@@ -25,42 +25,62 @@ def test_logneg_pure_rejects_unnormalized():
         logneg_pure([1.0, 1.0])
 
 
-def test_partial_transpose_involution():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    pt = partial_transpose(rho)
-    assert np.max(np.abs(partial_transpose(pt) - rho)) < 1e-14
-    with pytest.raises(ValidationError):
-        partial_transpose(np.eye(5))
+def _blocks(rho):
+    """Number blocks rho_b[n, i, i'] = <i, n-i| rho |i', n-i'> of a dense d^2 x d^2 rho."""
+    d = math.isqrt(rho.shape[0])
+    n, i = np.arange(d)[:, None], np.arange(d)
+    ok = i <= n
+    out = rho.reshape(d, d, d, d)[i[None, :, None], (n - i)[:, :, None],
+                                  i[None, None, :], (n - i)[:, None, :]]
+    return np.where(ok[:, :, None] & ok[:, None, :], out, 0)
 
 
 def test_logneg_pt_zero_for_product():
-    d = 3
-    p = np.diag([0.5, 0.3, 0.2])
-    q = np.diag([0.6, 0.4, 0.0])
-    rho = np.kron(p, q).astype(complex)
+    # p (x) q with n_1 + n_2 <= d - 1 = 3 wherever both weights are nonzero
+    p = np.diag([0.5, 0.3, 0.2, 0.0])
+    q = np.diag([0.6, 0.4, 0.0, 0.0])
+    rho = _blocks(np.kron(p, q).astype(complex))
+    assert np.trace(rho, axis1=1, axis2=2).sum() == pytest.approx(1.0)
     assert logneg_partial_transpose(rho).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_logneg_pt_bell_pair():
-    # (|01> + |10>)/sqrt(2) on qubit pair embedded in d=2
-    psi = np.zeros(4)
-    psi[1] = psi[2] = 1 / math.sqrt(2)
-    rho = np.outer(psi, psi).astype(complex)
+    # (|01> + |10>)/sqrt(2): the n = 1 block of a d = 2 pair
+    rho = np.zeros((2, 2, 2), dtype=complex)
+    rho[1] = 0.5
     assert logneg_partial_transpose(rho).value == pytest.approx(1.0)
     # matches the pure-state formula for its Schmidt vector
     assert logneg_pure([1 / math.sqrt(2)] * 2).value == pytest.approx(1.0)
 
 
+def test_logneg_pt_matches_dense_partial_transpose():
+    # random mixtures of number-conserving pure states: the trace norm of
+    # the dense d^2 x d^2 partial transpose, by SVD, against the blocks
+    rng = np.random.default_rng(7)
+    for d in range(2, 10):
+        rho = np.zeros((d * d, d * d), dtype=complex)
+        for weight in rng.dirichlet(np.ones(3)):
+            n = rng.integers(d)
+            psi = np.zeros((d, d), dtype=complex)  # psi[n_1, n_2]
+            amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            psi[np.arange(n + 1), n - np.arange(n + 1)] = amps / np.linalg.norm(amps)
+            rho += weight * np.outer(psi.ravel(), psi.ravel().conj())
+        pt = rho.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
+        ref = math.log2(np.sum(np.linalg.svd(pt, compute_uv=False)))
+        assert abs(logneg_partial_transpose(_blocks(rho)).value - ref) < 1e-12, d
+
+
 def test_logneg_pt_input_validation():
-    bad = np.eye(4, dtype=complex)
-    bad[0, 1] = 1.0  # not Hermitian
-    with pytest.raises(ValidationError):
+    bad = np.zeros((2, 2, 2), dtype=complex)
+    bad[0, 0, 0] = bad[1, 0, 0] = bad[1, 1, 1] = 1 / 3
+    bad[1, 0, 1] = 0.1  # not Hermitian
+    with pytest.raises(ValidationError, match="Hermitian"):
         logneg_partial_transpose(bad)
-    with pytest.raises(ValidationError):
-        logneg_partial_transpose(np.eye(4, dtype=complex))  # trace 4
+    with pytest.raises(ValidationError, match="trace"):
+        logneg_partial_transpose(np.ones((2, 2, 2), dtype=complex))  # trace 4
+    for shape in [(4, 4), (2, 2, 3), (0, 0, 0), (1, 2, 2, 2)]:
+        with pytest.raises(ValidationError, match="number blocks"):
+            logneg_partial_transpose(np.zeros(shape, dtype=complex))
 
 
 def test_binomial_exact_hand_value():
@@ -97,24 +117,3 @@ def test_collection_fraction():
         collection_fraction([1.0], 1)
     with pytest.raises(ValidationError):
         collection_fraction([1.0, 1.0], 0)
-
-
-def test_logneg_pt_rejects_weight_outside_imbalance_blocks():
-    # (|00> + |11>)/sqrt(2) mixes n_1 + n_2 = 0 and 2, so its partial
-    # transpose has weight outside the imbalance blocks n_2 - n_1
-    psi = np.zeros(4)
-    psi[0] = psi[3] = 1 / math.sqrt(2)
-    with pytest.raises(ValidationError, match="imbalance"):
-        logneg_partial_transpose(np.outer(psi, psi).astype(complex))
-    # a Bell pair with an off-block leak just below and just above the tolerance
-    bell = np.zeros(4)
-    bell[1] = bell[2] = 1 / math.sqrt(2)
-    leak = np.zeros((4, 4), dtype=complex)
-    leak[0, 3] = leak[3, 0] = 1.0
-    for scale, ok in ((0.5, True), (2.0, False)):
-        rho = np.outer(bell, bell) + scale * IMBALANCE_LEAK_TOL * leak
-        if ok:
-            assert logneg_partial_transpose(rho).value == pytest.approx(1.0)
-        else:
-            with pytest.raises(ValidationError, match="imbalance"):
-                logneg_partial_transpose(rho)

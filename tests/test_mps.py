@@ -29,6 +29,11 @@ def _all_amplitudes(state, n, m):
     return np.array([amplitude(state, cfg) for cfg in dense.fock_configs(n, m)])
 
 
+def _unit_trace(rho):
+    """Number blocks rho[n] divided by their summed trace."""
+    return rho / np.trace(rho, axis1=1, axis2=2).sum().real
+
+
 def test_from_fock_amplitudes():
     st = from_fock([2, 0, 1], chi_max=8, trunc_tol=1e-12)
     assert amplitude(st, (2, 0, 1)) == pytest.approx(1.0)
@@ -371,8 +376,7 @@ def test_occupations_and_rdm_match_dense():
         assert occ.sum() == pytest.approx(m, abs=1e-10)
         for k in range(1, n):
             for l in range(k + 1, n + 1):
-                ref = dense.dense_rdm_two_sites(amps, n, m, k, l, st.local_dim)
-                ref = ref / np.trace(ref).real
+                ref = _unit_trace(dense.dense_rdm_two_sites(amps, n, m, k, l))
                 rho = reduced_density_two_sites(build(_front(n, k, l)), 1, 2)
                 assert np.max(np.abs(rho - ref)) < 1e-12, (k, l)
                 if l == k + 1:
@@ -391,8 +395,7 @@ def test_reduced_pair_oracle_matches_full_dense():
             amps = dense.two_sum_amplitudes(z, c, m1, m2)
             for k in range(1, n):
                 for l in range(k + 1, n + 1):
-                    ref = dense.dense_rdm_two_sites(amps, n, m1 + m2, k, l, m1 + m2 + 1)
-                    ref = ref / np.trace(ref).real
+                    ref = _unit_trace(dense.dense_rdm_two_sites(amps, n, m1 + m2, k, l))
                     oracle = dense.reduced_pair_oracle(z, c, m1, m2, k, l)
                     assert np.max(np.abs(oracle - ref)) < 1e-13
     with pytest.raises(ValidationError):
@@ -434,7 +437,7 @@ def test_interior_pair_rdms_match_reduced_pair_oracle_at_scenario_scale():
         rho = reduced_density_two_sites(st, site, site + 1)
         ref = dense.reduced_pair_oracle(z, c, m // 2, m // 2, k, l)
         assert np.max(np.abs(rho - ref)) < 1e-12, (k, l)
-        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14, (k, l)
+        assert np.max(np.abs(rho - rho.conj().swapaxes(1, 2))) <= 1e-14, (k, l)
 
 
 def _dense_envs(st):
@@ -464,9 +467,11 @@ def _dense_pair_rdm(st, k, l):
         x = sum(bt[s][m] @ x @ b[s][m].conj() for m in range(st.local_dim))
     z = bt[l - 1][None, None, :, None] @ x[:, :, None, None] @ b[l - 1].conj()[None, None, None, :]
     rho = np.sum(z * right, axis=(-2, -1))  # (i, i', j, j')
-    d = st.local_dim
-    rho = rho.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return rho / np.trace(rho).real
+    # gathered into number blocks rho[n, i, i'] = <i, n-i| rho |i', n-i'>
+    n, i = np.arange(st.local_dim)[:, None], np.arange(st.local_dim)
+    ok = i <= n
+    rho = rho[i[None, :, None], i[None, None, :], (n - i)[:, :, None], (n - i)[:, None, :]]
+    return _unit_trace(np.where(ok[:, :, None] & ok[:, None, :], rho, 0))
 
 
 def test_dense_pair_rdm_matches_dense_fock_rdm():
@@ -474,8 +479,8 @@ def test_dense_pair_rdm_matches_dense_fock_rdm():
     st = two_sum_state(_random_mode(n, 71), _random_mode(n, 72), 2, 1)
     amps = _all_amplitudes(st, n, 3)
     for k, l in [(1, 5), (2, 4), (3, 4)]:
-        ref = dense.dense_rdm_two_sites(amps, n, 3, k, l, st.local_dim)
-        assert np.max(np.abs(_dense_pair_rdm(st, k, l) - ref / np.trace(ref).real)) < 1e-13
+        ref = _unit_trace(dense.dense_rdm_two_sites(amps, n, 3, k, l))
+        assert np.max(np.abs(_dense_pair_rdm(st, k, l) - ref)) < 1e-13
 
 
 def test_truncated_rdms_match_dense_contraction_at_scenario_scale():
