@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ModelError, ValidationError
+from .errors import ConfigError, ModelError, ValidationError
 
 HERMITICITY_TOL = 1e-12
 
@@ -163,12 +163,26 @@ def build_coupling(spec: ModelSpec) -> CouplingMatrix:
 
 
 def load_matrix_csv(path) -> CouplingMatrix:
+    """The `custom_matrix` file: one row per site, alternating re, im columns.
+
+    A non-numeric cell, an odd number of values in a row, or rows of
+    different lengths raise ConfigError naming the file and the line.
+    """
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            vals = [float(x) for x in line.split(",")]
-            rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
+            where = f"custom_matrix {path}, line {lineno}"
+            try:
+                vals = [float(x) for x in line.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            if len(vals) % 2:
+                raise ConfigError(f"{where}: {len(vals)} values, not re, im pairs")
+            if rows and len(vals) // 2 != len(rows[0]):
+                raise ConfigError(f"{where}: {len(vals) // 2} entries, but the first row "
+                                  f"has {len(rows[0])}")
+            rows.append([complex(re, im) for re, im in zip(vals[::2], vals[1::2])])
     return coupling_from_array(rows)

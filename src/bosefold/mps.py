@@ -22,11 +22,11 @@ view for callers that want that layout.  Each bond is stored charge by
 charge (ascending charge, descending lambda within one), so the vectors of a
 charge range are one window found with searchsorted.  Gates conserve boson
 number by construction: a phase gate is its diagonal, applied to W through
-the level each entry implies, and a pair-rotation gate is one real
-orthogonal block per sector n_k + n_{k+1} = n < d, sectors n and d-1-n
-sharing one (d+1) x (d+1) slot, built from a cached real eigenbasis
-(`_rotation_slots`) and kept as that read-only slot array.  `apply_two` is
-the plain reference of the two-site update: it forms the dense
+the level each entry implies, and a pair-rotation gate is one read-only real
+orthogonal (n+1) x (n+1) block per sector n_k + n_{k+1} = n < d, built from
+the cached real eigenbasis of that sector (`_sector_eigh`), the one form of
+a pair rotation that the gates and the frame rotations below share.
+`apply_two` is the plain reference of the two-site update: it forms the dense
 (chi_L, d, d, chi_R) two-site block, rotates each sector with its block of
 the gate, and takes one SVD per new middle charge of the lam-weighted
 block, which is fine at test sizes and not meant for large chi.  The
@@ -61,10 +61,10 @@ A two-sum state (sum c a^dag)^M2 (sum z a^dag)^M1 |0> is written in
 two-mode frames (`two_sum_states`): right of bond k it lives on two modes,
 an orthonormal basis F_k of span(z_{>k}, c_{>k}), so each Schmidt vector
 of charge q is a vector over the q + 1 frame states, and site k+1 steps
-F_k to F_{k+1} by a real rotation within the frame (a charge block of the
-pair rotation, from the cached eigenbasis above) and then the closed form
-of one pair rotation, as in the paper's fold (arXiv:0907.4315) carried in
-each bond's frame.  Bond by bond, the lam-weighted charge blocks of the
+F_k to F_{k+1} by a real rotation within the frame (the charge-q block of
+the pair rotation, applied through sector q's cached eigenbasis above, one
+batched product per charge) and then the closed form of one pair rotation,
+as in the paper's fold (arXiv:0907.4315) carried in each bond's frame.  Bond by bond, the lam-weighted charge blocks of the
 state that the earlier truncations left go through one SVD call per
 charge for a batch of states (every point of a collision sweep), each
 block at a shape of its own, and `_truncate` keeps what `apply_two` would
@@ -165,10 +165,9 @@ class SingleModeGate:
 @dataclass(frozen=True)
 class TwoModeGate:
     bond: int
-    # read-only real (ceil(d/2), d+1, d+1) slots: slot j holds the orthogonal
-    # block of sector n_k + n_{k+1} = j at rows and columns 0..j and that of
-    # sector d-1-j at j+1..d, n_k ascending in each (see `_sector_eigh`)
-    slots: np.ndarray
+    # one read-only real (n+1) x (n+1) orthogonal block per sector
+    # n_k + n_{k+1} = n = 0..d-1, n_k ascending (see `_sector_eigh`)
+    blocks: tuple
 
 
 def from_fock(occupations, *, chi_max: int, trunc_tol: float) -> BlockDecimationState:
@@ -190,24 +189,19 @@ def build_phase_gate(site: int, theta: float, d: int) -> SingleModeGate:
 
 
 @functools.lru_cache(maxsize=None)
-def _sector_eigh(d: int):
-    """Real eigenbasis (X, X', mu, X^T) of Q on the pair sectors n = 0..d-1.
+def _sector_eigh(d: int) -> tuple:
+    """Real eigenbasis (X, X', mu) of Q on each pair sector n = 0..d-1.
 
     Q = (a_2^dag a_1 - a_1^dag a_2) / 2i is imaginary, so its eigenvectors of
     +m and -m are v and conj(v); with v = (x + i y) / sqrt(2), e^{-i phi Q}
     rotates the real plane (x, y) by the angle phi m.  Sector n (basis
     |n_k, n - n_k>, n_k ascending) has the columns x, y and the real m = 0
-    vector in X, their m in mu, and y, -x, 0 in X', so its gate is
-    (X cos(phi mu) + X' sin(phi mu)) X^T.  Sectors n and d-1-n share one
-    zero-padded (d+1) x (d+1) slot j = min(n, d-1-n), at offset 0 and j+1,
-    so the products of all sectors take about half the work of padding each
-    to d x d.  Q does not depend on the angle, so each local dimension is
-    diagonalized once per process; the arrays are read-only.
+    vector in its (n+1) x (n+1) X, their m in mu, and y, -x, 0 in X', so its
+    rotation is (X cos(phi mu) + X' sin(phi mu)) X^T.  Q does not depend on
+    the angle, so each local dimension is diagonalized once per process; the
+    arrays are read-only.
     """
-    slots = (d + 1) // 2
-    x = np.zeros((slots, d + 1, d + 1))
-    xs = np.zeros((slots, d + 1, d + 1))
-    mu = np.zeros((slots, d + 1))
+    sectors = []
     for n in range(d):
         n1 = np.arange(n)  # a_2^dag a_1 |n1+1, n-n1-1> -> sqrt((n1+1)(n-n1)) |n1, n-n1>
         q = np.zeros((n + 1, n + 1), dtype=complex)
@@ -215,34 +209,22 @@ def _sector_eigh(d: int):
         w, v = np.linalg.eigh(q + q.conj().T)
         h = (n + 1) // 2  # pairs +-m; w ascends, so m > 0 are the last h
         re, im = math.sqrt(2.0) * v[:, n + 1 - h:].real, math.sqrt(2.0) * v[:, n + 1 - h:].imag
-        j, o = (n, 0) if n < slots else (d - 1 - n, d - n)
-        x[j, o:o + n + 1, o:o + 2 * h] = np.hstack([re, im])
-        xs[j, o:o + n + 1, o:o + 2 * h] = np.hstack([im, -re])
-        mu[j, o:o + 2 * h] = np.tile(np.arange(n + 1 - h, n + 1) - n / 2, 2)  # exact m
+        x, xs, mu = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1)), np.zeros(n + 1)
+        x[:, :2 * h] = np.hstack([re, im])
+        xs[:, :2 * h] = np.hstack([im, -re])
+        mu[:2 * h] = np.tile(np.arange(n + 1 - h, n + 1) - n / 2, 2)  # exact m
         if n % 2 == 0:  # m = 0: a real vector up to a phase
-            z = v[:, h] * np.exp(-1j * np.angle(v[np.argmax(np.abs(v[:, h])), h]))
-            x[j, o:o + n + 1, o + n] = z.real
-    xt = np.ascontiguousarray(x.swapaxes(1, 2))
-    for arr in (x, xs, mu, xt):
-        arr.setflags(write=False)
-    return x, xs, mu, xt
-
-
-def _rotation_slots(angles, d: int) -> np.ndarray:
-    """Slots (X cos(phi mu) + X' sin(phi mu)) X^T of e^{-i phi Q} (see
-    `_sector_eigh`), one (ceil(d/2), d+1, d+1) array per angle phi."""
-    x, xs, mu, xt = _sector_eigh(d)
-    angle = np.asarray(angles)[..., None, None] * mu
-    slots = x * np.cos(angle)[..., None, :]
-    slots += xs * np.sin(angle)[..., None, :]
-    return np.matmul(slots, xt)
+            x[:, n] = (v[:, h] * np.exp(-1j * np.angle(v[np.argmax(np.abs(v[:, h])), h]))).real
+        sectors.append(_frozen((x, xs, mu)))
+    return tuple(sectors)
 
 
 def build_pair_rotation_gate(bond: int, phi: float, d: int) -> TwoModeGate:
-    """Exact e^{-i phi Q} on the sectors n_k + n_{k+1} = 0..d-1, as read-only slots."""
-    slots = _rotation_slots(phi, d)
-    slots.setflags(write=False)
-    return TwoModeGate(bond=bond, slots=slots)
+    """Exact e^{-i phi Q} on the sectors n_k + n_{k+1} = 0..d-1, one read-only
+    block per sector."""
+    blocks = tuple((x * np.cos(phi * mu) + xs * np.sin(phi * mu)) @ x.T
+                   for x, xs, mu in _sector_eigh(d))
+    return TwoModeGate(bond=bond, blocks=_frozen(blocks))
 
 
 def apply_single(state: BlockDecimationState, gate: SingleModeGate) -> BlockDecimationState:
@@ -308,17 +290,15 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
     if not (0 <= k < state.n_sites - 1):
         raise ValidationError(f"bond {gate.bond} outside chain")
     d = state.local_dim
-    n_slots = (d + 1) // 2
-    shape = (n_slots, d + 1, d + 1)
-    if np.shape(gate.slots) != shape:
-        raise ValidationError(f"gate slots have shape {np.shape(gate.slots)}; "
-                              f"local dimension {d} needs {shape}")
+    shapes = [np.shape(blk) for blk in gate.blocks]
+    if shapes != [(n + 1, n + 1) for n in range(d)]:
+        raise ValidationError(f"gate blocks have shapes {shapes}; local dimension {d} "
+                              f"needs one (n+1) x (n+1) block per sector n = 0..{d - 1}")
     ql, qr = state.charges[k], state.charges[k + 2]
     theta = np.tensordot(_split_levels(state, k), _split_levels(state, k + 1), axes=(2, 0))
-    for n in range(d):
+    for n, blk in enumerate(gate.blocks):
         i = np.arange(n + 1)
-        j, o = (n, 0) if n < n_slots else (d - 1 - n, d - n)
-        theta[:, i, n - i] = gate.slots[j, o:o + n + 1, o:o + n + 1] @ theta[:, i, n - i]
+        theta[:, i, n - i] = blk @ theta[:, i, n - i]
 
     lam = state.lambdas[k]
     blocks = []  # (q, left vectors, right vectors, block, s, V^dag), q ascending
@@ -738,7 +718,10 @@ def condensate_state(c, m: int, *, chi_max: int | None = None,
 
 FRAME_FLOOR = 1e-60  # frame amplitudes below this are set to 0
 # (the sweep's packets have ~1e-17 tails; their powers would otherwise reach
-# the subnormal range, where one 68 x 17 x 68 product took 14 ms, not 25 us)
+# the subnormal range, where one 68 x 17 x 68 product took 14 ms, not 25 us).
+# Only amplitudes whose size is their weight are floored: the powers u^n, t^i
+# and w^m and the frame vectors, not the 1/sqrt(n!) that the closed form
+# divides the powers by, which falls below 1e-60 from n = 81 on
 
 
 def _floored(a: np.ndarray) -> np.ndarray:
@@ -805,47 +788,31 @@ def _frames(zs: np.ndarray, cs: np.ndarray):
     return theta, u, t, w, coeffs[:, :, 0], coeffs[:, :, 1]
 
 
-@functools.lru_cache(maxsize=None)
-def _frame_rows(width: int):
-    """Read-only [q, m] rows and [q] slots of the frame states |q - m, m> in
-    the slots of `_sector_eigh(width)`: charge q is sector n = q, in slot
-    min(q, d-1-q) at offset 0 or d - q, and entry m at n_1 = q - m; the
-    entries m > q point at a padding row d + 1."""
-    q, m = np.arange(width)[:, None], np.arange(width)
-    rows = np.where(m > q, width + 1, np.where(q < (width + 1) // 2, q - m, width - m))
-    return _frozen((rows, np.minimum(q[:, 0], width - 1 - q[:, 0])))
-
-
-def _frame_rotation(vecs: np.ndarray, charges: np.ndarray, theta: np.ndarray,
-                    frames: np.ndarray, fixed: bool = True) -> np.ndarray:
+def _frame_rotation(vecs: np.ndarray, charges: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Vectors over the F-frame states |q - m, m> (rows of vecs, each with its
-    charge q and its frame's angle) over the H-frame states |q - m', m'>.
+    charge q and its frame's angle theta) over the H-frame states |q - m', m'>.
 
     The rotation is the charge-q block of the real pair rotation
-    e^{-i theta Q}, read from the cached eigenbasis of Q (`_sector_eigh`)
-    at rows n_1 = q - m.  The vectors of one frame and one slot (charges j
-    and d-1-j, at most d+1 of them) are the columns of one matrix, so every
-    frame and slot is one real product of a batched call.  A frame's
-    vectors take the same columns whatever frames share the call, and with
-    `fixed` every product has d+1 columns, since a product's bits depend on
-    its column count; otherwise only as many as the call needs.
+    e^{-i theta Q} at rows n_1 = q - m: with the sector's eigenbasis
+    (`_sector_eigh`), y = X^T v and v' = X cos(theta mu) y + X' sin(theta mu) y.
+    The vectors of one charge go through one batched product in which each
+    vector, its real and imaginary parts, is a (q+1, 2) matrix of its own, so
+    no vector's bits depend on the vectors rotated with it.
     """
     width = vecs.shape[1]
-    slots = _rotation_slots(theta, width)
-    n_slots = slots.shape[1]
-    rows, slot = _frame_rows(width)
-    key = frames * n_slots + slot[charges]
-    order = np.argsort(key, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(key.shape[0]) - np.searchsorted(key[order], key[order])
-    lanes = width + 1 if fixed else int(column.max(initial=0)) + 1
-    flat = (key[:, None] * (width + 2) + rows[charges]) * lanes + column[:, None]
-    cols = np.zeros((theta.shape[0], n_slots, width + 2, lanes), dtype=complex)
-    cols.reshape(-1)[flat] = vecs
-    out = np.zeros_like(cols)
-    np.matmul(slots, cols[:, :, :width + 1].view(np.float64),
-              out=out[:, :, :width + 1].view(np.float64))
-    return out.reshape(-1)[flat]
+    out = np.zeros_like(vecs)
+    order = np.argsort(charges, kind="stable")
+    bounds = np.searchsorted(charges[order], np.arange(width + 1)).tolist()
+    for q, (x, xs, mu) in enumerate(_sector_eigh(width)):
+        idx = order[bounds[q]:bounds[q + 1]]
+        if idx.size == 0:
+            continue
+        v = vecs[idx, q::-1].view(np.float64).reshape(-1, q + 1, 2)  # n_1 = q - m ascending
+        y = np.ascontiguousarray(x.T) @ v
+        angle = (angles[idx, None] * mu)[..., None]
+        rot = x @ (y * np.cos(angle)) + xs @ (y * np.sin(angle))
+        out[idx, q::-1] = rot.view(complex)[..., 0]
+    return out
 
 
 def _frame_start(alpha: np.ndarray, beta: np.ndarray, m1: int, m2: int) -> np.ndarray:
@@ -896,11 +863,11 @@ def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -
     m = m1 + m2
     width = m + 1
     theta, u, t, w, alpha, beta = _frames(zs, cs)
-    steps = np.ones((3, pairs, n, width), dtype=complex)
-    steps[:2, ..., 1:] = np.stack([u, t])[..., None] / np.sqrt(np.arange(1, width))
-    steps[2, ..., 1:] = w[..., None]
-    fn, ft, fw = _floored(np.cumprod(steps, axis=-1))
-    fn = fn.real.copy()
+    powers = np.ones((3, pairs, n, width), dtype=complex)
+    powers[..., 1:] = np.stack([u, t, w])[..., None]
+    un, tn, fw = _floored(np.cumprod(powers, axis=-1))
+    sqrt_fact = np.cumprod(np.append(1.0, np.sqrt(np.arange(1, width))))
+    fn, ft = un.real / sqrt_fact, tn / sqrt_fact
     charge = np.arange(width)
     # the rows a charge block of the exact state can have: the vectors of
     # charge q >= p, at most min(q+1, M-q+1) of each
@@ -910,8 +877,8 @@ def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -
                         np.ones(pairs))]
     discarded = np.zeros(pairs)
     for k in range(n - 1):
-        x = _frame_rotation(bonds[-1].vectors, bonds[-1].charges, theta[:, k],
-                            np.repeat(np.arange(pairs), np.diff(bonds[-1].starts)))
+        x = _frame_rotation(bonds[-1].vectors, bonds[-1].charges,
+                            np.repeat(theta[:, k], np.diff(bonds[-1].starts)))
         bond, dropped = _frame_bond(bonds[-1], _floored(x), fn[:, k], _tails(ft[:, k], fw[:, k]),
                                     cap, chi_max, trunc_tol)
         bonds.append(bond)
@@ -1012,7 +979,7 @@ def _frame_sites(fp: _FramePass, i: int) -> list:
     m = np.arange(width)
     level = charges[:, None] - m
     sqrt_fact = np.cumprod(np.append(1.0, np.sqrt(m[1:])))
-    right = _frame_rotation(vectors, charges, fp.theta[i], site, fixed=False)
+    right = _frame_rotation(vectors, charges, fp.theta[i][site])
     right *= np.where(level >= 0, sqrt_fact[np.maximum(level, 0)], 0)
     # bond k's vectors are the new frame states of site k - 1's step
     left = vectors.conj() * _tails(fp.ft[i], fp.fw[i])[site - 1, charges]

@@ -165,6 +165,23 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_malformed_custom_matrix_is_a_config_error(tmp_path, capsys):
+    # an odd number of values in a row, a non-numeric cell and ragged rows,
+    # each in the third line of a 3-site matrix
+    good = "0,0,1,0,0,0\n1,0,0,0,1,0\n"
+    for name, third in (("odd", "0,0,1,0,0\n"), ("text", "0,0,1,x,0,0\n"),
+                        ("ragged", "0,0,1,0\n")):
+        matrix = tmp_path / f"{name}.csv"
+        matrix.write_text(good + third)
+        text = SWEEP_CFG.replace("n_sites = 6\nbase = jx",
+                                 f"n_sites = 3\nbase = custom\ncustom_matrix = {matrix}")
+        out = tmp_path / name
+        assert main(["sweep", "--config", _write(tmp_path, text), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{matrix}, line 3" in err, err
+        assert not out.exists()
+
+
 def test_kind_must_match_subcommand(tmp_path, capsys):
     configs = {"sweep": SWEEP_CFG, "quench": QUENCH_CFG, "ground": GROUND_CFG,
                "transfer": TRANSFER_CFG}

@@ -10,7 +10,8 @@ from scipy.special import gammaln
 from bosefold import dense, mps
 from bosefold.errors import ValidationError
 from bosefold.folding import PhaseOp, fold_single, fold_two, invert_plan
-from bosefold.heisenberg import propagate, spectral_decompose
+from bosefold.heisenberg import (occupations_oracle, packet_modes, propagate,
+                                 spectral_decompose)
 from bosefold.model import ModelSpec, add_onsite_barrier, build_coupling
 from bosefold.mps import (SingleModeGate, TwoModeGate, _sector_eigh, amplitude, apply_single,
                           apply_two, build_pair_rotation_gate, build_phase_gate, canonical_defect,
@@ -43,56 +44,61 @@ def test_from_fock_amplitudes():
         from_fock([2, -1], chi_max=8, trunc_tol=1e-12)
 
 
-def _sector_rows(n, d):
-    """Slot and rows of sector n_k + n_{k+1} = n in a gate's slots."""
-    j, o = (n, 0) if n < (d + 1) // 2 else (d - 1 - n, d - n)
-    return j, slice(o, o + n + 1)
-
-
-def _sector_block(slots, n):
-    """The (n+1) x (n+1) block of sector n, n_k ascending."""
-    j, rows = _sector_rows(n, slots.shape[1] - 1)
-    return slots[j, rows, rows]
-
-
 def test_gates_are_unitary_and_number_conserving():
     for d in (5, 6):
         # a phase gate is stored as its diagonal, so it cannot change boson number
         phases = build_phase_gate(1, 0.7, d).phases
         assert phases.shape == (d,)
         assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-12
-        # a pair-rotation gate is stored as one real block per sector
-        # n_k + n_{k+1} = n, sectors n and d-1-n sharing one read-only slot
-        slots = build_pair_rotation_gate(1, 1.3, d).slots
-        assert slots.shape == ((d + 1) // 2, d + 1, d + 1)
-        assert slots.dtype == np.float64 and not slots.flags.writeable
-        inside = np.zeros(slots.shape, dtype=bool)
-        for n in range(d):
-            blk = _sector_block(slots, n)
+        # a pair-rotation gate is stored as one read-only real block per
+        # sector n_k + n_{k+1} = n, so it cannot mix two sectors
+        blocks = build_pair_rotation_gate(1, 1.3, d).blocks
+        assert len(blocks) == d
+        for n, blk in enumerate(blocks):
             assert blk.shape == (n + 1, n + 1)
+            assert blk.dtype == np.float64 and not blk.flags.writeable
             assert np.max(np.abs(blk @ blk.conj().T - np.eye(n + 1))) < 1e-12
-            j, rows = _sector_rows(n, d)
-            inside[j, rows, rows] = True
-        # nothing outside the sector blocks, so no slot mixes two sectors
-        assert np.all(slots[~inside] == 0.0)
 
 
 def _sector_generator(n):
     """Q = (a_2^dag a_1 - a_1^dag a_2) / 2i on the n-boson pair sector, from ladder operators."""
     a = np.diag(np.sqrt(np.arange(1.0, n + 1)), 1)
     a1, a2 = np.kron(a, np.eye(n + 1)), np.kron(np.eye(n + 1), a)
-    q = (a2.T @ a1 - a1.T @ a2) / 2j
     idx = [n1 * (n + 1) + (n - n1) for n1 in range(n + 1)]
-    return q[np.ix_(idx, idx)]
+    # the sector's rows and columns of Q
+    return (a2.T[idx] @ a1[:, idx] - a1.T[idx] @ a2[:, idx]) / 2j
 
 
 def test_pair_rotation_blocks_match_expm_of_sector_generator():
     for d in (2, 5, 21):
         for phi in (-6.5, 0.7, 3.0, 9.0):
-            slots = build_pair_rotation_gate(1, phi, d).slots
+            blocks = build_pair_rotation_gate(1, phi, d).blocks
             for n in range(d):
                 ref = expm(-1j * phi * _sector_generator(n))
-                assert np.max(np.abs(_sector_block(slots, n) - ref)) < 1e-13, (d, phi, n)
+                assert np.max(np.abs(blocks[n] - ref)) < 1e-13, (d, phi, n)
+
+
+def test_frame_rotation_matches_expm_and_rotates_each_vector_alone():
+    # vectors over the frame states |q - m, m> of random charges, several of
+    # one charge in one frame; entry m sits at n_1 = q - m of sector q
+    rng = np.random.default_rng(11)
+    for width in range(2, 34):
+        frames = rng.uniform(-np.pi, np.pi, size=2)
+        charges = np.concatenate([rng.integers(0, width, size=6), np.full(3, width - 1),
+                                  np.full(3, width // 2)])
+        frame = np.concatenate([rng.integers(0, 2, size=6), np.zeros(3, int), np.ones(3, int)])
+        vecs = rng.normal(size=(charges.shape[0], width)) * (1 + 1j * rng.normal(size=width))
+        vecs[np.arange(width) > charges[:, None]] = 0.0
+        out = mps._frame_rotation(vecs, charges, frames[frame])
+        refs = {}
+        for j, (q, f) in enumerate(zip(charges.tolist(), frame.tolist())):
+            if (q, f) not in refs:
+                refs[q, f] = expm(-1j * frames[f] * _sector_generator(q))
+            ref = np.zeros(width, dtype=complex)
+            ref[q::-1] = refs[q, f] @ vecs[j, q::-1]
+            assert np.max(np.abs(out[j] - ref)) < 1e-13, (width, q)
+            alone = mps._frame_rotation(vecs[j:j + 1], charges[j:j + 1], frames[frame[j:j + 1]])
+            assert alone.tobytes() == out[j].tobytes(), (width, q)
 
 
 def test_sector_eigenbasis_is_cached(monkeypatch):
@@ -168,11 +174,11 @@ def test_gates_must_conserve_boson_number():
     st = from_fock([1, 0], chi_max=4, trunc_tol=1e-12)
     with pytest.raises(ValidationError, match="dimension"):
         apply_single(st, SingleModeGate(site=1, phases=np.ones(3, dtype=complex)))
-    good = build_pair_rotation_gate(1, 0.3, 2).slots
-    assert good.shape == (1, 3, 3)
-    for slots in (np.concatenate([good, good]), good[:, :2, :2], np.eye(3), good[0]):
-        with pytest.raises(ValidationError, match="gate slots have shape"):
-            apply_two(st, TwoModeGate(bond=1, slots=slots))
+    good = build_pair_rotation_gate(1, 0.3, 2).blocks
+    assert [blk.shape for blk in good] == [(1, 1), (2, 2)]
+    for blocks in (good + good, (good[0], good[1][:1, :1]), np.eye(2), good[:1]):
+        with pytest.raises(ValidationError, match="gate blocks have shapes"):
+            apply_two(st, TwoModeGate(bond=1, blocks=blocks))
 
 
 def test_every_writer_keeps_w_inside_its_charge_levels():
@@ -422,6 +428,40 @@ def test_end_pair_rdm_matches_reduced_pair_oracle_at_scenario_scale():
             assert peak <= 15e6, peak
 
 
+def test_end_pair_occupations_match_closed_form_at_large_m():
+    # at M = 84 a site holds up to 84 bosons, and 1/sqrt(n!) of the frame
+    # steps falls below the frame floor from n = 81 on: the occupations of
+    # rho_{1,N} must still match the closed form
+    n, m = 20, 84
+    r = add_onsite_barrier(build_coupling(ModelSpec(n_sites=n, base="jx")), n // 2, n // 2 + 1, 6.0)
+    a = propagate(spectral_decompose(r), np.pi)
+    p = _front(n, 1, n)
+    st = two_sum_state(a.entries[p, 0], a.entries[p, n - 1], m // 2, m // 2,
+                       chi_max=(m // 2 + 1) ** 2, trunc_tol=1e-12)
+    rho = reduced_density_two_sites(st, 1, 2)
+    # rho[n, i, i] is the weight of n_1 = i, n_N = n - i
+    level, i = np.arange(m + 1)[:, None], np.arange(m + 1)
+    weight = np.einsum("nii->ni", rho).real
+    both = np.sum(weight * np.where(i <= level, level, 0))
+    ref = occupations_oracle(packet_modes([(1, m // 2), (n, m // 2)], a))
+    assert abs(both - (ref[0] + ref[n - 1])) < 1e-8
+
+
+def test_two_sum_state_site_writing_memory():
+    # the N = 20, M = 64 end-pair build as the sweep runs it (chi = 140):
+    # writing its sites must not need arrays far larger than the state
+    n, m = 20, 64
+    z, c = _collision_modes(n, 6.0)
+    p = _front(n, 1, n)
+    tracemalloc.start()
+    try:
+        two_sum_state(z[p], c[p], m // 2, m // 2, chi_max=(m // 2 + 1) ** 2, trunc_tol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25e6, peak
+
+
 def _pair_builds(n, pairs):
     """(site order, first site of the pair in it, pair): each pair moved to
     sites 1-2, and the adjacent (10, 11) also in chain order, where both outer
@@ -591,7 +631,7 @@ def _dense_pair_gate(gate, d):
     u = np.zeros((d * d, d * d), dtype=complex)
     for n in range(d):
         idx = [n1 * d + (n - n1) for n1 in range(n + 1)]
-        u[np.ix_(idx, idx)] = _sector_block(gate.slots, n)
+        u[np.ix_(idx, idx)] = gate.blocks[n]
     return u
 
 
@@ -644,14 +684,14 @@ def test_closed_form_rotation_matches_gate_column():
     phis = (0.0, np.pi, -np.pi, np.random.default_rng(5).uniform(-np.pi, np.pi))
     for d in (2, 5, 21, 33):
         for phi in phis:
-            slots = build_pair_rotation_gate(1, phi, d).slots
+            blocks = build_pair_rotation_gate(1, phi, d).blocks
             for r in range(d):
                 ((w1, w2), _, (q,), _), = mps._vacuum_rotations(
                     r, [[phi]], [[0.0, 0.0]], d, 0.0)
                 # vector j of bond 1 carries |r - q[j], q[j]> at W1[0, j] W2[j, 0]
                 column = np.zeros(r + 1, dtype=complex)
                 column[r - q] = w1[0] * w2[:, 0]
-                dev = np.max(np.abs(column - _sector_block(slots, r)[:, r]))
+                dev = np.max(np.abs(column - blocks[r][:, r]))
                 assert dev < 1e-13, (d, phi, r)
 
 
