@@ -64,11 +64,12 @@ of charge q is a vector over the q + 1 frame states, and site k+1 steps
 F_k to F_{k+1} by a real rotation within the frame (the charge-q block of
 the pair rotation, applied through sector q's cached eigenbasis above, one
 batched product per charge) and then the closed form of one pair rotation,
-as in the paper's fold (arXiv:0907.4315) carried in each bond's frame.  Bond by bond, the lam-weighted charge blocks of the
-state that the earlier truncations left go through one SVD call per
-charge for a batch of states (every point of a collision sweep), each
-block at a shape of its own, and `_truncate` keeps what `apply_two` would
-keep.  No gate, plan, lift or chi-sized contraction runs, and a state's W
+as in the paper's fold (arXiv:0907.4315) carried in each bond's frame.
+Bond by bond, the lam-weighted charge blocks of the state that the earlier
+truncations left go through one SVD call per charge and stack height for a
+batch of states (every point of a collision sweep), each block padded with
+zero rows to the power of two at or above its own rows, and `_truncate`
+keeps what `apply_two` would keep.  No gate, plan, lift or chi-sized contraction runs, and a state's W
 are written only when it is yielded.
 
 The environments L and R are block-diagonal in the bond charge, so
@@ -868,10 +869,6 @@ def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -
     un, tn, fw = _floored(np.cumprod(powers, axis=-1))
     sqrt_fact = np.cumprod(np.append(1.0, np.sqrt(np.arange(1, width))))
     fn, ft = un.real / sqrt_fact, tn / sqrt_fact
-    charge = np.arange(width)
-    # the rows a charge block of the exact state can have: the vectors of
-    # charge q >= p, at most min(q+1, M-q+1) of each
-    cap = np.minimum(chi_max, np.cumsum(np.minimum(charge + 1, m - charge + 1)[::-1])[::-1])
     vh = _frame_start(alpha, beta, m1, m2)
     bonds = [_FrameBond(np.arange(pairs + 1), np.full(pairs, m), np.ones(pairs), vh,
                         np.ones(pairs))]
@@ -880,14 +877,14 @@ def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -
         x = _frame_rotation(bonds[-1].vectors, bonds[-1].charges,
                             np.repeat(theta[:, k], np.diff(bonds[-1].starts)))
         bond, dropped = _frame_bond(bonds[-1], _floored(x), fn[:, k], _tails(ft[:, k], fw[:, k]),
-                                    cap, chi_max, trunc_tol)
+                                    chi_max, trunc_tol)
         bonds.append(bond)
         discarded += dropped
     return _FramePass(bonds, theta, fn, ft, fw, discarded)
 
 
 def _frame_bond(bond: _FrameBond, x: np.ndarray, fn: np.ndarray, tails: np.ndarray,
-                cap: np.ndarray, chi_max: int, trunc_tol: float):
+                chi_max: int, trunc_tol: float):
     """The next bond of every pair, and the weights its truncation discards.
 
     Its block of charge p holds one row per kept vector a of `bond` with
@@ -896,10 +893,10 @@ def _frame_bond(bond: _FrameBond, x: np.ndarray, fn: np.ndarray, tails: np.ndarr
     sqrt((q_a - m)!): the lam-weighted block of the state that the earlier
     bonds' truncations left.  Its singular values are the Schmidt values of
     charge p and its V^dag rows the new vectors over the F-frame states.  A
-    block of one row or one column is its norm.  The others go through one
-    SVD call per charge, each padded with zero rows to cap[p], or at its
-    own rows where it has more; so no block's decomposition depends on the
-    pairs batched with it, and the row of every pair, p + 1 slots per
+    block of one row or one column is its norm.  The others are padded with
+    zero rows to the power of two at or above their own rows and go through
+    one SVD call per charge and height; so no block's decomposition depends
+    on the pairs batched with it, and the row of every pair, p + 1 slots per
     charge, goes through `_truncate`.
     """
     pairs, width = fn.shape
@@ -914,8 +911,11 @@ def _frame_bond(bond: _FrameBond, x: np.ndarray, fn: np.ndarray, tails: np.ndarr
     weights = np.where(above[q], bond.lam[:, None] * fn[pt[:, None], level[q]], 0)
     counts = np.bincount(pt * width + q, minlength=pairs * width).reshape(pairs, width)
     rows = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # vectors of charge >= p
-    # each pair's vectors right-aligned: its rows of charge >= p are its last rows[:, p]
-    depth = max(int(np.diff(starts).max()), int(cap.max()))
+    # each block's SVD stack: the power of two at or above its rows
+    height = 2 ** np.ceil(np.log2(np.maximum(rows, 1))).astype(int)
+    # each pair's vectors right-aligned: its rows of charge >= p are its last
+    # rows[:, p]; rows[:, 0] counts them all, so the largest stack holds them
+    depth = int(height.max())
     place = pt * depth + depth - starts[pt + 1] + np.arange(q.shape[0])
     aligned = np.zeros((pairs * depth, width), dtype=complex)
     aligned[place] = amat
@@ -935,22 +935,13 @@ def _frame_bond(bond: _FrameBond, x: np.ndarray, fn: np.ndarray, tails: np.ndarr
     s = np.linalg.norm(row, axis=1)
     s_all[one_p, slot0[one_c]] = s
     vh_all[one_p, slot0[one_c]] = row / np.where(s > 0, s, 1.0)[:, None]
-    fits = (rows > 1) & (rows <= cap)
-    for p in np.flatnonzero((rows[:, 1:] > 1).any(axis=0)) + 1:
-        r = rows[:, p]
-        groups = [(np.flatnonzero(fits[:, p]), cap[p])]
-        groups += [(np.flatnonzero(r == more), more)
-                   for more in sorted(set(r[r > cap[p]].tolist()))]
-        for grp, height in groups:
-            if grp.size == 0:
-                continue
-            blk = (aligned_w[grp, -height:, p, None] * aligned[grp, -height:, :p + 1]
+    for p in range(1, width):
+        for h in sorted(set(height[:, p].tolist()) - {1}):  # one row or none: done above
+            grp = np.flatnonzero(height[:, p] == h)
+            blk = (aligned_w[grp, -h:, p, None] * aligned[grp, -h:, :p + 1]
                    * tails[grp, p, None, :p + 1])
-            if p >= 4 and height >= 3 * (p + 1):
-                # same singular values and V^dag; the SVD then skips forming the tall U
-                blk = np.linalg.qr(blk, mode="r")
             _, s, vh = np.linalg.svd(blk, full_matrices=False)
-            kept = min(height, p + 1)
+            kept = min(h, p + 1)
             s_all[grp, slot0[p]:slot0[p] + kept] = s[:, :kept]
             vh_all[grp, slot0[p]:slot0[p] + kept, :p + 1] = vh[:, :kept]
     kept, norm, dropped = _truncate(s_all, np.sum(s_all**2, axis=1), chi_max, trunc_tol)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heisenberg import propagate, spectral_decompose
-from .model import CouplingMatrix, build_jx, jz_values
+from .model import add_gaussian_center_perturbation, build_jx, jz_values
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,12 @@ class TransferReport:
 
 def coupling_with_center_gaussian(n: int, eps: float, beta: float) -> np.ndarray:
     """Site-basis matrix J_x + eps exp(-beta J_z^2)."""
-    m = jz_values(n)
-    return build_jx(n).entries + np.diag(eps * np.exp(-beta * m**2))
+    return add_gaussian_center_perturbation(build_jx(n), eps, beta).entries
 
 
 def exact_transfer(n: int, eps: float, beta: float) -> np.ndarray:
     """Row 1 of exp(-i pi R), spectral method."""
-    r = CouplingMatrix(coupling_with_center_gaussian(n, eps, beta))
+    r = add_gaussian_center_perturbation(build_jx(n), eps, beta)
     return propagate(spectral_decompose(r), math.pi).entries[0].copy()
 
 

@@ -448,18 +448,48 @@ def test_end_pair_occupations_match_closed_form_at_large_m():
 
 
 def test_two_sum_state_site_writing_memory():
-    # the N = 20, M = 64 end-pair build as the sweep runs it (chi = 140):
-    # writing its sites must not need arrays far larger than the state
-    n, m = 20, 64
+    # the N = 20 end-pair builds as the sweep runs them (chi = 140 at M = 64,
+    # 243 at M = 128): writing their sites must not need arrays far larger
+    # than the state.  The sector eigenbases are cached for the whole
+    # process, so they are built before tracing; the occupations of every
+    # site, in the build's site order, must match their closed form
+    n = 20
+    r = add_onsite_barrier(build_coupling(ModelSpec(n_sites=n, base="jx")), n // 2, n // 2 + 1, 6.0)
+    a = propagate(spectral_decompose(r), np.pi)
+    p = _front(n, 1, n)
+    for m, bound in [(64, 25e6), (128, 32e6)]:
+        _sector_eigh(m + 1)
+        tracemalloc.start()
+        try:
+            st = two_sum_state(a.entries[p, 0], a.entries[p, n - 1], m // 2, m // 2,
+                               chi_max=(m // 2 + 1) ** 2, trunc_tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (m, peak)
+        ref = occupations_oracle(packet_modes([(1, m // 2), (n, m // 2)], a))[p]
+        assert np.max(np.abs(occupations(st) - ref)) < 1e-8, m
+
+
+def test_frame_svd_stacks_follow_their_blocks_rows(monkeypatch):
+    # each charge block's SVD stack is sized by its own rows, not by the most
+    # rows a block of the exact state could have (288 at this point): no
+    # stack reaches twice the state's largest bond dimension
+    n, m = 20, 32
     z, c = _collision_modes(n, 6.0)
     p = _front(n, 1, n)
-    tracemalloc.start()
-    try:
-        two_sum_state(z[p], c[p], m // 2, m // 2, chi_max=(m // 2 + 1) ** 2, trunc_tol=1e-12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 25e6, peak
+    heights = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        heights.append(a.shape[-2])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    st = two_sum_state(z[p], c[p], m // 2, m // 2, chi_max=(m // 2 + 1) ** 2, trunc_tol=1e-12)
+    chi = max(lam.shape[0] for lam in st.lambdas)
+    assert chi == 84
+    assert heights and max(heights) < 2 * chi, (max(heights), chi)
 
 
 def _pair_builds(n, pairs):
