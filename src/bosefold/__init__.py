@@ -9,8 +9,8 @@ from .model import (CouplingMatrix, ModelSpec, add_gaussian_center_perturbation,
                     add_onsite_barrier, add_parabolic_trap, build_coupling,
                     build_inverse_distance, build_jx, coupling_from_array)
 from .heisenberg import (ModeAmplitudes, PropagatorMatrix, Spectrum, evolve_mode,
-                         ground_mode, occupations_oracle, packet_modes, propagate,
-                         spectral_decompose)
+                         ground_mode, mode_trajectory, occupations_oracle, packet_modes,
+                         propagate, spectral_decompose)
 from .folding import (FoldPlan, PairRotationOp, PhaseOp, TwoSumPlan,
                       apply_plan_to_modes, fold_single, fold_two, invert_plan,
                       pair_rotation_angle, plan_from_text, plan_to_text)

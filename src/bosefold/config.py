@@ -146,6 +146,8 @@ def parse_config_text(text: str) -> ScenarioSpec:
     for lineno, key, raw in sections.get("numerics", []):
         if key not in _NUMERICS_KEYS:
             raise ConfigError(f"unknown key {key!r} in [numerics]", line=lineno)
+        if key in num:
+            raise ConfigError(f"duplicate key {key!r}", line=lineno)
         num[key] = _parse_value(_NUMERICS_KEYS[key], raw, lineno)
     numerics = NumericsSpec(chi_max=num.get("chi_max"), trunc_tol=num.get("trunc_tol", 1e-12))
 

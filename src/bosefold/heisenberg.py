@@ -2,7 +2,8 @@
 
 The mode coefficient vector obeys dc/dt = -i R c, so the propagator is
 A(t) = exp(-i R t) computed as V exp(-i Lambda t) V^dag.  A condensate mode
-evolves as c(t) = A(t) c; column k of A(t) is the evolved mode of a boson
+evolves as c(t) = A(t) c (`mode_trajectory` gives it at many times without
+forming A(t)); column k of A(t) is the evolved mode of a boson
 that started on site k.  (For the real symmetric couplings of the physical
 models rows and columns coincide; the dense-oracle tests pin the column
 convention for general Hermitian R.)
@@ -52,14 +53,13 @@ class ModeAmplitudes:
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    v = v.copy()
-    for col in range(v.shape[1]):
-        idx = int(np.argmax(np.abs(v[:, col])))
-        pivot = v[idx, col]
-        if abs(pivot) > 0:
-            v[:, col] *= abs(pivot) / pivot
-    return v
+    """Rotate each column so its largest-magnitude entry is real positive
+    (a zero column is left as it is)."""
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # np.hypot rounds as abs() of one entry does; np.abs of a complex array
+    # may differ in the last bit, and that bit would move every phase
+    size = np.hypot(pivot.real, pivot.imag)
+    return v * np.divide(size, pivot, out=np.ones_like(pivot), where=size > 0)
 
 
 def spectral_decompose(r: CouplingMatrix) -> Spectrum:
@@ -91,6 +91,18 @@ def evolve_mode(a: PropagatorMatrix, c: np.ndarray) -> np.ndarray:
     """Coefficients of the evolved condensate sum: c(t) = A(t) c."""
     c = np.asarray(c, dtype=complex)
     return a.entries @ c
+
+
+def mode_trajectory(spec: Spectrum, c: np.ndarray, times) -> np.ndarray:
+    """Rows c(t) = V exp(-i Lambda t) V^dag c, one per time, as one product.
+
+    The mode goes to the eigenbasis once, so each time costs one row of
+    phases and its share of a (T, N) x (N, N) product, where
+    `evolve_mode(propagate(spec, t), c)` builds an N x N propagator per time.
+    """
+    v = spec.eigenvectors
+    phases = np.exp(-1j * np.outer(times, spec.eigenvalues))
+    return (phases * (v.conj().T @ c)) @ v.T
 
 
 def packet_modes(initial, a: PropagatorMatrix):

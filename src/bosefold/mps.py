@@ -77,10 +77,14 @@ L[k+1] = mask o (W^dag L[k] W) and R[k] = mask o (W R[k+1] W^dag), where the
 mask [q(b) = q(b')] drops exactly the products of two different levels: two
 plain products per site, with no canonical form assumed.  Occupations, the
 norm, the canonical defect and the outer environments of the reduced density
-matrix all come from them.  The reduced density matrix of two adjacent sites
-k, k+1 conserves n_k + n_{k+1} = n, so it is kept as its number blocks
-rho[n], each theta_n R theta_n^dag with L[k-1]: theta_n the contraction of
-the two sites at levels (i, n - i), R = R[k+1].
+matrix all come from them.  Where every bond holds at most one Schmidt vector
+per charge (every condensate and Fock state), the mask is the identity, so
+`occupations` carries L and R as their diagonals: with the real P = |W|^2,
+l_{k+1} = l_k P and r_{k-1} = P r_k, sums of nonnegative terms.  The
+reduced density matrix of two adjacent sites k, k+1 conserves
+n_k + n_{k+1} = n, so it is kept as its number blocks rho[n], each
+theta_n R theta_n^dag with L[k-1]: theta_n the contraction of the two sites
+at levels (i, n - i), R = R[k+1].
 """
 from __future__ import annotations
 
@@ -544,9 +548,15 @@ def occupations(state: BlockDecimationState) -> np.ndarray:
     """Per-site <n_k> for all sites: one right sweep, then one left sweep.
 
     <n_k> = Re sum conj(W) o (L[k-1] W R[k]) o (q_in[a] - q_out[b]), the level
-    of each entry of W read off the charges.  Both sweeps share each site's W
-    and conj(W) and each bond's charge mask.
+    of each entry of W read off the charges.  Where every bond holds at most
+    one Schmidt vector per charge (no charge repeats on a bond: every
+    condensate and Fock state), the mask is the identity and the
+    environments are diagonal (`_diagonal_occupations`).  Otherwise, as for
+    a two-sum state, both sweeps share each site's W and conj(W) and each
+    bond's charge mask.
     """
+    if all(len(set(q.tolist())) == q.shape[0] for q in state.charges):
+        return _diagonal_occupations(state)
     ws = state.ws
     wcs = [w.conj() for w in ws]
     masks = [_same_charge(q) for q in state.charges]
@@ -561,6 +571,28 @@ def occupations(state: BlockDecimationState) -> np.ndarray:
         level = state.charges[k][:, None] - state.charges[k + 1]
         out[k] = np.sum(wc * (lw @ right[k + 1]) * level).real
         env = (wc.T @ lw) * masks[k + 1]
+    return out
+
+
+def _diagonal_occupations(state: BlockDecimationState) -> np.ndarray:
+    """`occupations` of a state with one Schmidt vector per charge on every bond.
+
+    L[k] and R[k] are then the diagonals l_k and r_k, and with the real
+    P = |W|^2 of each site, l_k = l_{k-1} P, r_{k-1} = P r_k and
+    <n_k> = l_{k-1} (P o (q_in[a] - q_out[b])) r_k.  Every term is
+    nonnegative, so nothing cancels, even on sites far below one boson; no
+    canonical form is assumed, so truncated states are exact too.
+    """
+    ps = [(w * w.conj()).real for w in state.ws]
+    right = [np.ones(1)]  # r_N, r_{N-1}, ..., r_1
+    for p in ps[:0:-1]:
+        right.append(p @ right[-1])
+    qs = state.charges
+    out = np.empty(state.n_sites)
+    env = np.ones(1)
+    for k, (p, r) in enumerate(zip(ps, right[::-1])):
+        out[k] = env @ (p * np.subtract.outer(qs[k], qs[k + 1])) @ r
+        env = env @ p
     return out
 
 

@@ -9,12 +9,13 @@ import numpy as np
 
 from .entanglement import collection_fraction, logneg_partial_transpose
 from .errors import ConfigError
-from .heisenberg import evolve_mode, ground_mode, propagate, spectral_decompose
+from .heisenberg import ground_mode, mode_trajectory, propagate, spectral_decompose
 from .model import ModelSpec, add_onsite_barrier, build_coupling
 from .mps import (condensate_state, condensate_states, occupations, reduced_density_two_sites,
                   schmidt_values, two_sum_states)
-# No sweep calls two_sum_state; perfbench's tracer patches it here by name,
-# and Tracer.install() stops on a name the module lacks.
+# No scenario calls two_sum_state or evolve_mode; perfbench's tracer patches
+# them here by name, and Tracer.install() stops on a name the module lacks.
+from .heisenberg import evolve_mode  # noqa: F401
 from .mps import two_sum_state  # noqa: F401
 from .perturbation import TransferReport, transfer_report
 
@@ -162,7 +163,8 @@ def _time_grid(spec: ScenarioSpec) -> np.ndarray:
 def run_quench(spec: ScenarioSpec) -> QuenchResult:
     """Ground mode of the pre-quench couplings evolved under the post ones.
 
-    Occupations come from the closed form M |c_k(t)|^2; at snapshot times the
+    Occupations come from the closed form M |c_k(t)|^2, the mode evolved to
+    every grid time in one product (`mode_trajectory`); at snapshot times the
     full MPS is built from the evolved mode as an independent cross-check.
     The snapshot states are built together (`condensate_states`, one keep
     pass) and written one at a time as they are measured.
@@ -173,11 +175,8 @@ def run_quench(spec: ScenarioSpec) -> QuenchResult:
     c0 = ground_mode(spectral_decompose(build_coupling(pre)))
     post_spec = spectral_decompose(build_coupling(post))
     times = _time_grid(spec)
-    occ = np.empty((times.shape[0], c0.n_sites))
-    for i, t in enumerate(times):
-        ct = evolve_mode(propagate(post_spec, t), c0.coefficients)
-        occ[i] = m * np.abs(ct) ** 2
-    modes = [evolve_mode(propagate(post_spec, t), c0.coefficients) for t in spec.snapshot_times]
+    occ = m * np.abs(mode_trajectory(post_spec, c0.coefficients, times)) ** 2
+    modes = mode_trajectory(post_spec, c0.coefficients, spec.snapshot_times)
     num = spec.numerics
     states = condensate_states(modes, m, chi_max=num.chi_max, trunc_tol=num.trunc_tol)
     snapshots = [(t, m * np.abs(ct) ** 2, occupations(state))

@@ -67,6 +67,15 @@ def test_duplicate_section_rejected():
         parse_config_text("[scenario]\nkind = ground_state\n[scenario]\n")
 
 
+def test_duplicate_key_rejected_in_every_section():
+    # the key given twice, in [scenario], [model] and [numerics]
+    for key in ("m1 = 2", "n_sites = 6", "chi_max = 16"):
+        text = GOOD_SWEEP.replace(key, f"{key}\n{key.split()[0]} = 20")
+        with pytest.raises(ConfigError, match="duplicate key") as exc:
+            parse_config_text(text)
+        assert exc.value.line == text.splitlines().index(key) + 2
+
+
 def test_missing_scenario_rejected():
     with pytest.raises(ConfigError):
         parse_config_text("[model]\nn_sites = 4\n")

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from bosefold.errors import ValidationError
-from bosefold.heisenberg import (evolve_mode, ground_mode, occupations_oracle,
+from bosefold.heisenberg import (evolve_mode, ground_mode, mode_trajectory, occupations_oracle,
                                  packet_modes, propagate, spectral_decompose)
 from bosefold.model import build_jx, coupling_from_array
 
@@ -58,6 +58,17 @@ def test_evolve_mode_preserves_norm():
     c = ground_mode(spec).coefficients
     ct = evolve_mode(propagate(spec, 2.3), c)
     assert abs(np.linalg.norm(ct) - 1.0) < 1e-12
+
+
+def test_mode_trajectory_matches_propagator_per_time():
+    spec = spectral_decompose(_random_coupling(6, 31))
+    c = _random_coupling(6, 32).entries[:, 0]  # a generic complex mode, not unit norm
+    times = (0.0, 0.3, 1.7, 200.0)
+    rows = mode_trajectory(spec, c, np.array(times))
+    assert rows.shape == (4, 6)
+    for row, t in zip(rows, times):
+        assert np.max(np.abs(row - evolve_mode(propagate(spec, t), c))) < 1e-13, t
+    assert mode_trajectory(spec, c, np.array([])).shape == (0, 6)
 
 
 def test_packet_modes_rows_and_duplicates():

@@ -297,26 +297,44 @@ def test_condensate_bond_spectra_match_binomial_law():
 
 
 def test_environments_match_dense_contraction_on_truncated_states():
-    # chi_max = 8 and 12 truncate the M = 8 collision, so no canonical form
-    # holds; occupations, norm and canonical defect come from environments
-    # that keep only the charge-diagonal blocks of W^dag L W and W R W^dag
+    # chi_max = 8 and 12 truncate the M = 8 collision and an N = 40, M = 20
+    # condensate, so no canonical form holds; occupations, norm and
+    # canonical defect come from environments that keep only the
+    # charge-diagonal blocks of W^dag L W and W R W^dag.  The condensates and
+    # the chi_max = 8 collision hold one Schmidt vector per charge on every
+    # bond, so their environments are carried as vectors; the chi_max = 12
+    # collision repeats charges and runs the masked matrices
     n, mu, m = 20, 6.0, 8
     z, c = _collision_modes(n, mu)
-    for chi_max in (8, 12):
-        st = two_sum_state(z, c, m // 2, m // 2, chi_max=chi_max)
+    states = [two_sum_state(z, c, m // 2, m // 2, chi_max=chi_max) for chi_max in (8, 12)]
+    assert [any(len(set(q.tolist())) < q.shape[0] for q in st.charges)
+            for st in states] == [False, True]
+    # a condensate with 1e-6 amplitudes on three sites: <n_k> near 2e-11 there
+    c = _random_mode(40, 51)
+    c[[3, 17, 30]] = 1e-6
+    states += [condensate_state(c, 20, chi_max=chi_max) for chi_max in (8, 12)]
+    for st in states:
         assert st.discarded_weight > 1e-3
+        n = st.n_sites
         left, right = _dense_envs(st)
         b = [np.transpose(g, (1, 0, 2)) for g in st.gammas]
-        occ = [sum(lvl * np.trace(b[s][lvl].conj().T @ left[s] @ b[s][lvl] @ right[s + 1])
-                   for lvl in range(st.local_dim)).real for s in range(n)]
-        assert np.max(np.abs(occupations(st) - occ)) < 1e-13, chi_max
+        occ = np.array([sum(lvl * np.trace(b[s][lvl].conj().T @ left[s] @ b[s][lvl] @ right[s + 1])
+                            for lvl in range(st.local_dim)).real for s in range(n)])
+        got = occupations(st)
+        assert np.max(np.abs(got - occ)) < 1e-13, (n, st.chi_max)
+        # every term of the diagonal form is nonnegative, so the sites far below
+        # one boson keep their relative precision (<Q_{k-1}> - <Q_k>, the same
+        # sum regrouped, loses about 1e-4 of it there)
+        small = occ < 1e-8
+        assert np.count_nonzero(small) == (3 if n == 40 else 0)
+        assert np.all(np.abs(got - occ)[small] <= 1e-12 * occ[small]), (n, st.chi_max)
         assert abs(state_norm(st) - np.sqrt(left[n][0, 0].real)) < 1e-13
         defect = max([np.max(np.abs(env - np.diag(lam**2)))
                       for lam, env in zip(st.lambdas, left)]
                      + [np.max(np.abs(lam[:, None] * (env - np.eye(lam.shape[0])) * lam))
                         for lam, env in zip(st.lambdas, right)])
         assert defect > 1e-3  # truncation leaves the right condition broken
-        assert abs(canonical_defect(st) - defect) < 1e-13, chi_max
+        assert abs(canonical_defect(st) - defect) < 1e-13, (n, st.chi_max)
 
 
 def test_two_sum_state_matches_dense():
