@@ -82,9 +82,9 @@ per charge (every condensate and Fock state), the mask is the identity, so
 `occupations` carries L and R as their diagonals: with the real P = |W|^2,
 l_{k+1} = l_k P and r_{k-1} = P r_k, sums of nonnegative terms.  The
 reduced density matrix of two adjacent sites k, k+1 conserves
-n_k + n_{k+1} = n, so it is kept as its number blocks rho[n], each
-theta_n R theta_n^dag with L[k-1]: theta_n the contraction of the two sites
-at levels (i, n - i), R = R[k+1].
+n_k + n_{k+1} = n, which the outer charges give, n = q_{k-1}(a) - q_{k+1}(b),
+so it is kept as its number blocks rho[n], each one product over the (a, b)
+of that n with only site k split into its levels.
 """
 from __future__ import annotations
 
@@ -552,25 +552,16 @@ def occupations(state: BlockDecimationState) -> np.ndarray:
     one Schmidt vector per charge (no charge repeats on a bond: every
     condensate and Fock state), the mask is the identity and the
     environments are diagonal (`_diagonal_occupations`).  Otherwise, as for
-    a two-sum state, both sweeps share each site's W and conj(W) and each
-    bond's charge mask.
+    a two-sum state, L and R are the masked environments of `_left_envs` and
+    `_right_envs`.
     """
     if all(len(set(q.tolist())) == q.shape[0] for q in state.charges):
         return _diagonal_occupations(state)
-    ws = state.ws
-    wcs = [w.conj() for w in ws]
-    masks = [_same_charge(q) for q in state.charges]
-    right = [np.ones((1, 1), dtype=complex)]  # R[N], ..., R[0] as in `_right_envs`
-    for w, wc, mask in zip(ws[::-1], wcs[::-1], masks[-2::-1]):
-        right.append((w @ right[-1] @ wc.T) * mask)
-    right.reverse()
-    out = np.zeros(state.n_sites)
-    env = np.ones((1, 1), dtype=complex)
-    for k, (w, wc) in enumerate(zip(ws, wcs)):
-        lw = env @ w
-        level = state.charges[k][:, None] - state.charges[k + 1]
-        out[k] = np.sum(wc * (lw @ right[k + 1]) * level).real
-        env = (wc.T @ lw) * masks[k + 1]
+    rights = list(_right_envs(state))[::-1]  # R[0], ..., R[N]
+    out = np.empty(state.n_sites)
+    for k, (left, w) in enumerate(zip(_left_envs(state), state.ws)):
+        level = _levels(state.charges[k], state.charges[k + 1])
+        out[k] = np.sum(w.conj() * (left @ w @ rights[k + 1]) * level).real
     return out
 
 
@@ -609,28 +600,33 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
 
     rho conserves n_k + n_l, so it is returned as the (d, d, d) array
     rho[n, i, i'] = <i, n-i| rho |i', n-i'>, n = 0..M, 0 where i > n or i' > n.
-    rho[n] = theta_n R theta_n^dag with L[k-1]: theta_n[a, i, b] is the
-    contraction of sites k and k+1 at levels i and n - i, L[k-1] contracts
-    the sites left of the pair and R = R[k+1] those right of it, so no
-    canonical form is assumed.  The writers take mode vectors, so a pair
-    that is not adjacent is read from a state built with the pair moved next
-    to each other.
+    theta[a, i, b] is site k split into its levels i times W of site l; the
+    outer charges give the pair's count n = q_{k-1}(a) - q_l(b), so site l
+    sits at level n - i, and theta is exactly 0 where i > n.  rho[n] is one
+    product (L[k-1] theta R[l]) theta^dag over the columns (a, b) of that n:
+    L[k-1] contracts the sites left of the pair and R[l] those right of it,
+    so no canonical form is assumed.  The writers take mode vectors, so a
+    pair that is not adjacent is read from a state built with the pair moved
+    next to each other.
     """
     if not (1 <= k < state.n_sites and l == k + 1):
         raise ValidationError(f"need adjacent sites 1 <= k < l = k + 1 <= N, got ({k}, {l})")
     d = state.local_dim
     left = next(islice(_left_envs(state), k - 1, None))
     right = next(islice(_right_envs(state), state.n_sites - l, None))
-    theta = np.tensordot(_split_levels(state, k - 1), _split_levels(state, k), axes=(2, 0))
-    # theta[a, n, i, b] = theta[a, i, n - i, b]; where i > n, index n - i
-    # wraps to level n - i + d, and levels summing to n + d > M hold exactly 0
-    n, i = np.arange(d)[:, None], np.arange(d)
-    theta = theta[:, i, n - i]
-    # rho[n, i, i'] = sum L[a', a] theta[a, n, i, b] R[b, b'] conj(theta[a', n, i', b']):
-    # L is indexed (bra, ket) and R (ket, bra)
-    ket = np.tensordot(left, theta @ right, axes=(1, 0))
-    rho = (ket.transpose(1, 2, 0, 3).reshape(d, d, -1)
-           @ theta.transpose(1, 0, 3, 2).reshape(d, -1, d).conj())
+    theta = _split_levels(state, k - 1) @ state.ws[k]
+    # L is indexed (bra, ket) and R (ket, bra); both are block-diagonal in
+    # the outer charges, so a column (a, b) of ket keeps its n
+    ket = np.tensordot(left, theta @ right, axes=(1, 0)).transpose(1, 0, 2).reshape(d, -1)
+    bra = theta.transpose(1, 0, 2).reshape(d, -1).conj()
+    pair_n = _levels(state.charges[k - 1], state.charges[l]).reshape(-1)
+    order = np.argsort(pair_n, kind="stable")
+    # the columns with n < 0 sort before bounds[0] and drop out
+    bounds = np.searchsorted(pair_n[order], np.arange(d + 1)).tolist()
+    rho = np.empty((d, d, d), dtype=complex)
+    for n in range(d):
+        cols = order[bounds[n]:bounds[n + 1]]
+        np.matmul(ket[:, cols], bra[:, cols].T, out=rho[n])
     rho /= np.trace(rho, axis1=1, axis2=2).sum().real
     return rho
 
