@@ -13,6 +13,19 @@ from .errors import ConfigError
 from .model import ModelSpec, load_matrix_csv
 from .scenarios import NumericsSpec, ScenarioSpec, validate_spec
 
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(x) for x in raw.split())
+
+
+def _barrier(raw: str) -> tuple:
+    parts = raw.split()
+    if len(parts) != 3:
+        raise ValueError("expected `first last height`")
+    return (int(parts[0]), int(parts[1]), float(parts[2]))
+
+
+# each key's parser; a ValueError it raises names the line
 _SCENARIO_KEYS = {
     "kind": str,
     "m": int,
@@ -21,9 +34,9 @@ _SCENARIO_KEYS = {
     "t_start": float,
     "t_end": float,
     "steps": int,
-    "snapshot_times": "floats",
-    "mu_values": "floats",
-    "mu_over_n": "floats",  # start stop step, expanded against n_sites
+    "snapshot_times": _floats,
+    "mu_values": _floats,
+    "mu_over_n": _floats,  # start stop step, expanded against n_sites
     "epsilon": float,
     "beta": float,
 }
@@ -34,7 +47,7 @@ _MODEL_KEYS = {
     "custom_matrix": str,
     "trap_omega": float,
     "trap_center": float,
-    "barrier": "barrier",
+    "barrier": _barrier,
     "perturbation_epsilon": float,
     "perturbation_beta": float,
 }
@@ -46,26 +59,6 @@ _SECTIONS = {
     "model_post": _MODEL_KEYS,
     "numerics": _NUMERICS_KEYS,
 }
-
-
-def _parse_value(schema, raw, line):
-    try:
-        if schema is str:
-            return raw
-        if schema is int:
-            return int(raw)
-        if schema is float:
-            return float(raw)
-        if schema == "floats":
-            return tuple(float(x) for x in raw.split())
-        if schema == "barrier":
-            parts = raw.split()
-            if len(parts) != 3:
-                raise ValueError("expected `first last height`")
-            return (int(parts[0]), int(parts[1]), float(parts[2]))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse value {raw!r}: {exc}", line=line) from exc
-    raise ConfigError(f"unhandled schema {schema!r}", line=line)
 
 
 def _read_sections(text: str):
@@ -92,18 +85,31 @@ def _read_sections(text: str):
     return sections
 
 
-def _build_model(pairs, section: str) -> ModelSpec:
-    fields = {"barriers": []}
-    for lineno, key, raw in pairs:
-        if key not in _MODEL_KEYS:
+def _read_keys(sections, section: str) -> dict:
+    """The parsed values of one section's keys; `barrier` alone may repeat,
+    and its values collect in a list."""
+    schema = _SECTIONS[section]
+    fields = {}
+    for lineno, key, raw in sections.get(section, []):
+        if key not in schema:
             raise ConfigError(f"unknown key {key!r} in [{section}]", line=lineno)
-        value = _parse_value(_MODEL_KEYS[key], raw, lineno)
-        if key == "barrier":
-            fields["barriers"].append(value)
-        elif key in fields and key != "barriers":
+        if key in fields and key != "barrier":
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
+        try:
+            value = schema[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse value {raw!r}: {exc}", line=lineno) from exc
+        if key == "barrier":
+            fields.setdefault(key, []).append(value)
         else:
             fields[key] = value
+    return fields
+
+
+def _build_model(sections, section: str) -> ModelSpec | None:
+    if section not in sections:
+        return None
+    fields = _read_keys(sections, section)
     if "n_sites" not in fields:
         raise ConfigError(f"[{section}] needs n_sites")
     custom = None
@@ -116,7 +122,7 @@ def _build_model(pairs, section: str) -> ModelSpec:
         custom=custom,
         trap_omega=fields.get("trap_omega"),
         trap_center=fields.get("trap_center"),
-        barriers=tuple(fields["barriers"]),
+        barriers=tuple(fields.get("barrier", ())),
         perturbation_eps=fields.get("perturbation_epsilon"),
         perturbation_beta=fields.get("perturbation_beta"),
     )
@@ -126,29 +132,12 @@ def parse_config_text(text: str) -> ScenarioSpec:
     sections = _read_sections(text)
     if "scenario" not in sections:
         raise ConfigError("missing [scenario] section")
-    sc = {}
-    for lineno, key, raw in sections["scenario"]:
-        if key not in _SCENARIO_KEYS:
-            raise ConfigError(f"unknown key {key!r} in [scenario]", line=lineno)
-        if key in sc:
-            raise ConfigError(f"duplicate key {key!r}", line=lineno)
-        sc[key] = _parse_value(_SCENARIO_KEYS[key], raw, lineno)
+    sc = _read_keys(sections, "scenario")
     if "kind" not in sc:
         raise ConfigError("[scenario] needs a kind")
-
-    model = _build_model(sections["model"], "model") if "model" in sections else None
-    model_pre = (_build_model(sections["model_pre"], "model_pre")
-                 if "model_pre" in sections else None)
-    model_post = (_build_model(sections["model_post"], "model_post")
-                  if "model_post" in sections else None)
-
-    num = {}
-    for lineno, key, raw in sections.get("numerics", []):
-        if key not in _NUMERICS_KEYS:
-            raise ConfigError(f"unknown key {key!r} in [numerics]", line=lineno)
-        if key in num:
-            raise ConfigError(f"duplicate key {key!r}", line=lineno)
-        num[key] = _parse_value(_NUMERICS_KEYS[key], raw, lineno)
+    model, model_pre, model_post = (_build_model(sections, name)
+                                    for name in ("model", "model_pre", "model_post"))
+    num = _read_keys(sections, "numerics")
     numerics = NumericsSpec(chi_max=num.get("chi_max"), trunc_tol=num.get("trunc_tol", 1e-12))
 
     mu_values = sc.get("mu_values", ())

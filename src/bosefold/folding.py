@@ -20,9 +20,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-_ZERO = 1e-300  # both-coefficients-zero guard inside fold loops
-
-
 @dataclass(frozen=True)
 class PhaseOp:
     """Single-mode phase e^{-i theta n_k} on site `site` (1-based)."""
@@ -85,11 +82,8 @@ def _strip_and_rotate(c: np.ndarray, last_bond: int):
     ops = [PhaseOp(site=k + 1, angle=float(np.angle(c[k]))) for k in range(n)]
     r = np.abs(c)
     for k in range(n - 2, last_bond - 2, -1):  # bond k+1 in 1-based terms
-        if r[k] < _ZERO and r[k + 1] < _ZERO:
-            phi = 0.0
-        else:
-            phi = 2.0 * math.atan2(r[k + 1], r[k])
-        ops.append(PairRotationOp(bond=k + 1, angle=phi))
+        # atan2(0, 0) = 0: a pair of exact zeros takes no rotation
+        ops.append(PairRotationOp(bond=k + 1, angle=2.0 * math.atan2(r[k + 1], r[k])))
         r[k] = math.hypot(r[k], r[k + 1])
         r[k + 1] = 0.0
     return ops, r

@@ -344,11 +344,13 @@ def apply_two(state: BlockDecimationState, gate: TwoModeGate) -> BlockDecimation
 
 @functools.lru_cache(maxsize=None)
 def _charge_axis(width: int):
-    """Read-only (width, width) tables over charges r, p = 0..width-1:
-    sqrt(C(r, p)) (0 for p > r) and the level max(r - p, 0)."""
+    """Read-only tables over the charges r, p = 0..width-1 that the writers
+    share: sqrt(C(r, p)) (0 for p > r), the level max(r - p, 0) and the
+    mask p <= r, each (width, width), and sqrt(r!), length width."""
     r, p = np.arange(width)[:, None], np.arange(width)
     tables = (np.array([[math.sqrt(math.comb(i, j)) for j in range(width)]
-                        for i in range(width)]), np.maximum(r - p, 0))
+                        for i in range(width)]), np.maximum(r - p, 0), p <= r,
+              np.cumprod(np.append(1.0, np.sqrt(p[1:]))))
     return _frozen(tables)
 
 
@@ -400,7 +402,7 @@ def _vacuum_rotations(m: int, angles, phases, chi_max: int, trunc_tol: float):
     kept, lam, norm, discarded = _keep_pass(start, angles, chi_max, trunc_tol)
     bonds = angles.shape[1]
     n = np.arange(width)
-    sqrt_binom, level = _charge_axis(width)
+    sqrt_binom, level, _, _ = _charge_axis(width)
     for i in range(angles.shape[0]):
         chi = np.count_nonzero(kept[i], axis=1)
         # per site and charge p, (-sin)^p; per site and level l, cos^l with
@@ -448,7 +450,7 @@ def _keep_pass(w: np.ndarray, angles: np.ndarray, chi_max: int, trunc_tol: float
     lam = np.empty((rows, bonds, q + 1))
     norm = np.ones((rows, bonds + 1))
     discarded = np.zeros(rows)
-    sqrt_binom, level = _charge_axis(q + 1)
+    sqrt_binom, level, _, _ = _charge_axis(q + 1)
     for b in range(bonds):
         cos_l, sin_p = _rotation_factors(angles[:, b], q)
         rot = sqrt_binom * cos_l[:, level] * sin_p[:, None, :]
@@ -745,19 +747,6 @@ def condensate_state(c, m: int, *, chi_max: int | None = None,
 # closed form of a pair rotation (`_rotation_factors`), with the g2
 # occupation m passing through.
 
-FRAME_FLOOR = 1e-60  # frame amplitudes below this are set to 0
-# (the sweep's packets have ~1e-17 tails; their powers would otherwise reach
-# the subnormal range, where one 68 x 17 x 68 product took 14 ms, not 25 us).
-# Only amplitudes whose size is their weight are floored: the powers u^n, t^i
-# and w^m and the frame vectors, not the 1/sqrt(n!) that the closed form
-# divides the powers by, which falls below 1e-60 from n = 81 on
-
-
-def _floored(a: np.ndarray) -> np.ndarray:
-    a[np.abs(a) < FRAME_FLOOR] = 0.0
-    return a
-
-
 def _real_turn(first: np.ndarray) -> np.ndarray:
     """Unit factors that turn each entry real and nonnegative, 1 on zeros."""
     size = np.abs(first)
@@ -854,7 +843,7 @@ def _frame_start(alpha: np.ndarray, beta: np.ndarray, m1: int, m2: int) -> np.nd
         new[:, :q] = x[:, :1] * np.sqrt(q - m[:q]) * vec
         new[:, 1:] += x[:, 1:] * np.sqrt(m[1:]) * vec
         vec = new / np.linalg.norm(new, axis=1)[:, None]
-    return _floored(vec)
+    return vec
 
 
 class _FrameBond(NamedTuple):
@@ -879,9 +868,8 @@ class _FramePass(NamedTuple):
 def _tails(ft: np.ndarray, fw: np.ndarray) -> np.ndarray:
     """[..., p, m] = ft[p - m] fw[m] for m <= p, else 0: the factor of the new
     frame state |p - m, m> in the closed form of a site's step."""
-    width = ft.shape[-1]
-    p, m = np.arange(width)[:, None], np.arange(width)
-    return np.where(m <= p, ft[..., np.maximum(p - m, 0)] * fw[..., None, :], 0)
+    _, level, below, _ = _charge_axis(ft.shape[-1])
+    return np.where(below, ft[..., level] * fw[..., None, :], 0)
 
 
 def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -> _FramePass:
@@ -894,8 +882,8 @@ def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -
     theta, u, t, w, alpha, beta = _frames(zs, cs)
     powers = np.ones((3, pairs, n, width), dtype=complex)
     powers[..., 1:] = np.stack([u, t, w])[..., None]
-    un, tn, fw = _floored(np.cumprod(powers, axis=-1))
-    sqrt_fact = np.cumprod(np.append(1.0, np.sqrt(np.arange(1, width))))
+    un, tn, fw = np.cumprod(powers, axis=-1)
+    *_, sqrt_fact = _charge_axis(width)
     fn, ft = un.real / sqrt_fact, tn / sqrt_fact
     vh = _frame_start(alpha, beta, m1, m2)
     bonds = [_FrameBond(np.arange(pairs + 1), np.full(pairs, m), np.ones(pairs), vh,
@@ -904,7 +892,7 @@ def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -
     for k in range(n - 1):
         x = _frame_rotation(bonds[-1].vectors, bonds[-1].charges,
                             np.repeat(theta[:, k], np.diff(bonds[-1].starts)))
-        bond, dropped = _frame_bond(bonds[-1], _floored(x), fn[:, k], _tails(ft[:, k], fw[:, k]),
+        bond, dropped = _frame_bond(bonds[-1], x, fn[:, k], _tails(ft[:, k], fw[:, k]),
                                     chi_max, trunc_tol)
         bonds.append(bond)
         discarded += dropped
@@ -928,15 +916,13 @@ def _frame_bond(bond: _FrameBond, x: np.ndarray, fn: np.ndarray, tails: np.ndarr
     charge, goes through `_truncate`.
     """
     pairs, width = fn.shape
+    _, level, below, sqrt_fact = _charge_axis(width)
     charge = np.arange(width)
-    above = charge[:, None] >= charge  # [q, m]: m <= q
-    level = np.maximum(charge[:, None] - charge, 0)
     slot0 = np.append(0, np.cumsum(charge + 1))
     starts, q = bond.starts, bond.charges
     pt = np.repeat(np.arange(pairs), np.diff(starts))
-    sqrt_fact = np.cumprod(np.append(1.0, np.sqrt(charge[1:])))
-    amat = np.where(above[q], x * sqrt_fact[level[q]], 0)
-    weights = np.where(above[q], bond.lam[:, None] * fn[pt[:, None], level[q]], 0)
+    amat = np.where(below[q], x * sqrt_fact[level[q]], 0)
+    weights = np.where(below[q], bond.lam[:, None] * fn[pt[:, None], level[q]], 0)
     counts = np.bincount(pt * width + q, minlength=pairs * width).reshape(pairs, width)
     rows = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # vectors of charge >= p
     # each block's SVD stack: the power of two at or above its rows
@@ -975,7 +961,7 @@ def _frame_bond(bond: _FrameBond, x: np.ndarray, fn: np.ndarray, tails: np.ndarr
     kept, norm, dropped = _truncate(s_all, np.sum(s_all**2, axis=1), chi_max, trunc_tol)
     pt, col = np.nonzero(kept)
     new = _FrameBond(np.searchsorted(pt, np.arange(pairs + 1)), np.repeat(charge, charge + 1)[col],
-                     s_all[pt, col] / norm[pt], _floored(vh_all[pt, col]), norm)
+                     s_all[pt, col] / norm[pt], vh_all[pt, col], norm)
     return new, dropped
 
 
@@ -995,11 +981,9 @@ def _frame_sites(fp: _FramePass, i: int) -> list:
     vectors = np.concatenate([bond.vectors[span] for bond, span in zip(bonds, spans)])
     charges = np.concatenate([bond.charges[span] for bond, span in zip(bonds, spans)])
     site = np.repeat(np.arange(len(bonds)), sizes)
-    m = np.arange(width)
-    level = charges[:, None] - m
-    sqrt_fact = np.cumprod(np.append(1.0, np.sqrt(m[1:])))
+    _, level, below, sqrt_fact = _charge_axis(width)
     right = _frame_rotation(vectors, charges, fp.theta[i][site])
-    right *= np.where(level >= 0, sqrt_fact[np.maximum(level, 0)], 0)
+    right *= np.where(below[charges], sqrt_fact[level[charges]], 0)
     # bond k's vectors are the new frame states of site k - 1's step
     left = vectors.conj() * _tails(fp.ft[i], fp.fw[i])[site - 1, charges]
     left /= np.repeat([bond.norm[i] for bond in bonds], sizes)[:, None]

@@ -42,19 +42,27 @@ def test_unknown_section_reports_line():
 
 
 def test_unknown_key_reports_line():
-    # GOOD_SWEEP ends in [numerics]; d = M + 1 is read from the charges, so
-    # local_dim is no key there
-    for line in ("color = blue", "local_dim = 17"):
-        text = GOOD_SWEEP + line + "\n"
-        with pytest.raises(ConfigError) as exc:
-            parse_config_text(text)
-        assert exc.value.line == text.count("\n")
+    # each line put first in [scenario], [model] and [numerics]; d = M + 1 is
+    # read from the charges, so local_dim is no key anywhere
+    for header in ("[scenario]", "[model]", "[numerics]"):
+        for line in ("color = blue", "local_dim = 17"):
+            text = GOOD_SWEEP.replace(header, f"{header}\n{line}")
+            with pytest.raises(ConfigError, match="unknown key") as exc:
+                parse_config_text(text)
+            assert exc.value.line == text.splitlines().index(line) + 1
 
 
 def test_bad_value_reports_line():
     with pytest.raises(ConfigError) as exc:
         parse_config_text("[scenario]\nkind = ground_state\nm = soup\n")
     assert exc.value.line == 3
+    # an int key of [scenario], [model] and [numerics] given a word
+    for key in ("m1 = 2", "n_sites = 6", "chi_max = 16"):
+        bad = f"{key.split()[0]} = soup"
+        text = GOOD_SWEEP.replace(key, bad)
+        with pytest.raises(ConfigError, match="cannot parse value") as exc:
+            parse_config_text(text)
+        assert exc.value.line == text.splitlines().index(bad) + 1
 
 
 def test_key_outside_section_rejected():

@@ -32,9 +32,16 @@ def test_fold_single_collapses_to_e1():
 
 
 def test_fold_single_handles_zeros():
-    c = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-    folded = apply_plan_to_modes(fold_single(c), c)
-    assert abs(folded[0] - 1.0) < 1e-12
+    # (mode, bond N-1 angle): a pair of exact zeros takes no rotation, while a
+    # pair of subnormals is rotated like any other pair
+    for c, last_angle in [([0.0, 0.0, 1.0, 0.0], 0.0),
+                          ([0.0, 1.0, 1e-310, 1e-310], np.pi / 2)]:
+        c = np.array(c, dtype=complex)
+        plan = fold_single(c)
+        assert plan.ops[c.shape[0]].bond == c.shape[0] - 1
+        assert plan.ops[c.shape[0]].angle == pytest.approx(last_angle, abs=1e-15)
+        folded = apply_plan_to_modes(plan, c)
+        assert abs(folded[0] - 1.0) < 1e-12
     with pytest.raises(ValidationError):
         fold_single(np.zeros(4))
 

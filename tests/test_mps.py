@@ -448,8 +448,8 @@ def test_end_pair_rdm_matches_reduced_pair_oracle_at_scenario_scale():
 
 def test_end_pair_occupations_match_closed_form_at_large_m():
     # at M = 84 a site holds up to 84 bosons, and 1/sqrt(n!) of the frame
-    # steps falls below the frame floor from n = 81 on: the occupations of
-    # rho_{1,N} must still match the closed form.  rho is read through the
+    # steps falls below 1e-60 from n = 81 on: the occupations of rho_{1,N}
+    # must still match the closed form.  rho is read through the
     # outer bonds' charges, so it needs little beyond its own (d, d, d)
     # array (9.8 MB; 11.1 MB peak measured, 70.7 MB with both sites split)
     n, m = 20, 84
@@ -963,6 +963,39 @@ def test_two_sum_states_hold_one_state_at_a_time(monkeypatch):
     assert len(sizes) == 21 and sum(sizes) > 10 * max(sizes)
     assert after_first < record[0] + 2 * max(sizes), (after_first, record, max(sizes))
     assert peak < after_first + 3 * max(sizes), (peak, after_first, max(sizes))
+
+
+def _subnormals(a):
+    size = np.abs(a)
+    return int(np.count_nonzero((size > 0) & (size < np.finfo(float).tiny)))
+
+
+def test_sweep_builds_hold_no_subnormals(monkeypatch):
+    # the seed-0 points of the M = 4 and M = 8 sweeps (mu / N = 0..3 in steps
+    # of 0.1) and of the M = 16 sweep (mu / N = 0, 0.3, 1, 2, 3), built as the
+    # sweep builds them: the packets' tails reach about 1e-17, yet no entry
+    # of the keep pass's record (the kept vectors, fn, ft, fw), no W and no
+    # Schmidt value is subnormal, where one 68 x 17 x 68 product runs about
+    # 100 times slower; so the frame writer sets no amplitude to 0
+    n = 20
+    p = _front(n, 1, n)
+    small = [round(0.1 * i, 10) for i in range(31)]
+    record = []
+    keep_pass = mps._frame_keep_pass
+
+    def recording(*args):
+        record.append(keep_pass(*args))
+        return record[-1]
+
+    monkeypatch.setattr(mps, "_frame_keep_pass", recording)
+    for m, chi_max, grid in [(4, 9, small), (8, 25, small), (16, 81, [0.0, 0.3, 1.0, 2.0, 3.0])]:
+        pairs = [(z[p], c[p]) for z, c in (_collision_modes(n, x * n) for x in grid)]
+        states = list(mps.two_sum_states(pairs, m // 2, m // 2, chi_max=chi_max,
+                                         trunc_tol=1e-12))
+        fp = record[-1]
+        arrays = [bond.vectors for bond in fp.bonds] + [fp.fn, fp.ft, fp.fw]
+        arrays += [a for st in states for a in st.ws + st.lambdas]
+        assert sum(_subnormals(a) for a in arrays) == 0, m
 
 
 def test_two_sum_states_check_every_pair_first():
