@@ -114,7 +114,11 @@ def _build_model(sections, section: str) -> ModelSpec | None:
         raise ConfigError(f"[{section}] needs n_sites")
     custom = None
     if "custom_matrix" in fields:
-        custom = load_matrix_csv(fields.pop("custom_matrix")).entries
+        path = fields.pop("custom_matrix")
+        custom = load_matrix_csv(path).entries
+        if custom.shape[0] != fields["n_sites"]:
+            raise ConfigError(f"custom_matrix {path}: {custom.shape[0]} sites, but [{section}] "
+                              f"has n_sites = {fields['n_sites']}")
     return ModelSpec(
         n_sites=fields["n_sites"],
         base=fields.get("base", "inverse_distance"),

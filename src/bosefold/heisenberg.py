@@ -108,14 +108,17 @@ def mode_trajectory(spec: Spectrum, c: np.ndarray, times) -> np.ndarray:
 def packet_modes(initial, a: PropagatorMatrix):
     """Evolved modes for bosons initially stacked on distinct sites.
 
-    `initial` is a list of (site, count) with 1-based sites; returns the
-    matching columns of A(t) paired with the counts.
+    `initial` is a list of (site, count) with 1-based sites 1..N; returns
+    the matching columns of A(t) paired with the counts.
     """
     sites = [s for s, _ in initial]
     if len(set(sites)) != len(sites):
         raise ValidationError(f"duplicate initial sites in {sites}")
+    n = a.entries.shape[1]
     out = []
     for site, count in initial:
+        if not 1 <= site <= n:
+            raise ValidationError(f"initial site {site} outside the chain's sites 1..{n}")
         if count < 1:
             raise ValidationError(f"boson count must be >= 1, got {count}")
         out.append((ModeAmplitudes(coefficients=a.entries[:, site - 1].copy()), count))
@@ -126,8 +129,10 @@ def occupations_oracle(packets) -> np.ndarray:
     """Closed-form site occupations <n_m> = sum_p count_p |c^(p)_m|^2.
 
     Valid only for mutually orthonormal packet modes (rows of one unitary
-    propagator); checked up to round-off.
+    propagator); checked up to round-off.  The list must not be empty.
     """
+    if not packets:
+        raise ValidationError("need at least one packet")
     modes = [p[0].coefficients for p in packets]
     counts = [p[1] for p in packets]
     g = np.array([[np.vdot(a, b) for b in modes] for a in modes])

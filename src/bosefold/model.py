@@ -166,7 +166,8 @@ def load_matrix_csv(path) -> CouplingMatrix:
     """The `custom_matrix` file: one row per site, alternating re, im columns.
 
     A non-numeric cell, an odd number of values in a row, or rows of
-    different lengths raise ConfigError naming the file and the line.
+    different lengths raise ConfigError naming the file and the line; a file
+    that holds no square Hermitian matrix raises ConfigError naming the file.
     """
     rows = []
     with open(path) as fh:
@@ -185,4 +186,7 @@ def load_matrix_csv(path) -> CouplingMatrix:
                 raise ConfigError(f"{where}: {len(vals) // 2} entries, but the first row "
                                   f"has {len(rows[0])}")
             rows.append([complex(re, im) for re, im in zip(vals[::2], vals[1::2])])
-    return coupling_from_array(rows)
+    try:
+        return coupling_from_array(rows)
+    except (ModelError, ValidationError) as exc:
+        raise ConfigError(f"custom_matrix {path}: {exc}") from None

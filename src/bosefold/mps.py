@@ -69,8 +69,11 @@ Bond by bond, the lam-weighted charge blocks of the state that the earlier
 truncations left go through one SVD call per charge and stack height for a
 batch of states (every point of a collision sweep), each block padded with
 zero rows to the power of two at or above its own rows, and `_truncate`
-keeps what `apply_two` would keep.  No gate, plan, lift or chi-sized contraction runs, and a state's W
-are written only when it is yielded.
+keeps what `apply_two` would keep.  Each kept vector turns into its site's
+frame once, in the batch's one rotation call per bond, and the pass records
+for each bond the two factors that the sites on either side of it take, so
+a state's W are written, one product per site, only when it is yielded.  No
+gate, plan, lift or chi-sized contraction runs.
 
 The environments L and R are block-diagonal in the bond charge, so
 L[k+1] = mask o (W^dag L[k] W) and R[k] = mask o (W R[k+1] W^dag), where the
@@ -847,21 +850,24 @@ def _frame_start(alpha: np.ndarray, beta: np.ndarray, m1: int, m2: int) -> np.nd
 
 
 class _FrameBond(NamedTuple):
-    """The kept Schmidt vectors of one bond of every pair, pair after pair."""
+    """The kept Schmidt vectors of one bond of every pair, pair after pair, as
+    the factors that the sites on either side of the bond take (`_frame_sites`)."""
     starts: np.ndarray  # vectors starts[i]:starts[i+1] belong to pair i
     charges: np.ndarray
     lam: np.ndarray
-    vectors: np.ndarray  # (vector, M+1) over the frame states |q-m, m>_F of the bond
-    norm: np.ndarray  # per pair, the kept norm that the bond's truncation divided out
+    # (vector, M+1), for the site left of the bond: the conjugated V^dag row
+    # over the frame states |p-m, m>_F times tails[p, m] over the kept norm
+    # (no columns on bond 0, which has no site on its left)
+    left: np.ndarray
+    # (vector, M+1), for the site right of the bond: the vector over that
+    # site's H-frame states |q-m, m> times sqrt((q-m)!), 0 for m > q
+    right: np.ndarray
 
 
 class _FramePass(NamedTuple):
-    """What `_frame_keep_pass` keeps of every pair: its bonds and frame steps."""
+    """What `_frame_keep_pass` keeps of every pair: its bonds and site factors."""
     bonds: list  # _FrameBond per bond 0..N-1
-    theta: np.ndarray  # (pair, site), see `_frames`
-    fn: np.ndarray  # (pair, site, n): u^n / sqrt(n!)
-    ft: np.ndarray  # (pair, site, i): t^i / sqrt(i!)
-    fw: np.ndarray  # (pair, site, m): w^m
+    fn: np.ndarray  # (pair, site, n): u^n / sqrt(n!), see `_frames`
     discarded: np.ndarray
 
 
@@ -874,8 +880,10 @@ def _tails(ft: np.ndarray, fw: np.ndarray) -> np.ndarray:
 
 def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -> _FramePass:
     """Every bond of every pair, left to right, as `apply_two` would keep it
-    (`_frame_bond`), each bond's vectors turned into the next site's H frame
-    for the step after it."""
+    (`_frame_bond`).  Each bond's vectors turn into the next site's H frame
+    once, in one `_frame_rotation` call for the whole batch, which gives the
+    bond's `right` factor and, through it, the bond after it: a batch of
+    N-site pairs makes N calls."""
     pairs, n = zs.shape
     m = m1 + m2
     width = m + 1
@@ -883,45 +891,46 @@ def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -
     powers = np.ones((3, pairs, n, width), dtype=complex)
     powers[..., 1:] = np.stack([u, t, w])[..., None]
     un, tn, fw = np.cumprod(powers, axis=-1)
-    *_, sqrt_fact = _charge_axis(width)
+    _, level, below, sqrt_fact = _charge_axis(width)
     fn, ft = un.real / sqrt_fact, tn / sqrt_fact
-    vh = _frame_start(alpha, beta, m1, m2)
-    bonds = [_FrameBond(np.arange(pairs + 1), np.full(pairs, m), np.ones(pairs), vh,
-                        np.ones(pairs))]
+    starts, charges, lam = np.arange(pairs + 1), np.full(pairs, m), np.ones(pairs)
+    vectors, left = _frame_start(alpha, beta, m1, m2), np.zeros((pairs, 0), dtype=complex)
+    bonds = []
     discarded = np.zeros(pairs)
-    for k in range(n - 1):
-        x = _frame_rotation(bonds[-1].vectors, bonds[-1].charges,
-                            np.repeat(theta[:, k], np.diff(bonds[-1].starts)))
-        bond, dropped = _frame_bond(bonds[-1], x, fn[:, k], _tails(ft[:, k], fw[:, k]),
-                                    chi_max, trunc_tol)
-        bonds.append(bond)
-        discarded += dropped
-    return _FramePass(bonds, theta, fn, ft, fw, discarded)
+    for k in range(n):
+        x = _frame_rotation(vectors, charges, np.repeat(theta[:, k], np.diff(starts)))
+        bonds.append(_FrameBond(starts, charges, lam, left,
+                                np.where(below[charges], x * sqrt_fact[level[charges]], 0)))
+        if k + 1 < n:
+            (starts, charges, lam, vectors, left), dropped = _frame_bond(
+                bonds[-1], fn[:, k], _tails(ft[:, k], fw[:, k]), chi_max, trunc_tol)
+            discarded += dropped
+    return _FramePass(bonds, fn, discarded)
 
 
-def _frame_bond(bond: _FrameBond, x: np.ndarray, fn: np.ndarray, tails: np.ndarray,
+def _frame_bond(bond: _FrameBond, fn: np.ndarray, tails: np.ndarray,
                 chi_max: int, trunc_tol: float):
     """The next bond of every pair, and the weights its truncation discards.
 
     Its block of charge p holds one row per kept vector a of `bond` with
-    q_a >= p (site level n = q_a - p), lam_a fn[n] A_a[m] tails[p, m] over
-    m = 0..p, where A_a is a's row of x (over the H-frame states) times
-    sqrt((q_a - m)!): the lam-weighted block of the state that the earlier
+    q_a >= p (site level n = q_a - p), lam_a fn[n] right_a[m] tails[p, m]
+    over m = 0..p: the lam-weighted block of the state that the earlier
     bonds' truncations left.  Its singular values are the Schmidt values of
     charge p and its V^dag rows the new vectors over the F-frame states.  A
     block of one row or one column is its norm.  The others are padded with
     zero rows to the power of two at or above their own rows and go through
     one SVD call per charge and height; so no block's decomposition depends
     on the pairs batched with it, and the row of every pair, p + 1 slots per
-    charge, goes through `_truncate`.
+    charge, goes through `_truncate`.  Returns the new bond's starts,
+    charges, Schmidt values, V^dag rows and `left` factor, then the
+    discarded weights.
     """
     pairs, width = fn.shape
-    _, level, below, sqrt_fact = _charge_axis(width)
+    _, level, below, _ = _charge_axis(width)
     charge = np.arange(width)
     slot0 = np.append(0, np.cumsum(charge + 1))
-    starts, q = bond.starts, bond.charges
+    starts, q, right = bond.starts, bond.charges, bond.right
     pt = np.repeat(np.arange(pairs), np.diff(starts))
-    amat = np.where(below[q], x * sqrt_fact[level[q]], 0)
     weights = np.where(below[q], bond.lam[:, None] * fn[pt[:, None], level[q]], 0)
     counts = np.bincount(pt * width + q, minlength=pairs * width).reshape(pairs, width)
     rows = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # vectors of charge >= p
@@ -932,7 +941,7 @@ def _frame_bond(bond: _FrameBond, x: np.ndarray, fn: np.ndarray, tails: np.ndarr
     depth = int(height.max())
     place = pt * depth + depth - starts[pt + 1] + np.arange(q.shape[0])
     aligned = np.zeros((pairs * depth, width), dtype=complex)
-    aligned[place] = amat
+    aligned[place] = right
     aligned = aligned.reshape(pairs, depth, width)
     aligned_w = np.zeros((pairs * depth, width))
     aligned_w[place] = weights
@@ -940,7 +949,7 @@ def _frame_bond(bond: _FrameBond, x: np.ndarray, fn: np.ndarray, tails: np.ndarr
     s_all = np.zeros((pairs, slot0[-1]))
     vh_all = np.zeros((pairs, slot0[-1], width), dtype=complex)
     # charge 0 has one column, whose norm is its Schmidt value
-    s_all[:, 0] = np.sqrt(np.add.reduceat(np.abs(weights[:, 0] * amat[:, 0]) ** 2,
+    s_all[:, 0] = np.sqrt(np.add.reduceat(np.abs(weights[:, 0] * right[:, 0]) ** 2,
                                           starts[:-1])) * np.abs(tails[:, 0, 0])
     vh_all[:, 0, 0] = 1.0
     one_p, one_c = np.nonzero(rows[:, 1:] == 1)
@@ -960,44 +969,31 @@ def _frame_bond(bond: _FrameBond, x: np.ndarray, fn: np.ndarray, tails: np.ndarr
             vh_all[grp, slot0[p]:slot0[p] + kept, :p + 1] = vh[:, :kept]
     kept, norm, dropped = _truncate(s_all, np.sum(s_all**2, axis=1), chi_max, trunc_tol)
     pt, col = np.nonzero(kept)
-    new = _FrameBond(np.searchsorted(pt, np.arange(pairs + 1)), np.repeat(charge, charge + 1)[col],
-                     s_all[pt, col] / norm[pt], vh_all[pt, col], norm)
-    return new, dropped
+    p, vh = np.repeat(charge, charge + 1)[col], vh_all[pt, col]
+    left = vh.conj() * tails[pt, p]
+    left /= norm[pt, None]
+    return (np.searchsorted(pt, np.arange(pairs + 1)), p, s_all[pt, col] / norm[pt], vh,
+            left), dropped
 
 
 def _frame_sites(fp: _FramePass, i: int) -> list:
-    """The matrices W of pair i: W[a, b] = fn[q_a - p_b] sum_m right_a[m]
-    left_b[m], 0 for q_a < p_b, from its vectors over the H frame of bond k
-    times sqrt((q_a - m)!) (right) and conj over the F frame of bond k+1 times
-    tails[p_b, m] over the kept norm (left): the unweighted block rows of
-    bond k+1 (see `_frame_bond`) times V.  The last site's right bond
-    is the vacuum.  All of the pair's vectors turn into their H frames in
-    one call.
+    """The matrices W of pair i: site k+1 takes the `right` factors of bond k
+    and the `left` factors of bond k+1, W[a, b] = fn[q_a - p_b] sum_m
+    right_a[m] left_b[m], 0 for q_a < p_b: the unweighted block rows of bond
+    k+1 (see `_frame_bond`) times V.  The last site's right bond is the
+    vacuum, charge 0, so its W is the m = 0 column of right times fn[q_a].
     """
-    bonds = fp.bonds
-    width = bonds[0].vectors.shape[1]
-    spans = [slice(bond.starts[i], bond.starts[i + 1]) for bond in bonds]
-    sizes = [span.stop - span.start for span in spans]
-    vectors = np.concatenate([bond.vectors[span] for bond, span in zip(bonds, spans)])
-    charges = np.concatenate([bond.charges[span] for bond, span in zip(bonds, spans)])
-    site = np.repeat(np.arange(len(bonds)), sizes)
-    _, level, below, sqrt_fact = _charge_axis(width)
-    right = _frame_rotation(vectors, charges, fp.theta[i][site])
-    right *= np.where(below[charges], sqrt_fact[level[charges]], 0)
-    # bond k's vectors are the new frame states of site k - 1's step
-    left = vectors.conj() * _tails(fp.ft[i], fp.fw[i])[site - 1, charges]
-    left /= np.repeat([bond.norm[i] for bond in bonds], sizes)[:, None]
-    cuts = np.append(0, np.cumsum(sizes))
-    fn = np.concatenate([fp.fn[i], np.zeros((len(bonds), 2 * width))], axis=1)
+    spans = [slice(bond.starts[i], bond.starts[i + 1]) for bond in fp.bonds]
+    fn = np.concatenate([fp.fn[i], np.zeros_like(fp.fn[i])], axis=1)
     ws = []
-    for k in range(len(bonds)):
-        a = slice(cuts[k], cuts[k + 1])
-        if k + 1 < len(bonds):
-            b = slice(cuts[k + 1], cuts[k + 2])
-            w = right[a] @ left[b].T
-            w *= fn[k][charges[a][:, None] - charges[b]]  # a level below 0 reads the zero tail
+    for k, (bond, span) in enumerate(zip(fp.bonds, spans)):
+        right, q = bond.right[span], bond.charges[span]
+        if k + 1 < len(fp.bonds):
+            after, b = fp.bonds[k + 1], spans[k + 1]
+            w = right @ after.left[b].T
+            w *= fn[k][q[:, None] - after.charges[b]]  # a level below 0 reads the zero tail
         else:
-            w = right[a, :1] * fn[k][charges[a]][:, None]
+            w = right[:, :1] * fn[k][q][:, None]
         ws.append(w)
     return ws
 
@@ -1011,10 +1007,11 @@ def two_sum_states(pairs, m1: int, m2: int, *, chi_max: int | None = None,
     keep pass (`_frame_keep_pass`), which truncates each bond of the state
     that the earlier bonds left, as the gate replay does, and batches each
     bond's SVDs over the pairs.  Every pair is checked before anything is
-    built.  The keep pass records each pair's kept vectors over the frame
-    states, and a state's sites are written from them only when it is
-    yielded (`_frame_sites`), so a caller that keeps one state at a time
-    holds, besides that record, at most two.  The modes must be finite and
+    built.  The keep pass records, for each bond of each pair, the factors
+    that the sites on either side of it take, and a state's sites are
+    written from them, one product per site, only when it is yielded
+    (`_frame_sites`), so a caller that keeps one state at a time holds,
+    besides that record, at most two.  The modes must be finite and
     nonzero, and the pairs must share one length.
     """
     zs, cs = [], []

@@ -167,19 +167,25 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 def test_malformed_custom_matrix_is_a_config_error(tmp_path, capsys):
     # an odd number of values in a row, a non-numeric cell and ragged rows,
-    # each in the third line of a 3-site matrix
+    # each in the third line of a 3-site matrix, name their line; an empty
+    # file, a 2 x 3 matrix, a non-Hermitian one and a 2-site matrix under
+    # n_sites = 4 name the file
     good = "0,0,1,0,0,0\n1,0,0,0,1,0\n"
-    for name, third in (("odd", "0,0,1,0,0\n"), ("text", "0,0,1,x,0,0\n"),
-                        ("ragged", "0,0,1,0\n")):
+    cases = [("odd", good + "0,0,1,0,0\n", 3, ", line 3"),
+             ("text", good + "0,0,1,x,0,0\n", 3, ", line 3"),
+             ("ragged", good + "0,0,1,0\n", 3, ", line 3"),
+             ("empty", "", 3, ":"), ("wide", good, 3, ":"),
+             ("skew", "0,0,1,0\n2,0,0,0\n", 2, ":"), ("small", "0,0,1,0\n1,0,0,0\n", 4, ":")]
+    for name, rows, n, where in cases:
         matrix = tmp_path / f"{name}.csv"
-        matrix.write_text(good + third)
+        matrix.write_text(rows)
         text = SWEEP_CFG.replace("n_sites = 6\nbase = jx",
-                                 f"n_sites = 3\nbase = custom\ncustom_matrix = {matrix}")
+                                 f"n_sites = {n}\nbase = custom\ncustom_matrix = {matrix}")
         out = tmp_path / name
-        assert main(["sweep", "--config", _write(tmp_path, text), "--out-dir", str(out)]) == 2
+        assert main(["sweep", "--config", _write(tmp_path, text), "--out-dir", str(out)]) == 2, name
         err = capsys.readouterr().err
-        assert "config error" in err and f"{matrix}, line 3" in err, err
-        assert not out.exists()
+        assert "config error" in err and f"{matrix}{where}" in err, err
+        assert not out.exists(), name
 
 
 def test_kind_must_match_subcommand(tmp_path, capsys):

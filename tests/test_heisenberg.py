@@ -81,6 +81,10 @@ def test_packet_modes_rows_and_duplicates():
         packet_modes([(1, 2), (1, 1)], a)
     with pytest.raises(ValidationError):
         packet_modes([(1, 0)], a)
+    # 1-based sites: 0 would read column -1 (site N), and N + 1 lies past the chain
+    for site in (0, -1, 6):
+        with pytest.raises(ValidationError, match="outside"):
+            packet_modes([(1, 2), (site, 1)], a)
 
 
 def test_occupations_oracle_conserves_total():
@@ -99,3 +103,5 @@ def test_occupations_oracle_rejects_nonorthonormal():
     bad = [(p[0][0], 1), (p[0][0], 1)]
     with pytest.raises(ValidationError):
         occupations_oracle(bad)
+    with pytest.raises(ValidationError, match="at least one packet"):
+        occupations_oracle([])

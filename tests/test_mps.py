@@ -931,9 +931,28 @@ def test_two_sum_states_match_one_build_per_pair():
         assert st.discarded_weight == ref.discarded_weight
 
 
+def test_two_sum_states_rotate_each_vector_once(monkeypatch):
+    # each kept Schmidt vector turns into its site's H frame once, in the keep
+    # pass's one rotation call per bond 0..N-1 for the whole batch; writing
+    # the states rotates nothing, so the calls do not grow with the pairs
+    calls = []
+    rotation = mps._frame_rotation
+
+    def counted(*args):
+        calls.append(args)
+        return rotation(*args)
+
+    monkeypatch.setattr(mps, "_frame_rotation", counted)
+    for n, count in [(20, 1), (20, 21), (8, 5)]:
+        calls.clear()
+        states = list(mps.two_sum_states(_sweep_grid(n, count), 4, 4, chi_max=25))
+        assert len(states) == count
+        assert len(calls) == n, (n, count, len(calls))
+
+
 def test_two_sum_states_hold_one_state_at_a_time(monkeypatch):
     # states are written as they are yielded: besides the keep pass's record
-    # (each pair's kept vectors over the frame states), a caller that keeps
+    # (each bond's left and right site factors), a caller that keeps
     # only the current state holds it and the one being built, not all 21
     pairs = [_collision_modes(20, mu) for mu in np.linspace(4.0, 12.0, 21)]  # near the peak
     record = []
@@ -974,9 +993,10 @@ def test_sweep_builds_hold_no_subnormals(monkeypatch):
     # the seed-0 points of the M = 4 and M = 8 sweeps (mu / N = 0..3 in steps
     # of 0.1) and of the M = 16 sweep (mu / N = 0, 0.3, 1, 2, 3), built as the
     # sweep builds them: the packets' tails reach about 1e-17, yet no entry
-    # of the keep pass's record (the kept vectors, fn, ft, fw), no W and no
-    # Schmidt value is subnormal, where one 68 x 17 x 68 product runs about
-    # 100 times slower; so the frame writer sets no amplitude to 0
+    # of the keep pass's record (each bond's left and right site factors,
+    # fn), no W and no Schmidt value is subnormal, where one 68 x 17 x 68
+    # product runs about 100 times slower; so the frame writer sets no
+    # amplitude to 0
     n = 20
     p = _front(n, 1, n)
     small = [round(0.1 * i, 10) for i in range(31)]
@@ -993,7 +1013,7 @@ def test_sweep_builds_hold_no_subnormals(monkeypatch):
         states = list(mps.two_sum_states(pairs, m // 2, m // 2, chi_max=chi_max,
                                          trunc_tol=1e-12))
         fp = record[-1]
-        arrays = [bond.vectors for bond in fp.bonds] + [fp.fn, fp.ft, fp.fw]
+        arrays = [a for bond in fp.bonds for a in (bond.left, bond.right)] + [fp.fn]
         arrays += [a for st in states for a in st.ws + st.lambdas]
         assert sum(_subnormals(a) for a in arrays) == 0, m
 
