@@ -16,9 +16,9 @@ from .folding import (FoldPlan, PairRotationOp, PhaseOp, TwoSumPlan,
                       pair_rotation_angle, plan_from_text, plan_to_text)
 from .mps import (BlockDecimationState, amplitude, apply_single, apply_two,
                   build_pair_rotation_gate, build_phase_gate, canonical_defect,
-                  condensate_state, condensate_states, from_fock, lift_first_site, occupations,
-                  reduced_density_two_sites, schmidt_values, state_norm,
-                  two_sum_state, two_sum_states)
+                  condensate_occupations, condensate_state, condensate_states, from_fock,
+                  lift_first_site, occupations, reduced_density_two_sites, schmidt_values,
+                  state_norm, two_sum_state, two_sum_states)
 from .entanglement import (EntanglementResult, binomial_end_entanglement_asymptotic,
                            binomial_end_entanglement_exact, collection_fraction,
                            logneg_partial_transpose, logneg_pure)

@@ -53,9 +53,13 @@ applies the keep rule of `apply_two` row by row, and the kept, renormalized
 lam^2 is the next row.  A state's matrices, phases folded in, are written
 only when it is yielded, each the kept part of its site's charge-axis
 matrix, so a caller that measures the states one by one holds at most two
-(`condensate_states`).  The fold's angles are closed forms of the mode c:
-bond k rotates by -2 atan2(|c_{>k}|, |c_k|) and site k takes the phase
--arg c_k, so no gate, fold plan or SVD runs there.
+(`condensate_states`).  Their occupations need no W at all
+(`condensate_occupations`): the left environments are the keep pass's lam^2
+rows, and |W|^2 = rot^2 / norm^2 whatever the phases, so one backward sweep
+over the charge axis of every state at once gives them.  The fold's angles
+are closed forms of the mode c: bond k rotates by -2 atan2(|c_{>k}|, |c_k|)
+and site k takes the phase -arg c_k, so no gate, fold plan or SVD runs
+there.
 
 A two-sum state (sum c a^dag)^M2 (sum z a^dag)^M1 |0> is written in
 two-mode frames (`two_sum_states`): right of bond k it lives on two modes,
@@ -369,6 +373,19 @@ def _rotation_factors(angles, q: int):
     return np.cos(half) ** n, (-np.sin(half)) ** n
 
 
+def _rotation_weights(angles: np.ndarray, q: int, r=slice(None), p=slice(None)) -> np.ndarray:
+    """rot^2 of each angle phi_i, rot[r, p] = sqrt(C(r, p)) cos^(r-p)(phi_i/2)
+    (-sin(phi_i/2))^p (see `_rotation_factors`), over the charges r, p of
+    0..q (slices, all of them by default), 0 for p > r: one matrix per angle.
+    rot is squared whole, so a weight underflows only where rot^2 does."""
+    sqrt_binom, level, _, _ = _charge_axis(q + 1)
+    cos_l, sin_p = _rotation_factors(angles, q)
+    rot = cos_l.take(level[r, p], axis=1)
+    rot *= sqrt_binom[r, p]
+    rot *= sin_p[:, None, p]
+    return np.square(rot, out=rot)
+
+
 def _vacuum_rotations(m: int, angles, phases, chi_max: int, trunc_tol: float):
     """Rotations e^{-i phi Q} on bonds 1..B, then phases e^{-i theta n} on
     sites 1..B+1, in closed form for a batch of states that start as
@@ -400,9 +417,8 @@ def _vacuum_rotations(m: int, angles, phases, chi_max: int, trunc_tol: float):
     """
     angles = np.asarray(angles, dtype=float)
     width = m + 1
-    start = np.zeros((angles.shape[0], width))
-    start[:, m] = 1.0
-    kept, lam, norm, discarded = _keep_pass(start, angles, chi_max, trunc_tol)
+    kept, lam, norm, discarded = _keep_pass(_vacuum_start(angles.shape[0], m), angles,
+                                            chi_max, trunc_tol)
     bonds = angles.shape[1]
     n = np.arange(width)
     sqrt_binom, level, _, _ = _charge_axis(width)
@@ -453,11 +469,8 @@ def _keep_pass(w: np.ndarray, angles: np.ndarray, chi_max: int, trunc_tol: float
     lam = np.empty((rows, bonds, q + 1))
     norm = np.ones((rows, bonds + 1))
     discarded = np.zeros(rows)
-    sqrt_binom, level, _, _ = _charge_axis(q + 1)
     for b in range(bonds):
-        cos_l, sin_p = _rotation_factors(angles[:, b], q)
-        rot = sqrt_binom * cos_l[:, level] * sin_p[:, None, :]
-        s2 = np.matmul(w[:, None, :], rot**2)[:, 0]
+        s2 = np.matmul(w[:, None, :], _rotation_weights(angles[:, b], q))[:, 0]
         s = np.sqrt(s2)
         kept[:, b], norm[:, b], dropped = _truncate(s, s2.sum(axis=1), chi_max, trunc_tol)
         discarded += dropped
@@ -693,40 +706,108 @@ def _unit_mode(c) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
-def condensate_states(modes, m: int, *, chi_max: int | None = None,
-                      trunc_tol: float = 1e-12):
-    """MPS of the single-condensate state (sum_k c_k a_k^dag)^M |0> (normalized)
-    of each mode c in `modes`, yielded in input order.
+def _condensate_fold(modes, m: int):
+    """The unit modes as rows and the fold's bond angles of each, (states, N-1),
+    or None for no modes.
 
     The fold rotates on bonds N-1 down to 1 by 2 atan2(|c_{>k}|, |c_k|) after
     it strips the phases arg c_k, so its inverse, written in closed form,
     rotates |M, 0, ..., 0> on bonds 1..N-1 by the negated angles and then
-    puts on the phases -arg c_k: each build is one row of
-    `_vacuum_rotations`.  The keep pass of every mode runs at the first
-    `next`, after every mode is checked, and each state is written only when
-    it is yielded, so a caller that keeps one state at a time holds at most
-    two.  The modes must be finite and nonzero and share one length, and m
-    must be >= 0.
+    puts on the phases -arg c_k.  The modes must be finite and nonzero and
+    share one length, and m must be >= 0; every mode is checked first.
     """
     cs = [_unit_mode(c) for c in modes]
     if m < 0:
         raise ValidationError(f"boson count must be >= 0, got {m}")
     if not cs:
-        return
+        return None
     if len({c.shape[0] for c in cs}) > 1:
         raise ValidationError("condensate modes must share one length")
-    chi_max = _chi_max(m, chi_max)
     cs = np.array(cs)
     r = np.abs(cs)
     # |c_{>k}| for k = 1..N-1, accumulated from the right as the fold does
     tails = np.hypot.accumulate(r[:, :0:-1], axis=1)[:, ::-1]
-    angles = -2.0 * np.arctan2(tails, r[:, :-1])
+    return cs, -2.0 * np.arctan2(tails, r[:, :-1])
+
+
+def _vacuum_start(rows: int, m: int) -> np.ndarray:
+    """lam^2 rows over the charges 0..m of bond 0: all of it on charge m."""
+    start = np.zeros((rows, m + 1))
+    start[:, m] = 1.0
+    return start
+
+
+def condensate_states(modes, m: int, *, chi_max: int | None = None,
+                      trunc_tol: float = 1e-12):
+    """MPS of the single-condensate state (sum_k c_k a_k^dag)^M |0> (normalized)
+    of each mode c in `modes`, yielded in input order.
+
+    Each build is one row of `_vacuum_rotations`, run with the closed-form
+    inverse fold of its mode (`_condensate_fold`).  The keep pass of every
+    mode runs at the first `next`, after every mode is checked (finite,
+    nonzero, one length; m >= 0), and each state is written only when it is
+    yielded, so a caller that keeps one state at a time holds at most two.
+    """
+    fold = _condensate_fold(modes, m)
+    if fold is None:
+        return
+    cs, angles = fold
+    chi_max = _chi_max(m, chi_max)
     for ws, lambdas, charges, discarded in _vacuum_rotations(
             m, angles, -np.angle(cs), chi_max, trunc_tol):
         yield BlockDecimationState(
             ws=ws, lambdas=[np.ones(1), *lambdas, np.ones(1)],
             charges=[np.array([m]), *charges, np.zeros(1, dtype=int)],
             chi_max=chi_max, trunc_tol=trunc_tol, discarded_weight=discarded)
+
+
+def _charge_window(mask: np.ndarray) -> slice:
+    """The charges from the lowest to the highest that some row of the
+    (rows, charges) mask holds."""
+    held = mask.any(axis=0)
+    return slice(int(held.argmax()), held.shape[0] - int(held[::-1].argmax()))
+
+
+def condensate_occupations(modes, m: int, *, chi_max: int | None = None,
+                           trunc_tol: float = 1e-12) -> np.ndarray:
+    """(len(modes), N) site occupations <n_k> of the states that
+    `condensate_states` yields for the same arguments, with no W written.
+
+    Every bond of those states holds one Schmidt vector per kept charge, so
+    their environments are the diagonal rows of `_diagonal_occupations`,
+    here over the whole charge axis 0..m.  The left row of bond t is the
+    kept, renormalized lam^2 row of the keep pass (bond 0: 1 at charge m),
+    and site t's P = |W|^2 is rot_t^2 / norm_t^2 on the kept charges of its
+    two bonds, whatever the phases.  One backward sweep over every state at
+    once carries r_t = P_t r_{t+1} from the vacuum past the run and gives
+    <n_t> = l_t (P_t o (r - p)) r_{t+1}: every term is nonnegative, and no
+    canonical form is assumed.  The modes and m are checked as
+    `condensate_states` checks them, with the same errors, and no modes give
+    an empty (0, 0) array.
+    """
+    fold = _condensate_fold(modes, m)
+    if fold is None:
+        return np.zeros((0, 0))
+    _, angles = fold
+    rows, bonds = angles.shape
+    start = _vacuum_start(rows, m)
+    kept, lam, norm, _ = _keep_pass(start, angles, _chi_max(m, chi_max), trunc_tol)
+    level = _charge_axis(m + 1)[1]
+    # the last site rotates into the vacuum past the run: a rotation by 0
+    angles = np.append(angles, np.zeros((rows, 1)), axis=1)
+    # per bond, the charges that some state keeps (bond 0: m alone)
+    window = [slice(m, m + 1)] + [_charge_window(kept[:, b]) for b in range(bonds + 1)]
+    out = np.empty((rows, bonds + 1))
+    right = np.ones((rows, 1))  # the vacuum bond: 1 at charge 0
+    for t in range(bonds, -1, -1):
+        r, p = window[t], window[t + 1]
+        # P_t's mask and 1 / norm_t^2 act on its columns, so r_{t+1} takes them
+        right = np.where(kept[:, t, p], right / norm[:, t, None] ** 2, 0.0)[:, :, None]
+        site = _rotation_weights(angles[:, t], m, r, p)
+        left = lam[:, t - 1, r] ** 2 if t else start[:, r]
+        out[:, t] = np.matmul(left[:, None, :], np.matmul(site * level[r, p], right))[:, 0, 0]
+        right = np.matmul(site, right)[:, :, 0]
+    return out
 
 
 def condensate_state(c, m: int, *, chi_max: int | None = None,

@@ -11,8 +11,8 @@ from .entanglement import collection_fraction, logneg_partial_transpose
 from .errors import ConfigError
 from .heisenberg import ground_mode, mode_trajectory, propagate, spectral_decompose
 from .model import ModelSpec, add_onsite_barrier, build_coupling
-from .mps import (condensate_state, condensate_states, occupations, reduced_density_two_sites,
-                  schmidt_values, two_sum_states)
+from .mps import (condensate_occupations, condensate_state, occupations,
+                  reduced_density_two_sites, schmidt_values, two_sum_states)
 # No scenario calls two_sum_state or evolve_mode; perfbench's tracer patches
 # them here by name, and Tracer.install() stops on a name the module lacks.
 from .heisenberg import evolve_mode  # noqa: F401
@@ -134,8 +134,12 @@ def validate_spec(spec: ScenarioSpec) -> ScenarioSpec:
         if not all(math.isfinite(mu) for mu in spec.mu_values):
             raise ConfigError("mu values must be finite")
     elif spec.kind in ("quench_release", "quench_raise"):
-        if spec.model is None and (spec.model_pre is None or spec.model_post is None):
+        pre, post = spec.model_pre, spec.model_post
+        if spec.model is None and (pre is None or post is None):
             raise ConfigError("quench needs a model (or explicit model_pre/model_post)")
+        if pre is not None and post is not None and pre.n_sites != post.n_sites:
+            raise ConfigError(f"[model_pre] has {pre.n_sites} sites but [model_post] has "
+                              f"{post.n_sites}: a quench keeps its chain")
     elif spec.kind == "ground_state":
         if spec.model is None:
             raise ConfigError("ground_state needs a model")
@@ -165,9 +169,10 @@ def run_quench(spec: ScenarioSpec) -> QuenchResult:
 
     Occupations come from the closed form M |c_k(t)|^2, the mode evolved to
     every grid time in one product (`mode_trajectory`); at snapshot times the
-    full MPS is built from the evolved mode as an independent cross-check.
-    The snapshot states are built together (`condensate_states`, one keep
-    pass) and written one at a time as they are measured.
+    MPS occupations of the evolved mode's condensate state are an independent
+    cross-check.  They are read for every snapshot together off the keep pass
+    of the states' bonds (`condensate_occupations`), so no state's matrices
+    are written.
     """
     validate_spec(spec)
     pre, post = resolve_quench_models(spec)
@@ -178,9 +183,9 @@ def run_quench(spec: ScenarioSpec) -> QuenchResult:
     occ = m * np.abs(mode_trajectory(post_spec, c0.coefficients, times)) ** 2
     modes = mode_trajectory(post_spec, c0.coefficients, spec.snapshot_times)
     num = spec.numerics
-    states = condensate_states(modes, m, chi_max=num.chi_max, trunc_tol=num.trunc_tol)
-    snapshots = [(t, m * np.abs(ct) ** 2, occupations(state))
-                 for t, ct, state in zip(spec.snapshot_times, modes, states)]
+    mps_occ = condensate_occupations(modes, m, chi_max=num.chi_max, trunc_tol=num.trunc_tol)
+    snapshots = [(t, m * np.abs(ct) ** 2, occ)
+                 for t, ct, occ in zip(spec.snapshot_times, modes, mps_occ)]
     return QuenchResult(times=times, occupations=occ, snapshots=tuple(snapshots), m=m)
 
 

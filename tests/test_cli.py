@@ -145,7 +145,10 @@ def test_config_error_exit_code(tmp_path, capsys):
            for t in ("nan", "inf")]
     bad += [QUENCH_CFG.replace("t_end = 2", "t_end = nan"),
             QUENCH_CFG.replace("m = 3", "m = -1"),
-            QUENCH_CFG.replace("n_sites = 6", "n_sites = 1")]
+            QUENCH_CFG.replace("n_sites = 6", "n_sites = 1"),
+            # a 6-site mode released into an 8-site chain
+            QUENCH_CFG.replace("[model]", "[model_pre]")
+            + "\n[model_post]\nn_sites = 8\nbase = inverse_distance\nj1 = 0.3\n"]
     for i, text in enumerate(bad):
         out = tmp_path / f"quench-{i}"
         assert main(["quench", "--config", _write(tmp_path, text), "--out-dir", str(out)]) == 2
@@ -268,6 +271,21 @@ def test_runs_without_scipy_or_the_process_pool(tmp_path):
     assert result == {"codes": [0, 0, 0], "loaded": []}
     assert (tmp_path / "sweep" / "sweep.csv").exists()
     assert (tmp_path / "quench" / "occupations_mps.csv").exists()
+
+
+def test_only_selftest_loads_the_dense_oracles(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    (tmp_path / "quench.ini").write_text(QUENCH_CFG)
+    script = ("import sys\nfrom bosefold.cli import main\n"
+              "code = main(['quench', '--config', sys.argv[1], '--out-dir', sys.argv[2]])\n"
+              "before = 'bosefold.dense' in sys.modules\n"
+              "print(code, before, main(['selftest']), 'bosefold.dense' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "quench.ini"),
+                           str(tmp_path / "out")], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False 0 True"
 
 
 def test_sweep_threads_flag(tmp_path):

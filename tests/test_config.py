@@ -163,6 +163,10 @@ def test_validation_rules_surface_as_config_errors():
     for pre, post in ((1, 6), (6, 1), (0, 6)):
         with pytest.raises(ConfigError, match="at least 2 sites"):
             parse_config_text(explicit.format(pre=pre, post=post))
+    # a quench keeps its chain: no mode of 6 sites evolves under 8-site couplings
+    for pre, post in ((6, 8), (8, 6)):
+        with pytest.raises(ConfigError, match=f"{pre} sites but \\[model_post\\] has {post}"):
+            parse_config_text(explicit.format(pre=pre, post=post))
     # a collision packet with no boson, given or from splitting m
     for counts in ("m1 = 0\nm2 = 2", "m1 = 2\nm2 = 0", "m = 0"):
         with pytest.raises(ConfigError, match="m1 >= 1 and m2 >= 1"):

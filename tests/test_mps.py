@@ -10,8 +10,8 @@ from scipy.special import gammaln
 from bosefold import dense, mps
 from bosefold.errors import ValidationError
 from bosefold.folding import PhaseOp, fold_single, fold_two, invert_plan
-from bosefold.heisenberg import (occupations_oracle, packet_modes, propagate,
-                                 spectral_decompose)
+from bosefold.heisenberg import (ground_mode, mode_trajectory, occupations_oracle,
+                                 packet_modes, propagate, spectral_decompose)
 from bosefold.model import ModelSpec, add_onsite_barrier, build_coupling
 from bosefold.mps import (SingleModeGate, TwoModeGate, _sector_eigh, amplitude, apply_single,
                           apply_two, build_pair_rotation_gate, build_phase_gate, canonical_defect,
@@ -309,7 +309,8 @@ def test_environments_match_dense_contraction_on_truncated_states():
     states = [two_sum_state(z, c, m // 2, m // 2, chi_max=chi_max) for chi_max in (8, 12)]
     assert [any(len(set(q.tolist())) < q.shape[0] for q in st.charges)
             for st in states] == [False, True]
-    # a condensate with 1e-6 amplitudes on three sites: <n_k> near 2e-11 there
+    # a condensate with 1e-6 amplitudes on three sites: <n_k> near 2e-11 there;
+    # its occupations come from its W and, with no W written, from the keep pass
     c = _random_mode(40, 51)
     c[[3, 17, 30]] = 1e-6
     states += [condensate_state(c, 20, chi_max=chi_max) for chi_max in (8, 12)]
@@ -320,14 +321,17 @@ def test_environments_match_dense_contraction_on_truncated_states():
         b = [np.transpose(g, (1, 0, 2)) for g in st.gammas]
         occ = np.array([sum(lvl * np.trace(b[s][lvl].conj().T @ left[s] @ b[s][lvl] @ right[s + 1])
                             for lvl in range(st.local_dim)).real for s in range(n)])
-        got = occupations(st)
-        assert np.max(np.abs(got - occ)) < 1e-13, (n, st.chi_max)
-        # every term of the diagonal form is nonnegative, so the sites far below
-        # one boson keep their relative precision (<Q_{k-1}> - <Q_k>, the same
-        # sum regrouped, loses about 1e-4 of it there)
-        small = occ < 1e-8
-        assert np.count_nonzero(small) == (3 if n == 40 else 0)
-        assert np.all(np.abs(got - occ)[small] <= 1e-12 * occ[small]), (n, st.chi_max)
+        routes = [occupations(st)]
+        if n == 40:
+            routes.append(mps.condensate_occupations([c], 20, chi_max=st.chi_max)[0])
+        for got in routes:
+            assert np.max(np.abs(got - occ)) < 1e-13, (n, st.chi_max)
+            # every term of the diagonal forms is nonnegative, so the sites far
+            # below one boson keep their relative precision (<Q_{k-1}> - <Q_k>,
+            # the same sum regrouped, loses about 1e-4 of it there)
+            small = occ < 1e-8
+            assert np.count_nonzero(small) == (3 if n == 40 else 0)
+            assert np.all(np.abs(got - occ)[small] <= 1e-12 * occ[small]), (n, st.chi_max)
         assert abs(state_norm(st) - np.sqrt(left[n][0, 0].real)) < 1e-13
         defect = max([np.max(np.abs(env - np.diag(lam**2)))
                       for lam, env in zip(st.lambdas, left)]
@@ -892,22 +896,61 @@ def test_condensate_states_hold_one_state_at_a_time():
 
 
 def test_condensate_states_check_every_mode_first():
+    # condensate_occupations checks the same, with the same errors
+    def both_raise(modes, m, match):
+        with pytest.raises(ValidationError, match=match) as err:
+            next(mps.condensate_states(modes, m))
+        with pytest.raises(ValidationError) as same:
+            mps.condensate_occupations(modes, m)
+        assert str(same.value) == str(err.value)
+
     good = [_random_mode(6, s) for s in range(3)]
     bad = [(np.zeros(6), "nonzero"), (np.append(good[0][:5], np.nan), "finite"),
            (np.append(good[0][:5], np.inf), "finite")]
     for where in (0, 2, 3):
         for mode, match in bad:
-            states = mps.condensate_states(good[:where] + [mode] + good[where:], 3)
-            with pytest.raises(ValidationError, match=match):
-                next(states)
-    with pytest.raises(ValidationError, match="one length"):
-        next(mps.condensate_states(good + [_random_mode(5, 9)], 3))
-    for states in (mps.condensate_states(good, -1), mps.condensate_states([], -1)):
-        with pytest.raises(ValidationError, match="boson count"):
-            next(states)
+            both_raise(good[:where] + [mode] + good[where:], 3, match)
+    both_raise(good + [_random_mode(5, 9)], 3, "one length")
+    for modes in (good, []):
+        both_raise(modes, -1, "boson count")
     with pytest.raises(ValidationError, match="boson count"):
         condensate_state(np.ones(3), -1)
     assert list(mps.condensate_states([], 3)) == []
+    assert mps.condensate_occupations([], 3).shape[0] == 0
+
+
+def _release_snapshot_modes():
+    """The 21 snapshot modes of the seed-0 benchmark quench: an N = 40
+    inverse-distance chain released from a barrier on sites 19-22, at t = 0,
+    10, ..., 200."""
+    n = 40
+    model = ModelSpec(n_sites=n, base="inverse_distance", j1=0.3,
+                      trap_omega=0.00046 * (100 / n) ** 2, barriers=((19, 22, 1000.0),))
+    c0 = ground_mode(spectral_decompose(build_coupling(model)))
+    post = spectral_decompose(build_coupling(model.without_barriers()))
+    return mode_trajectory(post, c0.coefficients, np.arange(21) * 10.0)
+
+
+def test_condensate_occupations_match_the_written_states():
+    # read off the keep pass with no W written, the occupations must be those
+    # of the states condensate_states yields, truncated or not
+    tails = []
+    for s in range(4):
+        c = _random_mode(40, 90 + s)
+        c[[3, 17, 30]] = 1e-4
+        tails.append(c)
+    cases = [(tails, 20, dict(chi_max=8)), (tails, 20, dict(chi_max=12)),
+             (tails, 20, dict(trunc_tol=0.0)), ([_random_mode(2, s) for s in range(3)], 0, {}),
+             ([_random_mode(100, 95 + s) for s in range(2)], 100, {}),
+             (_release_snapshot_modes(), 20, {})]
+    for modes, m, numerics in cases:
+        states = list(mps.condensate_states(modes, m, **numerics))
+        if "chi_max" in numerics:
+            assert min(st.discarded_weight for st in states) > 1e-3
+        ref = np.array([occupations(st) for st in states])
+        got = mps.condensate_occupations(modes, m, **numerics)
+        assert got.shape == ref.shape == (len(modes), len(modes[0]))
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref), (m, numerics)
 
 
 def _sweep_grid(n, count):

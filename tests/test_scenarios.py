@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bosefold import mps, scenarios
 from bosefold.errors import ConfigError
 from bosefold.heisenberg import propagate, spectral_decompose
 from bosefold.model import ModelSpec, add_onsite_barrier, build_coupling
@@ -46,6 +47,21 @@ def test_run_quench_conserves_bosons_and_matches_mps():
     assert np.allclose(res.occupations.sum(axis=1), 4.0, atol=1e-10)
     for t, closed, mps in res.snapshots:
         assert np.max(np.abs(closed - mps)) < 1e-9
+
+
+def test_run_quench_writes_no_state(monkeypatch):
+    # the snapshot occupations come off the keep pass: no condensate state is
+    # written or measured
+    def no_state(*args, **kwargs):
+        raise AssertionError("a quench snapshot wrote a state")
+
+    monkeypatch.setattr(mps, "_vacuum_rotations", no_state)
+    monkeypatch.setattr(scenarios, "condensate_states", no_state, raising=False)
+    monkeypatch.setattr(scenarios, "occupations", no_state)
+    res = run_quench(_quench_spec())
+    assert len(res.snapshots) == 2
+    for t, closed, occ in res.snapshots:
+        assert np.max(np.abs(closed - occ)) < 1e-9, t
 
 
 def test_run_collision_sweep_orders_and_measures():
