@@ -14,13 +14,14 @@ timestamps, so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 import numpy as np
 
 from .config import parse_config
-from .errors import BosefoldError, ConfigError
+from .errors import BosefoldError, ConfigError, ValidationError
 from .folding import fold_single, plan_to_text
 from .heisenberg import ground_mode, spectral_decompose
 from .model import build_coupling
@@ -46,13 +47,19 @@ def _fmt(x: float) -> str:
 
 
 def write_occupations_csv(path, times, occ) -> None:
-    lines = ["t,site,n\n"]
-    for t, row in zip(times, occ):
-        t = _fmt(float(t))
-        lines.extend(f"{t},{site},{_fmt(n)}\n"
-                     for site, n in enumerate(np.asarray(row, dtype=float).tolist(), start=1))
+    """Rows `t,site,n` of occupations occ[i] at times[i], sites from 1.
+
+    The file is one `%` format: each time's row template puts _fmt(t) in
+    front of every `,site,%.17g`, and '%.17g' % x is format(x, ".17g"), so
+    CPython's 17-digit dtoa is all that runs per value.
+    """
+    occ = np.asarray(occ, dtype=float)
+    if len(times) != len(occ):
+        raise ValidationError(f"{len(times)} times for {len(occ)} rows of occupations")
+    sites = [""] + [f",{site},%.17g\n" for site in range(1, occ.shape[-1] + 1)]
+    template = "".join(_fmt(float(t)).join(sites) for t in times)
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write("t,site,n\n" + template % tuple(occ.ravel().tolist()))
 
 
 def write_sweep_csv(path, records) -> None:
@@ -197,7 +204,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(prog="bosefold",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -158,6 +158,8 @@ def parse_config_text(text: str) -> ScenarioSpec:
         if step == 0.0 or not all(math.isfinite(x) for x in grid):
             raise ConfigError("mu_over_n needs finite values and a nonzero step")
         count = int(round((stop - start) / step)) + 1
+        if count < 1:
+            raise ConfigError(f"mu_over_n step {step:g} points away from stop {stop:g}")
         mu_values = tuple(float((start + i * step) * ref.n_sites)
                           for i in range(count))
 

@@ -48,9 +48,10 @@ column.  Past its first bond such a run has at most one Schmidt vector per
 charge, so each bond of a state is a row over the charge axis 0..M with a
 kept mask, and `_vacuum_rotations` runs the keep pass of many states at
 once: per bond, one batched product s^2 = w rot^2 gives every state's
-squared Schmidt values from the lam^2 row w of the bond before, `_truncate`
-applies the keep rule of `apply_two` row by row, and the kept, renormalized
-lam^2 is the next row.  A state's matrices, phases folded in, are written
+squared Schmidt values from the lam^2 row w of the bond before (rot^2 built
+only on the charges that row holds, the same floats), `_truncate` applies
+the keep rule of `apply_two` row by row, and the kept, renormalized lam^2 is
+the next row.  A state's matrices, phases folded in, are written
 only when it is yielded, each the kept part of its site's charge-axis
 matrix, so a caller that measures the states one by one holds at most two
 (`condensate_states`).  Their occupations need no W at all
@@ -461,6 +462,12 @@ def _keep_pass(w: np.ndarray, angles: np.ndarray, chi_max: int, trunc_tol: float
     bond, charge), 0 where not kept; the kept norms, 1 on the vacuum bond;
     and each state's discarded weight.  Each rotation keeps the norm of its
     row, so every total is that of the unit start.
+
+    rot^2 of a bond is built only on the rows r that some state's w holds
+    (`_charge_window`) and the columns p < r.stop, and is 0 elsewhere; the
+    product w rot^2 still runs over the whole charge axis, so its terms, and
+    so every mask, lam, norm and discarded weight, are the floats of the
+    full rot^2.
     """
     rows, bonds = angles.shape
     q = w.shape[1] - 1
@@ -470,7 +477,11 @@ def _keep_pass(w: np.ndarray, angles: np.ndarray, chi_max: int, trunc_tol: float
     norm = np.ones((rows, bonds + 1))
     discarded = np.zeros(rows)
     for b in range(bonds):
-        s2 = np.matmul(w[:, None, :], _rotation_weights(angles[:, b], q))[:, 0]
+        r = _charge_window(w > 0)
+        p = slice(0, r.stop)
+        rot2 = np.zeros((rows, q + 1, q + 1))
+        rot2[:, r, p] = _rotation_weights(angles[:, b], q, r, p)
+        s2 = np.matmul(w[:, None, :], rot2)[:, 0]
         s = np.sqrt(s2)
         kept[:, b], norm[:, b], dropped = _truncate(s, s2.sum(axis=1), chi_max, trunc_tol)
         discarded += dropped

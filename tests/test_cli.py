@@ -331,3 +331,49 @@ def test_sweep_rejects_thread_counts_below_one(tmp_path, capsys):
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_parser_is_built_once_and_keeps_no_flags():
+    # one parser serves every main() of a process, so a flag given to one
+    # parse must not carry over to the next
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    loud = parser.parse_args(["sweep", "--config", "c.ini", "--threads", "2", "--verbose"])
+    assert (loud.threads, loud.verbose) == (2, True)
+    quiet = parser.parse_args(["sweep", "--config", "c.ini"])
+    assert quiet.threads == 1 and quiet.verbose is False
+
+
+def _reference_occupations_csv(times, occ):
+    """The rows of write_occupations_csv, each value through format(x, ".17g")."""
+    rows = ["t,site,n\n"]
+    for t, row in zip(times, occ):
+        rows.extend(f"{format(float(t), '.17g')},{site},{format(float(n), '.17g')}\n"
+                    for site, n in enumerate(row, start=1))
+    return "".join(rows).encode()
+
+
+def test_occupations_csv_formats_each_value_as_17_digits(tmp_path):
+    # one `%` format per file; '%.17g' % x must write what format(x, ".17g")
+    # writes, byte for byte, edge values included
+    rng = np.random.default_rng(7)
+    edge = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, np.nan, np.inf,
+            -np.inf, 0.1, 1 / 3, 123456789.0, 1e16, 1e17]
+    cases = [([0.0], [edge]),  # the ground state's one row
+             ([0.0], [np.array([1.5, 2.5])]),
+             ([0.0, 12.5, 1e-300], [rng.normal(size=5) * 10.0 ** rng.integers(-30, 30, 5)
+                                    for _ in range(3)]),  # snapshot rows, one per time
+             (np.linspace(0.0, 200.0, 201), rng.random((201, 40))),
+             ([], [])]
+    for times, occ in cases:
+        path = tmp_path / "occ.csv"
+        cli.write_occupations_csv(path, times, occ)
+        assert path.read_bytes() == _reference_occupations_csv(times, occ)
+    assert path.read_bytes() == b"t,site,n\n"
+
+
+def test_occupations_csv_rejects_times_that_miss_rows(tmp_path):
+    for times, rows in (([0.0, 1.0], 3), ([0.0, 1.0, 2.0], 2)):
+        with pytest.raises(ValidationError, match=f"{len(times)} times for {rows} rows"):
+            cli.write_occupations_csv(tmp_path / "occ.csv", times, np.ones((rows, 4)))
+    assert not (tmp_path / "occ.csv").exists()

@@ -187,7 +187,7 @@ def test_trunc_tol_outside_unit_interval_rejected():
 
 
 def test_zero_mu_over_n_step_rejected():
-    for grid in ("0 1 0", "0 nan 0.5", "0 1 nan"):
+    for grid in ("0 1 0", "0 nan 0.5", "0 1 nan", "0 3 -0.1", "3 0 0.1"):
         bad = GOOD_SWEEP.replace("mu_values = 0 5 10", f"mu_over_n = {grid}")
         with pytest.raises(ConfigError, match="mu_over_n"):
             parse_config_text(bad)

@@ -931,14 +931,20 @@ def _release_snapshot_modes():
     return mode_trajectory(post, c0.coefficients, np.arange(21) * 10.0)
 
 
-def test_condensate_occupations_match_the_written_states():
-    # read off the keep pass with no W written, the occupations must be those
-    # of the states condensate_states yields, truncated or not
+def _tail_modes():
+    """Four random N = 40 modes with 1e-4 tails on three sites."""
     tails = []
     for s in range(4):
         c = _random_mode(40, 90 + s)
         c[[3, 17, 30]] = 1e-4
         tails.append(c)
+    return tails
+
+
+def test_condensate_occupations_match_the_written_states():
+    # read off the keep pass with no W written, the occupations must be those
+    # of the states condensate_states yields, truncated or not
+    tails = _tail_modes()
     cases = [(tails, 20, dict(chi_max=8)), (tails, 20, dict(chi_max=12)),
              (tails, 20, dict(trunc_tol=0.0)), ([_random_mode(2, s) for s in range(3)], 0, {}),
              ([_random_mode(100, 95 + s) for s in range(2)], 100, {}),
@@ -951,6 +957,50 @@ def test_condensate_occupations_match_the_written_states():
         got = mps.condensate_occupations(modes, m, **numerics)
         assert got.shape == ref.shape == (len(modes), len(modes[0]))
         assert np.all(np.abs(got - ref) <= 1e-13 * ref), (m, numerics)
+
+
+def _full_axis_keep_pass(w, angles, chi_max, trunc_tol):
+    """The keep pass with every bond's whole (M+1) x (M+1) rot^2."""
+    rows, bonds = angles.shape
+    q = w.shape[1] - 1
+    kept = np.ones((rows, bonds + 1, q + 1), dtype=bool)
+    kept[:, bonds, 1:] = False
+    lam = np.empty((rows, bonds, q + 1))
+    norm = np.ones((rows, bonds + 1))
+    discarded = np.zeros(rows)
+    for b in range(bonds):
+        s2 = np.matmul(w[:, None, :], mps._rotation_weights(angles[:, b], q))[:, 0]
+        s = np.sqrt(s2)
+        kept[:, b], norm[:, b], dropped = mps._truncate(s, s2.sum(axis=1), chi_max, trunc_tol)
+        discarded += dropped
+        lam[:, b] = np.where(kept[:, b], s, 0.0) / norm[:, b, None]
+        w = lam[:, b] ** 2
+    return kept, lam, norm, discarded
+
+
+def test_keep_pass_window_matches_the_full_axis_product():
+    # rot^2 is built only on the charges the bond before holds, columns up
+    # to the highest of them; the product keeps its full axis, so every
+    # mask, lambda, norm and discarded weight is the same float
+    tails = _tail_modes()
+    cases = [(_release_snapshot_modes(), 20, dict(chi_max=84, trunc_tol=1e-12)),
+             (tails, 20, dict(chi_max=8, trunc_tol=1e-12)),
+             (tails, 20, dict(chi_max=84, trunc_tol=0.0)),
+             ([_random_mode(2, s) for s in range(3)], 0, dict(chi_max=4, trunc_tol=1e-12)),
+             ([_random_mode(100, 95 + s) for s in range(3)], 100,
+              dict(chi_max=404, trunc_tol=1e-12))]
+    kept = []
+    for modes, m, numerics in cases:
+        _, angles = mps._condensate_fold(modes, m)
+        start = mps._vacuum_start(angles.shape[0], m)
+        got = mps._keep_pass(start, angles, **numerics)
+        ref = _full_axis_keep_pass(start, angles, **numerics)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (m, numerics)
+        kept.append(got[0])
+    # on the quench modes the windows are far narrower than the 21 charges
+    windows = [mps._charge_window(kept[0][:, b]) for b in range(39)]
+    assert np.mean([r.stop - r.start for r in windows]) < 15
 
 
 def _sweep_grid(n, count):
