@@ -30,27 +30,44 @@ def logneg_partial_transpose(rho: np.ndarray) -> EntanglementResult:
 
     rho is given as number blocks, rho[n, i, i'] = <i, n-i| rho |i', n-i'>
     (n = 0..d-1, 0 where i > n or i' > n), the form
-    `mps.reduced_density_two_sites` returns.  Its partial transpose is
-    block-diagonal in the imbalance delta = n_2 - n_1 (Cornfeld, Goldstein &
-    Sela, arXiv:1804.00632), with pt_delta[i, i'] = rho[i + i' + delta, i', i]:
-    2d - 1 Hermitian blocks, gathered zero-padded to d x d for one eigvalsh
-    call, whose |eigenvalues| sum to the trace norm; padding adds zero
-    eigenvalues only.
+    `mps.reduced_density_two_sites` returns: `lognegs_partial_transpose` of
+    one rho.
     """
     rho = np.asarray(rho)
     if rho.ndim != 3 or not rho.shape[0] == rho.shape[1] == rho.shape[2] > 0:
         raise ValidationError(f"expected (d, d, d) number blocks, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().swapaxes(1, 2))) > 1e-8:
+    return EntanglementResult(value=float(lognegs_partial_transpose(rho[None])[0]),
+                              method="partial_transpose")
+
+
+def lognegs_partial_transpose(rhos: np.ndarray) -> np.ndarray:
+    """E_N in bits of each pair RDM of a (points, d, d, d) stack of number
+    blocks (see `logneg_partial_transpose`), every one checked to be
+    Hermitian with unit trace before any is measured.
+
+    The partial transpose is block-diagonal in the imbalance
+    delta = n_2 - n_1 (Cornfeld, Goldstein & Sela, arXiv:1804.00632), with
+    pt_delta[i, i'] = rho[i + i' + delta, i', i]: 2d - 1 Hermitian blocks per
+    point, gathered zero-padded to d x d for all points at once into one
+    eigvalsh call, whose |eigenvalues| sum to each trace norm; padding adds
+    zero eigenvalues only.  Each block's eigenvalues and each point's sum
+    depend on that point alone, so a point's E_N does not depend on the
+    points measured with it.
+    """
+    rhos = np.asarray(rhos)
+    if rhos.ndim != 4 or not rhos.shape[1] == rhos.shape[2] == rhos.shape[3] > 0:
+        raise ValidationError(f"expected (points, d, d, d) number blocks, got shape {rhos.shape}")
+    points, d = rhos.shape[:2]
+    if np.max(np.abs(rhos - rhos.conj().swapaxes(2, 3)), initial=0.0) > 1e-8:
         raise ValidationError("density matrix is not Hermitian")
-    if abs(np.trace(rho, axis1=1, axis2=2).sum().real - 1.0) > 1e-8:
+    if np.any(np.abs(np.trace(rhos, axis1=2, axis2=3).sum(axis=1).real - 1.0) > 1e-8):
         raise ValidationError("density matrix trace differs from 1")
-    d = rho.shape[0]
     i, j = np.arange(d)[:, None], np.arange(d)
     n = i + j + np.arange(1 - d, d)[:, None, None]
-    pt = np.where((n >= 0) & (n < d), rho[n % d, j, i], 0)
-    eig = np.linalg.eigvalsh(pt)
-    return EntanglementResult(value=math.log2(float(np.sum(np.abs(eig)))),
-                              method="partial_transpose")
+    pt = rhos[:, n % d, j, i]
+    pt[:, (n < 0) | (n >= d)] = 0
+    eig = np.abs(np.linalg.eigvalsh(pt)).reshape(points, (2 * d - 1) * d)
+    return np.array([math.log2(float(np.sum(row))) for row in eig])
 
 
 def binomial_end_entanglement_exact(m: int) -> EntanglementResult:

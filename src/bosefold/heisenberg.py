@@ -53,9 +53,9 @@ class ModeAmplitudes:
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive
-    (a zero column is left as it is)."""
-    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    """Rotate each column of each matrix in v (..., N, N) so its
+    largest-magnitude entry is real positive (a zero column is left as it is)."""
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
     # np.hypot rounds as abs() of one entry does; np.abs of a complex array
     # may differ in the last bit, and that bit would move every phase
     size = np.hypot(pivot.real, pivot.imag)
@@ -76,6 +76,21 @@ def propagate(spec: Spectrum, t: float) -> PropagatorMatrix:
     v = spec.eigenvectors
     phases = np.exp(-1j * spec.eigenvalues * t)
     return PropagatorMatrix(time=t, entries=(v * phases) @ v.conj().T)
+
+
+def propagator_columns(rs: np.ndarray, t: float, cols) -> np.ndarray:
+    """Columns `cols` of A(t) = V exp(-i Lambda t) V^dag of each coupling
+    matrix in the (P, N, N) stack rs, as (P, N, len(cols)).
+
+    One stacked eigh gives every spectrum, each eigenvector's phase fixed as
+    `spectral_decompose` fixes it, and only the asked columns of each product
+    are formed: each matrix's columns are those of `propagate`, and none
+    depends on the other matrices of the stack.  The matrices must be
+    validated couplings (`CouplingMatrix.validate`).
+    """
+    w, v = np.linalg.eigh(rs)
+    v = _fix_phases(v)
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ v[..., cols, :].conj().swapaxes(-1, -2)
 
 
 def ground_mode(spec: Spectrum) -> ModeAmplitudes:

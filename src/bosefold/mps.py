@@ -78,17 +78,24 @@ keeps what `apply_two` would keep.  Each kept vector turns into its site's
 frame once, in the batch's one rotation call per bond, and the pass records
 for each bond the two factors that the sites on either side of it take, so
 a state's W are written, one product per site, only when it is yielded.  No
-gate, plan, lift or chi-sized contraction runs.
+gate, plan, lift or chi-sized contraction runs.  A collision sweep needs
+only each state's end pair, built as its first two sites
+(`end_pair_densities`): the kept vectors of bond 2 are orthonormal over the
+frame states right of it, so rho_{1,2} is theta theta^dag with R[2] = 1,
+theta written from the records of bonds 0..2, and no site past the pair,
+no environment and no state is made.
 
 The environments L and R are block-diagonal in the bond charge, so
 L[k+1] = mask o (W^dag L[k] W) and R[k] = mask o (W R[k+1] W^dag), where the
 mask [q(b) = q(b')] drops exactly the products of two different levels: two
 plain products per site, with no canonical form assumed.  Occupations, the
-norm, the canonical defect and the outer environments of the reduced density
-matrix all come from them.  Where every bond holds at most one Schmidt vector
-per charge (every condensate and Fock state), the mask is the identity, so
-`occupations` carries L and R as their diagonals: with the real P = |W|^2,
-l_{k+1} = l_k P and r_{k-1} = P r_k, sums of nonnegative terms.  The
+norm, the canonical defect and the outer environments L[k-1] and R[k+1] of
+`reduced_density_two_sites` all come from them; the sweep's end-pair
+reader needs neither (L[0] = 1, and R[2] = 1 above).  Where every bond
+holds at most one Schmidt vector per charge (every condensate and Fock
+state), the mask is the identity, so `occupations` carries L and R as their
+diagonals: with the real P = |W|^2, l_{k+1} = l_k P and r_{k-1} = P r_k,
+sums of nonnegative terms.  The
 reduced density matrix of two adjacent sites k, k+1 conserves
 n_k + n_{k+1} = n, which the outer charges give, n = q_{k-1}(a) - q_{k+1}(b),
 so it is kept as its number blocks rho[n], each one product over the (a, b)
@@ -632,11 +639,11 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
     theta[a, i, b] is site k split into its levels i times W of site l; the
     outer charges give the pair's count n = q_{k-1}(a) - q_l(b), so site l
     sits at level n - i, and theta is exactly 0 where i > n.  rho[n] is one
-    product (L[k-1] theta R[l]) theta^dag over the columns (a, b) of that n:
-    L[k-1] contracts the sites left of the pair and R[l] those right of it,
-    so no canonical form is assumed.  The writers take mode vectors, so a
-    pair that is not adjacent is read from a state built with the pair moved
-    next to each other.
+    product (L[k-1] theta R[l]) theta^dag over the columns (a, b) of that n
+    (`_number_blocks`): L[k-1] contracts the sites left of the pair and R[l]
+    those right of it, so no canonical form is assumed.  The writers take
+    mode vectors, so a pair that is not adjacent is read from a state built
+    with the pair moved next to each other.
     """
     if not (1 <= k < state.n_sites and l == k + 1):
         raise ValidationError(f"need adjacent sites 1 <= k < l = k + 1 <= N, got ({k}, {l})")
@@ -648,14 +655,23 @@ def reduced_density_two_sites(state: BlockDecimationState, k: int, l: int) -> np
     # the outer charges, so a column (a, b) of ket keeps its n
     ket = np.tensordot(left, theta @ right, axes=(1, 0)).transpose(1, 0, 2).reshape(d, -1)
     bra = theta.transpose(1, 0, 2).reshape(d, -1).conj()
-    pair_n = _levels(state.charges[k - 1], state.charges[l]).reshape(-1)
+    return _number_blocks(ket, bra, _levels(state.charges[k - 1], state.charges[l]).reshape(-1))
+
+
+def _number_blocks(ket: np.ndarray, bra: np.ndarray, pair_n: np.ndarray) -> np.ndarray:
+    """rho[n] = ket[:, cols] bra[:, cols]^T over the columns of pair count
+    pair_n = n, for n = 0..d-1 (d = ket's rows), divided by the summed trace;
+    columns with n < 0 drop out.  The columns are sorted by n once, so each
+    n is one product of two slices."""
+    d = ket.shape[0]
     order = np.argsort(pair_n, kind="stable")
     # the columns with n < 0 sort before bounds[0] and drop out
     bounds = np.searchsorted(pair_n[order], np.arange(d + 1)).tolist()
+    ket, bra = ket[:, order], bra[:, order].T
     rho = np.empty((d, d, d), dtype=complex)
     for n in range(d):
-        cols = order[bounds[n]:bounds[n + 1]]
-        np.matmul(ket[:, cols], bra[:, cols].T, out=rho[n])
+        cols = slice(bounds[n], bounds[n + 1])
+        np.matmul(ket[:, cols], bra[cols], out=rho[n])
     rho /= np.trace(rho, axis1=1, axis2=2).sum().real
     return rho
 
@@ -949,11 +965,13 @@ class _FrameBond(NamedTuple):
     lam: np.ndarray
     # (vector, M+1), for the site left of the bond: the conjugated V^dag row
     # over the frame states |p-m, m>_F times tails[p, m] over the kept norm
-    # (no columns on bond 0, which has no site on its left)
-    left: np.ndarray
+    # (no columns on bond 0, which has no site on its left; None past the
+    # sites that `_frame_keep_pass` records)
+    left: np.ndarray | None
     # (vector, M+1), for the site right of the bond: the vector over that
-    # site's H-frame states |q-m, m> times sqrt((q-m)!), 0 for m > q
-    right: np.ndarray
+    # site's H-frame states |q-m, m> times sqrt((q-m)!), 0 for m > q (None
+    # on bond N-1 unless site N is recorded)
+    right: np.ndarray | None
 
 
 class _FramePass(NamedTuple):
@@ -970,13 +988,19 @@ def _tails(ft: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return np.where(below, ft[..., level] * fw[..., None, :], 0)
 
 
-def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -> _FramePass:
+def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float,
+                     sites: int | None = None) -> _FramePass:
     """Every bond of every pair, left to right, as `apply_two` would keep it
     (`_frame_bond`).  Each bond's vectors turn into the next site's H frame
     once, in one `_frame_rotation` call for the whole batch, which gives the
     bond's `right` factor and, through it, the bond after it: a batch of
-    N-site pairs makes N calls."""
+    N-site pairs makes N calls.  The site factors are recorded for the first
+    `sites` sites (all by default): no bond past them holds a `left` factor,
+    and bond N-1, whose `right` factor feeds only site N, holds none unless
+    site N is recorded, so its rotation is skipped.  The kept bonds are the
+    same floats either way."""
     pairs, n = zs.shape
+    sites = n if sites is None else sites
     m = m1 + m2
     width = m + 1
     theta, u, t, w, alpha, beta = _frames(zs, cs)
@@ -990,18 +1014,21 @@ def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -
     bonds = []
     discarded = np.zeros(pairs)
     for k in range(n):
-        x = _frame_rotation(vectors, charges, np.repeat(theta[:, k], np.diff(starts)))
-        bonds.append(_FrameBond(starts, charges, lam, left,
-                                np.where(below[charges], x * sqrt_fact[level[charges]], 0)))
+        right = None
+        if k + 1 < n or k < sites:
+            x = _frame_rotation(vectors, charges, np.repeat(theta[:, k], np.diff(starts)))
+            right = np.where(below[charges], x * sqrt_fact[level[charges]], 0)
+        bonds.append(_FrameBond(starts, charges, lam, left, right))
         if k + 1 < n:
             (starts, charges, lam, vectors, left), dropped = _frame_bond(
-                bonds[-1], fn[:, k], _tails(ft[:, k], fw[:, k]), chi_max, trunc_tol)
+                bonds[-1], fn[:, k], _tails(ft[:, k], fw[:, k]), chi_max, trunc_tol,
+                k < sites)
             discarded += dropped
     return _FramePass(bonds, fn, discarded)
 
 
 def _frame_bond(bond: _FrameBond, fn: np.ndarray, tails: np.ndarray,
-                chi_max: int, trunc_tol: float):
+                chi_max: int, trunc_tol: float, with_left: bool = True):
     """The next bond of every pair, and the weights its truncation discards.
 
     Its block of charge p holds one row per kept vector a of `bond` with
@@ -1014,8 +1041,8 @@ def _frame_bond(bond: _FrameBond, fn: np.ndarray, tails: np.ndarray,
     one SVD call per charge and height; so no block's decomposition depends
     on the pairs batched with it, and the row of every pair, p + 1 slots per
     charge, goes through `_truncate`.  Returns the new bond's starts,
-    charges, Schmidt values, V^dag rows and `left` factor, then the
-    discarded weights.
+    charges, Schmidt values, V^dag rows and `left` factor (None unless
+    `with_left`), then the discarded weights.
     """
     pairs, width = fn.shape
     _, level, below, _ = _charge_axis(width)
@@ -1062,32 +1089,58 @@ def _frame_bond(bond: _FrameBond, fn: np.ndarray, tails: np.ndarray,
     kept, norm, dropped = _truncate(s_all, np.sum(s_all**2, axis=1), chi_max, trunc_tol)
     pt, col = np.nonzero(kept)
     p, vh = np.repeat(charge, charge + 1)[col], vh_all[pt, col]
-    left = vh.conj() * tails[pt, p]
-    left /= norm[pt, None]
+    left = None
+    if with_left:
+        left = vh.conj() * tails[pt, p]
+        left /= norm[pt, None]
     return (np.searchsorted(pt, np.arange(pairs + 1)), p, s_all[pt, col] / norm[pt], vh,
             left), dropped
 
 
 def _frame_sites(fp: _FramePass, i: int) -> list:
-    """The matrices W of pair i: site k+1 takes the `right` factors of bond k
-    and the `left` factors of bond k+1, W[a, b] = fn[q_a - p_b] sum_m
-    right_a[m] left_b[m], 0 for q_a < p_b: the unweighted block rows of bond
-    k+1 (see `_frame_bond`) times V.  The last site's right bond is the
-    vacuum, charge 0, so its W is the m = 0 column of right times fn[q_a].
-    """
+    """The matrices W of pair i (`_frame_site`), site by site."""
     spans = [slice(bond.starts[i], bond.starts[i + 1]) for bond in fp.bonds]
     fn = np.concatenate([fp.fn[i], np.zeros_like(fp.fn[i])], axis=1)
-    ws = []
-    for k, (bond, span) in enumerate(zip(fp.bonds, spans)):
-        right, q = bond.right[span], bond.charges[span]
-        if k + 1 < len(fp.bonds):
-            after, b = fp.bonds[k + 1], spans[k + 1]
-            w = right @ after.left[b].T
-            w *= fn[k][q[:, None] - after.charges[b]]  # a level below 0 reads the zero tail
-        else:
-            w = right[:, :1] * fn[k][q][:, None]
-        ws.append(w)
-    return ws
+    return [_frame_site(fp, spans, fn, k) for k in range(len(fp.bonds))]
+
+
+def _frame_site(fp: _FramePass, spans: list, fn: np.ndarray, k: int) -> np.ndarray:
+    """W of site k+1 of the pair whose vectors on bond b are spans[b]:
+    site k+1 takes the `right` factors of bond k and the `left` factors of
+    bond k+1, W[a, b] = fn[k, q_a - p_b] sum_m right_a[m] left_b[m], 0 for
+    q_a < p_b: the unweighted block rows of bond k+1 (see `_frame_bond`)
+    times V.  The last site's right bond is the vacuum, charge 0, so its W
+    is the m = 0 column of right times fn[k, q_a].  fn holds the pair's rows
+    of `_FramePass.fn` padded with as many zeros, so a level below 0 reads 0.
+    """
+    bond, span = fp.bonds[k], spans[k]
+    right, q = bond.right[span], bond.charges[span]
+    if k + 1 == len(fp.bonds):
+        return right[:, :1] * fn[k][q][:, None]
+    after, b = fp.bonds[k + 1], spans[k + 1]
+    w = right @ after.left[b].T
+    w *= fn[k][q[:, None] - after.charges[b]]  # a level below 0 reads the zero tail
+    return w
+
+
+def _checked_pairs(pairs, m1: int, m2: int):
+    """The unit modes of every pair (z, c) as the rows of two arrays, or None
+    for no pairs.  Every pair is checked before anything is built: finite,
+    nonzero modes of one length, and m1, m2 >= 1."""
+    zs, cs = [], []
+    for z, c in pairs:
+        z, c = _unit_mode(z), _unit_mode(c)
+        if z.shape != c.shape:
+            raise ValidationError(f"mode vectors differ in length: {z.shape} vs {c.shape}")
+        zs.append(z)
+        cs.append(c)
+    if m1 < 1 or m2 < 1:
+        raise ValidationError("boson counts must be >= 1")
+    if not zs:
+        return None
+    if len({z.shape[0] for z in zs}) > 1:
+        raise ValidationError("mode pairs must share one length")
+    return np.array(zs), np.array(cs)
 
 
 def two_sum_states(pairs, m1: int, m2: int, *, chi_max: int | None = None,
@@ -1099,28 +1152,19 @@ def two_sum_states(pairs, m1: int, m2: int, *, chi_max: int | None = None,
     keep pass (`_frame_keep_pass`), which truncates each bond of the state
     that the earlier bonds left, as the gate replay does, and batches each
     bond's SVDs over the pairs.  Every pair is checked before anything is
-    built.  The keep pass records, for each bond of each pair, the factors
-    that the sites on either side of it take, and a state's sites are
-    written from them, one product per site, only when it is yielded
-    (`_frame_sites`), so a caller that keeps one state at a time holds,
-    besides that record, at most two.  The modes must be finite and
-    nonzero, and the pairs must share one length.
+    built (`_checked_pairs`): the modes must be finite and nonzero, and the
+    pairs must share one length.  The keep pass records, for each bond of
+    each pair, the factors that the sites on either side of it take, and a
+    state's sites are written from them, one product per site, only when it
+    is yielded (`_frame_sites`), so a caller that keeps one state at a time
+    holds, besides that record, at most two.
     """
-    zs, cs = [], []
-    for z, c in pairs:
-        z, c = _unit_mode(z), _unit_mode(c)
-        if z.shape != c.shape:
-            raise ValidationError(f"mode vectors differ in length: {z.shape} vs {c.shape}")
-        zs.append(z)
-        cs.append(c)
-    if m1 < 1 or m2 < 1:
-        raise ValidationError("boson counts must be >= 1")
-    chi_max = _chi_max(m1 + m2, chi_max)
-    if not zs:
+    checked = _checked_pairs(pairs, m1, m2)
+    if checked is None:
         return
-    if len({z.shape[0] for z in zs}) > 1:
-        raise ValidationError("mode pairs must share one length")
-    fp = _frame_keep_pass(np.array(zs), np.array(cs), m1, m2, chi_max, trunc_tol)
+    zs, cs = checked
+    chi_max = _chi_max(m1 + m2, chi_max)
+    fp = _frame_keep_pass(zs, cs, m1, m2, chi_max, trunc_tol)
     for i in range(len(zs)):
         spans = [slice(bond.starts[i], bond.starts[i + 1]) for bond in fp.bonds]
         yield BlockDecimationState(
@@ -1129,6 +1173,43 @@ def two_sum_states(pairs, m1: int, m2: int, *, chi_max: int | None = None,
             charges=[*(bond.charges[span].copy() for bond, span in zip(fp.bonds, spans)),
                      np.zeros(1, dtype=int)],
             chi_max=chi_max, trunc_tol=trunc_tol, discarded_weight=float(fp.discarded[i]))
+
+
+def end_pair_densities(pairs, m1: int, m2: int, *, chi_max: int | None = None,
+                       trunc_tol: float = 1e-12):
+    """rho_{1,2} of each pair's two-sum state as number blocks (see
+    `reduced_density_two_sites`), with its discarded weight: (rho, weight)
+    yielded in input order, and no state written.
+
+    The pairs are checked and every bond is kept as `two_sum_states` does,
+    in one keep pass, so each weight is that of the state it would yield.
+    The kept vectors of bond 2 are V^dag rows over the frame states right of
+    it, orthonormal, so R[2] = 1: rho is theta theta^dag over the columns b
+    of bond 2, of pair count n = M - q_2(b), with theta site 1 split into its
+    levels times W of site 2, both written from the records of bonds 0..2
+    (`_frame_site`).  That is the end pair of the state truncated at bonds 1
+    and 2 alone; the state that `two_sum_states` yields differs from it by
+    what bonds 3..N-1 discard.  No W of sites 3..N is written, no right
+    environment contracted and no state made, and each rho is formed at its
+    pair's own shapes, so it does not depend on the pairs built with it.
+    """
+    checked = _checked_pairs(pairs, m1, m2)
+    if checked is None:
+        return
+    zs, cs = checked
+    m = m1 + m2
+    fp = _frame_keep_pass(zs, cs, m1, m2, _chi_max(m, chi_max), trunc_tol, sites=2)
+    fn = np.concatenate([fp.fn[:, :2], np.zeros_like(fp.fn[:, :2])], axis=2)
+    for i in range(zs.shape[0]):
+        spans = [slice(bond.starts[i], bond.starts[i + 1]) for bond in fp.bonds[:3]]
+        w1, w2 = (_frame_site(fp, spans, fn[i], k) for k in (0, 1))
+        # site 1 holds M - q_1(a) bosons; right of bond 2 (the vacuum when N = 2) q_2(b)
+        q1 = fp.bonds[1].charges[spans[1]]
+        q2 = fp.bonds[2].charges[spans[2]] if len(spans) > 2 else np.zeros(1, dtype=int)
+        split = np.zeros((m + 1, q1.shape[0]), dtype=complex)
+        split[m - q1, np.arange(q1.shape[0])] = w1[0]
+        theta = split @ w2
+        yield _number_blocks(theta, theta.conj(), m - q2), float(fp.discarded[i])
 
 
 def two_sum_state(z, c, m1: int, m2: int, *, chi_max: int | None = None,

@@ -1,23 +1,31 @@
 """Scenario runners: quenches, collision sweeps, ground states, transfer."""
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entanglement import collection_fraction, logneg_partial_transpose
+from .entanglement import lognegs_partial_transpose
 from .errors import ConfigError
-from .heisenberg import ground_mode, mode_trajectory, propagate, spectral_decompose
-from .model import ModelSpec, add_onsite_barrier, build_coupling
-from .mps import (condensate_occupations, condensate_state, occupations,
-                  reduced_density_two_sites, schmidt_values, two_sum_states)
-# No scenario calls two_sum_state or evolve_mode; perfbench's tracer patches
-# them here by name, and Tracer.install() stops on a name the module lacks.
-from .heisenberg import evolve_mode  # noqa: F401
-from .mps import two_sum_state  # noqa: F401
+from .heisenberg import ground_mode, mode_trajectory, propagator_columns, spectral_decompose
+from .model import ModelSpec, build_coupling
+from .mps import (condensate_occupations, condensate_state, end_pair_densities, occupations,
+                  schmidt_values)
+# No scenario calls these; perfbench's tracer patches them here by name, and
+# Tracer.install() stops on a name the module lacks.
+from .entanglement import collection_fraction, logneg_partial_transpose  # noqa: F401
+from .heisenberg import evolve_mode, propagate  # noqa: F401
+from .model import add_onsite_barrier  # noqa: F401
+from .mps import reduced_density_two_sites, two_sum_state  # noqa: F401
 from .perturbation import TransferReport, transfer_report
+
+# bytes of the partial-transpose gather that one E_N call may take for a
+# batch of sweep points: at the sweeps' sizes every point of a batch fits
+# (152 KB a point at M = 16); at M = 256 each point (542 MB) goes alone
+_GATHER_BYTES = 2**26
 
 SCENARIO_KINDS = ("quench_release", "quench_raise", "collision_sweep",
                   "ground_state", "transfer_report")
@@ -54,9 +62,9 @@ class SweepRecord:
     e_n_bits: float
     collection_fraction: float
     discarded_weight: float
-    # seconds since the previous record of its batch; the first absorbs the
-    # work its batch shares (packets, the keep pass of every state), so a
-    # batch's records add up to its time
+    # its batch's seconds over its points: the points of a batch are
+    # measured together (packets, keep pass, E_N), so each record gets an
+    # equal share, and a batch's records add up to its time
     wall_time: float
 
 
@@ -189,44 +197,47 @@ def run_quench(spec: ScenarioSpec) -> QuenchResult:
     return QuenchResult(times=times, occupations=occ, snapshots=tuple(snapshots), m=m)
 
 
-def _end_pair(state, m: int):
-    """E_N of rho_{1,N} and the collection fraction read off its diagonal, for
-    a state built with site N moved to position 2 (see `_sweep_batch`)."""
-    rho = reduced_density_two_sites(state, 1, 2)
-    e_n = logneg_partial_transpose(rho).value
-    # <n_1> and <n_N> from the block diagonals of rho_{1,N}: p[n, i] is the
-    # weight of n_1 = i, n_N = n - i
-    p = rho.diagonal(axis1=1, axis2=2).real
-    n, i = np.arange(state.local_dim)[:, None], np.arange(state.local_dim)
-    return e_n, collection_fraction([np.sum(i * p), np.sum((n - i) * p)], m)
+def _collection(rho, m: int) -> float:
+    """The collection fraction (<n_1> + <n_N>) / M read off rho_{1,N}: its
+    block n holds n bosons on the pair, with weight its trace."""
+    return float(np.arange(rho.shape[0]) @ np.trace(rho, axis1=1, axis2=2).real) / m
 
 
 def _sweep_batch(args):
-    """Records of a run of barrier heights whose states are built together.
+    """Records of a run of barrier heights whose points are measured together.
 
-    Both packet modes are permuted to the site order (1, N, 2, ..., N-1)
-    before the build, so the end pair is the first two sites of the chain
-    and rho_{1,N} needs no transfer through the sites between them.
+    Three steps, each point's numbers its own whatever the batch:
+    - the packets, rows 1 and N of A(pi), of every barrier height from one
+      stacked eigh (`propagator_columns`), both permuted to the site order
+      (1, N, 2, ..., N-1), so the end pair is the first two sites;
+    - rho_{1,N} of every point as rho_{1,2} off one keep pass, with no state
+      written (`end_pair_densities`), and its collection fraction;
+    - E_N of the points from one gather and one eigvalsh
+      (`lognegs_partial_transpose`), taken as the points come in groups
+      whose gather stays within `_GATHER_BYTES`, so a large-M batch holds
+      one point's rho at a time.
     """
     base, mus, m1, m2, num = args
     start = time.perf_counter()
     n = base.n_sites
     order = [0, n - 1, *range(1, n - 1)]
-    pairs = []
-    for mu in mus:
-        r = add_onsite_barrier(base, n // 2, n // 2 + 1, mu) if mu != 0.0 else base
-        a = propagate(spectral_decompose(r), math.pi)
-        pairs.append((a.entries[order, 0], a.entries[order, n - 1]))
-    states = two_sum_states(pairs, m1, m2, chi_max=num.chi_max, trunc_tol=num.trunc_tol)
-    records = []
-    for mu, state in zip(mus, states):
-        e_n, frac = _end_pair(state, m1 + m2)
-        now = time.perf_counter()
-        records.append(SweepRecord(mu=mu, e_n_bits=e_n, collection_fraction=frac,
-                                   discarded_weight=state.discarded_weight,
-                                   wall_time=now - start))
-        start = now
-    return records
+    rs = np.repeat(base.entries[None], len(mus), axis=0)
+    barrier = [n // 2 - 1, n // 2]  # sites n/2 and n/2 + 1
+    rs[:, barrier, barrier] += np.array(mus)[:, None]
+    ends = propagator_columns(rs, math.pi, [0, n - 1])
+    points = end_pair_densities(zip(ends[:, order, 0], ends[:, order, 1]), m1, m2,
+                                chi_max=num.chi_max, trunc_tol=num.trunc_tol)
+    m = m1 + m2
+    d = m + 1
+    size = max(1, _GATHER_BYTES // ((2 * d - 1) * d * d * 16))
+    e_n, rest = [], []
+    while group := list(itertools.islice(points, size)):
+        e_n.extend(lognegs_partial_transpose(np.stack([rho for rho, _ in group])).tolist())
+        rest.extend((_collection(rho, m), weight) for rho, weight in group)
+    wall = (time.perf_counter() - start) / len(mus)
+    return [SweepRecord(mu=mu, e_n_bits=e, collection_fraction=frac, discarded_weight=weight,
+                        wall_time=wall)
+            for mu, e, (frac, weight) in zip(mus, e_n, rest)]
 
 
 def run_collision_sweep(spec: ScenarioSpec, threads: int = 1):
@@ -234,11 +245,11 @@ def run_collision_sweep(spec: ScenarioSpec, threads: int = 1):
 
     For each mu: couplings are the model plus a diagonal barrier of height mu
     on the two central sites; the packets are rows 1 and N of A(pi); records
-    keep the input mu order.  The base couplings are built once.  The states
-    of a batch of barrier heights are built together (`two_sum_states`) and
-    measured one at a time: one batch, or with threads = K > 1 one
-    contiguous batch of the mu values per worker process.  A state does not
-    depend on the states built with it, so neither does its record.
+    keep the input mu order.  The base couplings are built once.  The points
+    of a batch of barrier heights are measured together (`_sweep_batch`),
+    with no state written: one batch, or with threads = K > 1 one contiguous
+    batch of the mu values per worker process.  Each point is computed at
+    shapes of its own, so its record does not depend on its batch.
     """
     validate_spec(spec)
     m1, m2 = _packet_counts(spec)

@@ -7,7 +7,7 @@ from scipy.special import gammaln
 from bosefold.entanglement import (binomial_end_entanglement_asymptotic,
                                    binomial_end_entanglement_exact,
                                    collection_fraction, logneg_partial_transpose,
-                                   logneg_pure)
+                                   logneg_pure, lognegs_partial_transpose)
 from bosefold.errors import ValidationError
 
 
@@ -53,21 +53,49 @@ def test_logneg_pt_bell_pair():
     assert logneg_pure([1 / math.sqrt(2)] * 2).value == pytest.approx(1.0)
 
 
+def _mixture(d, rng):
+    """A dense d^2 x d^2 mixture of three number-conserving pure states."""
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    for weight in rng.dirichlet(np.ones(3)):
+        n = rng.integers(d)
+        psi = np.zeros((d, d), dtype=complex)  # psi[n_1, n_2]
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        psi[np.arange(n + 1), n - np.arange(n + 1)] = amps / np.linalg.norm(amps)
+        rho += weight * np.outer(psi.ravel(), psi.ravel().conj())
+    return rho
+
+
 def test_logneg_pt_matches_dense_partial_transpose():
     # random mixtures of number-conserving pure states: the trace norm of
     # the dense d^2 x d^2 partial transpose, by SVD, against the blocks
     rng = np.random.default_rng(7)
     for d in range(2, 10):
-        rho = np.zeros((d * d, d * d), dtype=complex)
-        for weight in rng.dirichlet(np.ones(3)):
-            n = rng.integers(d)
-            psi = np.zeros((d, d), dtype=complex)  # psi[n_1, n_2]
-            amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-            psi[np.arange(n + 1), n - np.arange(n + 1)] = amps / np.linalg.norm(amps)
-            rho += weight * np.outer(psi.ravel(), psi.ravel().conj())
+        rho = _mixture(d, rng)
         pt = rho.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
         ref = math.log2(np.sum(np.linalg.svd(pt, compute_uv=False)))
         assert abs(logneg_partial_transpose(_blocks(rho)).value - ref) < 1e-12, d
+
+
+def test_lognegs_check_every_rho_and_match_each_alone():
+    # a stack of pair RDMs gives each one's E_N bit for bit, and one rho that
+    # is not Hermitian or has no unit trace fails the stack wherever it sits,
+    # with the messages of one rho
+    rng = np.random.default_rng(11)
+    good = [_blocks(_mixture(5, rng)) for _ in range(4)]
+    values = lognegs_partial_transpose(np.stack(good))
+    assert values.tolist() == [logneg_partial_transpose(rho).value for rho in good]
+    assert len(set(values.tolist())) == 4
+    skew = good[1].copy()
+    skew[3, 0, 2] += 0.01
+    for bad, match in ((skew, "density matrix is not Hermitian"),
+                       (2 * good[1], "density matrix trace differs from 1")):
+        for where in (0, 2, 4):
+            with pytest.raises(ValidationError, match=match):
+                lognegs_partial_transpose(np.stack(good[:where] + [bad] + good[where:]))
+    for shape in [(5, 5, 5), (1, 5, 5, 4), (2, 0, 0, 0)]:
+        with pytest.raises(ValidationError, match="number blocks"):
+            lognegs_partial_transpose(np.zeros(shape, dtype=complex))
+    assert lognegs_partial_transpose(np.zeros((0, 5, 5, 5), dtype=complex)).shape == (0,)
 
 
 def test_logneg_pt_input_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bosefold import mps, scenarios
+from bosefold.entanglement import logneg_partial_transpose
 from bosefold.errors import ConfigError
 from bosefold.heisenberg import propagate, spectral_decompose
 from bosefold.model import ModelSpec, add_onsite_barrier, build_coupling
@@ -74,6 +75,69 @@ def test_run_collision_sweep_orders_and_measures():
     assert free.collection_fraction == pytest.approx(1.0, abs=1e-8)
     assert free.e_n_bits == pytest.approx(0.0, abs=1e-8)
     assert recs[0].e_n_bits > 0.1  # barrier scatters into entanglement
+
+
+def _sweep_spec(mus, m, chi_max):
+    return ScenarioSpec(kind="collision_sweep", model=ModelSpec(n_sites=20, base="jx"),
+                        m1=m // 2, m2=m // 2, mu_values=tuple(mus),
+                        numerics=NumericsSpec(chi_max=chi_max))
+
+
+def test_run_collision_sweep_writes_no_state(monkeypatch):
+    # rho_{1,N} comes off the keep pass: no site past the end pair is
+    # written, no right environment contracted and no state made, yet each
+    # record matches the one measured on the state that `two_sum_states`
+    # writes, up to what bonds 3..N-1 discard
+    n, m, mus = 20, 8, (0.0, 6.0, 20.0, 40.0, 60.0)
+    order = [0, n - 1, *range(1, n - 1)]
+    base, pairs = build_coupling(ModelSpec(n_sites=n, base="jx")), []
+    for mu in mus:
+        r = add_onsite_barrier(base, n // 2, n // 2 + 1, mu) if mu else base
+        a = propagate(spectral_decompose(r), np.pi).entries
+        pairs.append((a[order, 0], a[order, n - 1]))
+    expected = []
+    for st in mps.two_sum_states(pairs, m // 2, m // 2, chi_max=25):
+        rho = mps.reduced_density_two_sites(st, 1, 2)
+        weight = np.einsum("nii->ni", rho).real
+        level, i = np.arange(m + 1)[:, None], np.arange(m + 1)
+        expected.append((logneg_partial_transpose(rho).value,
+                         np.sum(weight * np.where(i <= level, level, 0)) / m, st.discarded_weight))
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("a sweep point wrote a state")
+
+    for name in ("_frame_sites", "_right_envs", "BlockDecimationState"):
+        monkeypatch.setattr(mps, name, no_state)
+    recs = run_collision_sweep(_sweep_spec(mus, m, 25))
+    assert [r.mu for r in recs] == list(mus)
+    for rec, (e_n, frac, weight) in zip(recs, expected):
+        assert abs(rec.e_n_bits - e_n) < 1e-10, rec.mu
+        assert abs(rec.collection_fraction - frac) < 1e-11, rec.mu
+        assert rec.discarded_weight == weight, rec.mu
+    assert recs[2].e_n_bits > 1.0
+
+
+def test_sweep_points_do_not_depend_on_their_batch():
+    # the M = 8 grid (N = 20, mu / N = 0..3 in steps of 0.1, chi_max 25):
+    # each point's E_N, collection fraction and discarded weight must be the
+    # same floats built alone, in the contiguous batches of 2 and of 5
+    # worker processes, and in one batch
+    spec = _sweep_spec([round(0.1 * i, 10) * 20 for i in range(31)], 8, 25)
+    base = build_coupling(spec.model)
+    mus = list(spec.mu_values)
+
+    def batches(cuts):
+        return [rec for a, b in zip(cuts, cuts[1:])
+                for rec in scenarios._sweep_batch((base, mus[a:b], 4, 4, spec.numerics))]
+
+    def numbers(recs):
+        return [(r.mu, r.e_n_bits, r.collection_fraction, r.discarded_weight) for r in recs]
+
+    one = numbers(batches([0, 31]))
+    assert len({e_n for _, e_n, _, _ in one}) > 25
+    assert numbers(batches(list(range(32)))) == one
+    assert numbers(batches([0, 16, 31])) == one
+    assert numbers(batches([0, 7, 13, 19, 25, 31])) == one
 
 
 def test_collision_fraction_matches_closed_form_for_unequal_packets():
