@@ -74,8 +74,14 @@ def propagate(spec: Spectrum, t: float) -> PropagatorMatrix:
     if t == 0.0:
         return PropagatorMatrix(time=0.0, entries=np.eye(spec.n_sites, dtype=complex))
     v = spec.eigenvectors
-    phases = np.exp(-1j * spec.eigenvalues * t)
-    return PropagatorMatrix(time=t, entries=(v * phases) @ v.conj().T)
+    return PropagatorMatrix(time=t, entries=_product(v, spec.eigenvalues, t, v))
+
+
+def _product(v: np.ndarray, w: np.ndarray, t: float, rows: np.ndarray) -> np.ndarray:
+    """V exp(-i Lambda t) rows^dag for each matrix of the (..., N, N) stack
+    v with eigenvalues w: the columns of A(t) at the sites of `rows`, which
+    are rows of V (all of V gives A(t))."""
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ rows.conj().swapaxes(-1, -2)
 
 
 def propagator_columns(rs: np.ndarray, t: float, cols) -> np.ndarray:
@@ -84,13 +90,13 @@ def propagator_columns(rs: np.ndarray, t: float, cols) -> np.ndarray:
 
     One stacked eigh gives every spectrum, each eigenvector's phase fixed as
     `spectral_decompose` fixes it, and only the asked columns of each product
-    are formed: each matrix's columns are those of `propagate`, and none
-    depends on the other matrices of the stack.  The matrices must be
-    validated couplings (`CouplingMatrix.validate`).
+    are formed (`_product`, as `propagate` forms A(t)), none depending on
+    the other matrices of the stack.  The matrices must be validated
+    couplings (`CouplingMatrix.validate`).
     """
     w, v = np.linalg.eigh(rs)
     v = _fix_phases(v)
-    return (v * np.exp(-1j * w * t)[..., None, :]) @ v[..., cols, :].conj().swapaxes(-1, -2)
+    return _product(v, w, t, v[..., cols, :])
 
 
 def ground_mode(spec: Spectrum) -> ModeAmplitudes:

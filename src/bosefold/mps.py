@@ -965,13 +965,11 @@ class _FrameBond(NamedTuple):
     lam: np.ndarray
     # (vector, M+1), for the site left of the bond: the conjugated V^dag row
     # over the frame states |p-m, m>_F times tails[p, m] over the kept norm
-    # (no columns on bond 0, which has no site on its left; None past the
-    # sites that `_frame_keep_pass` records)
-    left: np.ndarray | None
+    # (no columns on bond 0, which has no site on its left)
+    left: np.ndarray
     # (vector, M+1), for the site right of the bond: the vector over that
-    # site's H-frame states |q-m, m> times sqrt((q-m)!), 0 for m > q (None
-    # on bond N-1 unless site N is recorded)
-    right: np.ndarray | None
+    # site's H-frame states |q-m, m> times sqrt((q-m)!), 0 for m > q
+    right: np.ndarray
 
 
 class _FramePass(NamedTuple):
@@ -988,19 +986,13 @@ def _tails(ft: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return np.where(below, ft[..., level] * fw[..., None, :], 0)
 
 
-def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float,
-                     sites: int | None = None) -> _FramePass:
+def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float) -> _FramePass:
     """Every bond of every pair, left to right, as `apply_two` would keep it
     (`_frame_bond`).  Each bond's vectors turn into the next site's H frame
     once, in one `_frame_rotation` call for the whole batch, which gives the
     bond's `right` factor and, through it, the bond after it: a batch of
-    N-site pairs makes N calls.  The site factors are recorded for the first
-    `sites` sites (all by default): no bond past them holds a `left` factor,
-    and bond N-1, whose `right` factor feeds only site N, holds none unless
-    site N is recorded, so its rotation is skipped.  The kept bonds are the
-    same floats either way."""
+    N-site pairs makes N calls."""
     pairs, n = zs.shape
-    sites = n if sites is None else sites
     m = m1 + m2
     width = m + 1
     theta, u, t, w, alpha, beta = _frames(zs, cs)
@@ -1014,21 +1006,18 @@ def _frame_keep_pass(zs, cs, m1: int, m2: int, chi_max: int, trunc_tol: float,
     bonds = []
     discarded = np.zeros(pairs)
     for k in range(n):
-        right = None
-        if k + 1 < n or k < sites:
-            x = _frame_rotation(vectors, charges, np.repeat(theta[:, k], np.diff(starts)))
-            right = np.where(below[charges], x * sqrt_fact[level[charges]], 0)
-        bonds.append(_FrameBond(starts, charges, lam, left, right))
+        x = _frame_rotation(vectors, charges, np.repeat(theta[:, k], np.diff(starts)))
+        bonds.append(_FrameBond(starts, charges, lam, left,
+                                np.where(below[charges], x * sqrt_fact[level[charges]], 0)))
         if k + 1 < n:
             (starts, charges, lam, vectors, left), dropped = _frame_bond(
-                bonds[-1], fn[:, k], _tails(ft[:, k], fw[:, k]), chi_max, trunc_tol,
-                k < sites)
+                bonds[-1], fn[:, k], _tails(ft[:, k], fw[:, k]), chi_max, trunc_tol)
             discarded += dropped
     return _FramePass(bonds, fn, discarded)
 
 
 def _frame_bond(bond: _FrameBond, fn: np.ndarray, tails: np.ndarray,
-                chi_max: int, trunc_tol: float, with_left: bool = True):
+                chi_max: int, trunc_tol: float):
     """The next bond of every pair, and the weights its truncation discards.
 
     Its block of charge p holds one row per kept vector a of `bond` with
@@ -1041,8 +1030,8 @@ def _frame_bond(bond: _FrameBond, fn: np.ndarray, tails: np.ndarray,
     one SVD call per charge and height; so no block's decomposition depends
     on the pairs batched with it, and the row of every pair, p + 1 slots per
     charge, goes through `_truncate`.  Returns the new bond's starts,
-    charges, Schmidt values, V^dag rows and `left` factor (None unless
-    `with_left`), then the discarded weights.
+    charges, Schmidt values, V^dag rows and `left` factor, then the
+    discarded weights.
     """
     pairs, width = fn.shape
     _, level, below, _ = _charge_axis(width)
@@ -1089,10 +1078,8 @@ def _frame_bond(bond: _FrameBond, fn: np.ndarray, tails: np.ndarray,
     kept, norm, dropped = _truncate(s_all, np.sum(s_all**2, axis=1), chi_max, trunc_tol)
     pt, col = np.nonzero(kept)
     p, vh = np.repeat(charge, charge + 1)[col], vh_all[pt, col]
-    left = None
-    if with_left:
-        left = vh.conj() * tails[pt, p]
-        left /= norm[pt, None]
+    left = vh.conj() * tails[pt, p]
+    left /= norm[pt, None]
     return (np.searchsorted(pt, np.arange(pairs + 1)), p, s_all[pt, col] / norm[pt], vh,
             left), dropped
 
@@ -1198,7 +1185,7 @@ def end_pair_densities(pairs, m1: int, m2: int, *, chi_max: int | None = None,
         return
     zs, cs = checked
     m = m1 + m2
-    fp = _frame_keep_pass(zs, cs, m1, m2, _chi_max(m, chi_max), trunc_tol, sites=2)
+    fp = _frame_keep_pass(zs, cs, m1, m2, _chi_max(m, chi_max), trunc_tol)
     fn = np.concatenate([fp.fn[:, :2], np.zeros_like(fp.fn[:, :2])], axis=2)
     for i in range(zs.shape[0]):
         spans = [slice(bond.starts[i], bond.starts[i + 1]) for bond in fp.bonds[:3]]

@@ -11,20 +11,21 @@ import numpy as np
 from .entanglement import lognegs_partial_transpose
 from .errors import ConfigError
 from .heisenberg import ground_mode, mode_trajectory, propagator_columns, spectral_decompose
-from .model import ModelSpec, build_coupling
+from .model import ModelSpec, add_onsite_barrier, build_coupling
 from .mps import (condensate_occupations, condensate_state, end_pair_densities, occupations,
                   schmidt_values)
 # No scenario calls these; perfbench's tracer patches them here by name, and
 # Tracer.install() stops on a name the module lacks.
 from .entanglement import collection_fraction, logneg_partial_transpose  # noqa: F401
 from .heisenberg import evolve_mode, propagate  # noqa: F401
-from .model import add_onsite_barrier  # noqa: F401
 from .mps import reduced_density_two_sites, two_sum_state  # noqa: F401
 from .perturbation import TransferReport, transfer_report
 
-# bytes of the partial-transpose gather that one E_N call may take for a
-# batch of sweep points: at the sweeps' sizes every point of a batch fits
-# (152 KB a point at M = 16); at M = 256 each point (542 MB) goes alone
+# bytes of the partial-transpose gather alone that one E_N call may take for
+# a batch of sweep points (the stacked rhos and the Hermiticity check's
+# temporaries come on top, about 1.5x as much again): at the sweeps' sizes
+# every point of a batch fits (152 KB a point at M = 16); at M = 256 each
+# point (542 MB) goes alone
 _GATHER_BYTES = 2**26
 
 SCENARIO_KINDS = ("quench_release", "quench_raise", "collision_sweep",
@@ -214,16 +215,16 @@ def _sweep_batch(args):
       written (`end_pair_densities`), and its collection fraction;
     - E_N of the points from one gather and one eigvalsh
       (`lognegs_partial_transpose`), taken as the points come in groups
-      whose gather stays within `_GATHER_BYTES`, so a large-M batch holds
-      one point's rho at a time.
+      whose partial-transpose gather stays within `_GATHER_BYTES`, so a
+      large-M batch holds one point's rho at a time.
     """
     base, mus, m1, m2, num = args
     start = time.perf_counter()
     n = base.n_sites
     order = [0, n - 1, *range(1, n - 1)]
-    rs = np.repeat(base.entries[None], len(mus), axis=0)
-    barrier = [n // 2 - 1, n // 2]  # sites n/2 and n/2 + 1
-    rs[:, barrier, barrier] += np.array(mus)[:, None]
+    barrier = (n // 2, n // 2 + 1)
+    rs = np.stack([(add_onsite_barrier(base, *barrier, mu) if mu != 0.0 else base).entries
+                   for mu in mus])
     ends = propagator_columns(rs, math.pi, [0, n - 1])
     points = end_pair_densities(zip(ends[:, order, 0], ends[:, order, 1]), m1, m2,
                                 chi_max=num.chi_max, trunc_tol=num.trunc_tol)

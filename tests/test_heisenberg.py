@@ -4,8 +4,9 @@ import scipy.linalg
 
 from bosefold.errors import ValidationError
 from bosefold.heisenberg import (evolve_mode, ground_mode, mode_trajectory, occupations_oracle,
-                                 packet_modes, propagate, spectral_decompose)
-from bosefold.model import build_jx, coupling_from_array
+                                 packet_modes, propagate, propagator_columns,
+                                 spectral_decompose)
+from bosefold.model import add_onsite_barrier, build_jx, coupling_from_array
 
 
 def _random_coupling(n, seed):
@@ -21,6 +22,26 @@ def test_propagator_matches_expm():
         a = propagate(spec, t).entries
         ref = scipy.linalg.expm(-1j * r.entries * t)
         assert np.max(np.abs(a - ref)) < 1e-12
+
+
+def test_propagator_columns_are_those_of_propagate():
+    # matrix by matrix, a stack gives the spectra of spectral_decompose and
+    # the asked columns of propagate: the same floats on the sweep's real
+    # couplings (J_x plus a central barrier), and to rounding on complex
+    # ones, where a product of fewer columns may round its last bit apart
+    n, cols = 20, [0, 19]
+    sweep = [add_onsite_barrier(build_jx(n), n // 2, n // 2 + 1, mu) if mu else build_jx(n)
+             for mu in np.arange(31) * 2.0]
+    stacked = propagator_columns(np.stack([r.entries for r in sweep]), np.pi, cols)
+    assert stacked.shape == (31, n, 2)
+    for r, got in zip(sweep, stacked):
+        assert np.array_equal(got, propagate(spectral_decompose(r), np.pi).entries[:, cols])
+    rs = [_random_coupling(7, seed) for seed in (3, 4, 5)]
+    for t in (np.pi, -0.3):
+        stacked = propagator_columns(np.stack([r.entries for r in rs]), t, [0, 6, 2])
+        for r, got in zip(rs, stacked):
+            ref = propagate(spectral_decompose(r), t).entries[:, [0, 6, 2]]
+            assert np.max(np.abs(got - ref)) < 1e-15
 
 
 def test_propagator_identity_at_zero():

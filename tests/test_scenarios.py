@@ -140,6 +140,24 @@ def test_sweep_points_do_not_depend_on_their_batch():
     assert numbers(batches([0, 7, 13, 19, 25, 31])) == one
 
 
+def test_sweep_points_do_not_depend_on_their_gather_groups(monkeypatch):
+    # E_N groups of 1 and of 3 points on the M = 8 grid give the floats of
+    # one group holding the whole batch
+    spec = _sweep_spec([round(0.1 * i, 10) * 20 for i in range(31)], 8, 25)
+    args = (build_coupling(spec.model), list(spec.mu_values), 4, 4, spec.numerics)
+
+    def numbers():
+        return [(r.mu, r.e_n_bits, r.collection_fraction, r.discarded_weight)
+                for r in scenarios._sweep_batch(args)]
+
+    one = numbers()
+    point = (2 * 9 - 1) * 9 * 9 * 16  # one point's gather at d = 9
+    assert scenarios._GATHER_BYTES >= 31 * point
+    for size in (1, 3):
+        monkeypatch.setattr(scenarios, "_GATHER_BYTES", size * point)
+        assert numbers() == one
+
+
 def test_collision_fraction_matches_closed_form_for_unequal_packets():
     # m1 != m2 breaks the mirror symmetry, so <n_1> and <n_N> differ
     n, mu, m1, m2 = 6, 3.0, 3, 1
