@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError
-from .model import ModelSpec, load_matrix_csv
+from .model import BASES, ModelSpec, load_matrix_csv
 from .scenarios import NumericsSpec, ScenarioSpec, validate_spec
 
 
@@ -23,6 +23,12 @@ def _barrier(raw: str) -> tuple:
     if len(parts) != 3:
         raise ValueError("expected `first last height`")
     return (int(parts[0]), int(parts[1]), float(parts[2]))
+
+
+def _base(raw: str) -> str:
+    if raw not in BASES:
+        raise ValueError(f"expected one of {', '.join(BASES)}")
+    return raw
 
 
 # each key's parser; a ValueError it raises names the line
@@ -42,7 +48,7 @@ _SCENARIO_KEYS = {
 }
 _MODEL_KEYS = {
     "n_sites": int,
-    "base": str,
+    "base": _base,
     "j1": float,
     "custom_matrix": str,
     "trap_omega": float,
@@ -112,6 +118,10 @@ def _build_model(sections, section: str) -> ModelSpec | None:
     fields = _read_keys(sections, section)
     if "n_sites" not in fields:
         raise ConfigError(f"[{section}] needs n_sites")
+    base = fields.get("base", "inverse_distance")
+    if ("custom_matrix" in fields) != (base == "custom"):
+        raise ConfigError(f"[{section}] needs custom_matrix and base = custom together, "
+                          "not one without the other")
     custom = None
     if "custom_matrix" in fields:
         path = fields.pop("custom_matrix")
@@ -121,7 +131,7 @@ def _build_model(sections, section: str) -> ModelSpec | None:
                               f"has n_sites = {fields['n_sites']}")
     return ModelSpec(
         n_sites=fields["n_sites"],
-        base=fields.get("base", "inverse_distance"),
+        base=base,
         j1=fields.get("j1", 0.0),
         custom=custom,
         trap_omega=fields.get("trap_omega"),

@@ -117,12 +117,15 @@ def add_gaussian_center_perturbation(r: CouplingMatrix, eps: float, beta: float)
     return CouplingMatrix(a).validate()
 
 
+BASES = ("inverse_distance", "jx", "custom")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative description of a coupling matrix."""
 
     n_sites: int
-    base: str = "inverse_distance"  # inverse_distance | jx | custom
+    base: str = "inverse_distance"  # one of BASES
     j1: float = 0.0
     custom: np.ndarray | None = None
     trap_omega: float | None = None

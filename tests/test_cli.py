@@ -189,6 +189,22 @@ def test_malformed_custom_matrix_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and f"{matrix}{where}" in err, err
         assert not out.exists(), name
+    # a matrix without base = custom, base = custom without a matrix and an
+    # unknown base are config errors too; the unknown base names its line
+    matrix = tmp_path / "pair.csv"
+    matrix.write_text("0,0,1,0\n1,0,0,0\n")
+    unpaired = "[model] needs custom_matrix and base = custom together"
+    cases = [("default-base", f"n_sites = 2\ncustom_matrix = {matrix}", unpaired),
+             ("jx-base", f"n_sites = 2\nbase = jx\ncustom_matrix = {matrix}", unpaired),
+             ("no-matrix", "n_sites = 6\nbase = custom", unpaired),
+             ("bogus", "n_sites = 6\nbase = bogus", "line 9: cannot parse value 'bogus'")]
+    for name, model, message in cases:
+        text = SWEEP_CFG.replace("n_sites = 6\nbase = jx", model)
+        out = tmp_path / name
+        assert main(["sweep", "--config", _write(tmp_path, text), "--out-dir", str(out)]) == 2, name
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err, err
+        assert not out.exists(), name
 
 
 def test_kind_must_match_subcommand(tmp_path, capsys):
